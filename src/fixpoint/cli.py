@@ -17,6 +17,7 @@ ran but an assertion or continuation failed, 2 for config or usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -97,6 +98,8 @@ def _as_float(values: dict[str, str], key: str, default: float | None = None,
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: not a number: "
                           f"{values[key]!r}") from exc
+    if not math.isfinite(v):
+        raise ConfigError(f"key {key!r} must be finite, got {values[key]!r}")
     if positive and v <= 0.0:
         raise ConfigError(f"key {key!r} must be > 0, got {v}")
     return v
@@ -122,10 +125,13 @@ def _as_vector(values: dict[str, str], key: str) -> np.ndarray:
     if key not in values:
         raise ConfigError(f"missing required key {key!r}")
     try:
-        return np.array([float(p) for p in values[key].split(";")])
+        v = np.array([float(p) for p in values[key].split(";")])
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: expected semicolon-separated "
                           f"floats, got {values[key]!r}") from exc
+    if not np.all(np.isfinite(v)):
+        raise ConfigError(f"key {key!r} must be finite, got {values[key]!r}")
+    return v
 
 
 def _build_entry(values: dict[str, str]) -> GalleryEntry:
@@ -144,7 +150,7 @@ def _build_entry(values: dict[str, str]) -> GalleryEntry:
 
 def _error_text(exc: FixpointError) -> str:
     lines = [f"error={type(exc).__name__}", f"message={exc}"]
-    for attr in ("t", "lam", "step", "residual"):
+    for attr in ("t", "lam", "step", "residual", "tail_bound"):
         v = getattr(exc, attr, None)
         if v is not None:
             lines.append(f"{attr}={v!r}")

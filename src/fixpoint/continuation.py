@@ -395,7 +395,9 @@ def limit_path(T: MappingInstance, cfg: PathConfig, final_tol: float,
     carries the terminal point and its certificate; the limit may sit on
     the boundary, which is reported, not an error.  Different ratios give
     interlaced schedules; their limits must agree, which makes the ratio a
-    useful consistency probe.
+    useful consistency probe.  If t_n rounds to 1.0 before the tail bound
+    drops below final_tol, ConvergenceError is raised carrying the last
+    tail bound.
     """
     if final_tol <= 0.0:
         raise ArgumentError(f"final_tol must be > 0, got {final_tol}")
@@ -425,9 +427,15 @@ def limit_path(T: MappingInstance, cfg: PathConfig, final_tol: float,
                          norm_bound_ok=True)]
     x = zero
     t_prev = 0.0
+    tail = mb / gap_ft
     terminal = None
     for step_no in range(1, 400):
         t_n = 1.0 - schedule_ratio ** step_no
+        if t_n >= 1.0:
+            raise ConvergenceError(
+                f"limit schedule reached t = 1.0 in floating point at step "
+                f"{step_no} with tail bound {tail} still >= final_tol "
+                f"{final_tol}", tail_bound=tail)
         try:
             x, res = solve_at_t(T, t_n, x, cfg.inner_tol,
                                 cfg.max_inner_iter)

@@ -80,6 +80,21 @@ def _euclidean_norm(v: Point) -> float:
     return math.sqrt(float(v @ v))
 
 
+def _row_dot(rows: np.ndarray, v: Point) -> np.ndarray:
+    """rows[j] @ v for every row of an (m, d) array.
+
+    A stacked matmul gives the same float as the 1-D ``v @ row`` on every
+    row; ``rows @ v``, np.sum(rows * v, 1) and einsum round differently
+    and differ in the last bit on a sizeable share of rows once d >= 2.
+    """
+    return (rows[:, None, :] @ v[:, None])[:, 0, 0]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, equal bit for bit to _euclidean_norm."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
 def euclidean(dimension: int) -> Space:
     """Euclidean space of the given dimension."""
     return Space(dimension=dimension,
@@ -244,6 +259,11 @@ class DomainSet:
     are convex, so projection is nonexpansive).  nearest_boundary, when
     present, returns a closest boundary point, used to audit the boundary
     condition when a path crowds the edge of its domain.
+
+    contains_rows and project_rows are contains and project applied to
+    every row of an (m, dimension) array at once (a bool array of length m,
+    and an (m, dimension) array).  They give exactly what the point forms
+    give row by row, so batched experiments reproduce the one-point ones.
     """
 
     kind: str
@@ -251,8 +271,15 @@ class DomainSet:
     contains: Callable[[Point], bool]
     interior_contains: Callable[[Point], bool]
     boundary_distance: Callable[[Point], float]
+    contains_rows: Callable[[np.ndarray], np.ndarray]
     project: Callable[[Point], Point] | None = None
+    project_rows: Callable[[np.ndarray], np.ndarray] | None = None
     nearest_boundary: Callable[[Point], Point] | None = None
+
+    def __post_init__(self):
+        if (self.project is None) != (self.project_rows is None):
+            raise ArgumentError("project and project_rows must be given "
+                                "together, or neither")
 
 
 def box(lo, hi) -> DomainSet:
@@ -296,7 +323,11 @@ def box(lo, hi) -> DomainSet:
                 return 0.0
             return float(min(np.min(p - lo_a), np.min(hi_a - p)))
 
+    def contains_rows(rows: np.ndarray) -> np.ndarray:
+        return ((rows >= lo_a) & (rows <= hi_a)).all(axis=1)
+
     def project(p: Point) -> Point:
+        # elementwise, so it serves single points and (m, d) rows alike
         return np.clip(p, lo_a, hi_a)
 
     def nearest_boundary(p: Point) -> Point:
@@ -311,7 +342,8 @@ def box(lo, hi) -> DomainSet:
 
     return DomainSet(kind="box", params=tuple(lo_a) + tuple(hi_a),
                      contains=contains, interior_contains=interior,
-                     boundary_distance=bdist, project=project,
+                     boundary_distance=bdist, contains_rows=contains_rows,
+                     project=project, project_rows=project,
                      nearest_boundary=nearest_boundary)
 
 
@@ -342,6 +374,17 @@ def ball(center, radius: float) -> DomainSet:
         # pull a hair inside the sphere so membership survives rounding
         return c + (p - c) * ((radius / r) * (1.0 - 1e-12))
 
+    def contains_rows(rows: np.ndarray) -> np.ndarray:
+        return _row_norms(rows - c) <= radius
+
+    def project_rows(rows: np.ndarray) -> np.ndarray:
+        v = rows - c
+        r = _row_norms(v)
+        far = r > radius
+        out = np.array(rows)
+        out[far] = c + v[far] * ((radius / r[far]) * (1.0 - 1e-12))[:, None]
+        return out
+
     def nearest_boundary(p: Point) -> Point:
         r = _euclidean_norm(p - c)
         if r == 0.0:
@@ -352,7 +395,8 @@ def ball(center, radius: float) -> DomainSet:
 
     return DomainSet(kind="ball", params=tuple(c) + (radius,),
                      contains=contains, interior_contains=interior,
-                     boundary_distance=bdist, project=project,
+                     boundary_distance=bdist, contains_rows=contains_rows,
+                     project=project, project_rows=project_rows,
                      nearest_boundary=nearest_boundary)
 
 
@@ -379,13 +423,25 @@ def halfspace(normal, offset: float) -> DomainSet:
         # overshoot by 1e-12 relative so membership survives rounding
         return p - nv * ((s - offset) * (1.0 + 1e-12) / (nn * nn))
 
+    def contains_rows(rows: np.ndarray) -> np.ndarray:
+        return _row_dot(rows, nv) <= offset
+
+    def project_rows(rows: np.ndarray) -> np.ndarray:
+        s = _row_dot(rows, nv)
+        over = s > offset
+        out = np.array(rows)
+        out[over] = rows[over] - nv * (
+            (s[over] - offset) * (1.0 + 1e-12) / (nn * nn))[:, None]
+        return out
+
     def nearest_boundary(p: Point) -> Point:
         s = float(nv @ p)
         return p - nv * ((s - offset) / (nn * nn))
 
     return DomainSet(kind="halfspace", params=tuple(nv) + (offset,),
                      contains=contains, interior_contains=interior,
-                     boundary_distance=bdist, project=project,
+                     boundary_distance=bdist, contains_rows=contains_rows,
+                     project=project, project_rows=project_rows,
                      nearest_boundary=nearest_boundary)
 
 
@@ -397,6 +453,15 @@ def halfspace(normal, offset: float) -> DomainSet:
 class MappingInstance:
     """A self- or nonself-mapping bundled with its declared modulus, its
     domain, and the space whose metric all guarantees refer to.
+
+    apply maps a point of shape (dimension,) to its image.  Given an
+    (m, dimension) array it must return the (m, dimension) array of the
+    images of its rows, each what apply gives for that row alone: the
+    stability experiment steps all its trials as one such array and
+    refuses an apply that does not map row by row.  Elementwise maps give
+    the same bits either way; an affine map is written ``x @ A.T + b``
+    rather than ``A @ x + b``, and its batched rows may differ from the
+    single-row images in the last bits.
 
     The declared modulus is a claim, not a certificate; audit it with
     :func:`verify_contractive` on the pairs you care about.

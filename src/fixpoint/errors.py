@@ -60,11 +60,14 @@ class ConvergenceError(FixpointError):
     Attributes
     ----------
     residual : the last residual observed.
+    tail_bound : for the t -> 1 limit schedule, the last tail bound reached.
     """
 
-    def __init__(self, message: str, residual: float | None = None):
+    def __init__(self, message: str, residual: float | None = None,
+                 tail_bound: float | None = None):
         super().__init__(message)
         self.residual = residual
+        self.tail_bound = tail_bound
 
 
 class DomainExitError(FixpointError):

@@ -104,7 +104,8 @@ def _build_constant(c: float, lo: float, hi: float) -> GalleryEntry:
     c_arr = _frozen([c])
 
     def apply(x: Point) -> Point:
-        return c_arr
+        # broadcast_to costs microseconds, so single points skip it
+        return c_arr if x.ndim == 1 else np.broadcast_to(c_arr, x.shape)
 
     inside = lo <= c <= hi
     return GalleryEntry(
@@ -139,9 +140,11 @@ def _build_planar_rotation(theta: float, bx: float, by: float,
     R = _frozen([[c, -s], [s, c]])
     b = _frozen(b)
     eye = np.eye(2)
+    Rt = R.T
 
     def apply(x: Point) -> Point:
-        return R @ x + b
+        # x @ R.T, unlike R @ x, also maps an (m, 2) array row by row
+        return x @ Rt + b
 
     def path(t: float) -> Point:
         return np.linalg.solve(eye - t * R, t * b)

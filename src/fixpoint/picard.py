@@ -114,6 +114,103 @@ def orbit_exact(T: MappingInstance, x0, n: int) -> Orbit:
                  perturbation_bound=0.0)
 
 
+def _ball_noise(noise_seed: int, n: int, d: int, delta: float) -> np.ndarray:
+    """The n perturbations of one orbit, drawn uniformly from the delta-ball
+    by a generator seeded with noise_seed: an (n, d) array."""
+    rng = np.random.default_rng(noise_seed)
+    dirs = rng.standard_normal((n, d))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+    # shave 1e-9 off the radii so projection roundoff cannot push a
+    # recorded residual past delta
+    radii = delta * rng.random(n) ** (1.0 / d) * (1.0 - 1e-9)
+    return dirs * radii[:, None]
+
+
+def _require_rowwise(T: MappingInstance, rows: np.ndarray,
+                     images: np.ndarray) -> None:
+    """Refuse an apply whose image of the (m, d) array rows is not, up to
+    roundoff, the stack of its images of the single rows."""
+    single = np.array([T.apply(r) for r in rows])
+    atol = 1e-9 * np.max(np.abs(rows), axis=1, keepdims=True)
+    if np.shape(images) != rows.shape or not np.all(
+            np.isclose(images, single, rtol=1e-9, atol=atol,
+                       equal_nan=True)):
+        raise ArgumentError(
+            "apply does not map an (m, d) array row by row, so trials "
+            "cannot be stepped together; see MappingInstance")
+
+
+class _Steps(NamedTuple):
+    exited_at: np.ndarray       # (m,) first point index outside, 0 if none
+    worst: np.ndarray | None    # (m,) max dist(x_i, anchor), i in [k, n]
+    points: np.ndarray | None   # (n + 1, m, d) when recorded
+    images: np.ndarray | None   # (n, m, d): T x_i, when recorded
+
+
+def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
+                     noise: np.ndarray | None, anchor: Point | None = None,
+                     k: int = 1, record: bool = False) -> _Steps:
+    """Step every row of the (m, d) array starts through
+    x_{i+1} = T x_i + noise[i, row] for up to n steps; noise None means
+    exact steps.
+
+    All rows share one apply per step.  A single row goes through the
+    point form of apply, so one orbit needs no more of T than a point map.
+    A perturbed point outside the domain is projected back in when T x_i
+    itself is inside; otherwise the exit is genuine: the point is recorded
+    as-is, its row's exited_at is set and the row leaves the batch.  With
+    an anchor, each row keeps the running max of dist(x_i, anchor) over
+    i in [k, n] (k >= 1) instead of its trajectory; record keeps points
+    and images, whose entries after a row's exit are unset.
+    """
+    m, d = starts.shape
+    if m == 1:
+        def apply(rows):
+            return np.reshape(T.apply(rows[0]), (1, d))
+    else:
+        apply = T.apply
+    contains = T.domain.contains_rows
+    project = T.domain.project_rows
+    live = np.arange(m)
+    exited = np.zeros(m, dtype=int)
+    worst = None if anchor is None else np.full(m, -math.inf)
+    pts = images = None
+    if record:
+        pts = np.empty((n + 1, m, d))
+        pts[0] = starts
+        images = np.empty((n, m, d))
+    x = starts
+    for i in range(n):
+        y = apply(x)
+        if i == 0 and m > 1:
+            _require_rowwise(T, x, y)
+        cand = y if noise is None else y + noise[i, live]
+        out = ~contains(cand)
+        if out.any():
+            back = np.zeros(len(live), dtype=bool)
+            if project is not None:
+                back[out] = contains(y[out])
+            if back.any():
+                cand = np.array(cand)
+                cand[back] = project(cand[back])
+            out &= ~back
+        if record:
+            images[i, live] = y
+            pts[i + 1, live] = cand
+        if out.any():
+            exited[live[out]] = i + 1
+            live = live[~out]
+            cand = cand[~out]
+        if anchor is not None and i + 1 >= k:
+            worst[live] = np.maximum(worst[live], _rowwise(T, cand, anchor))
+        if not live.size:
+            break
+        x = cand
+    if worst is not None:
+        worst[exited > 0] = math.inf
+    return _Steps(exited_at=exited, worst=worst, points=pts, images=images)
+
+
 def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
                   noise_seed: int) -> Orbit:
     """Perturbed orbit: x_{i+1} = T x_i + e_i with ||e_i|| <= delta.
@@ -124,7 +221,8 @@ def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
     is nonexpansive and the recorded residual stays <= delta.  If T x_i
     itself leaves the domain the exit is genuine: the perturbed point is
     recorded as-is and the orbit stops there when it is outside.
-    delta = 0 reproduces orbit_exact bit for bit.
+    delta = 0 reproduces orbit_exact bit for bit.  This is the one-row case
+    of the batch that run_stability_experiment steps.
     """
     if n < 1:
         raise ArgumentError(f"orbit length must be >= 1, got {n}")
@@ -134,43 +232,15 @@ def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
     x = as_point(x0, d)
     if not T.domain.contains(x):
         raise DomainError(f"start {x!r} lies outside the domain", point=x)
-
     perturbed = delta > 0.0
+    noise = _ball_noise(noise_seed, n, d, delta)[:, None] if perturbed \
+        else None
+    run = _perturbed_steps(T, x[None], n, noise, record=True)
+    exited = int(run.exited_at[0]) or None
+    m = exited or n
+    pts = run.points[:m + 1, 0]
     if perturbed:
-        rng = np.random.default_rng(noise_seed)
-        dirs = rng.standard_normal((n, d))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True),
-                           1e-300)
-        # shave 1e-9 off the radii so projection roundoff cannot push a
-        # recorded residual past delta
-        radii = delta * rng.random(n) ** (1.0 / d) * (1.0 - 1e-9)
-        noise = dirs * radii[:, None]
-
-    pts = np.empty((n + 1, d))
-    images = np.empty((n, d))
-    pts[0] = x
-    contains = T.domain.contains
-    project = T.domain.project
-    apply = T.apply
-    exited = None
-    m = n
-    for i in range(n):
-        y = apply(x)
-        images[i] = y
-        cand = y + noise[i] if perturbed else y
-        if not contains(cand):
-            if project is not None and contains(y):
-                cand = project(cand)
-            else:
-                pts[i + 1] = cand
-                exited = i + 1
-                m = i + 1
-                break
-        pts[i + 1] = cand
-        x = cand
-    pts = pts[:m + 1]
-    if perturbed:
-        res = _rowwise(T, pts[1:], images[:m])
+        res = _rowwise(T, pts[1:], run.images[:m, 0])
     else:
         res = np.zeros(m)
     return Orbit(points=_frozen(pts), residuals=_frozen(res),
@@ -304,14 +374,15 @@ def stability_constants(M: float, epsilon: float,
         delta  = min(delta0, delta1, eps (1 - phi(eps)) / 4) / 2
         k      = least integer > 4 (M + 1) / ((1 - phi(eps)) eps) + 4
 
-    Requires 0 < epsilon <= M and an admissible modulus with phi < 1 at
-    M/2, eps/2, and eps.
+    Requires finite 0 < epsilon <= M and an admissible modulus with
+    phi < 1 at M/2, eps/2, and eps.
     """
-    if M <= 0.0:
-        raise ArgumentError(f"seed radius M must be > 0, got {M}")
-    if epsilon <= 0.0 or epsilon > M:
+    if not (math.isfinite(M) and M > 0.0):
+        raise ArgumentError(f"seed radius M must be finite and > 0, got {M}")
+    if not (math.isfinite(epsilon) and 0.0 < epsilon <= M):
         raise ArgumentError(
-            f"target accuracy must satisfy 0 < epsilon <= M, got {epsilon}")
+            f"target accuracy must be finite with 0 < epsilon <= M, got "
+            f"{epsilon}")
     if not m.rakotch:
         raise NonRakotchError("stability constants need an admissible "
                               f"modulus, got kind={m.kind}")
@@ -381,6 +452,14 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
     delta_override substitutes a different perturbation budget, e.g. to
     demonstrate failure beyond the certified delta; the report flags when
     the override exceeds the certificate.
+
+    The trials are stepped together as one (trials, d) array, one apply of
+    T per step, so T.apply must map such an array row by row (see
+    MappingInstance); with more than one trial an apply that does not is
+    refused with ArgumentError.  Each trial's worst distance is kept as a
+    running max rather than storing orbits, but the noise of every trial is
+    drawn up front: n * trials * d floats (1.6 MB for 100 trials of 2000
+    steps in one dimension), none when the budget is 0.
     """
     if trials < 1:
         raise ArgumentError(f"trials must be >= 1, got {trials}")
@@ -403,7 +482,8 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
     violated = delta_override is not None and delta_override > consts.delta
 
     rng = np.random.default_rng(seed)
-    records = []
+    starts = np.empty((trials, d))
+    noise = np.empty((n, trials, d)) if delta_used > 0.0 else None
     for trial in range(trials):
         direction = rng.standard_normal(d)
         nrm = math.sqrt(float(direction @ direction))
@@ -418,17 +498,17 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
             raise DomainError(
                 f"drawn start {x0!r} could not be placed in the domain",
                 point=x0)
+        starts[trial] = x0
         noise_seed = int(rng.integers(0, 2 ** 63))
-        orb = orbit_inexact(T, x0, n, delta_used, noise_seed)
-        if orb.exited_domain_at is not None:
-            worst = math.inf
-        else:
-            worst = float(np.max(_rowwise(T, orb.points[consts.k:], xb)))
-        records.append(TrialRecord(trial=trial, x0=_frozen(x0), worst=worst,
-                                   passed=worst <= epsilon))
+        if noise is not None:
+            noise[:, trial] = _ball_noise(noise_seed, n, d, delta_used)
+    worst = _perturbed_steps(T, starts, n, noise, anchor=xb,
+                             k=consts.k).worst.tolist()
+    records = tuple(TrialRecord(trial=j, x0=_frozen(starts[j]), worst=w,
+                                passed=w <= epsilon)
+                    for j, w in enumerate(worst))
     return StabilityReport(constants=consts, delta_used=delta_used,
-                           constants_violated=violated, n=n,
-                           trials=tuple(records))
+                           constants_violated=violated, n=n, trials=records)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,23 @@ def test_limit_experiment_reports_boundary_fixed_point(tmp_path):
         .startswith("1.0,")
 
 
+def test_limit_schedule_reaching_one_exits_one(tmp_path):
+    # 1 - 0.5**54 rounds to 1.0 while the tail bound is still ~3e-16, above
+    # final-tol: the schedule is exhausted, not misconfigured
+    cfg = _write(tmp_path, "limit.cfg", """
+        experiment = limit
+        map = affine-halfline
+        final-tol = 1e-17
+    """)
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = (out / "error.txt").read_text()
+    assert "error=ConvergenceError" in err
+    tail = float(err.split("tail_bound=")[1].split("\n")[0])
+    assert 1e-17 <= tail < 1e-15
+    assert not (out / "limit.txt").exists()
+
+
 def test_certify_contractive_map_exits_zero(tmp_path):
     cfg = _write(tmp_path, "cert.cfg", """
         experiment = certify
@@ -260,6 +277,27 @@ def test_bad_map_param_exits_two(tmp_path, capsys):
     """)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "a = 500" in capsys.readouterr().err
+
+
+_NONFINITE_BASES = {
+    "tol": "experiment = solve\nmap = affine-halfline\nx0 = 3.0\n",
+    "x0": "experiment = solve\nmap = affine-halfline\n",
+    "M": "experiment = stability\nmap = rakotch-decay\nepsilon = 0.5\n"
+         "trials = 2\nn = 200\n",
+    "epsilon": "experiment = stability\nmap = rakotch-decay\nM = 1.0\n"
+               "trials = 2\nn = 200\n",
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(_NONFINITE_BASES))
+def test_nonfinite_number_is_a_config_error(tmp_path, capsys, key, value):
+    cfg = _write(tmp_path, "bad.cfg",
+                 _NONFINITE_BASES[key] + f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}' must be finite" in err
 
 
 def test_list_maps_names_everything(capsys):

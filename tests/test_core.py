@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from fixpoint.core import (as_point, ball, box, check_modulus_admissible,
                            halfline, halfspace, max_norm,
                            nonexpansive_modulus, rational_decay_modulus,
                            table_modulus, verify_contractive,
-                           MappingInstance)
+                           MappingInstance, _row_dot, _row_norms)
 from fixpoint.errors import ArgumentError, DomainError
 
 
@@ -153,6 +154,21 @@ def test_rowwise_distance_matches_pointwise():
                                             rel=1e-15)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_row_norms_and_dots_equal_the_scalar_floats(d):
+    # the batched stability experiment reproduces the one-point reports
+    # only if these agree to the bit, not merely to an ulp
+    rng = np.random.default_rng(100 + d)
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, size=(2000, 1))
+    rows = rng.standard_normal((2000, d)) * scale
+    nv = rng.standard_normal(d)
+    norms = _row_norms(rows)
+    dots = _row_dot(rows, nv)
+    for v, r, s in zip(rows, norms, dots):
+        assert r == math.sqrt(float(v @ v))
+        assert s == float(nv @ v)
+
+
 # ---------------------------------------------------------------------------
 # domains
 
@@ -222,6 +238,41 @@ def test_projection_is_idempotent_and_nonexpansive(dom):
         # the ball projection shaves 1e-12 inward, hence the slack
         assert (np.linalg.norm(pp - qq)
                 <= np.linalg.norm(p - q) + 1e-10)
+
+
+@pytest.mark.parametrize("dom,dim", [
+    (box([-1.0], [1.0]), 1),
+    (halfline(0.0), 1),
+    (box([-1.0, -2.0, 0.0], [1.0, 2.0, 0.5]), 3),
+    (ball([0.5, -0.5], 3.0), 2),
+    (ball([1.0, 0.0, -1.0], 2.5), 3),
+    (halfspace([0.6, 1.3], 2.0), 2),
+    (halfspace([0.3, -1.7, 0.9], 0.1), 3),
+])
+def test_row_forms_equal_the_point_forms_row_by_row(dom, dim):
+    rng = np.random.default_rng(37)
+    rows = rng.uniform(-4.0, 4.0, size=(500, dim))
+    rows[::7] = 0.0
+    # points on the boundary up to rounding, where a norm or dot product
+    # that is off by an ulp flips membership
+    rows[1::3] = [dom.nearest_boundary(p) for p in rows[1::3]]
+    inside = dom.contains_rows(rows)
+    projected = dom.project_rows(rows)
+    assert inside.shape == (500,) and projected.shape == rows.shape
+    assert 0 < inside.sum() < 500
+    for p, c, q in zip(rows, inside, projected):
+        assert c == dom.contains(p)
+        assert np.array_equal(q, dom.project(p))
+
+
+def test_domain_needs_both_projection_forms_or_neither():
+    d = box([-1.0], [1.0])
+    with pytest.raises(ArgumentError, match="project_rows"):
+        dataclasses.replace(d, project_rows=None)
+    with pytest.raises(ArgumentError, match="project_rows"):
+        dataclasses.replace(d, project=None)
+    bare = dataclasses.replace(d, project=None, project_rows=None)
+    assert bare.project is None
 
 
 @pytest.mark.parametrize("dom", [

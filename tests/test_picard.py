@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from fixpoint.core import (MappingInstance, box, constant_modulus,
-                           euclidean, halfline, rational_decay_modulus,
-                           nonexpansive_modulus)
+from fixpoint.core import (MappingInstance, as_point, ball, box,
+                           constant_modulus, euclidean, halfline, halfspace,
+                           max_norm, rational_decay_modulus,
+                           nonexpansive_modulus, _frozen)
 from fixpoint.errors import (ArgumentError, ConvergenceError, DomainError,
                              NonRakotchError, NonselfExitError)
-from fixpoint.picard import (Orbit, SeedBounds, cluster_tolerance,
-                             coupling_index, orbit_csv, orbit_exact,
-                             orbit_inexact, run_stability_experiment,
-                             settling_index, solve_fixed_point,
-                             stability_constants, stability_report_text,
-                             _least_int_greater)
+from fixpoint.gallery import make_map
+from fixpoint.picard import (Orbit, SeedBounds, StabilityReport, TrialRecord,
+                             cluster_tolerance, coupling_index, orbit_csv,
+                             orbit_exact, orbit_inexact,
+                             run_stability_experiment, settling_index,
+                             solve_fixed_point, stability_constants,
+                             stability_report_text, _least_int_greater)
 
 
 def _decay_map(a: float = 1.0) -> MappingInstance:
@@ -126,6 +128,11 @@ def test_stability_constants_validation():
         stability_constants(1.0, 2.0, m)    # epsilon > M
     with pytest.raises(NonRakotchError):
         stability_constants(1.0, 0.5, nonexpansive_modulus())
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ArgumentError, match="finite"):
+            stability_constants(bad, 0.1, m)
+        with pytest.raises(ArgumentError, match="finite"):
+            stability_constants(1.0, bad, m)
 
 
 def test_stability_delta_never_exceeds_its_three_floors():
@@ -327,6 +334,209 @@ def test_stability_experiment_validates_inputs():
     with pytest.raises(ArgumentError):
         run_stability_experiment(_decay_map(), [0.0], 1.0, 0.5,
                                  trials=0, n=200, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# the batched experiment against the one-trial-at-a-time loop it replaced
+
+def _reference_rowwise(T, a, b):
+    if T.space.rowwise_distance is not None:
+        return T.space.rowwise_distance(a, b)
+    if b.ndim == 1:
+        return np.array([T.space.distance(p, b) for p in a])
+    return np.array([T.space.distance(p, q) for p, q in zip(a, b)])
+
+
+def _reference_orbit_inexact(T, x0, n, delta, noise_seed):
+    """Frozen copy of the scalar perturbed-orbit loop: one point per
+    step through the point forms of apply, contains and project."""
+    d = T.space.dimension
+    x = as_point(x0, d)
+    perturbed = delta > 0.0
+    if perturbed:
+        rng = np.random.default_rng(noise_seed)
+        dirs = rng.standard_normal((n, d))
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True),
+                           1e-300)
+        radii = delta * rng.random(n) ** (1.0 / d) * (1.0 - 1e-9)
+        noise = dirs * radii[:, None]
+    pts = np.empty((n + 1, d))
+    images = np.empty((n, d))
+    pts[0] = x
+    exited = None
+    m = n
+    for i in range(n):
+        y = T.apply(x)
+        images[i] = y
+        cand = y + noise[i] if perturbed else y
+        if not T.domain.contains(cand):
+            if T.domain.project is not None and T.domain.contains(y):
+                cand = T.domain.project(cand)
+            else:
+                pts[i + 1] = cand
+                exited = i + 1
+                m = i + 1
+                break
+        pts[i + 1] = cand
+        x = cand
+    pts = pts[:m + 1]
+    res = (_reference_rowwise(T, pts[1:], images[:m]) if perturbed
+           else np.zeros(m))
+    return Orbit(points=_frozen(pts), residuals=_frozen(res),
+                 exited_domain_at=exited, perturbation_bound=delta)
+
+
+def _reference_stability(T, xbar, M, epsilon, trials, n, seed,
+                         delta_override=None):
+    """Frozen copy of the per-trial stability loop: one orbit per trial,
+    then the rowwise max over [k:]."""
+    d = T.space.dimension
+    xb = as_point(xbar, d)
+    consts = stability_constants(M, epsilon, T.declared_modulus)
+    delta_used = consts.delta if delta_override is None else delta_override
+    rng = np.random.default_rng(seed)
+    records = []
+    for trial in range(trials):
+        direction = rng.standard_normal(d)
+        nrm = math.sqrt(float(direction @ direction))
+        if nrm < 1e-300:
+            direction = np.zeros(d)
+            direction[0] = 1.0
+            nrm = 1.0
+        x0 = xb + direction * (M * rng.random() ** (1.0 / d) / nrm)
+        if not T.domain.contains(x0) and T.domain.project is not None:
+            x0 = T.domain.project(x0)
+        noise_seed = int(rng.integers(0, 2 ** 63))
+        orb = _reference_orbit_inexact(T, x0, n, delta_used, noise_seed)
+        if orb.exited_domain_at is not None:
+            worst = math.inf
+        else:
+            worst = float(np.max(_reference_rowwise(
+                T, orb.points[consts.k:], xb)))
+        records.append(TrialRecord(trial=trial, x0=_frozen(x0), worst=worst,
+                                   passed=worst <= epsilon))
+    return StabilityReport(
+        constants=consts, delta_used=delta_used,
+        constants_violated=(delta_override is not None
+                            and delta_override > consts.delta),
+        n=n, trials=tuple(records))
+
+
+def _assert_same_report(T, xbar, M, epsilon, trials, n, seed,
+                        delta_override=None):
+    batched = run_stability_experiment(T, xbar, M, epsilon, trials, n, seed,
+                                       delta_override=delta_override)
+    ref = _reference_stability(T, xbar, M, epsilon, trials, n, seed,
+                               delta_override=delta_override)
+    assert stability_report_text(batched) == stability_report_text(ref)
+    return batched
+
+
+# (map name, map params, M, epsilon, n): every gallery map the stability
+# experiment accepts, with n just past the settling index k
+_GALLERY_CASES = [
+    ("affine-halfline", {}, 1.0, 0.1, 170),
+    ("rakotch-decay", {"a": 1.0}, 1.0, 0.1, 900),
+    ("constant", {"c": 0.5}, 1.0, 0.1, 100),
+    ("damped-rational", {}, 1.0, 0.1, 170),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("name,params,M,eps,n", _GALLERY_CASES)
+def test_batched_stability_report_matches_per_trial_loop(name, params, M,
+                                                         eps, n, seed):
+    entry = make_map(name, **params)
+    _assert_same_report(entry.mapping, entry.known_fixed_point, M, eps,
+                        trials=12, n=n, seed=seed)
+
+
+def test_batched_stability_single_trial_matches():
+    T = make_map("rakotch-decay").mapping
+    _assert_same_report(T, [0.0], 1.0, 0.1, trials=1, n=900, seed=4)
+
+
+def test_batched_stability_matches_when_trials_exit():
+    # T x = -x/2 on [-0.1, inf): a point past 0.2 maps below -0.1, so a
+    # trial whose noise carries it there leaves the domain for good
+    T = MappingInstance(apply=lambda x: -0.5 * x,
+                        declared_modulus=constant_modulus(0.5),
+                        domain=halfline(-0.1), space=euclidean(1))
+    rep = _assert_same_report(T, [0.0], 0.15, 0.1, trials=20, n=120,
+                              seed=5, delta_override=0.16)
+    exits = sum(1 for t in rep.trials if t.worst == math.inf)
+    assert 0 < exits < 20
+
+
+@pytest.mark.parametrize("space", [euclidean, max_norm])
+@pytest.mark.parametrize("domain", [
+    ball([0.6, 0.8], 1.0),
+    halfspace([0.6, 1.3], 0.0),
+    ball([0.36, 0.48, 0.8], 1.0),
+    halfspace([0.3, -1.7, 0.9], 0.0),
+])
+def test_batched_stability_matches_in_two_and_three_dimensions(domain,
+                                                               space):
+    # x / 2 with the fixed point 0 on the boundary, so starts and
+    # perturbed steps are projected back in often
+    d = len(domain.params) - 1
+    T = MappingInstance(apply=lambda x: x / 2.0,
+                        declared_modulus=constant_modulus(0.5),
+                        domain=domain, space=space(d))
+    for seed in (2, 3):
+        _assert_same_report(T, np.zeros(d), 1.0, 0.5, trials=12, n=60,
+                            seed=seed)
+
+
+@pytest.mark.parametrize("T,x0,delta", [
+    (_decay_map(), [1e-3], 1e-2),
+    (_decay_map(), [1.0], 0.0),
+    (MappingInstance(apply=lambda x: np.array([2.0]),
+                     declared_modulus=constant_modulus(0.0),
+                     domain=box([-1.0], [1.0]), space=euclidean(1)),
+     [0.0], 1e-3),
+    (MappingInstance(apply=lambda x: x / 2.0,
+                     declared_modulus=constant_modulus(0.5),
+                     domain=ball([1.0, 0.0], 1.0), space=euclidean(2)),
+     [0.5, 0.5], 0.1),
+])
+def test_orbit_inexact_matches_scalar_loop(T, x0, delta):
+    got = orbit_inexact(T, x0, 300, delta, noise_seed=41)
+    ref = _reference_orbit_inexact(T, x0, 300, delta, noise_seed=41)
+    assert np.array_equal(got.points, ref.points)
+    assert np.array_equal(got.residuals, ref.residuals)
+    assert got.exited_domain_at == ref.exited_domain_at
+
+
+def _rotation_map(apply_for):
+    c, s = math.cos(0.3), math.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+    b = np.array([0.2, -0.1])
+    T = MappingInstance(apply=apply_for(R, b),
+                        declared_modulus=constant_modulus(0.5),
+                        domain=ball([0.0, 0.0], 10.0), space=euclidean(2))
+    return T, np.linalg.solve(np.eye(2) - R, b)
+
+
+def test_batched_stability_refuses_an_apply_that_is_not_rowwise():
+    # R @ x of a (2, 2) array of rows is a matrix product, not the rows'
+    # images; stepping with it would give a silently wrong report
+    T, xbar = _rotation_map(lambda R, b: lambda x: R @ x + b)
+    with pytest.raises(ArgumentError, match="row by row"):
+        run_stability_experiment(T, xbar, 1.0, 0.5, trials=2, n=60, seed=1)
+    # one trial goes through the point form of apply
+    rep = run_stability_experiment(T, xbar, 1.0, 0.5, trials=1, n=60,
+                                   seed=1)
+    assert len(rep.trials) == 1
+
+
+def test_batched_stability_accepts_a_rowwise_affine_map():
+    # x @ R.T + b maps rows; its batched rows may round differently from
+    # the single-row images, which the rowwise check allows
+    T, xbar = _rotation_map(lambda R, b: lambda x: x @ R.T + b)
+    rep = run_stability_experiment(T, xbar, 1.0, 0.5, trials=8, n=60,
+                                   seed=1)
+    assert len(rep.trials) == 8
 
 
 # ---------------------------------------------------------------------------
