@@ -28,21 +28,13 @@ from . import __version__
 from .continuation import (PathConfig, limit_path, path_csv, trace_path)
 from .core import check_modulus_admissible, verify_contractive
 from .errors import (ConfigError, ConvergenceError, FixpointError,
-                     LsViolationError, NonselfExitError, StallError)
+                     LsViolationError, NonFiniteError, NonselfExitError,
+                     StallError)
 from .gallery import GalleryEntry, list_maps, make_map, map_summary
 from .picard import (orbit_csv, orbit_exact, run_stability_experiment,
                      solve_fixed_point, stability_report_text)
 
-_EXPERIMENTS = ("solve", "stability", "trace", "limit", "certify")
-
 _COMMON_KEYS = {"experiment", "map", "seed", "out"}
-_KEYS = {
-    "solve": {"x0", "tol", "max-iter"},
-    "stability": {"xbar", "M", "epsilon", "trials", "n"},
-    "trace": {"q", "inner-tol", "max-inner-iter", "target-t"},
-    "limit": {"q", "inner-tol", "max-inner-iter", "final-tol", "ratio"},
-    "certify": {"pairs", "slack", "grid-max", "grid-points"},
-}
 
 
 def parse_config(path: Path) -> dict[str, str]:
@@ -75,7 +67,7 @@ def parse_config(path: Path) -> dict[str, str]:
                           f"{', '.join(_EXPERIMENTS)}")
     if "map" not in values:
         raise ConfigError(f"{path}: missing required key 'map'")
-    allowed = _COMMON_KEYS | _KEYS[kind]
+    allowed = _COMMON_KEYS | _EXPERIMENTS[kind][0]
     for key in values:
         if key.startswith("map."):
             continue
@@ -162,28 +154,26 @@ def _error_text(exc: FixpointError) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_solve(entry: GalleryEntry, values: dict[str, str],
-               outdir: Path) -> int:
+def _write(outdir: Path, name: str, text: str) -> None:
+    """Write one report, creating outdir on the first write, so a run
+    refused for its config leaves no directory behind."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / name).write_text(text)
+
+
+def _run_solve(entry: GalleryEntry, values: dict[str, str], outdir: Path,
+               seed: int) -> int:
     x0 = _as_vector(values, "x0")
     tol = _as_float(values, "tol", 1e-10, positive=True)
     max_iter = _as_int(values, "max-iter", 100_000, at_least=1)
     T = entry.mapping
-    try:
-        res = solve_fixed_point(T, x0, tol, max_iter)
-    except NonselfExitError as exc:
-        (outdir / "error.txt").write_text(_error_text(exc))
-        if exc.orbit is not None:
-            (outdir / "orbit.csv").write_text(orbit_csv(exc.orbit))
-        return 1
-    except ConvergenceError as exc:
-        (outdir / "error.txt").write_text(_error_text(exc))
-        return 1
+    res = solve_fixed_point(T, x0, tol, max_iter)
     orbit = orbit_exact(T, x0, max(res.iterations, 1))
-    (outdir / "orbit.csv").write_text(orbit_csv(orbit))
+    _write(outdir, "orbit.csv", orbit_csv(orbit))
     point = ";".join(repr(float(c)) for c in res.point)
-    (outdir / "solution.txt").write_text(
-        f"point={point}\niterations={res.iterations}\n"
-        f"residual={res.residual!r}\n")
+    _write(outdir, "solution.txt",
+           f"point={point}\niterations={res.iterations}\n"
+           f"residual={res.residual!r}\n")
     return 0
 
 
@@ -202,7 +192,7 @@ def _run_stability(entry: GalleryEntry, values: dict[str, str],
     trials = _as_int(values, "trials", 100, at_least=1)
     n = _as_int(values, "n", at_least=1)
     report = run_stability_experiment(T, xbar, M, epsilon, trials, n, seed)
-    (outdir / "stability.txt").write_text(stability_report_text(report))
+    _write(outdir, "stability.txt", stability_report_text(report))
     return 0 if report.all_passed else 1
 
 
@@ -216,35 +206,26 @@ def _path_config(values: dict[str, str], target_key: str | None) -> \
                       target_t=target)
 
 
-def _run_trace(entry: GalleryEntry, values: dict[str, str],
-               outdir: Path) -> int:
-    cfg = _path_config(values, "target-t")
-    try:
-        path = trace_path(entry.mapping, cfg)
-    except (LsViolationError, StallError, ConvergenceError) as exc:
-        (outdir / "error.txt").write_text(_error_text(exc))
-        return 1
-    (outdir / "path.csv").write_text(path_csv(path))
+def _run_trace(entry: GalleryEntry, values: dict[str, str], outdir: Path,
+               seed: int) -> int:
+    path = trace_path(entry.mapping, _path_config(values, "target-t"))
+    _write(outdir, "path.csv", path_csv(path))
     return 0
 
 
-def _run_limit(entry: GalleryEntry, values: dict[str, str],
-               outdir: Path) -> int:
+def _run_limit(entry: GalleryEntry, values: dict[str, str], outdir: Path,
+               seed: int) -> int:
     cfg = _path_config(values, None)
     final_tol = _as_float(values, "final-tol", 1e-6, positive=True)
     ratio = _as_float(values, "ratio", 0.5, positive=True)
-    try:
-        path = limit_path(entry.mapping, cfg, final_tol, ratio)
-    except (LsViolationError, StallError, ConvergenceError) as exc:
-        (outdir / "error.txt").write_text(_error_text(exc))
-        return 1
-    (outdir / "path.csv").write_text(path_csv(path))
+    path = limit_path(entry.mapping, cfg, final_tol, ratio)
+    _write(outdir, "path.csv", path_csv(path))
     x1, cert = path.terminal
     point = ";".join(repr(float(c)) for c in x1)
-    (outdir / "limit.txt").write_text(
-        f"point={point}\non_boundary={cert.on_boundary}\n"
-        f"residual={cert.residual!r}\ntail_bound={cert.tail_bound!r}\n"
-        f"schedule_steps={cert.schedule_steps}\n")
+    _write(outdir, "limit.txt",
+           f"point={point}\non_boundary={cert.on_boundary}\n"
+           f"residual={cert.residual!r}\ntail_bound={cert.tail_bound!r}\n"
+           f"schedule_steps={cert.schedule_steps}\n")
     return 0
 
 
@@ -279,8 +260,26 @@ def _run_certify(entry: GalleryEntry, values: dict[str, str],
         f"contractive_on_pairs={rep.passed}",
         f"certified={ok}",
     ]
-    (outdir / "certify.txt").write_text("\n".join(lines) + "\n")
+    _write(outdir, "certify.txt", "\n".join(lines) + "\n")
     return 0 if ok else 1
+
+
+# experiment kind -> (its config keys, its runner); a runner writes the
+# reports of a successful run and returns the exit status
+_EXPERIMENTS = {
+    "solve": ({"x0", "tol", "max-iter"}, _run_solve),
+    "stability": ({"xbar", "M", "epsilon", "trials", "n"}, _run_stability),
+    "trace": ({"q", "inner-tol", "max-inner-iter", "target-t"}, _run_trace),
+    "limit": ({"q", "inner-tol", "max-inner-iter", "final-tol", "ratio"},
+              _run_limit),
+    "certify": ({"pairs", "slack", "grid-max", "grid-points"},
+                _run_certify),
+}
+
+# errors of an experiment that ran but failed: reported in error.txt with
+# exit status 1 rather than as usage errors
+_RUN_FAILURES = (NonselfExitError, ConvergenceError, LsViolationError,
+                 StallError, NonFiniteError)
 
 
 def run_config(config_path: Path, outdir: Path | None,
@@ -292,27 +291,23 @@ def run_config(config_path: Path, outdir: Path | None,
     entry = _build_entry(values)
     if outdir is None:
         outdir = Path(values["out"]) if "out" in values else Path("out")
-    outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    if kind == "solve":
-        status = _run_solve(entry, values, outdir)
-    elif kind == "stability":
-        status = _run_stability(entry, values, outdir, seed)
-    elif kind == "trace":
-        status = _run_trace(entry, values, outdir)
-    elif kind == "limit":
-        status = _run_limit(entry, values, outdir)
-    else:
-        status = _run_certify(entry, values, outdir, seed)
+    try:
+        status = _EXPERIMENTS[kind][1](entry, values, outdir, seed)
+    except _RUN_FAILURES as exc:
+        _write(outdir, "error.txt", _error_text(exc))
+        if isinstance(exc, NonselfExitError) and exc.orbit is not None:
+            _write(outdir, "orbit.csv", orbit_csv(exc.orbit))
+        status = 1
     elapsed = time.perf_counter() - start
     map_params = " ".join(
         f"{k}={v}" for k, v in sorted(values.items())
         if k.startswith("map."))
-    (outdir / "manifest.txt").write_text(
-        f"engine=fixpoint {__version__}\nexperiment={kind}\n"
-        f"map={values['map']}\nmap_params={map_params}\nseed={seed}\n"
-        f"config={config_path}\nstatus={status}\n"
-        f"elapsed_seconds={elapsed!r}\n")
+    _write(outdir, "manifest.txt",
+           f"engine=fixpoint {__version__}\nexperiment={kind}\n"
+           f"map={values['map']}\nmap_params={map_params}\nseed={seed}\n"
+           f"config={config_path}\nstatus={status}\n"
+           f"elapsed_seconds={elapsed!r}\n")
     return status
 
 

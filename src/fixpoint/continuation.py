@@ -38,6 +38,7 @@ from .core import MappingInstance, Modulus, Point, as_point, _frozen
 from .errors import (ArgumentError, ConvergenceError, DomainError,
                      DomainExitError, LsViolationError, NonRakotchError,
                      StallError)
+from .picard import _iterate, _non_finite, _start
 
 # a path step this small with no boundary-condition violation is a stall
 _STALL_STEP = 1e-14
@@ -72,7 +73,7 @@ class PathConfig:
         if not 0.0 <= self.target_t < 1.0:
             raise ArgumentError(
                 f"target_t must lie in [0, 1), got {self.target_t}; "
-                "use limit_fixed_point for the limit t -> 1")
+                "use limit_path for the limit t -> 1")
         if self.mbound is not None and self.mbound <= 0.0:
             raise ArgumentError(f"mbound must be > 0, got {self.mbound}")
 
@@ -129,8 +130,8 @@ def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
     Returns (solution, final residual) with residual = ||x - t T x||.  The
     residual is evaluated before stepping, so a warm start that already
     meets inner_tol is returned untouched.  Raises DomainExitError if an
-    iterate leaves the closed domain and ConvergenceError on budget
-    exhaustion.
+    iterate leaves the closed domain, NonFiniteError if t T gives a NaN or
+    infinite image, and ConvergenceError on budget exhaustion.
     """
     if not 0.0 <= t < 1.0:
         raise ArgumentError(f"t must lie in [0, 1), got {t}")
@@ -139,24 +140,20 @@ def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
     if max_inner_iter < 1:
         raise ArgumentError("max_inner_iter must be >= 1")
     norm = _require_norm(T)
-    x = as_point(x_init, T.space.dimension)
-    if not T.domain.contains(x):
-        raise DomainError(f"warm start {x!r} lies outside the domain",
-                          point=x)
-    r = math.inf
-    for _ in range(max_inner_iter + 1):
-        y = t * T.apply(x)
-        r = norm(x - y)
-        if r <= inner_tol:
-            return _frozen(x), r
-        if not T.domain.contains(y):
-            raise DomainExitError(
-                f"inner iterate left the domain at t={t}", t=t,
-                point=_frozen(y), last_inside=_frozen(x))
-        x = y
-    raise ConvergenceError(
-        f"inner solve at t={t} did not reach {inner_tol} within "
-        f"{max_inner_iter} iterations (last residual {r})", residual=r)
+    apply = T.apply
+    run = _iterate(lambda v: t * apply(v), _start(T, x_init, "warm start"),
+                   T.domain.contains, max_inner_iter + 1,
+                   lambda a, b: norm(a - b), inner_tol)
+    if run.outside is not None:
+        raise DomainExitError(
+            f"inner iterate left the domain at t={t}", t=t,
+            point=_frozen(run.outside), last_inside=_frozen(run.x))
+    if run.residual > inner_tol:
+        raise ConvergenceError(
+            f"inner solve at t={t} did not reach {inner_tol} within "
+            f"{max_inner_iter} iterations (last residual {run.residual})",
+            residual=run.residual)
+    return _frozen(run.x), run.residual
 
 
 def step_size(r: float, q: float, norm_Tx: float, t0: float) -> float:
@@ -279,10 +276,12 @@ def check_leray_schauder(T: MappingInstance, x, lambda_grid: Sequence[float],
 _DEFAULT_LS_GRID = (1.25, 1.5, 2.0, 3.0, 5.0, 10.0)
 
 
-def _audit_boundary(T: MappingInstance, x: Point, t: float, tol: float):
-    """Run the boundary-condition check at the boundary point nearest x and
-    raise LsViolationError on a hit.  Points at which the check itself is
-    ill-posed (x = 0, no boundary map) are left alone."""
+def _audit_boundary(T: MappingInstance, x: Point, t: float,
+                    inner_tol: float):
+    """Run the boundary-condition check, to max(inner_tol, 1e-12), at the
+    boundary point nearest x and raise LsViolationError on a hit.  Points
+    at which the check itself is ill-posed (x = 0, no boundary map) are
+    left alone."""
     nb = T.domain.nearest_boundary
     bx = nb(x) if nb is not None else x
     if not T.domain.contains(bx) and T.domain.project is not None:
@@ -290,13 +289,53 @@ def _audit_boundary(T: MappingInstance, x: Point, t: float, tol: float):
     if not T.domain.contains(bx):
         return
     try:
-        rep = check_leray_schauder(T, bx, _DEFAULT_LS_GRID, tol=tol)
+        rep = check_leray_schauder(T, bx, _DEFAULT_LS_GRID,
+                                   tol=max(inner_tol, 1e-12))
     except ArgumentError:
         return
     if rep.violated:
         raise LsViolationError(
             f"boundary condition fails at t={t}: T x is {rep.lam} x at "
             f"boundary point {bx!r}", t=t, point=bx, lam=rep.lam)
+
+
+def _image_norm(T: MappingInstance, x: Point, norm) -> float:
+    """||T x||, refused with NonFiniteError when it is NaN or infinite."""
+    y = T.apply(x)
+    v = norm(y)
+    if not math.isfinite(v):
+        raise _non_finite(y, x)
+    return v
+
+
+def _path_start(T: MappingInstance, q: float):
+    """What trace_path and limit_path share before their first step: the
+    norm, 0 (interior to the domain), a finite ||T 0||, the a-priori bounds
+    for the cap q, and the entry list holding the path's start (0, 0)."""
+    norm = _require_norm(T)
+    zero = np.zeros(T.space.dimension)
+    if not T.domain.interior_contains(zero):
+        raise DomainError("0 must be interior to the domain", point=zero)
+    norm_T0 = _image_norm(T, zero, norm)
+    bounds = apriori_norm_bound(norm_T0, q, T.declared_modulus)
+    entries = [PathEntry(t=0.0, x=_frozen(zero), inner_residual=0.0,
+                         step_bound_used=0.0, r_used=0.0, norm_bound_ok=True)]
+    return norm, zero, norm_T0, bounds, entries
+
+
+def _path_solve(T: MappingInstance, t: float, x: Point, cfg: PathConfig,
+                exit_text: str) -> tuple[Point, float]:
+    """solve_at_t for a path point.  An inner iterate leaving the domain
+    ends the path: the last inside point is audited for the boundary
+    condition, and LsViolationError is raised with "inner solve left the
+    domain at t=<t> <exit_text>" when the audit finds no violation."""
+    try:
+        return solve_at_t(T, t, x, cfg.inner_tol, cfg.max_inner_iter)
+    except DomainExitError as exc:
+        _audit_boundary(T, exc.last_inside, t, cfg.inner_tol)
+        raise LsViolationError(
+            f"inner solve left the domain at t={t} {exit_text}", t=t,
+            point=exc.last_inside, lam=None) from exc
 
 
 def trace_path(T: MappingInstance, cfg: PathConfig) -> ContinuationPath:
@@ -314,56 +353,35 @@ def trace_path(T: MappingInstance, cfg: PathConfig) -> ContinuationPath:
     backing radius, and whether the a-priori norm bounds held.  A path
     pinned against the boundary raises LsViolationError when the pin point
     violates the boundary condition, StallError when the step collapses
-    below 1e-14 without a detected violation.
+    below 1e-14 without a detected violation.  NonFiniteError is raised
+    when T gives a NaN or infinite image along the way.
     """
-    norm = _require_norm(T)
-    d = T.space.dimension
-    zero = np.zeros(d)
-    if not T.domain.interior_contains(zero):
-        raise DomainError("0 must be interior to the domain", point=zero)
-
+    norm, x, mbound_obs, bounds, entries = _path_start(T, cfg.q)
     target = cfg.target_t
     if not T.declared_modulus.rakotch:
         target = min(target, cfg.q)
-
-    norm_T0 = norm(T.apply(zero))
-    bounds = apriori_norm_bound(norm_T0, cfg.q, T.declared_modulus)
-    mbound_obs = norm_T0
-
-    entries = [PathEntry(t=0.0, x=_frozen(zero), inner_residual=0.0,
-                         step_bound_used=0.0, r_used=0.0,
-                         norm_bound_ok=True)]
     t0 = 0.0
-    x = zero
     while t0 < target:
-        norm_Tx = norm(T.apply(x))
+        norm_Tx = _image_norm(T, x, norm)
         mbound_obs = max(mbound_obs, norm_Tx)
         bd = T.domain.boundary_distance(x)
         r = min(bd, 1.0)
         if r <= 0.0:
-            _audit_boundary(T, x, t0, max(cfg.inner_tol, 1e-12))
+            _audit_boundary(T, x, t0, cfg.inner_tol)
             raise StallError(
                 f"path point at t={t0} sits on the boundary with no "
                 "detected violation", t=t0, point=_frozen(x), step=0.0)
         q_eff = max(cfg.q, 0.5 * (1.0 + t0))
         step = step_size(r, q_eff, norm_Tx, t0)
         if step < _STALL_STEP:
-            _audit_boundary(T, x, t0, max(cfg.inner_tol, 1e-12))
+            _audit_boundary(T, x, t0, cfg.inner_tol)
             raise StallError(
                 f"step collapsed to {step} at t={t0} with no detected "
                 "boundary-condition violation", t=t0, point=_frozen(x),
                 step=step)
         t1 = min(t0 + step, target)
-        try:
-            x1, res = solve_at_t(T, t1, x, cfg.inner_tol,
-                                 cfg.max_inner_iter)
-        except DomainExitError as exc:
-            _audit_boundary(T, exc.last_inside, t1,
-                            max(cfg.inner_tol, 1e-12))
-            raise LsViolationError(
-                f"inner solve left the domain at t={t1} and no admissible "
-                "continuation exists", t=t1, point=exc.last_inside,
-                lam=None) from exc
+        x1, res = _path_solve(T, t1, x, cfg,
+                              "and no admissible continuation exists")
         nx1 = norm(x1)
         ok = True
         if t1 <= cfg.q and nx1 > bounds.nonexpansive + 1e-9:
@@ -376,7 +394,7 @@ def trace_path(T: MappingInstance, cfg: PathConfig) -> ContinuationPath:
         # a solved point hugging the boundary must still satisfy the
         # boundary condition or the continuation is over
         if T.domain.boundary_distance(x1) <= cfg.inner_tol:
-            _audit_boundary(T, x1, t1, max(cfg.inner_tol, 1e-12))
+            _audit_boundary(T, x1, t1, cfg.inner_tol)
         t0 = t1
         x = x1
     mb = cfg.mbound if cfg.mbound is not None else mbound_obs
@@ -397,7 +415,8 @@ def limit_path(T: MappingInstance, cfg: PathConfig, final_tol: float,
     interlaced schedules; their limits must agree, which makes the ratio a
     useful consistency probe.  If t_n rounds to 1.0 before the tail bound
     drops below final_tol, ConvergenceError is raised carrying the last
-    tail bound.
+    tail bound.  NonFiniteError is raised when T gives a NaN or infinite
+    image along the way.
     """
     if final_tol <= 0.0:
         raise ArgumentError(f"final_tol must be > 0, got {final_tol}")
@@ -407,25 +426,15 @@ def limit_path(T: MappingInstance, cfg: PathConfig, final_tol: float,
     if not T.declared_modulus.rakotch:
         raise NonRakotchError(
             "the limit t -> 1 is only certified for admissible moduli")
-    norm = _require_norm(T)
-    d = T.space.dimension
-    zero = np.zeros(d)
-    if not T.domain.interior_contains(zero):
-        raise DomainError("0 must be interior to the domain", point=zero)
+    norm, x, norm_T0, bounds, entries = _path_start(T, cfg.q)
     m = T.declared_modulus
     gap_ft = 1.0 - m(final_tol)
     if gap_ft <= 0.0:
         raise NonRakotchError(
             f"phi(final_tol) = {m(final_tol)} is not < 1")
-    norm_T0 = norm(T.apply(zero))
-    bounds = apriori_norm_bound(norm_T0, cfg.q, m)
     # ||T x_t|| <= phi(||x_t||) ||x_t|| + ||T 0|| <= rakotch bound + ||T 0||
     mb = cfg.mbound if cfg.mbound is not None else bounds.rakotch + norm_T0
 
-    entries = [PathEntry(t=0.0, x=_frozen(zero), inner_residual=0.0,
-                         step_bound_used=0.0, r_used=0.0,
-                         norm_bound_ok=True)]
-    x = zero
     t_prev = 0.0
     tail = mb / gap_ft
     terminal = None
@@ -436,15 +445,7 @@ def limit_path(T: MappingInstance, cfg: PathConfig, final_tol: float,
                 f"limit schedule reached t = 1.0 in floating point at step "
                 f"{step_no} with tail bound {tail} still >= final_tol "
                 f"{final_tol}", tail_bound=tail)
-        try:
-            x, res = solve_at_t(T, t_n, x, cfg.inner_tol,
-                                cfg.max_inner_iter)
-        except DomainExitError as exc:
-            _audit_boundary(T, exc.last_inside, t_n,
-                            max(cfg.inner_tol, 1e-12))
-            raise LsViolationError(
-                f"inner solve left the domain at t={t_n} on the limit "
-                "schedule", t=t_n, point=exc.last_inside, lam=None) from exc
+        x, res = _path_solve(T, t_n, x, cfg, "on the limit schedule")
         ok = norm(x) <= bounds.rakotch + 1e-9
         entries.append(PathEntry(t=t_n, x=x, inner_residual=res,
                                  step_bound_used=t_n - t_prev, r_used=0.0,
@@ -470,23 +471,6 @@ def limit_path(T: MappingInstance, cfg: PathConfig, final_tol: float,
     return ContinuationPath(entries=tuple(entries), q=cfg.q,
                             inner_tol=cfg.inner_tol, mbound=mb,
                             terminal=terminal)
-
-
-class LimitResult(NamedTuple):
-    point: Point
-    on_boundary: bool
-
-
-def limit_fixed_point(T: MappingInstance, cfg: PathConfig, final_tol: float,
-                      schedule_ratio: float = 0.5) -> LimitResult:
-    """Fixed point of T obtained as the limit of x_t for t -> 1.
-
-    Convenience wrapper over limit_path; returns the terminal point and the
-    boundary flag from its certificate.
-    """
-    path = limit_path(T, cfg, final_tol, schedule_ratio)
-    x1, cert = path.terminal
-    return LimitResult(point=x1, on_boundary=cert.on_boundary)
 
 
 # ---------------------------------------------------------------------------

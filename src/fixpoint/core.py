@@ -59,16 +59,15 @@ class Space:
     """A metric on R^dimension, with an optional norm when the metric is
     norm-induced (the continuation routines require one).
 
-    rowwise_distance, when present, maps two (m, dimension) arrays (or one
-    array and a broadcastable single point) to the m distances between
-    corresponding rows; batch routines use it to avoid Python-level loops.
+    rowwise_distance maps two (m, dimension) arrays (or one array and a
+    broadcastable single point) to the m distances between corresponding
+    rows; batch routines use it to avoid Python-level loops.
     """
 
     dimension: int
     distance: Callable[[Point, Point], float]
+    rowwise_distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
     norm: Callable[[Point], float] | None = None
-    rowwise_distance: Callable[[np.ndarray, np.ndarray], np.ndarray] | None \
-        = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -195,11 +194,6 @@ def nonexpansive_modulus() -> Modulus:
     """The sentinel phi identically 1: no contraction promised."""
     return Modulus(kind="nonexpansive", params=(), rakotch=False,
                    _fn=lambda t: 1.0)
-
-
-def eval_modulus(m: Modulus, t: float) -> float:
-    """Evaluate a modulus at t >= 0 (ArgumentError for t < 0)."""
-    return m(t)
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,16 @@ class DomainExitError(FixpointError):
         self.last_inside = last_inside
 
 
+class NonFiniteError(FixpointError):
+    """A map sent a point of its domain to a NaN or infinite image (or an
+    infinite residual).  point is that image, last_inside the point."""
+
+    def __init__(self, message: str, point=None, last_inside=None):
+        super().__init__(message)
+        self.point = point
+        self.last_inside = last_inside
+
+
 class LsViolationError(FixpointError):
     """The boundary condition T x != lam * x (lam > 1) failed on the
     boundary, so the continuation cannot pass the reported parameter.

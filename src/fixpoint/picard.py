@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import Modulus, MappingInstance, Point, as_point, _frozen
 from .errors import (ArgumentError, ConvergenceError, DomainError,
-                     NonRakotchError, NonselfExitError)
+                     NonFiniteError, NonRakotchError, NonselfExitError)
 
 # Bounds that are exact integers in real arithmetic can land a few ulps low
 # in binary; values this close to an integer are treated as that integer.
@@ -51,14 +51,6 @@ def _one_minus_phi(m: Modulus, t: float, what: str) -> float:
         raise NonRakotchError(
             f"{what} needs phi({t}) < 1, got {m(t)} (kind={m.kind})")
     return gap
-
-
-def _rowwise(T: MappingInstance, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if T.space.rowwise_distance is not None:
-        return T.space.rowwise_distance(a, b)
-    if b.ndim == 1:
-        return np.array([T.space.distance(p, b) for p in a])
-    return np.array([T.space.distance(p, q) for p, q in zip(a, b)])
 
 
 # ---------------------------------------------------------------------------
@@ -84,31 +76,71 @@ class Orbit:
         return self.points.shape[0]
 
 
+def _start(T: MappingInstance, x0, what: str = "start") -> Point:
+    """x0 as a point of T's space, refused with DomainError when it lies
+    outside T's domain."""
+    x = as_point(x0, T.space.dimension)
+    if not T.domain.contains(x):
+        raise DomainError(f"{what} {x!r} lies outside the domain", point=x)
+    return x
+
+
+class _Run(NamedTuple):
+    x: Point                # the last point inside the domain
+    steps: int              # applies of step that led to x
+    residual: float         # dist(x, step x) when dist was given, else inf
+    outside: Point | None   # the image of x outside the domain, if any
+
+
+def _iterate(step, x: Point, contains, n: int, dist=None, tol: float = 0.0,
+             out: np.ndarray | None = None) -> _Run:
+    """The exact Picard kernel: x <- step(x), at most n applies, from x
+    inside the domain.  With dist it stops before stepping once
+    dist(x, step x) <= tol; it stops at the first image outside the
+    domain.  out, if given, gets the image of apply i in row i + 1.  A
+    non-finite residual, or a non-finite image outside (NaN fails every
+    membership test), raises NonFiniteError."""
+    isfinite = math.isfinite
+    r = math.inf
+    for i in range(n):
+        y = step(x)
+        if dist is not None:
+            r = dist(x, y)
+            if r <= tol:
+                return _Run(x, i, r, None)
+            if not isfinite(r):
+                raise _non_finite(y, x)
+        if out is not None:
+            out[i + 1] = y
+        if not contains(y):
+            if not np.all(np.isfinite(y)):
+                raise _non_finite(y, x)
+            return _Run(x, i, r, y)
+        x = y
+    return _Run(x, n, r, None)
+
+
+def _non_finite(y, x: Point) -> NonFiniteError:
+    return NonFiniteError(f"the map sent {x!r} to the non-finite {y!r}",
+                          point=_frozen(y), last_inside=_frozen(x))
+
+
 def orbit_exact(T: MappingInstance, x0, n: int) -> Orbit:
     """Iterate x_{i+1} = T x_i for up to n steps.
 
     Stops early if an iterate leaves the domain; that iterate is kept as the
     last row and flagged in exited_domain_at.  x0 itself must be inside.
+    Raises NonFiniteError if T gives a NaN or infinite image outside.
     """
     if n < 1:
         raise ArgumentError(f"orbit length must be >= 1, got {n}")
-    x = as_point(x0, T.space.dimension)
-    if not T.domain.contains(x):
-        raise DomainError(f"start {x!r} lies outside the domain", point=x)
+    x = _start(T, x0)
     pts = np.empty((n + 1, T.space.dimension))
     pts[0] = x
-    exited = None
-    m = n
-    for i in range(n):
-        y = T.apply(x)
-        pts[i + 1] = y
-        if not T.domain.contains(y):
-            exited = i + 1
-            m = i + 1
-            break
-        x = y
-    pts = pts[:m + 1]
-    return Orbit(points=_frozen(pts),
+    run = _iterate(T.apply, x, T.domain.contains, n, out=pts)
+    exited = None if run.outside is None else run.steps + 1
+    m = exited or n
+    return Orbit(points=_frozen(pts[:m + 1]),
                  residuals=_frozen(np.zeros(m)),
                  exited_domain_at=exited,
                  perturbation_bound=0.0)
@@ -202,7 +234,8 @@ def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
             live = live[~out]
             cand = cand[~out]
         if anchor is not None and i + 1 >= k:
-            worst[live] = np.maximum(worst[live], _rowwise(T, cand, anchor))
+            worst[live] = np.maximum(worst[live],
+                                     T.space.rowwise_distance(cand, anchor))
         if not live.size:
             break
         x = cand
@@ -229,9 +262,7 @@ def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
     if delta < 0.0:
         raise ArgumentError(f"perturbation bound must be >= 0, got {delta}")
     d = T.space.dimension
-    x = as_point(x0, d)
-    if not T.domain.contains(x):
-        raise DomainError(f"start {x!r} lies outside the domain", point=x)
+    x = _start(T, x0)
     perturbed = delta > 0.0
     noise = _ball_noise(noise_seed, n, d, delta)[:, None] if perturbed \
         else None
@@ -240,7 +271,7 @@ def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
     m = exited or n
     pts = run.points[:m + 1, 0]
     if perturbed:
-        res = _rowwise(T, pts[1:], run.images[:m, 0])
+        res = T.space.rowwise_distance(pts[1:], run.images[:m, 0])
     else:
         res = np.zeros(m)
     return Orbit(points=_frozen(pts), residuals=_frozen(res),
@@ -261,8 +292,9 @@ def solve_fixed_point(T: MappingInstance, x0, tol: float,
     the tolerance returns with 0 iterations.  Raises NonRakotchError for a
     mapping whose declared modulus is not admissible (plain iteration has no
     convergence guarantee there), NonselfExitError (carrying the partial
-    orbit) if an iterate escapes the domain first, and ConvergenceError
-    after max_iter steps.
+    orbit) if an iterate escapes the domain first, NonFiniteError if T
+    gives a NaN or infinite image, and ConvergenceError after max_iter
+    steps.
     """
     if tol <= 0.0:
         raise ArgumentError(f"tolerance must be > 0, got {tol}")
@@ -272,57 +304,37 @@ def solve_fixed_point(T: MappingInstance, x0, tol: float,
         raise NonRakotchError(
             "declared modulus is not admissible; plain iteration is not "
             "guaranteed to converge")
-    x = as_point(x0, T.space.dimension)
-    if not T.domain.contains(x):
-        raise DomainError(f"start {x!r} lies outside the domain", point=x)
-    dist = T.space.distance
-    trail = [np.array(x)]
-    r = math.inf
-    for i in range(max_iter + 1):
-        y = T.apply(x)
-        r = dist(x, y)
-        if r <= tol:
-            return FixedPointResult(point=_frozen(x), iterations=i,
-                                    residual=r)
-        trail.append(np.array(y))
-        if not T.domain.contains(y):
-            part = Orbit(points=_frozen(np.array(trail)),
-                         residuals=_frozen(np.zeros(len(trail) - 1)),
-                         exited_domain_at=len(trail) - 1,
-                         perturbation_bound=0.0)
-            raise NonselfExitError(
-                f"iterate {len(trail) - 1} left the domain before reaching "
-                f"tolerance {tol}", orbit=part)
-        x = y
-    raise ConvergenceError(
-        f"no residual <= {tol} within {max_iter} iterations "
-        f"(last residual {r})", residual=r)
+    x = _start(T, x0)
+    run = _iterate(T.apply, x, T.domain.contains, max_iter + 1,
+                   T.space.distance, tol)
+    if run.outside is not None:
+        k = run.steps + 1
+        raise NonselfExitError(
+            f"iterate {k} left the domain before reaching tolerance {tol}",
+            orbit=orbit_exact(T, x, k))
+    if run.residual > tol:
+        raise ConvergenceError(
+            f"no residual <= {tol} within {max_iter} iterations "
+            f"(last residual {run.residual})", residual=run.residual)
+    return FixedPointResult(point=_frozen(run.x), iterations=run.steps,
+                            residual=run.residual)
 
 
 # ---------------------------------------------------------------------------
 # closed-form bounds
 
 
-@dataclass(frozen=True)
-class SeedBounds:
-    """Coarse data for the settling bound: the orbit starts within radius
-    of the anchor point, whose displacement under the map is
-    anchor_displacement."""
-
-    radius: float
-    anchor_displacement: float
-
-    def __post_init__(self):
-        if self.radius < 0.0 or self.anchor_displacement < 0.0:
-            raise ArgumentError("seed bounds must be >= 0")
-
-
-def settling_index(epsilon: float, m: Modulus, seed: SeedBounds) -> int:
-    """Least k with k > (2 radius + displacement) / (eps (1 - phi(eps)))."""
+def settling_index(epsilon: float, m: Modulus, radius: float,
+                   anchor_displacement: float) -> int:
+    """Least k with k > (2 radius + displacement) / (eps (1 - phi(eps))),
+    for an orbit started within radius of an anchor point whose
+    displacement under the map is anchor_displacement."""
     if epsilon <= 0.0:
         raise ArgumentError(f"epsilon must be > 0, got {epsilon}")
+    if radius < 0.0 or anchor_displacement < 0.0:
+        raise ArgumentError("seed bounds must be >= 0")
     gap = _one_minus_phi(m, epsilon, "settling index")
-    v = (2.0 * seed.radius + seed.anchor_displacement) / (epsilon * gap)
+    v = (2.0 * radius + anchor_displacement) / (epsilon * gap)
     return _least_int_greater(v)
 
 
@@ -464,10 +476,7 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
     if trials < 1:
         raise ArgumentError(f"trials must be >= 1, got {trials}")
     d = T.space.dimension
-    xb = as_point(xbar, d)
-    if not T.domain.contains(xb):
-        raise DomainError(f"fixed point {xb!r} lies outside the domain",
-                          point=xb)
+    xb = _start(T, xbar, "fixed point")
     drift = T.space.distance(xb, T.apply(xb))
     if drift > 1e-10:
         raise ArgumentError(

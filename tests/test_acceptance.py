@@ -15,12 +15,12 @@ import time
 import mpmath as mp
 import numpy as np
 
-from fixpoint.continuation import (PathConfig, limit_fixed_point,
-                                   solve_at_t, trace_path)
+from fixpoint.continuation import (PathConfig, limit_path, solve_at_t,
+                                   trace_path)
 from fixpoint.core import constant_modulus, rational_decay_modulus
 from fixpoint.errors import LsViolationError
 from fixpoint.gallery import make_map
-from fixpoint.picard import (SeedBounds, coupling_index, orbit_exact,
+from fixpoint.picard import (coupling_index, orbit_exact,
                              run_stability_experiment, settling_index,
                              solve_fixed_point, stability_constants)
 
@@ -98,7 +98,7 @@ def test_criterion_3_bounds_vs_high_precision_oracle(capsys):
         e = mp.mpf(eps)
         gap = 1 - phi(e)
 
-        k = settling_index(eps, modulus, SeedBounds(c0, d0))
+        k = settling_index(eps, modulus, c0, d0)
         k_mp = _mp_least_int_greater(
             (2 * mp.mpf(c0) + mp.mpf(d0)) / (e * gap))
         int_mismatch += k != k_mp
@@ -136,14 +136,14 @@ def test_criterion_4_continuation_closed_form(capsys):
 
 def test_criterion_5_limit_extraction(capsys):
     start = time.perf_counter()
-    res = limit_fixed_point(make_map("affine-halfline").mapping,
-                            PathConfig(), 1e-6)
+    x1, cert = limit_path(make_map("affine-halfline").mapping,
+                          PathConfig(), 1e-6).terminal
     elapsed = time.perf_counter() - start
-    err = abs(res.point[0] - (-1.0))
-    ok = err <= 1e-6 and res.on_boundary and elapsed < 0.5
+    err = abs(x1[0] - (-1.0))
+    ok = err <= 1e-6 and cert.on_boundary and elapsed < 0.5
     _line(capsys, 5, "boundary limit extraction", ok,
-          f"x1={res.point[0]:.9f} err={err:.3e} "
-          f"on_boundary={res.on_boundary} time={elapsed:.3f}s")
+          f"x1={x1[0]:.9f} err={err:.3e} "
+          f"on_boundary={cert.on_boundary} time={elapsed:.3f}s")
 
 
 def test_criterion_6_ls_violation_detection(capsys):

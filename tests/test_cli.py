@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,7 @@ def test_nonfinite_number_is_a_config_error(tmp_path, capsys, key, value):
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"'{key}' must be finite" in err
+    assert not out.exists()
 
 
 def test_list_maps_names_everything(capsys):
@@ -306,3 +309,61 @@ def test_list_maps_names_everything(capsys):
     for name in ("affine-halfline", "rakotch-decay", "constant",
                  "planar-rotation", "damped-rational"):
         assert name in out
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: every report but manifest.txt must match its recorded
+# sha256 digest, so a change that alters a report has to update it on purpose
+
+_GOLDEN = {
+    "solve": (
+        "experiment = solve\nmap = affine-halfline\nx0 = 3.0\n"
+        "tol = 1e-12\n", 0,
+        {"orbit.csv": "f178a17a872c59c963bba5071035ca3c"
+                      "82ecdba405bee76c891c4a2696d47535",
+         "solution.txt": "0a5efd0542f99b576f9e471c7d663124"
+                         "f63e97a723e54bb808072cb19769c242"}),
+    "solve-nonself-exit": (
+        "experiment = solve\nmap = constant\nmap.c = 2.0\nx0 = 0.0\n", 1,
+        {"error.txt": "affe67fff74065a5c45bf36cb9679312"
+                      "3eca1e156d887c3f4426cffedc26b9fb",
+         "orbit.csv": "2f49fce873ef7b25e9988a40e07ee92b"
+                      "27f9f3bdabe5d3948b92485a63c4021a"}),
+    "stability": (
+        "experiment = stability\nmap = rakotch-decay\nM = 1.0\n"
+        "epsilon = 0.5\ntrials = 5\nn = 200\nseed = 11\n", 0,
+        {"stability.txt": "2546c3fc714e611304eca34b6c17b520"
+                          "c6f09ba48883d320ef54b6a0bad68013"}),
+    "trace": (
+        "experiment = trace\nmap = affine-halfline\ntarget-t = 0.8\n"
+        "q = 0.9\n", 0,
+        {"path.csv": "ccd185758c6a565f11e4a9162b7bc35b"
+                     "26338a46f0342605b168bc7d1c90dcca"}),
+    "trace-violation": (
+        "experiment = trace\nmap = constant\nmap.c = 2.0\n"
+        "target-t = 0.9\n", 1,
+        {"error.txt": "a7ba58e531fa33723f0ac073b210685a"
+                      "f2c49c9c3490b5f2b44c897101882780"}),
+    "limit": (
+        "experiment = limit\nmap = affine-halfline\nfinal-tol = 1e-6\n", 0,
+        {"limit.txt": "5a56a2ed035b69e8c4f7ea93c4bfdbaa"
+                      "25755c7df965223704fec280b0cfa311",
+         "path.csv": "5a15a0bcbf45421c2f9b9bfa2c13850f"
+                     "42cee0119b0e614a28be698a6d59d199"}),
+    "certify": (
+        "experiment = certify\nmap = rakotch-decay\npairs = 32\n"
+        "seed = 5\n", 0,
+        {"certify.txt": "965b4ca982b9ca53bfd2cd4860066077"
+                        "07bd9eb0f85ca18d3fa5119935a2295a"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_reports_match_golden_bytes(tmp_path, name):
+    text, status, digests = _GOLDEN[name]
+    cfg = _write(tmp_path, f"{name}.cfg", text)
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == status
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.iterdir() if p.name != "manifest.txt"}
+    assert got == digests

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,15 +6,14 @@ import pytest
 
 from fixpoint.continuation import (ContinuationPath, PathConfig,
                                    apriori_norm_bound, check_leray_schauder,
-                                   limit_fixed_point, limit_path,
-                                   lipschitz_bound, path_csv, solve_at_t,
-                                   step_size, trace_path)
+                                   limit_path, lipschitz_bound, path_csv,
+                                   solve_at_t, step_size, trace_path)
 from fixpoint.core import (MappingInstance, box, constant_modulus,
                            euclidean, halfline, max_norm,
                            nonexpansive_modulus, rational_decay_modulus)
 from fixpoint.errors import (ArgumentError, ConvergenceError, DomainError,
                              DomainExitError, LsViolationError,
-                             NonRakotchError)
+                             NonFiniteError, NonRakotchError)
 from fixpoint.gallery import make_map
 
 
@@ -56,6 +56,29 @@ def test_solve_at_t_reports_domain_exit():
     assert err.value.last_inside is not None
 
 
+def _nan_map() -> MappingInstance:
+    # NaN from every point of the whole line
+    return MappingInstance(apply=lambda x: x * math.nan,
+                           declared_modulus=constant_modulus(0.5),
+                           domain=box([-math.inf], [math.inf]),
+                           space=euclidean(1))
+
+
+def test_solve_at_t_nan_image_is_non_finite_not_an_exit():
+    with pytest.raises(NonFiniteError) as err:
+        solve_at_t(_nan_map(), 0.5, [1.0], 1e-10)
+    assert math.isnan(err.value.point[0])
+    assert err.value.last_inside.tolist() == [1.0]
+
+
+def test_paths_refuse_a_non_finite_image_of_zero():
+    with pytest.raises(NonFiniteError) as err:
+        trace_path(_nan_map(), PathConfig())
+    assert err.value.last_inside.tolist() == [0.0]
+    with pytest.raises(NonFiniteError):
+        limit_path(_nan_map(), PathConfig(), 1e-6)
+
+
 def test_solve_at_t_validates():
     with pytest.raises(ArgumentError):
         solve_at_t(_affine(), 1.0, [0.0], 1e-10)
@@ -68,11 +91,10 @@ def test_solve_at_t_validates():
 
 
 def test_solve_at_t_needs_a_norm():
-    space = euclidean(1)
     stripped = MappingInstance(
         apply=lambda x: x / 2.0, declared_modulus=constant_modulus(0.5),
         domain=halfline(-10.0),
-        space=space.__class__(dimension=1, distance=space.distance))
+        space=dataclasses.replace(euclidean(1), norm=None))
     with pytest.raises(ArgumentError):
         solve_at_t(stripped, 0.5, [0.0], 1e-10)
 
@@ -300,23 +322,23 @@ def test_path_config_validation():
 # limit extraction
 
 def test_limit_affine_reaches_boundary_fixed_point():
-    res = limit_fixed_point(_affine(), PathConfig(), 1e-6)
-    assert res.point[0] == pytest.approx(-1.0, abs=1e-6)
-    assert res.on_boundary
+    x1, cert = limit_path(_affine(), PathConfig(), 1e-6).terminal
+    assert x1[0] == pytest.approx(-1.0, abs=1e-6)
+    assert cert.on_boundary
 
 
 def test_limit_damped_rational_interior():
-    res = limit_fixed_point(make_map("damped-rational").mapping,
-                            PathConfig(), 1e-6)
-    assert res.point[0] == 0.0
-    assert not res.on_boundary
+    x1, cert = limit_path(make_map("damped-rational").mapping,
+                          PathConfig(), 1e-6).terminal
+    assert x1[0] == 0.0
+    assert not cert.on_boundary
 
 
 def test_limit_constant_inside_box():
-    res = limit_fixed_point(make_map("constant", c=0.5).mapping,
-                            PathConfig(), 1e-8)
-    assert res.point[0] == pytest.approx(0.5, abs=1e-8)
-    assert not res.on_boundary
+    x1, cert = limit_path(make_map("constant", c=0.5).mapping,
+                          PathConfig(), 1e-8).terminal
+    assert x1[0] == pytest.approx(0.5, abs=1e-8)
+    assert not cert.on_boundary
 
 
 def test_limit_path_certificate_is_coherent():
@@ -335,24 +357,24 @@ def test_limit_path_certificate_is_coherent():
 
 def test_limit_schedules_interlace_consistently():
     # two different geometric schedules must land on the same limit
-    a = limit_fixed_point(_affine(), PathConfig(), 1e-8,
-                          schedule_ratio=0.5)
-    b = limit_fixed_point(_affine(), PathConfig(), 1e-8,
-                          schedule_ratio=0.618)
-    assert abs(a.point[0] - b.point[0]) <= 2e-8
+    a, _ = limit_path(_affine(), PathConfig(), 1e-8,
+                      schedule_ratio=0.5).terminal
+    b, _ = limit_path(_affine(), PathConfig(), 1e-8,
+                      schedule_ratio=0.618).terminal
+    assert abs(a[0] - b[0]) <= 2e-8
 
 
 def test_limit_refuses_nonexpansive():
     with pytest.raises(NonRakotchError):
-        limit_fixed_point(make_map("planar-rotation").mapping,
-                          PathConfig(), 1e-6)
+        limit_path(make_map("planar-rotation").mapping, PathConfig(),
+                   1e-6)
 
 
 def test_limit_validates():
     with pytest.raises(ArgumentError):
-        limit_fixed_point(_affine(), PathConfig(), 0.0)
+        limit_path(_affine(), PathConfig(), 0.0)
     with pytest.raises(ArgumentError):
-        limit_fixed_point(_affine(), PathConfig(), 1e-6, schedule_ratio=1.0)
+        limit_path(_affine(), PathConfig(), 1e-6, schedule_ratio=1.0)
 
 
 # ---------------------------------------------------------------------------

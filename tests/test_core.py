@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from fixpoint.core import (as_point, ball, box, check_modulus_admissible,
-                           constant_modulus, euclidean, eval_modulus,
-                           halfline, halfspace, max_norm,
-                           nonexpansive_modulus, rational_decay_modulus,
-                           table_modulus, verify_contractive,
-                           MappingInstance, _row_dot, _row_norms)
+                           constant_modulus, euclidean, halfline,
+                           halfspace, max_norm, nonexpansive_modulus,
+                           rational_decay_modulus, table_modulus,
+                           verify_contractive, MappingInstance, _row_dot,
+                           _row_norms)
 from fixpoint.errors import ArgumentError, DomainError
 
 
@@ -19,7 +19,7 @@ from fixpoint.errors import ArgumentError, DomainError
 def test_rational_decay_values():
     m = rational_decay_modulus()
     # 1 / 1.1 by hand
-    assert eval_modulus(m, 0.1) == pytest.approx(0.9090909090909091, abs=0)
+    assert m(0.1) == pytest.approx(0.9090909090909091, abs=0)
     assert m(0.0) == 1.0
     assert m.rakotch
 

@@ -8,9 +8,10 @@ from fixpoint.core import (MappingInstance, as_point, ball, box,
                            max_norm, rational_decay_modulus,
                            nonexpansive_modulus, _frozen)
 from fixpoint.errors import (ArgumentError, ConvergenceError, DomainError,
-                             NonRakotchError, NonselfExitError)
+                             NonFiniteError, NonRakotchError,
+                             NonselfExitError)
 from fixpoint.gallery import make_map
-from fixpoint.picard import (Orbit, SeedBounds, StabilityReport, TrialRecord,
+from fixpoint.picard import (Orbit, StabilityReport, TrialRecord,
                              cluster_tolerance, coupling_index, orbit_csv,
                              orbit_exact, orbit_inexact,
                              run_stability_experiment, settling_index,
@@ -54,10 +55,9 @@ def test_least_int_greater_snaps_near_integers():
 def test_settling_index_frozen():
     # (2*1 + 0) / (0.1 * (1 - 1/1.1)) = 220 exactly; least integer above
     m = rational_decay_modulus()
-    assert settling_index(0.1, m, SeedBounds(1.0, 0.0)) == 221
+    assert settling_index(0.1, m, 1.0, 0.0) == 221
     # constant modulus 1/2, eps = 1: (2 + 1) / 0.5 = 6
-    assert settling_index(1.0, constant_modulus(0.5),
-                          SeedBounds(1.0, 1.0)) == 7
+    assert settling_index(1.0, constant_modulus(0.5), 1.0, 1.0) == 7
 
 
 def test_coupling_index_frozen():
@@ -77,15 +77,15 @@ def test_cluster_tolerance_frozen():
 def test_bounds_reject_nonexpansive_and_bad_arguments():
     sentinel = nonexpansive_modulus()
     with pytest.raises(NonRakotchError):
-        settling_index(0.1, sentinel, SeedBounds(1.0, 0.0))
+        settling_index(0.1, sentinel, 1.0, 0.0)
     with pytest.raises(NonRakotchError):
         coupling_index(0.1, sentinel, 1.0)
     with pytest.raises(NonRakotchError):
         cluster_tolerance(0.1, sentinel)
     with pytest.raises(ArgumentError):
-        settling_index(0.0, rational_decay_modulus(), SeedBounds(1.0, 0.0))
+        settling_index(0.0, rational_decay_modulus(), 1.0, 0.0)
     with pytest.raises(ArgumentError):
-        SeedBounds(-1.0, 0.0)
+        settling_index(0.1, rational_decay_modulus(), -1.0, 0.0)
     with pytest.raises(ArgumentError):
         coupling_index(0.1, rational_decay_modulus(), -1.0)
     with pytest.raises(ArgumentError):
@@ -95,8 +95,7 @@ def test_bounds_reject_nonexpansive_and_bad_arguments():
 def test_bound_monotonicity_in_epsilon():
     # a laxer accuracy target can only shorten the settling time
     m = rational_decay_modulus()
-    seed = SeedBounds(2.0, 0.5)
-    ks = [settling_index(eps, m, seed)
+    ks = [settling_index(eps, m, 2.0, 0.5)
           for eps in (0.01, 0.05, 0.1, 0.5, 1.0)]
     assert ks == sorted(ks, reverse=True)
 
@@ -272,6 +271,49 @@ def test_solve_fixed_point_nonself_exit_carries_partial_orbit():
     assert isinstance(orb, Orbit)
     assert orb.exited_domain_at == 1
     assert orb.points[1, 0] == 2.0
+
+
+def test_solve_fixed_point_partial_orbit_is_the_exact_orbit_to_the_exit():
+    T = MappingInstance(apply=lambda x: 2.0 * x + 1.0,
+                        declared_modulus=constant_modulus(0.5),
+                        domain=box([-10.0], [10.0]), space=euclidean(1))
+    with pytest.raises(NonselfExitError, match="iterate 4 left") as err:
+        solve_fixed_point(T, [0.0], 1e-9)
+    orb = err.value.orbit
+    assert orb.points[:, 0].tolist() == [0.0, 1.0, 3.0, 7.0, 15.0]
+    assert orb.exited_domain_at == 4
+    assert orb.residuals.tolist() == [0.0] * 4
+
+
+def _nan_map() -> MappingInstance:
+    # NaN from every point of the whole line
+    return MappingInstance(apply=lambda x: x * math.nan,
+                           declared_modulus=constant_modulus(0.5),
+                           domain=box([-math.inf], [math.inf]),
+                           space=euclidean(1))
+
+
+def test_solve_fixed_point_nan_image_is_non_finite_not_an_exit():
+    with pytest.raises(NonFiniteError) as err:
+        solve_fixed_point(_nan_map(), [1.0], 1e-9)
+    assert math.isnan(err.value.point[0])
+    assert err.value.last_inside.tolist() == [1.0]
+
+
+def test_solve_fixed_point_infinite_image_inside_is_non_finite():
+    # +inf lies in the whole-line box, so only the residual can tell
+    T = MappingInstance(apply=lambda x: x * math.inf,
+                        declared_modulus=constant_modulus(0.5),
+                        domain=box([-math.inf], [math.inf]),
+                        space=euclidean(1))
+    with pytest.raises(NonFiniteError) as err:
+        solve_fixed_point(T, [1.0], 1e-9)
+    assert err.value.point.tolist() == [math.inf]
+
+
+def test_orbit_exact_nan_image_is_non_finite():
+    with pytest.raises(NonFiniteError):
+        orbit_exact(_nan_map(), [1.0], 5)
 
 
 def test_solve_fixed_point_refuses_nonexpansive():

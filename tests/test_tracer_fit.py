@@ -1,0 +1,57 @@
+"""The benchmark's layer tracer (perfbench/tracer.py) still fits the package.
+
+The tracer wraps library names it looks up by string and rebuilds gallery
+entries with dataclasses.replace by field name, so a rename in src/ would
+only show up as a failing ``--trace 1`` run.  The tracer is read and
+executed here without importing it as a module, so nothing is written next
+to it.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fixpoint.cli
+from fixpoint.gallery import list_maps
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    mod = types.ModuleType("perfbench_tracer")
+    mod.__file__ = str(TRACER)
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), mod.__dict__)
+    return mod
+
+
+def test_every_span_target_resolves(tracer):
+    for module, attr, _ in tracer._SPANS:
+        assert callable(getattr(importlib.import_module(module), attr)), \
+            f"{module}.{attr}"
+
+
+def test_traced_entries_build_and_count_leaves(tracer):
+    # building a traced entry replaces DomainSet, Space, MappingInstance
+    # and GalleryEntry fields by name, so a renamed field fails here
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for name in list_maps():
+            entry = fixpoint.cli.make_map(name)
+            T = entry.mapping
+            x = entry.sampler(np.random.default_rng(0))
+            T.apply(x)
+            T.domain.contains(x)
+            T.space.rowwise_distance(x[None], x)
+        n = len(list_maps())
+        assert t.calls("gallery.apply") == n
+        assert t.calls("core.contains") == n
+        assert t.calls("core.rowwise_distance") == n
+        assert t.calls("gallery.sampler") == n
+    finally:
+        t.uninstall()
+    assert fixpoint.cli.make_map.__module__ == "fixpoint.gallery"
