@@ -38,7 +38,7 @@ from .core import MappingInstance, Modulus, Point, as_point, _frozen
 from .errors import (ArgumentError, ConvergenceError, DomainError,
                      DomainExitError, LsViolationError, NonRakotchError,
                      StallError)
-from .picard import _iterate, _non_finite, _start
+from .picard import _iterate, _non_finite, _one_minus_phi, _start
 
 # a path step this small with no boundary-condition violation is a stall
 _STALL_STEP = 1e-14
@@ -52,15 +52,12 @@ class PathConfig:
     without admissible modulus tracing stops at q even if target_t is
     larger.  target_t = 0 is allowed and gives the single-entry path (0, 0).
     target_t = 1 is refused here: the limit t -> 1 is limit_path's job.
-    mbound, when given, overrides the running bound on ||T x_t|| used in
-    consistency checks.
     """
 
     q: float = 0.9
     inner_tol: float = 1e-10
     max_inner_iter: int = 200_000
     target_t: float = 0.9
-    mbound: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
@@ -74,8 +71,6 @@ class PathConfig:
             raise ArgumentError(
                 f"target_t must lie in [0, 1), got {self.target_t}; "
                 "use limit_path for the limit t -> 1")
-        if self.mbound is not None and self.mbound <= 0.0:
-            raise ArgumentError(f"mbound must be > 0, got {self.mbound}")
 
 
 class PathEntry(NamedTuple):
@@ -102,8 +97,9 @@ class LimitCertificate:
 @dataclass(frozen=True)
 class ContinuationPath:
     """A traced path: entries in increasing t, plus the q and inner_tol it
-    was run with, the ||T x_t|| bound observed or configured, and, for limit
-    runs, the terminal fixed point with its certificate."""
+    was run with, the ||T x_t|| bound observed (trace_path) or derived
+    (limit_path), and, for limit runs, the terminal fixed point with its
+    certificate."""
 
     entries: tuple[PathEntry, ...]
     q: float
@@ -114,13 +110,6 @@ class ContinuationPath:
     @property
     def final(self) -> PathEntry:
         return self.entries[-1]
-
-
-def _require_norm(T: MappingInstance):
-    if T.space.norm is None:
-        raise ArgumentError(
-            "continuation needs a norm-induced metric; this space has none")
-    return T.space.norm
 
 
 def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
@@ -139,7 +128,7 @@ def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
         raise ArgumentError(f"inner_tol must be > 0, got {inner_tol}")
     if max_inner_iter < 1:
         raise ArgumentError("max_inner_iter must be >= 1")
-    norm = _require_norm(T)
+    norm = T.space.norm
     apply = T.apply
     run = _iterate(lambda v: t * apply(v), _start(T, x_init, "warm start"),
                    T.domain.contains, max_inner_iter + 1,
@@ -246,7 +235,7 @@ def check_leray_schauder(T: MappingInstance, x, lambda_grid: Sequence[float],
     grid = tuple(float(lam) for lam in lambda_grid)
     if any(lam <= 1.0 for lam in grid):
         raise ArgumentError("lambda grid entries must be > 1")
-    norm = _require_norm(T)
+    norm = T.space.norm
     x = as_point(x, T.space.dimension)
     nx = norm(x)
     if nx == 0.0:
@@ -280,18 +269,15 @@ def _audit_boundary(T: MappingInstance, x: Point, t: float,
                     inner_tol: float):
     """Run the boundary-condition check, to max(inner_tol, 1e-12), at the
     boundary point nearest x and raise LsViolationError on a hit.  Points
-    at which the check itself is ill-posed (x = 0, no boundary map) are
-    left alone."""
-    nb = T.domain.nearest_boundary
-    bx = nb(x) if nb is not None else x
-    if not T.domain.contains(bx) and T.domain.project is not None:
-        bx = T.domain.project(bx)
-    if not T.domain.contains(bx):
-        return
+    at which the check itself is ill-posed (x = 0, no finite boundary
+    face, no boundary point inside the closed domain) are left alone."""
     try:
+        bx = T.domain.nearest_boundary(x)
+        if not T.domain.contains(bx):
+            bx = T.domain.project(bx)
         rep = check_leray_schauder(T, bx, _DEFAULT_LS_GRID,
                                    tol=max(inner_tol, 1e-12))
-    except ArgumentError:
+    except (ArgumentError, DomainError):
         return
     if rep.violated:
         raise LsViolationError(
@@ -312,7 +298,7 @@ def _path_start(T: MappingInstance, q: float):
     """What trace_path and limit_path share before their first step: the
     norm, 0 (interior to the domain), a finite ||T 0||, the a-priori bounds
     for the cap q, and the entry list holding the path's start (0, 0)."""
-    norm = _require_norm(T)
+    norm = T.space.norm
     zero = np.zeros(T.space.dimension)
     if not T.domain.interior_contains(zero):
         raise DomainError("0 must be interior to the domain", point=zero)
@@ -397,9 +383,8 @@ def trace_path(T: MappingInstance, cfg: PathConfig) -> ContinuationPath:
             _audit_boundary(T, x1, t1, cfg.inner_tol)
         t0 = t1
         x = x1
-    mb = cfg.mbound if cfg.mbound is not None else mbound_obs
     return ContinuationPath(entries=tuple(entries), q=cfg.q,
-                            inner_tol=cfg.inner_tol, mbound=mb)
+                            inner_tol=cfg.inner_tol, mbound=mbound_obs)
 
 
 def limit_path(T: MappingInstance, cfg: PathConfig, final_tol: float,
@@ -427,13 +412,9 @@ def limit_path(T: MappingInstance, cfg: PathConfig, final_tol: float,
         raise NonRakotchError(
             "the limit t -> 1 is only certified for admissible moduli")
     norm, x, norm_T0, bounds, entries = _path_start(T, cfg.q)
-    m = T.declared_modulus
-    gap_ft = 1.0 - m(final_tol)
-    if gap_ft <= 0.0:
-        raise NonRakotchError(
-            f"phi(final_tol) = {m(final_tol)} is not < 1")
+    gap_ft = _one_minus_phi(T.declared_modulus, final_tol, "the limit tail")
     # ||T x_t|| <= phi(||x_t||) ||x_t|| + ||T 0|| <= rakotch bound + ||T 0||
-    mb = cfg.mbound if cfg.mbound is not None else bounds.rakotch + norm_T0
+    mb = bounds.rakotch + norm_T0
 
     t_prev = 0.0
     tail = mb / gap_ft

@@ -56,18 +56,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Space:
-    """A metric on R^dimension, with an optional norm when the metric is
-    norm-induced (the continuation routines require one).
+    """R^dimension under a norm; distance(x, y) is norm(x - y).
 
     rowwise_distance maps two (m, dimension) arrays (or one array and a
     broadcastable single point) to the m distances between corresponding
-    rows; batch routines use it to avoid Python-level loops.
+    rows, each equal bit for bit to distance on that pair of rows; batch
+    routines use it to avoid Python-level loops.
     """
 
     dimension: int
     distance: Callable[[Point, Point], float]
     rowwise_distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    norm: Callable[[Point], float] | None = None
+    norm: Callable[[Point], float]
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -94,22 +94,26 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
+def _normed_space(dimension: int, norm: Callable[[Point], float],
+                  row_norms: Callable[[np.ndarray], np.ndarray]) -> Space:
+    """The space of a point norm and its row form, which must agree bit
+    for bit on every row."""
+    return Space(dimension=dimension,
+                 distance=lambda x, y: norm(x - y),
+                 rowwise_distance=lambda a, b: row_norms(a - b),
+                 norm=norm)
+
+
 def euclidean(dimension: int) -> Space:
     """Euclidean space of the given dimension."""
-    return Space(dimension=dimension,
-                 distance=lambda x, y: _euclidean_norm(x - y),
-                 norm=_euclidean_norm,
-                 rowwise_distance=lambda a, b: np.linalg.norm(a - b, axis=1))
+    return _normed_space(dimension, _euclidean_norm, _row_norms)
 
 
 def max_norm(dimension: int) -> Space:
     """R^dimension under the max (sup) norm."""
-    def nrm(v: Point) -> float:
-        return float(np.max(np.abs(v)))
-    return Space(dimension=dimension,
-                 distance=lambda x, y: nrm(x - y),
-                 norm=nrm,
-                 rowwise_distance=lambda a, b: np.max(np.abs(a - b), axis=1))
+    return _normed_space(dimension,
+                         lambda v: float(np.max(np.abs(v))),
+                         lambda rows: np.max(np.abs(rows), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +252,18 @@ class DomainSet:
     """A closed subset of the ambient space with membership predicates.
 
     boundary_distance returns the distance from an inside point to the
-    complement; it is 0 on the boundary and for points outside.  project,
-    when present, is the metric projection onto the set (all shipped kinds
-    are convex, so projection is nonexpansive).  nearest_boundary, when
-    present, returns a closest boundary point, used to audit the boundary
-    condition when a path crowds the edge of its domain.
+    complement; it is 0 on the boundary and for points outside.  project
+    is the metric projection onto the set (all shipped kinds are convex,
+    so projection is nonexpansive); given an (m, dimension) array it
+    projects every row, each as the point alone.  nearest_boundary returns
+    a closest boundary point, used to audit the boundary condition when a
+    path crowds the edge of its domain; it raises ArgumentError where the
+    set has no finite boundary.
 
-    contains_rows and project_rows are contains and project applied to
-    every row of an (m, dimension) array at once (a bool array of length m,
-    and an (m, dimension) array).  They give exactly what the point forms
-    give row by row, so batched experiments reproduce the one-point ones.
+    contains_rows is contains applied to every row of an (m, dimension)
+    array at once, a bool array of length m.  It gives exactly what
+    contains gives row by row, so batched experiments reproduce the
+    one-point ones.
     """
 
     kind: str
@@ -266,14 +272,8 @@ class DomainSet:
     interior_contains: Callable[[Point], bool]
     boundary_distance: Callable[[Point], float]
     contains_rows: Callable[[np.ndarray], np.ndarray]
-    project: Callable[[Point], Point] | None = None
-    project_rows: Callable[[np.ndarray], np.ndarray] | None = None
-    nearest_boundary: Callable[[Point], Point] | None = None
-
-    def __post_init__(self):
-        if (self.project is None) != (self.project_rows is None):
-            raise ArgumentError("project and project_rows must be given "
-                                "together, or neither")
+    project: Callable[[np.ndarray], np.ndarray]
+    nearest_boundary: Callable[[Point], Point]
 
 
 def box(lo, hi) -> DomainSet:
@@ -320,8 +320,7 @@ def box(lo, hi) -> DomainSet:
     def contains_rows(rows: np.ndarray) -> np.ndarray:
         return ((rows >= lo_a) & (rows <= hi_a)).all(axis=1)
 
-    def project(p: Point) -> Point:
-        # elementwise, so it serves single points and (m, d) rows alike
+    def project(p: np.ndarray) -> np.ndarray:
         return np.clip(p, lo_a, hi_a)
 
     def nearest_boundary(p: Point) -> Point:
@@ -337,8 +336,7 @@ def box(lo, hi) -> DomainSet:
     return DomainSet(kind="box", params=tuple(lo_a) + tuple(hi_a),
                      contains=contains, interior_contains=interior,
                      boundary_distance=bdist, contains_rows=contains_rows,
-                     project=project, project_rows=project,
-                     nearest_boundary=nearest_boundary)
+                     project=project, nearest_boundary=nearest_boundary)
 
 
 def halfline(a: float) -> DomainSet:
@@ -361,23 +359,18 @@ def ball(center, radius: float) -> DomainSet:
     def bdist(p: Point) -> float:
         return max(0.0, radius - _euclidean_norm(p - c))
 
-    def project(p: Point) -> Point:
-        r = _euclidean_norm(p - c)
-        if r <= radius:
-            return np.array(p)
-        # pull a hair inside the sphere so membership survives rounding
-        return c + (p - c) * ((radius / r) * (1.0 - 1e-12))
-
     def contains_rows(rows: np.ndarray) -> np.ndarray:
         return _row_norms(rows - c) <= radius
 
-    def project_rows(rows: np.ndarray) -> np.ndarray:
+    def project(p: np.ndarray) -> np.ndarray:
+        rows = np.atleast_2d(p)
         v = rows - c
         r = _row_norms(v)
         far = r > radius
         out = np.array(rows)
+        # pull a hair inside the sphere so membership survives rounding
         out[far] = c + v[far] * ((radius / r[far]) * (1.0 - 1e-12))[:, None]
-        return out
+        return out.reshape(np.shape(p))
 
     def nearest_boundary(p: Point) -> Point:
         r = _euclidean_norm(p - c)
@@ -390,8 +383,7 @@ def ball(center, radius: float) -> DomainSet:
     return DomainSet(kind="ball", params=tuple(c) + (radius,),
                      contains=contains, interior_contains=interior,
                      boundary_distance=bdist, contains_rows=contains_rows,
-                     project=project, project_rows=project_rows,
-                     nearest_boundary=nearest_boundary)
+                     project=project, nearest_boundary=nearest_boundary)
 
 
 def halfspace(normal, offset: float) -> DomainSet:
@@ -410,23 +402,18 @@ def halfspace(normal, offset: float) -> DomainSet:
     def bdist(p: Point) -> float:
         return max(0.0, (offset - float(nv @ p)) / nn)
 
-    def project(p: Point) -> Point:
-        s = float(nv @ p)
-        if s <= offset:
-            return np.array(p)
-        # overshoot by 1e-12 relative so membership survives rounding
-        return p - nv * ((s - offset) * (1.0 + 1e-12) / (nn * nn))
-
     def contains_rows(rows: np.ndarray) -> np.ndarray:
         return _row_dot(rows, nv) <= offset
 
-    def project_rows(rows: np.ndarray) -> np.ndarray:
+    def project(p: np.ndarray) -> np.ndarray:
+        rows = np.atleast_2d(p)
         s = _row_dot(rows, nv)
         over = s > offset
         out = np.array(rows)
+        # overshoot by 1e-12 relative so membership survives rounding
         out[over] = rows[over] - nv * (
             (s[over] - offset) * (1.0 + 1e-12) / (nn * nn))[:, None]
-        return out
+        return out.reshape(np.shape(p))
 
     def nearest_boundary(p: Point) -> Point:
         s = float(nv @ p)
@@ -435,8 +422,7 @@ def halfspace(normal, offset: float) -> DomainSet:
     return DomainSet(kind="halfspace", params=tuple(nv) + (offset,),
                      contains=contains, interior_contains=interior,
                      boundary_distance=bdist, contains_rows=contains_rows,
-                     project=project, project_rows=project_rows,
-                     nearest_boundary=nearest_boundary)
+                     project=project, nearest_boundary=nearest_boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,22 @@ def _non_finite(y, x: Point) -> NonFiniteError:
                           point=_frozen(y), last_inside=_frozen(x))
 
 
+def _refuse_non_finite(images: np.ndarray, sources: np.ndarray) -> None:
+    """Raise NonFiniteError for the first row of the (m, d) array images
+    that holds a NaN or an infinity; row j is the image of sources[j]."""
+    bad = ~np.isfinite(images).all(axis=1)
+    if bad.any():
+        j = int(bad.argmax())
+        raise _non_finite(images[j], sources[j])
+
+
 def orbit_exact(T: MappingInstance, x0, n: int) -> Orbit:
     """Iterate x_{i+1} = T x_i for up to n steps.
 
     Stops early if an iterate leaves the domain; that iterate is kept as the
     last row and flagged in exited_domain_at.  x0 itself must be inside.
-    Raises NonFiniteError if T gives a NaN or infinite image outside.
+    Raises NonFiniteError if T gives a NaN or infinite image, inside the
+    domain or not.
     """
     if n < 1:
         raise ArgumentError(f"orbit length must be >= 1, got {n}")
@@ -140,6 +150,7 @@ def orbit_exact(T: MappingInstance, x0, n: int) -> Orbit:
     run = _iterate(T.apply, x, T.domain.contains, n, out=pts)
     exited = None if run.outside is None else run.steps + 1
     m = exited or n
+    _refuse_non_finite(pts[1:m + 1], pts[:m])
     return Orbit(points=_frozen(pts[:m + 1]),
                  residuals=_frozen(np.zeros(m)),
                  exited_domain_at=exited,
@@ -190,7 +201,8 @@ def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
     point form of apply, so one orbit needs no more of T than a point map.
     A perturbed point outside the domain is projected back in when T x_i
     itself is inside; otherwise the exit is genuine: the point is recorded
-    as-is, its row's exited_at is set and the row leaves the batch.  With
+    as-is, its row's exited_at is set and the row leaves the batch, unless
+    T x_i is NaN or infinite, which raises NonFiniteError.  With
     an anchor, each row keeps the running max of dist(x_i, anchor) over
     i in [k, n] (k >= 1) instead of its trajectory; record keeps points
     and images, whose entries after a row's exit are unset.
@@ -202,7 +214,7 @@ def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
     else:
         apply = T.apply
     contains = T.domain.contains_rows
-    project = T.domain.project_rows
+    project = T.domain.project
     live = np.arange(m)
     exited = np.zeros(m, dtype=int)
     worst = None if anchor is None else np.full(m, -math.inf)
@@ -220,8 +232,7 @@ def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
         out = ~contains(cand)
         if out.any():
             back = np.zeros(len(live), dtype=bool)
-            if project is not None:
-                back[out] = contains(y[out])
+            back[out] = contains(y[out])
             if back.any():
                 cand = np.array(cand)
                 cand[back] = project(cand[back])
@@ -230,6 +241,7 @@ def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
             images[i, live] = y
             pts[i + 1, live] = cand
         if out.any():
+            _refuse_non_finite(y[out], x[out])
             exited[live[out]] = i + 1
             live = live[~out]
             cand = cand[~out]
@@ -255,7 +267,8 @@ def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
     itself leaves the domain the exit is genuine: the perturbed point is
     recorded as-is and the orbit stops there when it is outside.
     delta = 0 reproduces orbit_exact bit for bit.  This is the one-row case
-    of the batch that run_stability_experiment steps.
+    of the batch that run_stability_experiment steps.  Raises
+    NonFiniteError if T gives a NaN or infinite image.
     """
     if n < 1:
         raise ArgumentError(f"orbit length must be >= 1, got {n}")
@@ -270,6 +283,7 @@ def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
     exited = int(run.exited_at[0]) or None
     m = exited or n
     pts = run.points[:m + 1, 0]
+    _refuse_non_finite(pts[1:], pts[:-1])
     if perturbed:
         res = T.space.rowwise_distance(pts[1:], run.images[:m, 0])
     else:
@@ -501,7 +515,7 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
             direction[0] = 1.0
             nrm = 1.0
         x0 = xb + direction * (M * rng.random() ** (1.0 / d) / nrm)
-        if not T.domain.contains(x0) and T.domain.project is not None:
+        if not T.domain.contains(x0):
             x0 = T.domain.project(x0)
         if not T.domain.contains(x0):
             raise DomainError(

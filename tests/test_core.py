@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -143,15 +142,13 @@ def test_max_norm_space_distance():
 
 def test_rowwise_distance_matches_pointwise():
     rng = np.random.default_rng(7)
-    for s in (euclidean(3), max_norm(3)):
-        a = rng.standard_normal((20, 3))
-        b = rng.standard_normal((20, 3))
-        rows = s.rowwise_distance(a, b)
-        for i in range(20):
-            # accumulation order differs between the batch and scalar
-            # routes, so agreement is only to an ulp
-            assert rows[i] == pytest.approx(s.distance(a[i], b[i]),
-                                            rel=1e-15)
+    for d in range(1, 7):
+        for s in (euclidean(d), max_norm(d)):
+            a = rng.standard_normal((200, d))
+            b = rng.standard_normal((200, d))
+            rows = s.rowwise_distance(a, b)
+            for i in range(200):
+                assert rows[i] == s.distance(a[i], b[i]), (d, i)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -257,7 +254,7 @@ def test_row_forms_equal_the_point_forms_row_by_row(dom, dim):
     # that is off by an ulp flips membership
     rows[1::3] = [dom.nearest_boundary(p) for p in rows[1::3]]
     inside = dom.contains_rows(rows)
-    projected = dom.project_rows(rows)
+    projected = dom.project(rows)
     assert inside.shape == (500,) and projected.shape == rows.shape
     assert 0 < inside.sum() < 500
     for p, c, q in zip(rows, inside, projected):
@@ -265,14 +262,24 @@ def test_row_forms_equal_the_point_forms_row_by_row(dom, dim):
         assert np.array_equal(q, dom.project(p))
 
 
-def test_domain_needs_both_projection_forms_or_neither():
-    d = box([-1.0], [1.0])
-    with pytest.raises(ArgumentError, match="project_rows"):
-        dataclasses.replace(d, project_rows=None)
-    with pytest.raises(ArgumentError, match="project_rows"):
-        dataclasses.replace(d, project=None)
-    bare = dataclasses.replace(d, project=None, project_rows=None)
-    assert bare.project is None
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_point_projection_is_the_closed_form(d):
+    # the point form runs through the row form; it must still give the
+    # closed-form point, to the bit and in the point's shape
+    rng = np.random.default_rng(41 + d)
+    c, nv = rng.standard_normal(d), rng.standard_normal(d)
+    bl, hs = ball(c, 1.5), halfspace(nv, 0.3)
+    nn = math.sqrt(float(nv @ nv))
+    for p in rng.uniform(-4.0, 4.0, size=(300, d)):
+        r = math.sqrt(float((p - c) @ (p - c)))
+        want = p if r <= 1.5 else c + (p - c) * ((1.5 / r) * (1.0 - 1e-12))
+        got = bl.project(p)
+        assert got.shape == (d,) and np.array_equal(got, want)
+        s = float(nv @ p)
+        want = p if s <= 0.3 else p - nv * (
+            (s - 0.3) * (1.0 + 1e-12) / (nn * nn))
+        got = hs.project(p)
+        assert got.shape == (d,) and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dom", [

@@ -316,6 +316,39 @@ def test_orbit_exact_nan_image_is_non_finite():
         orbit_exact(_nan_map(), [1.0], 5)
 
 
+def test_orbit_exact_infinite_image_inside_is_non_finite():
+    # +inf lies in the whole-line box, so no exit flags it
+    T = MappingInstance(apply=lambda x: x * math.inf,
+                        declared_modulus=constant_modulus(0.5),
+                        domain=box([-math.inf], [math.inf]),
+                        space=euclidean(1))
+    with pytest.raises(NonFiniteError) as err:
+        orbit_exact(T, [1.0], 3)
+    assert err.value.point.tolist() == [math.inf]
+    assert err.value.last_inside.tolist() == [1.0]
+
+
+def test_orbit_inexact_nan_image_is_non_finite_not_an_exit():
+    with pytest.raises(NonFiniteError) as err:
+        orbit_inexact(_nan_map(), [1.0], 3, 0.1, 1)
+    assert math.isnan(err.value.point[0])
+    assert err.value.last_inside.tolist() == [1.0]
+
+
+def test_stability_trials_with_nan_images_are_non_finite():
+    # fixed at 0, but NaN from every start above 0.3: those trials must
+    # not pass for ordinary failures with worst = inf
+    T = MappingInstance(apply=lambda x: np.where(x > 0.3, math.nan, x / 2),
+                        declared_modulus=constant_modulus(0.5),
+                        domain=box([-math.inf], [math.inf]),
+                        space=euclidean(1))
+    with pytest.raises(NonFiniteError) as err:
+        run_stability_experiment(T, [0.0], 1.0, 0.5, trials=10, n=40,
+                                 seed=0)
+    assert math.isnan(err.value.point[0])
+    assert err.value.last_inside[0] > 0.3
+
+
 def test_solve_fixed_point_refuses_nonexpansive():
     T = MappingInstance(apply=lambda x: x,
                         declared_modulus=nonexpansive_modulus(),
