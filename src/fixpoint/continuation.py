@@ -34,11 +34,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import MappingInstance, Modulus, Point, as_point, _frozen
+from .core import (MappingInstance, Modulus, Point, as_point, _frozen,
+                   _non_finite)
 from .errors import (ArgumentError, ConvergenceError, DomainError,
                      DomainExitError, LsViolationError, NonRakotchError,
                      StallError)
-from .picard import _iterate, _non_finite, _one_minus_phi, _start
+from .picard import _iterate, _one_minus_phi, _start
 
 # a path step this small with no boundary-condition violation is a stall
 _STALL_STEP = 1e-14

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, NonFiniteError
 
 Point = np.ndarray
 
@@ -437,8 +437,9 @@ class MappingInstance:
     apply maps a point of shape (dimension,) to its image.  Given an
     (m, dimension) array it must return the (m, dimension) array of the
     images of its rows, each what apply gives for that row alone: the
-    stability experiment steps all its trials as one such array and
-    refuses an apply that does not map row by row.  Elementwise maps give
+    stability experiment steps all its trials as one such array,
+    verify_contractive maps all its pair points as one, and both refuse
+    an apply that does not map row by row.  Elementwise maps give
     the same bits either way; an affine map is written ``x @ A.T + b``
     rather than ``A @ x + b``, and its batched rows may differ from the
     single-row images in the last bits.
@@ -451,6 +452,51 @@ class MappingInstance:
     declared_modulus: Modulus
     domain: DomainSet
     space: Space
+
+
+# a batched apply is checked against single-row applies on this many of
+# its first rows: enough to catch a matrix product of the wrong side
+# (R @ x rather than x @ R.T), which garbles every row, for the cost of a
+# few point applies however many rows are stepped
+_ROWWISE_HEAD = 8
+
+_NOT_ROWWISE = ("apply does not map an (m, d) array row by row, so the "
+                "rows cannot be mapped together; see MappingInstance")
+
+
+def _apply_rows(T: MappingInstance, rows: np.ndarray) -> np.ndarray:
+    """T.apply on the (m, d) array rows, refused with ArgumentError unless
+    it maps them row by row: the images must have the rows' shape, and the
+    first _ROWWISE_HEAD of them must equal single-row applies up to
+    roundoff (1e-9 relative, since a batched matrix product rounds
+    differently).  An apply that numpy cannot broadcast over the rows is
+    refused the same way."""
+    head = rows[:_ROWWISE_HEAD]
+    try:
+        images = T.apply(rows)
+        single = np.array([T.apply(r) for r in head]).reshape(head.shape)
+    except ValueError as exc:
+        raise ArgumentError(_NOT_ROWWISE) from exc
+    atol = 1e-9 * np.max(np.abs(head), axis=1, keepdims=True)
+    if np.shape(images) != rows.shape or not np.all(
+            np.isclose(images[:len(head)], single, rtol=1e-9, atol=atol,
+                       equal_nan=True)):
+        raise ArgumentError(_NOT_ROWWISE)
+    return images
+
+
+def _non_finite(y, x: Point) -> NonFiniteError:
+    return NonFiniteError(f"the map sent {x!r} to the non-finite {y!r}",
+                          point=_frozen(y), last_inside=_frozen(x))
+
+
+def _refuse_non_finite(images: np.ndarray, sources: np.ndarray) -> None:
+    """Raise NonFiniteError for the first row of the (m, d) array images
+    that holds a NaN or an infinity; row j is the image of sources[j]."""
+    bad = ~np.isfinite(images).all(axis=1)
+    if bad.any():
+        j = int(bad.argmax())
+        raise _non_finite(images[j], sources[j])
 
 
 @dataclass(frozen=True)
@@ -466,46 +512,91 @@ class PairCheck:
 class ContractivityReport:
     """Outcome of auditing the declared modulus on finitely many pairs.
 
-    A pass certifies nothing beyond the listed pairs; n_pairs and slack are
-    recorded so the report says exactly what was checked.
+    Row j of the read-only arrays x, y (m, dimension) is pair j; lhs[j] is
+    dist(T x_j, T y_j), rhs[j] is phi(dist(x_j, y_j)) * dist(x_j, y_j) and
+    verdicts[j] is lhs[j] <= rhs[j] + slack.  A pass certifies nothing
+    beyond the listed pairs; n_pairs and slack are recorded so the report
+    says exactly what was checked.
     """
 
-    checks: tuple[PairCheck, ...]
+    x: np.ndarray
+    y: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    verdicts: np.ndarray
     slack: float
 
     @property
     def n_pairs(self) -> int:
-        return len(self.checks)
+        return len(self.verdicts)
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return bool(self.verdicts.all())
+
+    @property
+    def checks(self) -> tuple[PairCheck, ...]:
+        """One PairCheck per pair, built on each read."""
+        return tuple(PairCheck(x=x, y=y, lhs=lhs, rhs=rhs, passed=ok)
+                     for x, y, lhs, rhs, ok in zip(
+                         self.x, self.y, self.lhs.tolist(),
+                         self.rhs.tolist(), self.verdicts.tolist()))
 
 
-def verify_contractive(T: MappingInstance,
-                       pairs: Sequence[tuple[Point, Point]],
+def verify_contractive(T: MappingInstance, pairs,
                        slack: float = 0.0) -> ContractivityReport:
     """Check dist(T x, T y) <= phi(dist(x, y)) * dist(x, y) + slack on the
     given pairs.
 
-    Every point must lie in T's domain; the first offender is reported by
-    value in a DomainError.  slack >= 0 absorbs roundoff when an exact
-    inequality is expected to be tight.
+    pairs is anything np.asarray turns into an (m, 2, dimension) array,
+    such as a list of (x, y) tuples; pair j is (pairs[j][0], pairs[j][1]).
+    Another shape raises ArgumentError, and so does a NaN or infinite pair
+    point.  Every point must lie in T's domain; the first offender in the
+    order x_0, y_0, x_1, y_1, ... is reported by value in a DomainError.
+    slack >= 0 absorbs roundoff when an exact inequality is expected to be
+    tight.
+
+    All 2m points go through one T.apply, so apply must map an
+    (m, dimension) array row by row (see MappingInstance; checked on the
+    first rows, else ArgumentError), and a NaN or infinite image raises
+    NonFiniteError.  For an elementwise map every value equals the
+    one-pair-at-a-time check bit for bit.  For an affine map such as
+    ``x @ A.T + b`` the batched images, hence lhs, may differ from the
+    single-point ones in the last bits (planar-rotation: about 29% of
+    20,000 sampled pairs, by 1.2e-14 relative at most); rhs never does.
     """
     if slack < 0.0:
         raise ArgumentError(f"slack must be >= 0, got {slack}")
     d = T.space.dimension
-    checks = []
-    for x_raw, y_raw in pairs:
-        x = as_point(x_raw, d)
-        y = as_point(y_raw, d)
-        for p in (x, y):
-            if not T.domain.contains(p):
-                raise DomainError(
-                    f"pair point {p!r} lies outside the domain", point=p)
-        sep = T.space.distance(x, y)
-        lhs = T.space.distance(T.apply(x), T.apply(y))
-        rhs = T.declared_modulus(sep) * sep
-        checks.append(PairCheck(x=_frozen(x), y=_frozen(y), lhs=lhs, rhs=rhs,
-                                passed=lhs <= rhs + slack))
-    return ContractivityReport(checks=tuple(checks), slack=slack)
+    try:
+        xy = np.asarray(pairs, dtype=float)
+    except ValueError as exc:
+        raise ArgumentError(f"pairs must form an (m, 2, {d}) array: "
+                            f"{exc}") from exc
+    if xy.size == 0:
+        xy = xy.reshape(0, 2, d)
+    if xy.ndim != 3 or xy.shape[1:] != (2, d):
+        raise ArgumentError(f"pairs must form an (m, 2, {d}) array, got "
+                            f"shape {xy.shape}")
+    pts = xy.reshape(-1, d)     # x_0, y_0, x_1, y_1, ...
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise ArgumentError(
+            f"pair point {pts[finite.argmin()]!r} is not finite")
+    inside = T.domain.contains_rows(pts)
+    if not inside.all():
+        p = _frozen(pts[inside.argmin()])
+        raise DomainError(f"pair point {p!r} lies outside the domain",
+                          point=p)
+    images = _apply_rows(T, pts)
+    _refuse_non_finite(images, pts)
+    images = images.reshape(-1, 2, d)
+    sep = T.space.rowwise_distance(xy[:, 0], xy[:, 1])
+    lhs = T.space.rowwise_distance(images[:, 0], images[:, 1])
+    phi = T.declared_modulus
+    rhs = np.array([phi(s) * s for s in sep.tolist()], dtype=float)
+    verdicts = lhs <= rhs + slack
+    verdicts.setflags(write=False)
+    return ContractivityReport(x=_frozen(xy[:, 0]), y=_frozen(xy[:, 1]),
+                               lhs=_frozen(lhs), rhs=_frozen(rhs),
+                               verdicts=verdicts, slack=slack)

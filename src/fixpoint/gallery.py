@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import (DomainSet, MappingInstance, Modulus, Point, Space, ball,
                    box, constant_modulus, euclidean, halfline, _frozen,
-                   nonexpansive_modulus, rational_decay_modulus)
+                   _row_norms, nonexpansive_modulus, rational_decay_modulus)
 from .errors import ArgumentError, UnknownMapError
 
 
@@ -42,7 +42,11 @@ from .errors import ArgumentError, UnknownMapError
 class GalleryEntry:
     """A registered map plus everything a test or experiment needs: the
     instantiated parameters, the closed-form fixed point and path when they
-    exist, and a seeded sampler drawing points from the domain."""
+    exist, and a seeded sampler drawing points from the domain.
+
+    sampler(rng) draws one point; sampler(rng, m) draws an (m, dimension)
+    array whose rows equal, bit for bit, m successive point draws from
+    the same generator state."""
 
     name: str
     mapping: MappingInstance
@@ -50,7 +54,17 @@ class GalleryEntry:
     known_fixed_point: Point | None
     known_path: Callable[[float], Point] | None
     notes: str
-    sampler: Callable[[np.random.Generator], Point]
+    sampler: Callable[..., Point]
+
+
+def _interval_sampler(lo: float, width: float) -> Callable[..., Point]:
+    """Uniform draws from [lo, lo + width) in one dimension; one
+    rng.random(m) gives the same stream as m calls of rng.random()."""
+    def sampler(rng: np.random.Generator, m: int | None = None) -> Point:
+        if m is None:
+            return np.array([lo + width * rng.random()])
+        return (lo + width * rng.random(m))[:, None]
+    return sampler
 
 
 @dataclass(frozen=True)
@@ -75,7 +89,7 @@ def _build_affine_halfline() -> GalleryEntry:
         known_fixed_point=_frozen([-1.0]),
         known_path=lambda t: np.array([-t / (2.0 - t)]),
         notes="fixed point -1 on the boundary; path x_t = -t/(2-t)",
-        sampler=lambda rng: np.array([-1.0 + 10.0 * rng.random()]))
+        sampler=_interval_sampler(-1.0, 10.0))
 
 
 def _build_rakotch_decay(a: float) -> GalleryEntry:
@@ -93,7 +107,7 @@ def _build_rakotch_decay(a: float) -> GalleryEntry:
         known_path=lambda t: np.array([0.0]),
         notes="contractive only in the Rakotch sense; fixed point 0 with "
               "no contraction ratio near it",
-        sampler=lambda rng: np.array([10.0 * rng.random()]))
+        sampler=_interval_sampler(0.0, 10.0))
 
 
 def _build_constant(c: float, lo: float, hi: float) -> GalleryEntry:
@@ -118,7 +132,7 @@ def _build_constant(c: float, lo: float, hi: float) -> GalleryEntry:
         notes="modulus 0; with c outside the box the path x_t = t c pins "
               "against the boundary (known_path is only a solution while "
               "t c stays inside)",
-        sampler=lambda rng: np.array([lo + (hi - lo) * rng.random()]))
+        sampler=_interval_sampler(lo, hi - lo))
 
 
 def _rotation_min_singular(theta: float) -> float:
@@ -149,10 +163,21 @@ def _build_planar_rotation(theta: float, bx: float, by: float,
     def path(t: float) -> Point:
         return np.linalg.solve(eye - t * R, t * b)
 
-    def sampler(rng: np.random.Generator) -> Point:
-        v = rng.standard_normal(2)
-        v /= max(math.sqrt(float(v @ v)), 1e-300)
-        return v * (radius * math.sqrt(rng.random()))
+    def sampler(rng: np.random.Generator, m: int | None = None) -> Point:
+        if m is None:
+            v = rng.standard_normal(2)
+            v /= max(math.sqrt(float(v @ v)), 1e-300)
+            return v * (radius * math.sqrt(rng.random()))
+        # the normal draws take a variable share of the stream, so the
+        # draws stay one sample at a time, in the point form's order
+        v = np.empty((m, 2))
+        u = np.empty(m)
+        normal, uniform = rng.standard_normal, rng.random
+        for j in range(m):
+            v[j] = normal(2)
+            u[j] = uniform()
+        v /= np.maximum(_row_norms(v), 1e-300)[:, None]
+        return v * (radius * np.sqrt(u))[:, None]
 
     return GalleryEntry(
         name="planar-rotation", mapping=MappingInstance(
@@ -181,7 +206,7 @@ def _build_damped_rational() -> GalleryEntry:
         known_path=lambda t: np.array([0.0]),
         notes="|T'| <= 1/2 on the box; interior fixed point 0, path "
               "identically 0",
-        sampler=lambda rng: np.array([-2.0 + 4.0 * rng.random()]))
+        sampler=_interval_sampler(-2.0, 4.0))
 
 
 _TWO_PI = 2.0 * math.pi

@@ -29,7 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Modulus, MappingInstance, Point, as_point, _frozen
+from .core import (Modulus, MappingInstance, Point, as_point, _apply_rows,
+                   _frozen, _non_finite, _refuse_non_finite)
 from .errors import (ArgumentError, ConvergenceError, DomainError,
                      NonFiniteError, NonRakotchError, NonselfExitError)
 
@@ -120,20 +121,6 @@ def _iterate(step, x: Point, contains, n: int, dist=None, tol: float = 0.0,
     return _Run(x, n, r, None)
 
 
-def _non_finite(y, x: Point) -> NonFiniteError:
-    return NonFiniteError(f"the map sent {x!r} to the non-finite {y!r}",
-                          point=_frozen(y), last_inside=_frozen(x))
-
-
-def _refuse_non_finite(images: np.ndarray, sources: np.ndarray) -> None:
-    """Raise NonFiniteError for the first row of the (m, d) array images
-    that holds a NaN or an infinity; row j is the image of sources[j]."""
-    bad = ~np.isfinite(images).all(axis=1)
-    if bad.any():
-        j = int(bad.argmax())
-        raise _non_finite(images[j], sources[j])
-
-
 def orbit_exact(T: MappingInstance, x0, n: int) -> Orbit:
     """Iterate x_{i+1} = T x_i for up to n steps.
 
@@ -169,20 +156,6 @@ def _ball_noise(noise_seed: int, n: int, d: int, delta: float) -> np.ndarray:
     return dirs * radii[:, None]
 
 
-def _require_rowwise(T: MappingInstance, rows: np.ndarray,
-                     images: np.ndarray) -> None:
-    """Refuse an apply whose image of the (m, d) array rows is not, up to
-    roundoff, the stack of its images of the single rows."""
-    single = np.array([T.apply(r) for r in rows])
-    atol = 1e-9 * np.max(np.abs(rows), axis=1, keepdims=True)
-    if np.shape(images) != rows.shape or not np.all(
-            np.isclose(images, single, rtol=1e-9, atol=atol,
-                       equal_nan=True)):
-        raise ArgumentError(
-            "apply does not map an (m, d) array row by row, so trials "
-            "cannot be stepped together; see MappingInstance")
-
-
 class _Steps(NamedTuple):
     exited_at: np.ndarray       # (m,) first point index outside, 0 if none
     worst: np.ndarray | None    # (m,) max dist(x_i, anchor), i in [k, n]
@@ -204,8 +177,11 @@ def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
     as-is, its row's exited_at is set and the row leaves the batch, unless
     T x_i is NaN or infinite, which raises NonFiniteError.  With
     an anchor, each row keeps the running max of dist(x_i, anchor) over
-    i in [k, n] (k >= 1) instead of its trajectory; record keeps points
-    and images, whose entries after a row's exit are unset.
+    i in [k, n] (k >= 1) instead of its trajectory, and a row that never
+    exited but whose max is not finite raises NonFiniteError after the
+    last step.  record keeps points and images, whose entries after a
+    row's exit are unset.  With more than one row the first apply is
+    checked to map row by row (core._apply_rows).
     """
     m, d = starts.shape
     if m == 1:
@@ -225,9 +201,7 @@ def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
         images = np.empty((n, m, d))
     x = starts
     for i in range(n):
-        y = apply(x)
-        if i == 0 and m > 1:
-            _require_rowwise(T, x, y)
+        y = apply(x) if i or m == 1 else _apply_rows(T, x)
         cand = y if noise is None else y + noise[i, live]
         out = ~contains(cand)
         if out.any():
@@ -252,6 +226,15 @@ def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
             break
         x = cand
     if worst is not None:
+        # +inf passes the membership test of an unbounded domain, so a row
+        # can get there without exiting; NaN or +inf, not the -inf of an
+        # empty window, marks it
+        bad = (exited == 0) & ~(worst < math.inf)
+        if bad.any():
+            j = int(bad.argmax())
+            raise NonFiniteError(
+                f"the orbit of row {j}, started at {starts[j]!r}, reached "
+                "a NaN or infinite point inside the domain")
         worst[exited > 0] = math.inf
     return _Steps(exited_at=exited, worst=worst, points=pts, images=images)
 

@@ -355,6 +355,11 @@ _GOLDEN = {
         "seed = 5\n", 0,
         {"certify.txt": "965b4ca982b9ca53bfd2cd4860066077"
                         "07bd9eb0f85ca18d3fa5119935a2295a"}),
+    "certify-rotation": (
+        "experiment = certify\nmap = planar-rotation\npairs = 64\n"
+        "seed = 5\n", 1,
+        {"certify.txt": "202732cbecbae32757fff33c919743dc"
+                        "c3d981399f04b7d4ccc240df9a684130"}),
 }
 
 

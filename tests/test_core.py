@@ -9,7 +9,7 @@ from fixpoint.core import (as_point, ball, box, check_modulus_admissible,
                            rational_decay_modulus, table_modulus,
                            verify_contractive, MappingInstance, _row_dot,
                            _row_norms)
-from fixpoint.errors import ArgumentError, DomainError
+from fixpoint.errors import ArgumentError, DomainError, NonFiniteError
 
 
 # ---------------------------------------------------------------------------
@@ -366,3 +366,108 @@ def test_verify_contractive_rejects_outside_points():
 def test_verify_contractive_rejects_negative_slack():
     with pytest.raises(ArgumentError):
         verify_contractive(_decay_map(), [], slack=-1e-9)
+
+
+def test_verify_contractive_takes_tuples_or_an_array_alike():
+    rng = np.random.default_rng(59)
+    xy = rng.uniform(0, 20, (50, 2, 1))
+    tuples = [(x, y) for x, y in xy]
+    a = verify_contractive(_decay_map(), tuples, slack=1e-12)
+    b = verify_contractive(_decay_map(), xy, slack=1e-12)
+    assert a.n_pairs == b.n_pairs == 50
+    for field in ("x", "y", "lhs", "rhs", "verdicts"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    assert a.slack == b.slack and a.passed == b.passed
+    assert np.array_equal(b.x, xy[:, 0]) and np.array_equal(b.y, xy[:, 1])
+
+
+def test_verify_contractive_report_arrays_and_checks_agree():
+    rng = np.random.default_rng(61)
+    rep = verify_contractive(_decay_map(), rng.uniform(0, 5, (20, 2, 1)))
+    assert rep.x.shape == rep.y.shape == (20, 1)
+    assert rep.lhs.shape == rep.rhs.shape == rep.verdicts.shape == (20,)
+    for arr in (rep.x, rep.y, rep.lhs, rep.rhs, rep.verdicts):
+        assert not arr.flags.writeable
+    checks = rep.checks
+    assert len(checks) == rep.n_pairs
+    for j, c in enumerate(checks):
+        assert c.x.tolist() == rep.x[j].tolist()
+        assert c.y.tolist() == rep.y[j].tolist()
+        assert (c.lhs, c.rhs, c.passed) == (rep.lhs[j], rep.rhs[j],
+                                            rep.verdicts[j])
+
+
+def test_verify_contractive_no_pairs():
+    rep = verify_contractive(_decay_map(), [])
+    assert rep.n_pairs == 0 and rep.checks == () and rep.passed
+
+
+def test_verify_contractive_refuses_a_wrong_shape():
+    T = _decay_map()
+    bad = ([([1.0, 2.0], [3.0, 4.0])],     # points of dimension 2
+           [[1.0, 2.0]],                   # no point axis
+           [([1.0], [2.0], [3.0])],        # triples, not pairs
+           [([1.0], [2.0]), ([1.0], [2.0, 3.0])])    # ragged
+    for pairs in bad:
+        with pytest.raises(ArgumentError, match="pairs must form"):
+            verify_contractive(T, pairs)
+
+
+def test_verify_contractive_names_the_first_outside_point():
+    # an outside x in pair 3 and an outside y in pair 2: y_2 comes first
+    # in the order x_0, y_0, x_1, y_1, ...
+    xy = np.full((5, 2, 1), 1.0)
+    xy[3, 0, 0] = -3.0
+    xy[2, 1, 0] = -2.0
+    with pytest.raises(DomainError, match="outside the domain") as err:
+        verify_contractive(_decay_map(), xy)
+    assert err.value.point.tolist() == [-2.0]
+    xy[2, 1, 0] = 1.0
+    with pytest.raises(DomainError) as err:
+        verify_contractive(_decay_map(), xy)
+    assert err.value.point.tolist() == [-3.0]
+
+
+def _whole_line(apply) -> MappingInstance:
+    return MappingInstance(apply=apply,
+                           declared_modulus=constant_modulus(0.5),
+                           domain=box([-math.inf], [math.inf]),
+                           space=euclidean(1))
+
+
+def test_verify_contractive_refuses_a_non_finite_image():
+    # NaN images used to fail their pair quietly (lhs = nan)
+    with pytest.raises(NonFiniteError) as err:
+        verify_contractive(_whole_line(lambda x: x * math.nan),
+                           [([1.0], [2.0])])
+    assert math.isnan(err.value.point[0])
+    assert err.value.last_inside.tolist() == [1.0]
+
+
+def test_verify_contractive_refuses_a_non_finite_pair_point():
+    # [inf] lies in the whole-line box and used to give lhs=nan, rhs=inf
+    T = _whole_line(lambda x: x / 2.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ArgumentError, match="not finite"):
+            verify_contractive(T, [([1.0], [2.0]), ([3.0], [bad])])
+
+
+def test_verify_contractive_refuses_an_apply_that_is_not_rowwise():
+    # R @ x of the stacked points is a matrix product: for one pair the
+    # (2, 2) stack gives wrong rows, for more numpy cannot broadcast
+    c, s = math.cos(0.3), math.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+    b = np.array([0.2, -0.1])
+    T = MappingInstance(apply=lambda x: R @ x + b,
+                        declared_modulus=nonexpansive_modulus(),
+                        domain=ball([0.0, 0.0], 10.0), space=euclidean(2))
+    rng = np.random.default_rng(67)
+    for m in (1, 5):
+        with pytest.raises(ArgumentError, match="row by row"):
+            verify_contractive(T, rng.uniform(-1, 1, (m, 2, 2)))
+    rowwise = MappingInstance(apply=lambda x: x @ R.T + b,
+                              declared_modulus=nonexpansive_modulus(),
+                              domain=T.domain, space=T.space)
+    rep = verify_contractive(rowwise, rng.uniform(-1, 1, (5, 2, 2)),
+                             slack=1e-12)
+    assert rep.n_pairs == 5 and rep.passed

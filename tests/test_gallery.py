@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fixpoint.core import check_modulus_admissible, verify_contractive
-from fixpoint.errors import ArgumentError, UnknownMapError
+from fixpoint.core import (as_point, check_modulus_admissible,
+                           verify_contractive)
+from fixpoint.errors import ArgumentError, DomainError, UnknownMapError
 from fixpoint.gallery import list_maps, make_map, map_summary
 
 ALL_NAMES = ("affine-halfline", "rakotch-decay", "constant",
@@ -73,6 +74,63 @@ def test_samplers_land_in_domain(name):
         p = e.sampler(rng)
         assert p.shape == (e.mapping.space.dimension,)
         assert e.mapping.domain.contains(p)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_sampler_rows_are_successive_point_draws(name):
+    e = make_map(name)
+    d = e.mapping.space.dimension
+    for seed in (0, 1, 7):
+        rows_rng = np.random.default_rng(seed)
+        points_rng = np.random.default_rng(seed)
+        rows = e.sampler(rows_rng, 2000)
+        points = np.array([e.sampler(points_rng) for _ in range(2000)])
+        assert rows.shape == (2000, d)
+        assert rows.tobytes() == points.tobytes()
+        # and the generators are left in the same state
+        assert rows_rng.random() == points_rng.random()
+    assert e.sampler(np.random.default_rng(0), 0).shape == (0, d)
+
+
+def _reference_verify(T, pairs, slack):
+    """verify_contractive as it was written before it was batched, one
+    pair at a time, frozen: (lhs, rhs, passed) per pair."""
+    d = T.space.dimension
+    checks = []
+    for x_raw, y_raw in pairs:
+        x = as_point(x_raw, d)
+        y = as_point(y_raw, d)
+        for p in (x, y):
+            if not T.domain.contains(p):
+                raise DomainError(
+                    f"pair point {p!r} lies outside the domain", point=p)
+        sep = T.space.distance(x, y)
+        lhs = T.space.distance(T.apply(x), T.apply(y))
+        rhs = T.declared_modulus(sep) * sep
+        checks.append((lhs, rhs, lhs <= rhs + slack))
+    return checks
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("seed", (0, 1, 7))
+def test_batched_audit_matches_the_per_pair_loop(name, seed):
+    e = make_map(name)
+    rng = np.random.default_rng(seed)
+    pairs = [(e.sampler(rng), e.sampler(rng)) for _ in range(200)]
+    rep = verify_contractive(e.mapping, pairs, slack=1e-12)
+    ref = _reference_verify(e.mapping, pairs, 1e-12)
+    lhs, rhs, passed = (list(col) for col in zip(*ref))
+    assert rep.n_pairs == len(ref) == 200
+    assert rep.verdicts.tolist() == passed
+    assert rep.rhs.tolist() == rhs
+    if name == "planar-rotation":
+        # the batched x @ R.T rounds differently from the point form
+        assert rep.lhs == pytest.approx(lhs, rel=1e-9, abs=0)
+    else:
+        assert rep.lhs.tolist() == lhs
+    # the CLI draws the same pairs as rows
+    rows = e.sampler(np.random.default_rng(seed), 400)
+    assert rows.reshape(200, 2, -1).tobytes() == np.array(pairs).tobytes()
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

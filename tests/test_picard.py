@@ -349,6 +349,18 @@ def test_stability_trials_with_nan_images_are_non_finite():
     assert err.value.last_inside[0] > 0.3
 
 
+def test_stability_trials_with_infinite_points_inside_are_non_finite():
+    # +inf lies in the whole-line box, so those trials never exit; they
+    # used to fail quietly with worst = inf
+    T = MappingInstance(apply=lambda x: np.where(x > 0.3, math.inf, x / 2),
+                        declared_modulus=constant_modulus(0.5),
+                        domain=box([-math.inf], [math.inf]),
+                        space=euclidean(1))
+    with pytest.raises(NonFiniteError, match="infinite point inside"):
+        run_stability_experiment(T, [0.0], 1.0, 0.5, trials=10, n=40,
+                                 seed=0)
+
+
 def test_solve_fixed_point_refuses_nonexpansive():
     T = MappingInstance(apply=lambda x: x,
                         declared_modulus=nonexpansive_modulus(),
@@ -603,6 +615,14 @@ def test_batched_stability_refuses_an_apply_that_is_not_rowwise():
     rep = run_stability_experiment(T, xbar, 1.0, 0.5, trials=1, n=60,
                                    seed=1)
     assert len(rep.trials) == 1
+
+
+def test_batched_stability_refuses_an_apply_numpy_cannot_broadcast():
+    # with three trials R @ x cannot even be formed; that is the same
+    # refusal, not a numpy ValueError
+    T, xbar = _rotation_map(lambda R, b: lambda x: R @ x + b)
+    with pytest.raises(ArgumentError, match="row by row"):
+        run_stability_experiment(T, xbar, 1.0, 0.5, trials=3, n=60, seed=1)
 
 
 def test_batched_stability_accepts_a_rowwise_affine_map():
