@@ -470,12 +470,20 @@ def _apply_rows(T: MappingInstance, rows: np.ndarray) -> np.ndarray:
     first _ROWWISE_HEAD of them must equal single-row applies up to
     roundoff (1e-9 relative, since a batched matrix product rounds
     differently).  An apply that numpy cannot broadcast over the rows is
-    refused the same way."""
+    refused the same way: a ValueError of the batched apply becomes
+    ArgumentError when the head's single-row applies succeed.  Any other
+    failure of the map, a LinAlgError included, surfaces unchanged."""
     head = rows[:_ROWWISE_HEAD]
     try:
         images = T.apply(rows)
-        single = np.array([T.apply(r) for r in head]).reshape(head.shape)
     except ValueError as exc:
+        if (isinstance(exc, np.linalg.LinAlgError)
+                or not _applies_pointwise(T, head)):
+            raise
+        raise ArgumentError(_NOT_ROWWISE) from exc
+    try:
+        single = np.array([T.apply(r) for r in head]).reshape(head.shape)
+    except ValueError as exc:   # single-row images of the wrong shape
         raise ArgumentError(_NOT_ROWWISE) from exc
     atol = 1e-9 * np.max(np.abs(head), axis=1, keepdims=True)
     if np.shape(images) != rows.shape or not np.all(
@@ -483,6 +491,16 @@ def _apply_rows(T: MappingInstance, rows: np.ndarray) -> np.ndarray:
                        equal_nan=True)):
         raise ArgumentError(_NOT_ROWWISE)
     return images
+
+
+def _applies_pointwise(T: MappingInstance, points: np.ndarray) -> bool:
+    """Whether T.apply runs without raising on each point alone."""
+    try:
+        for p in points:
+            T.apply(p)
+    except Exception:
+        return False
+    return True
 
 
 def _non_finite(y, x: Point) -> NonFiniteError:
@@ -550,7 +568,8 @@ def verify_contractive(T: MappingInstance, pairs,
 
     pairs is anything np.asarray turns into an (m, 2, dimension) array,
     such as a list of (x, y) tuples; pair j is (pairs[j][0], pairs[j][1]).
-    Another shape raises ArgumentError, and so does a NaN or infinite pair
+    In dimension 1 an (m, 2) array of scalar pairs is also taken.  Another
+    shape raises ArgumentError, and so does a NaN or infinite pair
     point.  Every point must lie in T's domain; the first offender in the
     order x_0, y_0, x_1, y_1, ... is reported by value in a DomainError.
     slack >= 0 absorbs roundoff when an exact inequality is expected to be
@@ -575,6 +594,8 @@ def verify_contractive(T: MappingInstance, pairs,
                             f"{exc}") from exc
     if xy.size == 0:
         xy = xy.reshape(0, 2, d)
+    elif d == 1 and xy.ndim == 2 and xy.shape[1] == 2:
+        xy = xy[..., None]      # scalar pairs (x, y)
     if xy.ndim != 3 or xy.shape[1:] != (2, d):
         raise ArgumentError(f"pairs must form an (m, 2, {d}) array, got "
                             f"shape {xy.shape}")
@@ -588,7 +609,8 @@ def verify_contractive(T: MappingInstance, pairs,
         p = _frozen(pts[inside.argmin()])
         raise DomainError(f"pair point {p!r} lies outside the domain",
                           point=p)
-    images = _apply_rows(T, pts)
+    # with no pairs the map is never called, so a point-only apply works
+    images = _apply_rows(T, pts) if len(pts) else pts
     _refuse_non_finite(images, pts)
     images = images.reshape(-1, 2, d)
     sep = T.space.rowwise_distance(xy[:, 0], xy[:, 1])

@@ -57,14 +57,20 @@ class GalleryEntry:
     sampler: Callable[..., Point]
 
 
+def _with_point_form(rows: Callable[[np.random.Generator, int], np.ndarray]
+                     ) -> Callable[..., Point]:
+    """The sampler for a row form rows(rng, m): with m omitted it draws
+    one point as the single row of rows(rng, 1)."""
+    def sampler(rng: np.random.Generator, m: int | None = None) -> Point:
+        return rows(rng, 1)[0] if m is None else rows(rng, m)
+    return sampler
+
+
 def _interval_sampler(lo: float, width: float) -> Callable[..., Point]:
     """Uniform draws from [lo, lo + width) in one dimension; one
     rng.random(m) gives the same stream as m calls of rng.random()."""
-    def sampler(rng: np.random.Generator, m: int | None = None) -> Point:
-        if m is None:
-            return np.array([lo + width * rng.random()])
-        return (lo + width * rng.random(m))[:, None]
-    return sampler
+    return _with_point_form(
+        lambda rng, m: (lo + width * rng.random(m))[:, None])
 
 
 @dataclass(frozen=True)
@@ -163,13 +169,9 @@ def _build_planar_rotation(theta: float, bx: float, by: float,
     def path(t: float) -> Point:
         return np.linalg.solve(eye - t * R, t * b)
 
-    def sampler(rng: np.random.Generator, m: int | None = None) -> Point:
-        if m is None:
-            v = rng.standard_normal(2)
-            v /= max(math.sqrt(float(v @ v)), 1e-300)
-            return v * (radius * math.sqrt(rng.random()))
+    def rows(rng: np.random.Generator, m: int) -> np.ndarray:
         # the normal draws take a variable share of the stream, so the
-        # draws stay one sample at a time, in the point form's order
+        # draws stay one sample at a time: two normals, then one uniform
         v = np.empty((m, 2))
         u = np.empty(m)
         normal, uniform = rng.standard_normal, rng.random
@@ -188,7 +190,7 @@ def _build_planar_rotation(theta: float, bx: float, by: float,
         known_path=path,
         notes="isometry plus translation: nonexpansive, never contractive; "
               "fixed point and path by linear solve",
-        sampler=sampler)
+        sampler=_with_point_form(rows))
 
 
 def _build_damped_rational() -> GalleryEntry:

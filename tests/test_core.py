@@ -402,10 +402,29 @@ def test_verify_contractive_no_pairs():
     assert rep.n_pairs == 0 and rep.checks == () and rep.passed
 
 
+def test_verify_contractive_no_pairs_never_calls_the_map():
+    # a point-only apply would fail on the empty (0, d) stack
+    T = MappingInstance(apply=lambda x: np.array([math.exp(-x[0])]),
+                        declared_modulus=constant_modulus(0.5),
+                        domain=box([0.0], [1.0]), space=euclidean(1))
+    rep = verify_contractive(T, [])
+    assert rep.n_pairs == 0 and rep.passed
+
+
+def test_verify_contractive_takes_scalar_pairs_in_dimension_one():
+    scalar = verify_contractive(_decay_map(), [(1.0, 2.0), (0.5, 3.0)])
+    points = verify_contractive(_decay_map(), [([1.0], [2.0]),
+                                               ([0.5], [3.0])])
+    assert scalar.x.tolist() == points.x.tolist() == [[1.0], [0.5]]
+    assert scalar.y.tolist() == points.y.tolist()
+    assert scalar.lhs.tobytes() == points.lhs.tobytes()
+    assert scalar.rhs.tobytes() == points.rhs.tobytes()
+
+
 def test_verify_contractive_refuses_a_wrong_shape():
     T = _decay_map()
     bad = ([([1.0, 2.0], [3.0, 4.0])],     # points of dimension 2
-           [[1.0, 2.0]],                   # no point axis
+           [[1.0, 2.0, 3.0]],              # scalar triples, not pairs
            [([1.0], [2.0], [3.0])],        # triples, not pairs
            [([1.0], [2.0]), ([1.0], [2.0, 3.0])])    # ragged
     for pairs in bad:
@@ -471,3 +490,35 @@ def test_verify_contractive_refuses_an_apply_that_is_not_rowwise():
     rep = verify_contractive(rowwise, rng.uniform(-1, 1, (5, 2, 2)),
                              slack=1e-12)
     assert rep.n_pairs == 5 and rep.passed
+
+
+def _always_singular(x):
+    return np.linalg.solve(np.zeros((1, 1)), np.atleast_2d(x).T).T.reshape(
+        np.shape(x))
+
+
+def test_verify_contractive_lets_the_maps_own_errors_through():
+    # LinAlgError and a ValueError the map raises itself are ValueErrors
+    # too, but they are no sign of an apply that fails to map rows
+    def own_value_error(x):
+        raise ValueError("the map's own failure")
+
+    for apply, error, msg in (
+            (_always_singular, np.linalg.LinAlgError, "Singular"),
+            (own_value_error, ValueError, "own failure")):
+        with pytest.raises(error, match=msg) as err:
+            verify_contractive(_whole_line(apply), [([1.0], [2.0])] * 3)
+        assert not isinstance(err.value, ArgumentError)
+
+
+def test_verify_contractive_lets_a_late_linalg_error_through():
+    # singular only at a point past the rows checked one by one
+    def apply(x):
+        if np.any(x == 5.0):
+            raise np.linalg.LinAlgError("singular at 5")
+        return x / 2.0
+
+    pairs = [([1.0], [2.0])] * 9 + [([1.0], [5.0])]
+    with pytest.raises(np.linalg.LinAlgError, match="singular at 5"):
+        verify_contractive(_whole_line(apply), pairs)
+

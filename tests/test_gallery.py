@@ -92,6 +92,33 @@ def test_sampler_rows_are_successive_point_draws(name):
     assert e.sampler(np.random.default_rng(0), 0).shape == (0, d)
 
 
+def _reference_point_sampler(name):
+    """The point samplers as they were written before the row form, one
+    draw at a time, frozen at the default parameters."""
+    if name == "planar-rotation":
+        def draw(rng):
+            v = rng.standard_normal(2)
+            v /= max(math.sqrt(float(v @ v)), 1e-300)
+            return v * (4.0 * math.sqrt(rng.random()))
+        return draw
+    lo, width = {"affine-halfline": (-1.0, 10.0),
+                 "rakotch-decay": (0.0, 10.0), "constant": (-1.0, 2.0),
+                 "damped-rational": (-2.0, 4.0)}[name]
+    return lambda rng: np.array([lo + width * rng.random()])
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_sampler_keeps_the_frozen_point_draws(name):
+    e = make_map(name)
+    draw = _reference_point_sampler(name)
+    for seed in (0, 1, 7):
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        rows = e.sampler(rng, 500)
+        ref = np.array([draw(ref_rng) for _ in range(500)])
+        assert rows.tobytes() == ref.tobytes()
+        assert rng.random() == ref_rng.random()
+
+
 def _reference_verify(T, pairs, slack):
     """verify_contractive as it was written before it was batched, one
     pair at a time, frozen: (lhs, rhs, passed) per pair."""

@@ -361,6 +361,22 @@ def test_stability_trials_with_infinite_points_inside_are_non_finite():
                                  seed=0)
 
 
+def test_stability_trials_let_the_maps_own_errors_through():
+    # a singular solve on the batch is the map's failure, not an apply
+    # that fails to map the (trials, d) rows one by one, even though the
+    # single-row applies succeed
+    def apply(x):
+        if x.ndim == 2:
+            raise np.linalg.LinAlgError("singular batch")
+        return x / 2.0
+
+    T = MappingInstance(apply=apply, declared_modulus=constant_modulus(0.5),
+                        domain=box([-math.inf], [math.inf]),
+                        space=euclidean(1))
+    with pytest.raises(np.linalg.LinAlgError, match="singular batch"):
+        run_stability_experiment(T, [0.0], 1.0, 0.5, trials=4, n=40, seed=0)
+
+
 def test_solve_fixed_point_refuses_nonexpansive():
     T = MappingInstance(apply=lambda x: x,
                         declared_modulus=nonexpansive_modulus(),
