@@ -39,7 +39,7 @@ from .core import (MappingInstance, Modulus, Point, as_point, _frozen,
 from .errors import (ArgumentError, ConvergenceError, DomainError,
                      DomainExitError, LsViolationError, NonRakotchError,
                      StallError)
-from .picard import _iterate, _one_minus_phi, _start
+from .picard import _csv_text, _iterate, _one_minus_phi, _start
 
 # a path step this small with no boundary-condition violation is a stall
 _STALL_STEP = 1e-14
@@ -464,19 +464,12 @@ def path_csv(path: ContinuationPath) -> str:
     radius.  A terminal record (t = 1 limit) is appended as a final row
     with the certificate residual in the residual column."""
     d = path.entries[0].x.shape[0]
-    cols = (["t"] + [f"x{j}" for j in range(d)]
-            + ["inner_residual", "step_bound_used", "r_used"])
-    lines = [",".join(cols)]
-    for e in path.entries:
-        lines.append(",".join([repr(float(e.t))]
-                              + [repr(float(c)) for c in e.x]
-                              + [repr(float(e.inner_residual)),
-                                 repr(float(e.step_bound_used)),
-                                 repr(float(e.r_used))]))
+    t, x, res, step, r, _ = zip(*path.entries)
     if path.terminal is not None:
         x1, cert = path.terminal
-        lines.append(",".join(["1.0"] + [repr(float(c)) for c in x1]
-                              + [repr(float(cert.residual)),
-                                 repr(float(cert.tail_bound)),
-                                 "0.0"]))
-    return "\n".join(lines) + "\n"
+        t, x, res, step, r = (t + (1.0,), x + (x1,), res + (cert.residual,),
+                              step + (cert.tail_bound,), r + (0.0,))
+    return _csv_text(["t", *(f"x{j}" for j in range(d)), "inner_residual",
+                      "step_bound_used", "r_used"], [],
+                     [np.array(t, dtype=float), *np.array(x, dtype=float).T,
+                      *np.array([res, step, r], dtype=float)])

@@ -95,18 +95,38 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _normed_space(dimension: int, norm: Callable[[Point], float],
-                  row_norms: Callable[[np.ndarray], np.ndarray]) -> Space:
+                  row_norms: Callable[[np.ndarray], np.ndarray],
+                  distance: Callable[[Point, Point], float] | None = None
+                  ) -> Space:
     """The space of a point norm and its row form, which must agree bit
-    for bit on every row."""
+    for bit on every row; distance, when given, must equal norm(x - y)
+    bit for bit."""
     return Space(dimension=dimension,
-                 distance=lambda x, y: norm(x - y),
+                 distance=distance or (lambda x, y: norm(x - y)),
                  rowwise_distance=lambda a, b: row_norms(a - b),
                  norm=norm)
 
 
 def euclidean(dimension: int) -> Space:
-    """Euclidean space of the given dimension."""
-    return _normed_space(dimension, _euclidean_norm, _row_norms)
+    """Euclidean space of the given dimension.
+
+    In one dimension distance and norm work on the Python floats: s * s
+    then sqrt is the same IEEE product and root as v @ v then sqrt on a
+    1-element array, so they equal the array form bit for bit at a
+    fraction of its cost (the space counterpart of box's 1-D fast path).
+    """
+    if dimension != 1:
+        return _normed_space(dimension, _euclidean_norm, _row_norms)
+
+    def norm(v: Point) -> float:
+        s = float(v[0])
+        return math.sqrt(s * s)
+
+    def distance(x: Point, y: Point) -> float:
+        s = float(x[0]) - float(y[0])
+        return math.sqrt(s * s)
+
+    return _normed_space(1, norm, _row_norms, distance)
 
 
 def max_norm(dimension: int) -> Space:
@@ -129,17 +149,30 @@ class Modulus:
     phi(t) < 1 for all t > 0 (monotonicity is the constructor's obligation
     for the closed-form kinds; tables are checked separately by
     :func:`check_modulus_admissible`).
+
+    Called on a number t it returns the Python float phi(t); called on a
+    numpy array it returns the array of phi at every entry, each equal bit
+    for bit to the scalar call, since one body written in float operations
+    numpy rounds as Python does serves both.
     """
 
     kind: str
     params: tuple[float, ...]
     rakotch: bool
-    _fn: Callable[[float], float] = field(repr=False, compare=False)
+    _fn: Callable = field(repr=False, compare=False)
 
-    def __call__(self, t: float) -> float:
-        if t < 0.0:
-            raise ArgumentError(f"modulus argument must be >= 0, got {t}")
-        return self._fn(t)
+    def __call__(self, t):
+        if not isinstance(t, np.ndarray) or t.ndim == 0:
+            if t < 0.0:
+                raise ArgumentError(f"modulus argument must be >= 0, got {t}")
+            return float(self._fn(t))
+        t = t.astype(float, copy=False)
+        neg = t < 0.0
+        if neg.any():
+            raise ArgumentError("modulus argument must be >= 0, got "
+                                f"{t[neg][0]}")
+        v = self._fn(t)
+        return v if np.shape(v) == t.shape else np.full(t.shape, v)
 
 
 def constant_modulus(c: float) -> Modulus:
@@ -184,14 +217,10 @@ def table_modulus(knots: Sequence[float], values: Sequence[float]) -> Modulus:
     kn = _frozen(kn)
     va = _frozen(va)
 
-    def fn(t: float) -> float:
-        j = int(np.searchsorted(kn, t, side="right")) - 1
-        return float(va[j])
-
     return Modulus(kind="piecewise-table",
                    params=tuple(kn) + tuple(va),
                    rakotch=bool(np.all(va < 1.0)),
-                   _fn=fn)
+                   _fn=lambda t: va[np.searchsorted(kn, t, side="right") - 1])
 
 
 def nonexpansive_modulus() -> Modulus:
@@ -234,7 +263,7 @@ def check_modulus_admissible(m: Modulus,
         raise ArgumentError("grid entries must be >= 0")
     if any(b < a for a, b in zip(g, g[1:])):
         raise ArgumentError("grid must be sorted ascending")
-    vals = [m(t) for t in g]
+    vals = m(np.array(g)).tolist()
     mono = tuple((a, b) for (a, b), (va, vb)
                  in zip(zip(g, g[1:]), zip(vals, vals[1:])) if vb > va)
     above = tuple(t for t, v in zip(g, vals) if t > 0.0 and v >= 1.0)
@@ -366,10 +395,16 @@ def ball(center, radius: float) -> DomainSet:
         rows = np.atleast_2d(p)
         v = rows - c
         r = _row_norms(v)
-        far = r > radius
         out = np.array(rows)
-        # pull a hair inside the sphere so membership survives rounding
-        out[far] = c + v[far] * ((radius / r[far]) * (1.0 - 1e-12))[:, None]
+        far = np.flatnonzero(r > radius)
+        # pull a hair inside the sphere so membership survives rounding;
+        # where c + v s still rounds outside (a center far from the origin
+        # against the radius) pull 16 times further, at worst to c itself
+        shave = 1e-12
+        while far.size:
+            out[far] = c + v[far] * ((radius / r[far]) * (1.0 - shave))[:, None]
+            far = far[_row_norms(out[far] - c) > radius]
+            shave = min(16.0 * shave, 1.0)
         return out.reshape(np.shape(p))
 
     def nearest_boundary(p: Point) -> Point:
@@ -392,6 +427,8 @@ def halfspace(normal, offset: float) -> DomainSet:
     nn = _euclidean_norm(nv)
     if nn == 0.0:
         raise ArgumentError("halfspace normal must be nonzero")
+    # relative rounding bound of a dot product with nv
+    dot_eps = nv.size * float(np.finfo(float).eps)
 
     def contains(p: Point) -> bool:
         return float(nv @ p) <= offset
@@ -408,11 +445,21 @@ def halfspace(normal, offset: float) -> DomainSet:
     def project(p: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(p)
         s = _row_dot(rows, nv)
-        over = s > offset
         out = np.array(rows)
+        over = np.flatnonzero(s > offset)
         # overshoot by 1e-12 relative so membership survives rounding
-        out[over] = rows[over] - nv * (
-            (s[over] - offset) * (1.0 + 1e-12) / (nn * nn))[:, None]
+        push = (s[over] - offset) * (1.0 + 1e-12)
+        while over.size:
+            out[over] = rows[over] - nv * (push / (nn * nn))[:, None]
+            s_out = _row_dot(out[over], nv)
+            still = s_out > offset
+            over = over[still]
+            # the dot product's rounding or an underflow outweighed the
+            # overshoot (a point far out along the plane, a tiny gap):
+            # push at least twice as far, plus what is left and the
+            # rounding bound
+            push = (2.0 * push[still] + (s_out[still] - offset)
+                    + dot_eps * (np.abs(out[over]) @ np.abs(nv)))
         return out.reshape(np.shape(p))
 
     def nearest_boundary(p: Point) -> Point:
@@ -615,8 +662,7 @@ def verify_contractive(T: MappingInstance, pairs,
     images = images.reshape(-1, 2, d)
     sep = T.space.rowwise_distance(xy[:, 0], xy[:, 1])
     lhs = T.space.rowwise_distance(images[:, 0], images[:, 1])
-    phi = T.declared_modulus
-    rhs = np.array([phi(s) * s for s in sep.tolist()], dtype=float)
+    rhs = T.declared_modulus(sep) * sep
     verdicts = lhs <= rhs + slack
     verdicts.setflags(write=False)
     return ContractivityReport(x=_frozen(xy[:, 0]), y=_frozen(xy[:, 1]),

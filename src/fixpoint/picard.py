@@ -521,18 +521,36 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
 # serialization
 
 
+# rows a CSV writer turns into Python objects at a time
+_CSV_CHUNK = 8192
+
+
+def _csv_text(header: list[str], lead: list[str],
+              columns: list[np.ndarray]) -> str:
+    """CSV text: the header line, the preformatted lead lines, then one
+    line per row of the equal-length 1-D arrays columns, every cell the
+    repr of the row's Python number, so equal runs give byte-equal files.
+
+    The rows are formatted _CSV_CHUNK at a time, a column at once: only
+    one chunk is ever held as Python objects.
+    """
+    lines = [",".join(header), *lead]
+    for lo in range(0, len(columns[0]), _CSV_CHUNK):
+        cells = [map(repr, c[lo:lo + _CSV_CHUNK].tolist()) for c in columns]
+        lines.append("\n".join(map(",".join, zip(*cells))))
+    return "\n".join(lines) + "\n"
+
+
 def orbit_csv(orbit: Orbit) -> str:
     """Orbit as CSV: index, coordinates, residual (empty on the seed row).
 
     Floats are written with repr, so equal runs give byte-equal files.
     """
-    d = orbit.points.shape[1]
-    cols = ["i"] + [f"x{j}" for j in range(d)] + ["residual"]
-    lines = [",".join(cols)]
-    for i, p in enumerate(orbit.points):
-        res = "" if i == 0 else repr(float(orbit.residuals[i - 1]))
-        lines.append(",".join([str(i)] + [repr(float(c)) for c in p] + [res]))
-    return "\n".join(lines) + "\n"
+    pts = orbit.points
+    d = pts.shape[1]
+    seed = ",".join(["0", *map(repr, pts[0].tolist()), ""])
+    return _csv_text(["i", *(f"x{j}" for j in range(d)), "residual"], [seed],
+                     [np.arange(1, len(pts)), *pts[1:].T, orbit.residuals])
 
 
 def stability_report_text(report: StabilityReport) -> str:

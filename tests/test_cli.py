@@ -329,6 +329,14 @@ _GOLDEN = {
                       "3eca1e156d887c3f4426cffedc26b9fb",
          "orbit.csv": "2f49fce873ef7b25e9988a40e07ee92b"
                       "27f9f3bdabe5d3948b92485a63c4021a"}),
+    # 10,000 iterations: orbit.csv crosses a chunk boundary of the writer
+    "solve-rakotch": (
+        "experiment = solve\nmap = rakotch-decay\nx0 = 1.0\n"
+        "tol = 1e-8\n", 0,
+        {"orbit.csv": "7eecd6ffcf279411d2fc98661dd66244"
+                      "afa1264b18cd747fef17523f61285d0a",
+         "solution.txt": "7ed533921624ecf9ebe20c537a509fe1"
+                         "06cf3e69270f152acc7d2f4b88ea22d0"}),
     "stability": (
         "experiment = stability\nmap = rakotch-decay\nM = 1.0\n"
         "epsilon = 0.5\ntrials = 5\nn = 200\nseed = 11\n", 0,
@@ -339,6 +347,11 @@ _GOLDEN = {
         "q = 0.9\n", 0,
         {"path.csv": "ccd185758c6a565f11e4a9162b7bc35b"
                      "26338a46f0342605b168bc7d1c90dcca"}),
+    "trace-rotation": (
+        "experiment = trace\nmap = planar-rotation\ntarget-t = 0.8\n"
+        "q = 0.9\n", 0,
+        {"path.csv": "12df92fe3f0fcea414580ea6559d8ece"
+                     "5a9718f172b8a82abb6efda679a23425"}),
     "trace-violation": (
         "experiment = trace\nmap = constant\nmap.c = 2.0\n"
         "target-t = 0.9\n", 1,
