@@ -31,8 +31,9 @@ from .errors import (ConfigError, ConvergenceError, FixpointError,
                      LsViolationError, NonFiniteError, NonselfExitError,
                      StallError)
 from .gallery import GalleryEntry, list_maps, make_map, map_summary
-from .picard import (orbit_csv, orbit_exact, run_stability_experiment,
-                     solve_fixed_point, stability_report_text)
+from .picard import (_record_text, orbit_csv, orbit_exact,
+                     run_stability_experiment, solve_fixed_point,
+                     stability_report_text)
 
 _COMMON_KEYS = {"experiment", "map", "seed", "out"}
 
@@ -140,18 +141,15 @@ def _build_entry(values: dict[str, str]) -> GalleryEntry:
     return make_map(values["map"], **params)
 
 
+# the payload attributes error.txt reports, in order, when an error has them
+_ERROR_PAYLOAD = ("t", "lam", "step", "residual", "tail_bound", "point",
+                  "last_inside")
+
+
 def _error_text(exc: FixpointError) -> str:
-    lines = [f"error={type(exc).__name__}", f"message={exc}"]
-    for attr in ("t", "lam", "step", "residual", "tail_bound"):
-        v = getattr(exc, attr, None)
-        if v is not None:
-            lines.append(f"{attr}={v!r}")
-    for attr in ("point", "last_inside"):
-        v = getattr(exc, attr, None)
-        if v is not None:
-            lines.append(
-                f"{attr}={';'.join(repr(float(c)) for c in v)}")
-    return "\n".join(lines) + "\n"
+    payload = ((a, getattr(exc, a, None)) for a in _ERROR_PAYLOAD)
+    return _record_text([("error", type(exc).__name__), ("message", exc),
+                         *((a, v) for a, v in payload if v is not None)])
 
 
 def _write(outdir: Path, name: str, text: str) -> None:
@@ -170,10 +168,9 @@ def _run_solve(entry: GalleryEntry, values: dict[str, str], outdir: Path,
     res = solve_fixed_point(T, x0, tol, max_iter)
     orbit = orbit_exact(T, x0, max(res.iterations, 1))
     _write(outdir, "orbit.csv", orbit_csv(orbit))
-    point = ";".join(repr(float(c)) for c in res.point)
-    _write(outdir, "solution.txt",
-           f"point={point}\niterations={res.iterations}\n"
-           f"residual={res.residual!r}\n")
+    _write(outdir, "solution.txt", _record_text([
+        ("point", res.point), ("iterations", res.iterations),
+        ("residual", res.residual)]))
     return 0
 
 
@@ -221,11 +218,10 @@ def _run_limit(entry: GalleryEntry, values: dict[str, str], outdir: Path,
     path = limit_path(entry.mapping, cfg, final_tol, ratio)
     _write(outdir, "path.csv", path_csv(path))
     x1, cert = path.terminal
-    point = ";".join(repr(float(c)) for c in x1)
-    _write(outdir, "limit.txt",
-           f"point={point}\non_boundary={cert.on_boundary}\n"
-           f"residual={cert.residual!r}\ntail_bound={cert.tail_bound!r}\n"
-           f"schedule_steps={cert.schedule_steps}\n")
+    _write(outdir, "limit.txt", _record_text([
+        ("point", x1), ("on_boundary", cert.on_boundary),
+        ("residual", cert.residual), ("tail_bound", cert.tail_bound),
+        ("schedule_steps", cert.schedule_steps)]))
     return 0
 
 
@@ -246,21 +242,15 @@ def _run_certify(entry: GalleryEntry, values: dict[str, str],
     rep = verify_contractive(
         T, pairs.reshape(n_pairs, 2, T.space.dimension), slack=slack)
     ok = adm.admissible and rep.passed
-    lines = [
-        f"map={entry.name}",
-        f"modulus_kind={T.declared_modulus.kind}",
-        f"grid_points={len(grid)}",
-        f"grid_max={grid_max!r}",
-        f"admissible_on_grid={adm.admissible}",
-        f"monotonicity_violations={len(adm.monotonicity_violations)}",
-        f"not_below_one={len(adm.not_below_one)}",
-        f"pairs={rep.n_pairs}",
-        f"slack={rep.slack!r}",
-        f"pairs_passed={np.count_nonzero(rep.verdicts)}",
-        f"contractive_on_pairs={rep.passed}",
-        f"certified={ok}",
-    ]
-    _write(outdir, "certify.txt", "\n".join(lines) + "\n")
+    _write(outdir, "certify.txt", _record_text([
+        ("map", entry.name), ("modulus_kind", T.declared_modulus.kind),
+        ("grid_points", len(grid)), ("grid_max", grid_max),
+        ("admissible_on_grid", adm.admissible),
+        ("monotonicity_violations", len(adm.monotonicity_violations)),
+        ("not_below_one", len(adm.not_below_one)),
+        ("pairs", rep.n_pairs), ("slack", rep.slack),
+        ("pairs_passed", np.count_nonzero(rep.verdicts)),
+        ("contractive_on_pairs", rep.passed), ("certified", ok)]))
     return 0 if ok else 1
 
 
@@ -300,14 +290,15 @@ def run_config(config_path: Path, outdir: Path | None,
             _write(outdir, "orbit.csv", orbit_csv(exc.orbit))
         status = 1
     elapsed = time.perf_counter() - start
-    map_params = " ".join(
-        f"{k}={v}" for k, v in sorted(values.items())
-        if k.startswith("map."))
-    _write(outdir, "manifest.txt",
-           f"engine=fixpoint {__version__}\nexperiment={kind}\n"
-           f"map={values['map']}\nmap_params={map_params}\nseed={seed}\n"
-           f"config={config_path}\nstatus={status}\n"
-           f"elapsed_seconds={elapsed!r}\n")
+    # the map.<param> keys as one space-separated record
+    map_params = _record_text(sorted(
+        (k, v) for k, v in values.items() if k.startswith("map.")),
+        sep=" ").rstrip("\n")
+    _write(outdir, "manifest.txt", _record_text([
+        ("engine", f"fixpoint {__version__}"), ("experiment", kind),
+        ("map", values["map"]), ("map_params", map_params), ("seed", seed),
+        ("config", config_path), ("status", status),
+        ("elapsed_seconds", elapsed)]))
     return status
 
 

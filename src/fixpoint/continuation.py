@@ -129,11 +129,10 @@ def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
         raise ArgumentError(f"inner_tol must be > 0, got {inner_tol}")
     if max_inner_iter < 1:
         raise ArgumentError("max_inner_iter must be >= 1")
-    norm = T.space.norm
     apply = T.apply
     run = _iterate(lambda v: t * apply(v), _start(T, x_init, "warm start"),
-                   T.domain.contains, max_inner_iter + 1,
-                   lambda a, b: norm(a - b), inner_tol)
+                   T.domain.contains, max_inner_iter + 1, T.space.distance,
+                   inner_tol)
     if run.outside is not None:
         raise DomainExitError(
             f"inner iterate left the domain at t={t}", t=t,

@@ -94,6 +94,17 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
+def _overflowed(rows: np.ndarray, prods: np.ndarray):
+    """The finite rows of an (m, d) array whose squared norm or dot
+    product prods overflowed (to +inf, or to NaN as inf - inf), and for
+    each the power of two at its largest magnitude: dividing the row by it
+    is exact and leaves every entry below 2 in magnitude."""
+    big = np.flatnonzero(~(prods < math.inf))
+    big = big[np.isfinite(rows[big]).all(axis=1)]
+    top = np.abs(rows[big]).max(axis=1)
+    return big, np.ldexp(1.0, np.frexp(top)[1] - 1)
+
+
 def _normed_space(dimension: int, norm: Callable[[Point], float],
                   row_norms: Callable[[np.ndarray], np.ndarray],
                   distance: Callable[[Point, Point], float] | None = None
@@ -394,9 +405,16 @@ def ball(center, radius: float) -> DomainSet:
     def project(p: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(p)
         v = rows - c
-        r = _row_norms(v)
+        with np.errstate(over="ignore"):
+            r = _row_norms(v)
         out = np.array(rows)
         far = np.flatnonzero(r > radius)
+        # c + v radius / r is the same point for v and r in any units, so
+        # a row whose squared norm overflowed is taken in its own units
+        big, scale = _overflowed(v, r)
+        if big.size:
+            v[big] /= scale[:, None]
+            r[big] = _row_norms(v[big])
         # pull a hair inside the sphere so membership survives rounding;
         # where c + v s still rounds outside (a center far from the origin
         # against the radius) pull 16 times further, at worst to c itself
@@ -444,22 +462,34 @@ def halfspace(normal, offset: float) -> DomainSet:
 
     def project(p: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(p)
-        s = _row_dot(rows, nv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = _row_dot(rows, nv)
         out = np.array(rows)
-        over = np.flatnonzero(s > offset)
+        # a row whose dot product overflowed is projected in its own units
+        # (see _overflowed), against the offset in those units
+        big, scale = _overflowed(rows, s)
+        unit = np.ones(len(s))
+        unit[big] = scale
+        if big.size:
+            rows = rows / unit[:, None]
+            s[big] = _row_dot(rows[big], nv)
+        off = offset / unit
+        over = hit = np.flatnonzero(s > off)
         # overshoot by 1e-12 relative so membership survives rounding
-        push = (s[over] - offset) * (1.0 + 1e-12)
+        push = (s[over] - off[over]) * (1.0 + 1e-12)
         while over.size:
             out[over] = rows[over] - nv * (push / (nn * nn))[:, None]
             s_out = _row_dot(out[over], nv)
-            still = s_out > offset
+            still = s_out > off[over]
             over = over[still]
             # the dot product's rounding or an underflow outweighed the
             # overshoot (a point far out along the plane, a tiny gap):
             # push at least twice as far, plus what is left and the
             # rounding bound
-            push = (2.0 * push[still] + (s_out[still] - offset)
+            push = (2.0 * push[still] + (s_out[still] - off[over])
                     + dot_eps * (np.abs(out[over]) @ np.abs(nv)))
+        if big.size:
+            out[hit] *= unit[hit, None]
         return out.reshape(np.shape(p))
 
     def nearest_boundary(p: Point) -> Point:

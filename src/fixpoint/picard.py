@@ -525,20 +525,33 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
 _CSV_CHUNK = 8192
 
 
-def _csv_text(header: list[str], lead: list[str],
+def _csv_text(header: list[str], lead: list[list],
               columns: list[np.ndarray]) -> str:
-    """CSV text: the header line, the preformatted lead lines, then one
+    """CSV text: the header line, the lead rows of Python numbers, then one
     line per row of the equal-length 1-D arrays columns, every cell the
-    repr of the row's Python number, so equal runs give byte-equal files.
+    repr of the row's Python number (a None lead cell stays empty), so
+    equal runs give byte-equal files.
 
     The rows are formatted _CSV_CHUNK at a time, a column at once: only
     one chunk is ever held as Python objects.
     """
-    lines = [",".join(header), *lead]
+    lines = [",".join(header), *(",".join(
+        "" if v is None else repr(v) for v in row) for row in lead)]
     for lo in range(0, len(columns[0]), _CSV_CHUNK):
         cells = [map(repr, c[lo:lo + _CSV_CHUNK].tolist()) for c in columns]
         lines.append("\n".join(map(",".join, zip(*cells))))
     return "\n".join(lines) + "\n"
+
+
+def _record_text(fields, sep: str = "\n") -> str:
+    """key=value record text of the ordered (key, value) pairs fields,
+    joined by sep and ended by a newline: a numpy array is written as its
+    coordinates' float reprs joined by ';', any other value with str (the
+    repr, for a Python float), so equal runs give byte-equal reports."""
+    return sep.join(
+        f"{k}={';'.join(repr(float(c)) for c in v)}"
+        if isinstance(v, np.ndarray) else f"{k}={v}"
+        for k, v in fields) + "\n"
 
 
 def orbit_csv(orbit: Orbit) -> str:
@@ -548,31 +561,23 @@ def orbit_csv(orbit: Orbit) -> str:
     """
     pts = orbit.points
     d = pts.shape[1]
-    seed = ",".join(["0", *map(repr, pts[0].tolist()), ""])
-    return _csv_text(["i", *(f"x{j}" for j in range(d)), "residual"], [seed],
+    return _csv_text(["i", *(f"x{j}" for j in range(d)), "residual"],
+                     [[0, *pts[0].tolist(), None]],
                      [np.arange(1, len(pts)), *pts[1:].T, orbit.residuals])
 
 
 def stability_report_text(report: StabilityReport) -> str:
     """Stability report as key=value record lines, one trial per line."""
     c = report.constants
-    out = [
-        f"M={c.M!r}",
-        f"epsilon={c.epsilon!r}",
-        f"delta0={c.delta0!r}",
-        f"delta1={c.delta1!r}",
-        f"delta={c.delta!r}",
-        f"k={c.k}",
-        f"delta_used={report.delta_used!r}",
-        f"constants_violated={report.constants_violated}",
-        f"n={report.n}",
-        f"trials={len(report.trials)}",
-        f"pass_count={report.pass_count}",
-        f"worst_margin={report.worst_margin!r}",
-    ]
-    for t in report.trials:
-        x0 = ";".join(repr(float(v)) for v in t.x0)
-        out.append(f"trial={t.trial} x0={x0} k={c.k} "
-                   f"delta={report.delta_used!r} worst={t.worst!r} "
-                   f"pass={t.passed}")
-    return "\n".join(out) + "\n"
+    head = _record_text([
+        ("M", c.M), ("epsilon", c.epsilon), ("delta0", c.delta0),
+        ("delta1", c.delta1), ("delta", c.delta), ("k", c.k),
+        ("delta_used", report.delta_used),
+        ("constants_violated", report.constants_violated), ("n", report.n),
+        ("trials", len(report.trials)), ("pass_count", report.pass_count),
+        ("worst_margin", report.worst_margin)])
+    return head + "".join(
+        _record_text([("trial", t.trial), ("x0", t.x0), ("k", c.k),
+                      ("delta", report.delta_used), ("worst", t.worst),
+                      ("pass", t.passed)], sep=" ")
+        for t in report.trials)

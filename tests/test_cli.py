@@ -1,10 +1,16 @@
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from fixpoint import __version__
 from fixpoint.cli import main, parse_config
 from fixpoint.errors import ConfigError
+from fixpoint.gallery import list_maps, make_map
+from fixpoint.picard import stability_constants
 
 
 def _write(tmp_path, name, text):
@@ -337,6 +343,12 @@ _GOLDEN = {
                       "afa1264b18cd747fef17523f61285d0a",
          "solution.txt": "7ed533921624ecf9ebe20c537a509fe1"
                          "06cf3e69270f152acc7d2f4b88ea22d0"}),
+    # a ConvergenceError carrying residual=
+    "solve-max-iter": (
+        "experiment = solve\nmap = rakotch-decay\nx0 = 1.0\n"
+        "tol = 1e-10\nmax-iter = 5\n", 1,
+        {"error.txt": "89be0979d233806375a194d15e54e7b8"
+                      "dfdee878a87ff16b4209f9c0fcaa48f0"}),
     "stability": (
         "experiment = stability\nmap = rakotch-decay\nM = 1.0\n"
         "epsilon = 0.5\ntrials = 5\nn = 200\nseed = 11\n", 0,
@@ -363,6 +375,12 @@ _GOLDEN = {
                       "25755c7df965223704fec280b0cfa311",
          "path.csv": "5a15a0bcbf45421c2f9b9bfa2c13850f"
                      "42cee0119b0e614a28be698a6d59d199"}),
+    # a ConvergenceError carrying tail_bound=: the schedule reaches t = 1.0
+    "limit-exhausted": (
+        "experiment = limit\nmap = affine-halfline\nfinal-tol = 1e-17\n",
+        1,
+        {"error.txt": "74341bc4d2c0b5f0976d7f57b9e503e6"
+                      "90fc983bb251325f83968e51bee532a8"}),
     "certify": (
         "experiment = certify\nmap = rakotch-decay\npairs = 32\n"
         "seed = 5\n", 0,
@@ -385,3 +403,65 @@ def test_reports_match_golden_bytes(tmp_path, name):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in out.iterdir() if p.name != "manifest.txt"}
     assert got == digests
+
+
+def test_manifest_lists_its_keys_in_order(tmp_path):
+    cfg = _write(tmp_path, "m.cfg",
+                 "experiment = stability\nmap = rakotch-decay\n"
+                 "map.a = 2.0\nM = 1.0\nepsilon = 0.5\ntrials = 2\n"
+                 "n = 200\nseed = 3\n")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), "--seed", "7"]) == 0
+    lines = (out / "manifest.txt").read_text().split("\n")
+    assert lines[-1] == ""
+    fields = [line.partition("=") for line in lines[:-1]]
+    assert [k for k, _, _ in fields] == [
+        "engine", "experiment", "map", "map_params", "seed", "config",
+        "status", "elapsed_seconds"]
+    values = {k: v for k, _, v in fields}
+    assert values["engine"] == f"fixpoint {__version__}"
+    assert values["experiment"] == "stability"
+    assert values["map"] == "rakotch-decay"
+    assert values["map_params"] == "map.a=2.0"
+    assert values["seed"] == "7"
+    assert values["status"] == "0"
+    assert float(values["elapsed_seconds"]) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# every report but manifest.txt reproduces byte for byte
+
+@st.composite
+def _stability_configs(draw):
+    name = draw(st.sampled_from([
+        n for n in list_maps() if make_map(n).known_fixed_point is not None
+        and make_map(n).mapping.declared_modulus.rakotch]))
+    M = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    epsilon = draw(st.sampled_from([0.25, 0.5])) * M
+    k = stability_constants(
+        M, epsilon, make_map(name).mapping.declared_modulus).k
+    return (f"experiment = stability\nmap = {name}\nM = {M!r}\n"
+            f"epsilon = {epsilon!r}\ntrials = {draw(st.integers(1, 12))}\n"
+            f"n = {k + draw(st.integers(0, 40))}\n")
+
+
+_CERTIFY_CONFIGS = st.builds(
+    "experiment = certify\nmap = {}\npairs = {}\ngrid-points = {}\n".format,
+    st.sampled_from(list_maps()), st.integers(1, 200), st.integers(2, 80))
+
+
+@given(st.one_of(_stability_configs(), _CERTIFY_CONFIGS),
+       st.integers(0, 2 ** 63 - 1))
+def test_every_report_reproduces_byte_for_byte(config, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = _write(tmp, "run.cfg", config)
+        reports = []
+        for out in (tmp / "o1", tmp / "o2"):
+            status = main(["run", str(cfg), "--out", str(out),
+                           "--seed", str(seed)])
+            reports.append((status, {p.name: p.read_bytes()
+                                     for p in out.iterdir()
+                                     if p.name != "manifest.txt"}))
+    assert reports[0] == reports[1]
+    assert reports[0][1]

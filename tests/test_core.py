@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -216,6 +217,49 @@ def test_halfspace_membership_and_projection():
     assert d.boundary_distance(np.array([0.0, -1.0])) == 2.0
     proj = d.project(np.array([3.0, 4.0]))
     assert np.allclose(proj, [3.0, 1.0])
+
+
+def _exact_dot(a, b) -> Fraction:
+    return sum(Fraction(float(x)) * Fraction(float(y)) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("p,want", [
+    ([1e200, 0.0], [1.0, 0.0]),
+    ([-1e300, 1e300], [-math.sqrt(0.5), math.sqrt(0.5)]),
+    ([1.7e308, 1.7e308], [math.sqrt(0.5), math.sqrt(0.5)]),
+    ([1e200, 3.0], [1.0, 0.0]),
+    ([2.0 ** 700, 0.0], [1.0, 0.0]),     # a norm of exactly 1 in its units
+])
+def test_ball_projection_survives_an_overflowing_norm(p, want):
+    # the squared norm of p overflows, so radius / r must not be taken as
+    # radius / inf, which is the center
+    d = ball([0.0, 0.0], 1.0)
+    q = d.project(np.array(p))
+    assert np.all(np.isfinite(q)) and d.contains(q)
+    assert np.abs(q - want).max() < 1e-9
+    assert np.array_equal(d.project(np.array([p, [0.5, 0.5]]))[0], q)
+
+
+@pytest.mark.parametrize("nv,offset,p", [
+    ([1.0, 1.0], 0.0, [1e308, 1e308]),        # the dot product is +inf
+    ([2.0, 2.0], 1e308, [1e308, 1e308]),
+    ([1.0, 0.5], -5.0, [1.2e308, 1.2e308]),
+    ([2.0, 2.0, 2.0], 0.0, [1e308, -1e308, 1e308]),     # inf - inf: NaN
+])
+def test_halfspace_projection_survives_an_overflowing_dot(nv, offset, p):
+    # the dot product with p overflows, so the push must not be taken as
+    # inf, which sends the point to -inf
+    d = halfspace(nv, offset)
+    q = d.project(np.array(p))
+    assert np.all(np.isfinite(q))
+    # inside in exact arithmetic (where the float dot product with q
+    # overflows too, contains cannot tell) and near the exact projection
+    assert _exact_dot(nv, q) <= Fraction(offset)
+    s = _exact_dot(nv, p)
+    want = [float(Fraction(x) - Fraction(n) * (s - Fraction(offset))
+                  / _exact_dot(nv, nv)) for x, n in zip(p, nv)]
+    assert np.abs(q - want).max() <= 1e-11 * max(map(abs, p))
+    assert np.array_equal(d.project(np.array([p, [0.0] * len(p)]))[0], q)
 
 
 @pytest.mark.parametrize("dom", [

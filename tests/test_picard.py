@@ -16,7 +16,8 @@ from fixpoint.picard import (Orbit, StabilityReport, TrialRecord,
                              orbit_exact, orbit_inexact,
                              run_stability_experiment, settling_index,
                              solve_fixed_point, stability_constants,
-                             stability_report_text, _least_int_greater)
+                             stability_report_text, _least_int_greater,
+                             _record_text)
 
 
 def _decay_map(a: float = 1.0) -> MappingInstance:
@@ -664,6 +665,20 @@ def test_orbit_csv_shape_and_determinism():
     # residual column empty on the seed row, filled afterwards
     assert lines[1].endswith(",")
     assert not lines[2].endswith(",")
+
+
+def test_record_text_is_the_report_format():
+    # arrays by their coordinates' float reprs joined by ';', everything
+    # else by str, so a numpy scalar reads like the Python float it holds
+    text = _record_text([
+        ("point", np.array([0.1, -2.0, 1e-300])), ("ints", np.array([3])),
+        ("n", 3), ("ok", True), ("r", 0.1 + 0.2),
+        ("s", np.float64(0.1)), ("name", "a b")])
+    assert text == ("point=0.1;-2.0;1e-300\nints=3.0\nn=3\nok=True\n"
+                    "r=0.30000000000000004\ns=0.1\nname=a b\n")
+    assert _record_text([("a", 1), ("b", np.array([1.5]))],
+                        sep=" ") == "a=1 b=1.5\n"
+    assert _record_text([]) == "\n"
 
 
 def test_stability_report_text_fields():
