@@ -260,7 +260,7 @@ _EXPERIMENTS = {
     "solve": ({"x0", "tol", "max-iter"}, _run_solve),
     "stability": ({"xbar", "M", "epsilon", "trials", "n"}, _run_stability),
     "trace": ({"q", "inner-tol", "max-inner-iter", "target-t"}, _run_trace),
-    "limit": ({"q", "inner-tol", "max-inner-iter", "final-tol", "ratio"},
+    "limit": ({"inner-tol", "max-inner-iter", "final-tol", "ratio"},
               _run_limit),
     "certify": ({"pairs", "slack", "grid-max", "grid-points"},
                 _run_certify),

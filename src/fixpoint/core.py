@@ -96,13 +96,25 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 def _overflowed(rows: np.ndarray, prods: np.ndarray):
     """The finite rows of an (m, d) array whose squared norm or dot
-    product prods overflowed (to +inf, or to NaN as inf - inf), and for
-    each the power of two at its largest magnitude: dividing the row by it
-    is exact and leaves every entry below 2 in magnitude."""
-    big = np.flatnonzero(~(prods < math.inf))
+    product prods overflowed (to an infinity, or to NaN as inf - inf),
+    and for each the power of two at its largest magnitude: dividing the
+    row by it is exact and leaves every entry below 2 in magnitude."""
+    big = np.flatnonzero(~np.isfinite(prods))
     big = big[np.isfinite(rows[big]).all(axis=1)]
     top = np.abs(rows[big]).max(axis=1)
     return big, np.ldexp(1.0, np.frexp(top)[1] - 1)
+
+
+def _row_norms_safe(rows: np.ndarray) -> np.ndarray:
+    """_row_norms, but a finite row whose squared norm overflowed is
+    normed in its own units (see _overflowed) and scaled back, so the
+    norm is inf only past the largest float or for a row that is not
+    finite."""
+    r = _row_norms(rows)
+    if not np.isfinite(r).all():
+        big, scale = _overflowed(rows, r)
+        r[big] = _row_norms(rows[big] / scale[:, None]) * scale
+    return r
 
 
 def _normed_space(dimension: int, norm: Callable[[Point], float],
@@ -390,17 +402,25 @@ def ball(center, radius: float) -> DomainSet:
     if not radius > 0.0:
         raise ArgumentError(f"ball radius must be > 0, got {radius}")
 
+    # the finite case is one norm and one comparison; only a norm that
+    # overflowed is taken again, in the units of p - c (_row_norms_safe)
+    def far_norm(p: Point) -> float:
+        return float(_row_norms_safe((p - c)[None])[0])
+
     def contains(p: Point) -> bool:
-        return _euclidean_norm(p - c) <= radius
+        r = _euclidean_norm(p - c)
+        return r <= radius or r == math.inf and far_norm(p) <= radius
 
     def interior(p: Point) -> bool:
-        return _euclidean_norm(p - c) < radius
+        r = _euclidean_norm(p - c)
+        return r < radius or r == math.inf and far_norm(p) < radius
 
     def bdist(p: Point) -> float:
-        return max(0.0, radius - _euclidean_norm(p - c))
+        r = _euclidean_norm(p - c)
+        return max(0.0, radius - (r if r < math.inf else far_norm(p)))
 
     def contains_rows(rows: np.ndarray) -> np.ndarray:
-        return _row_norms(rows - c) <= radius
+        return _row_norms_safe(rows - c) <= radius
 
     def project(p: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(p)
@@ -408,30 +428,39 @@ def ball(center, radius: float) -> DomainSet:
         with np.errstate(over="ignore"):
             r = _row_norms(v)
         out = np.array(rows)
-        far = np.flatnonzero(r > radius)
         # c + v radius / r is the same point for v and r in any units, so
-        # a row whose squared norm overflowed is taken in its own units
+        # a row whose squared norm overflowed is taken in its own units,
+        # against the radius in those units
         big, scale = _overflowed(v, r)
+        unit = np.ones(len(r))
+        unit[big] = scale
         if big.size:
             v[big] /= scale[:, None]
             r[big] = _row_norms(v[big])
+        far = np.flatnonzero(r > radius / unit)
         # pull a hair inside the sphere so membership survives rounding;
         # where c + v s still rounds outside (a center far from the origin
         # against the radius) pull 16 times further, at worst to c itself
         shave = 1e-12
         while far.size:
             out[far] = c + v[far] * ((radius / r[far]) * (1.0 - shave))[:, None]
-            far = far[_row_norms(out[far] - c) > radius]
+            with np.errstate(over="ignore"):
+                far = far[_row_norms_safe(out[far] - c) > radius]
             shave = min(16.0 * shave, 1.0)
         return out.reshape(np.shape(p))
 
     def nearest_boundary(p: Point) -> Point:
         r = _euclidean_norm(p - c)
+        if r == math.inf:
+            r = far_norm(p)
         if r == 0.0:
             out = np.array(c)
             out[0] += radius
             return out
-        return c + (p - c) * (radius / r)
+        s = radius / r
+        if s == math.inf:       # p is nearer c than radius / 2^1024
+            return c + (p - c) / r * radius
+        return c + (p - c) * s
 
     return DomainSet(kind="ball", params=tuple(c) + (radius,),
                      contains=contains, interior_contains=interior,
@@ -442,37 +471,69 @@ def ball(center, radius: float) -> DomainSet:
 def halfspace(normal, offset: float) -> DomainSet:
     """Closed halfspace {x : <normal, x> <= offset} with normal != 0."""
     nv = _frozen(np.atleast_1d(np.asarray(normal, dtype=float)))
+    params = tuple(nv) + (offset,)
+    # the same set, with the normal and the offset divided by the power of
+    # two at the normal's largest magnitude (exact while the quotients stay
+    # normal floats): it keeps the normal's square and the push of a
+    # projection clear of overflow and underflow whatever the normal's
+    # scale, and changes no result where neither happened.  Not where the
+    # offset would overflow: that boundary lies at the edge of the floats
+    top = float(np.abs(nv).max())
+    unit = math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < math.inf \
+        else 1.0
+    if math.isfinite(offset / unit) or not math.isfinite(offset):
+        nv, offset = _frozen(nv / unit), offset / unit
     nn = _euclidean_norm(nv)
     if nn == 0.0:
         raise ArgumentError("halfspace normal must be nonzero")
     # relative rounding bound of a dot product with nv
     dot_eps = nv.size * float(np.finfo(float).eps)
 
+    def dots(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """<nv, row> for every row of an (m, d) array and the unit it is
+        taken in: 1, or for a row whose dot product overflowed the row's
+        own units (see _overflowed), to be held against offset / unit."""
+        s = _row_dot(rows, nv)
+        unit = np.ones(len(s))
+        if not np.isfinite(s).all():
+            big, scale = _overflowed(rows, s)
+            unit[big] = scale
+            s[big] = _row_dot(rows[big] / scale[:, None], nv)
+        return s, unit
+
+    def dot(p: Point) -> tuple[float, float, float]:
+        """<nv, p>, the offset and the unit both are taken in (see dots);
+        one dot product unless it overflowed."""
+        s = float(nv @ p)
+        if -math.inf < s < math.inf:
+            return s, offset, 1.0
+        s, unit = dots(p[None])
+        return float(s[0]), offset / float(unit[0]), float(unit[0])
+
     def contains(p: Point) -> bool:
-        return float(nv @ p) <= offset
+        s, off, _ = dot(p)
+        return s <= off
 
     def interior(p: Point) -> bool:
-        return float(nv @ p) < offset
+        s, off, _ = dot(p)
+        return s < off
 
     def bdist(p: Point) -> float:
-        return max(0.0, (offset - float(nv @ p)) / nn)
+        s, off, unit = dot(p)
+        return max(0.0, (off - s) / nn * unit)
 
     def contains_rows(rows: np.ndarray) -> np.ndarray:
-        return _row_dot(rows, nv) <= offset
+        s, unit = dots(rows)
+        return s <= offset / unit
 
     def project(p: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(p)
         with np.errstate(over="ignore", invalid="ignore"):
-            s = _row_dot(rows, nv)
+            s, unit = dots(rows)
         out = np.array(rows)
-        # a row whose dot product overflowed is projected in its own units
-        # (see _overflowed), against the offset in those units
-        big, scale = _overflowed(rows, s)
-        unit = np.ones(len(s))
-        unit[big] = scale
-        if big.size:
-            rows = rows / unit[:, None]
-            s[big] = _row_dot(rows[big], nv)
+        # a row whose dot product overflowed is projected in its own units,
+        # against the offset in those units (any other unit is 1)
+        rows = rows / unit[:, None]
         off = offset / unit
         over = hit = np.flatnonzero(s > off)
         # overshoot by 1e-12 relative so membership survives rounding
@@ -488,15 +549,14 @@ def halfspace(normal, offset: float) -> DomainSet:
             # rounding bound
             push = (2.0 * push[still] + (s_out[still] - off[over])
                     + dot_eps * (np.abs(out[over]) @ np.abs(nv)))
-        if big.size:
-            out[hit] *= unit[hit, None]
+        out[hit] *= unit[hit, None]
         return out.reshape(np.shape(p))
 
     def nearest_boundary(p: Point) -> Point:
-        s = float(nv @ p)
-        return p - nv * ((s - offset) / (nn * nn))
+        s, off, unit = dot(p)
+        return (p / unit - nv * ((s - off) / (nn * nn))) * unit
 
-    return DomainSet(kind="halfspace", params=tuple(nv) + (offset,),
+    return DomainSet(kind="halfspace", params=params,
                      contains=contains, interior_contains=interior,
                      boundary_distance=bdist, contains_rows=contains_rows,
                      project=project, nearest_boundary=nearest_boundary)

@@ -121,29 +121,6 @@ def _iterate(step, x: Point, contains, n: int, dist=None, tol: float = 0.0,
     return _Run(x, n, r, None)
 
 
-def orbit_exact(T: MappingInstance, x0, n: int) -> Orbit:
-    """Iterate x_{i+1} = T x_i for up to n steps.
-
-    Stops early if an iterate leaves the domain; that iterate is kept as the
-    last row and flagged in exited_domain_at.  x0 itself must be inside.
-    Raises NonFiniteError if T gives a NaN or infinite image, inside the
-    domain or not.
-    """
-    if n < 1:
-        raise ArgumentError(f"orbit length must be >= 1, got {n}")
-    x = _start(T, x0)
-    pts = np.empty((n + 1, T.space.dimension))
-    pts[0] = x
-    run = _iterate(T.apply, x, T.domain.contains, n, out=pts)
-    exited = None if run.outside is None else run.steps + 1
-    m = exited or n
-    _refuse_non_finite(pts[1:m + 1], pts[:m])
-    return Orbit(points=_frozen(pts[:m + 1]),
-                 residuals=_frozen(np.zeros(m)),
-                 exited_domain_at=exited,
-                 perturbation_bound=0.0)
-
-
 def _ball_noise(noise_seed: int, n: int, d: int, delta: float) -> np.ndarray:
     """The n perturbations of one orbit, drawn uniformly from the delta-ball
     by a generator seeded with noise_seed: an (n, d) array."""
@@ -156,87 +133,56 @@ def _ball_noise(noise_seed: int, n: int, d: int, delta: float) -> np.ndarray:
     return dirs * radii[:, None]
 
 
-class _Steps(NamedTuple):
-    exited_at: np.ndarray       # (m,) first point index outside, 0 if none
-    worst: np.ndarray | None    # (m,) max dist(x_i, anchor), i in [k, n]
-    points: np.ndarray | None   # (n + 1, m, d) when recorded
-    images: np.ndarray | None   # (n, m, d): T x_i, when recorded
+def _orbit(T: MappingInstance, x0, n: int, delta: float,
+           noise_seed: int) -> Orbit:
+    """The orbit of orbit_inexact, recorded by _iterate: the step is T.apply
+    when delta is 0, else T x_i plus the seeded noise e_i, projected back
+    in when only the perturbed point is outside."""
+    if n < 1:
+        raise ArgumentError(f"orbit length must be >= 1, got {n}")
+    if delta < 0.0:
+        raise ArgumentError(f"perturbation bound must be >= 0, got {delta}")
+    d = T.space.dimension
+    x = _start(T, x0)
+    pts = np.empty((n + 1, d))
+    pts[0] = x
+    step = T.apply
+    if delta > 0.0:
+        noise = _ball_noise(noise_seed, n, d, delta)
+        images = np.empty((n, d))
+        contains, project = T.domain.contains, T.domain.project
+        index = iter(range(n))
+
+        def step(x: Point) -> Point:
+            i = next(index)
+            y = images[i] = T.apply(x)
+            p = y + noise[i]
+            if not contains(p):
+                if contains(y):
+                    return project(p)
+                if not np.all(np.isfinite(y)):
+                    raise _non_finite(y, x)
+            return p
+    run = _iterate(step, x, T.domain.contains, n, out=pts)
+    exited = None if run.outside is None else run.steps + 1
+    m = exited or n
+    pts = pts[:m + 1]
+    _refuse_non_finite(pts[1:], pts[:-1])
+    res = (T.space.rowwise_distance(pts[1:], images[:m]) if delta > 0.0
+           else np.zeros(m))
+    return Orbit(points=_frozen(pts), residuals=_frozen(res),
+                 exited_domain_at=exited, perturbation_bound=delta)
 
 
-def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
-                     noise: np.ndarray | None, anchor: Point | None = None,
-                     k: int = 1, record: bool = False) -> _Steps:
-    """Step every row of the (m, d) array starts through
-    x_{i+1} = T x_i + noise[i, row] for up to n steps; noise None means
-    exact steps.
+def orbit_exact(T: MappingInstance, x0, n: int) -> Orbit:
+    """Iterate x_{i+1} = T x_i for up to n steps.
 
-    All rows share one apply per step.  A single row goes through the
-    point form of apply, so one orbit needs no more of T than a point map.
-    A perturbed point outside the domain is projected back in when T x_i
-    itself is inside; otherwise the exit is genuine: the point is recorded
-    as-is, its row's exited_at is set and the row leaves the batch, unless
-    T x_i is NaN or infinite, which raises NonFiniteError.  With
-    an anchor, each row keeps the running max of dist(x_i, anchor) over
-    i in [k, n] (k >= 1) instead of its trajectory, and a row that never
-    exited but whose max is not finite raises NonFiniteError after the
-    last step.  record keeps points and images, whose entries after a
-    row's exit are unset.  With more than one row the first apply is
-    checked to map row by row (core._apply_rows).
+    Stops early if an iterate leaves the domain; that iterate is kept as the
+    last row and flagged in exited_domain_at.  x0 itself must be inside.
+    Raises NonFiniteError if T gives a NaN or infinite image, inside the
+    domain or not.
     """
-    m, d = starts.shape
-    if m == 1:
-        def apply(rows):
-            return np.reshape(T.apply(rows[0]), (1, d))
-    else:
-        apply = T.apply
-    contains = T.domain.contains_rows
-    project = T.domain.project
-    live = np.arange(m)
-    exited = np.zeros(m, dtype=int)
-    worst = None if anchor is None else np.full(m, -math.inf)
-    pts = images = None
-    if record:
-        pts = np.empty((n + 1, m, d))
-        pts[0] = starts
-        images = np.empty((n, m, d))
-    x = starts
-    for i in range(n):
-        y = apply(x) if i or m == 1 else _apply_rows(T, x)
-        cand = y if noise is None else y + noise[i, live]
-        out = ~contains(cand)
-        if out.any():
-            back = np.zeros(len(live), dtype=bool)
-            back[out] = contains(y[out])
-            if back.any():
-                cand = np.array(cand)
-                cand[back] = project(cand[back])
-            out &= ~back
-        if record:
-            images[i, live] = y
-            pts[i + 1, live] = cand
-        if out.any():
-            _refuse_non_finite(y[out], x[out])
-            exited[live[out]] = i + 1
-            live = live[~out]
-            cand = cand[~out]
-        if anchor is not None and i + 1 >= k:
-            worst[live] = np.maximum(worst[live],
-                                     T.space.rowwise_distance(cand, anchor))
-        if not live.size:
-            break
-        x = cand
-    if worst is not None:
-        # +inf passes the membership test of an unbounded domain, so a row
-        # can get there without exiting; NaN or +inf, not the -inf of an
-        # empty window, marks it
-        bad = (exited == 0) & ~(worst < math.inf)
-        if bad.any():
-            j = int(bad.argmax())
-            raise NonFiniteError(
-                f"the orbit of row {j}, started at {starts[j]!r}, reached "
-                "a NaN or infinite point inside the domain")
-        worst[exited > 0] = math.inf
-    return _Steps(exited_at=exited, worst=worst, points=pts, images=images)
+    return _orbit(T, x0, n, 0.0, 0)
 
 
 def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
@@ -249,30 +195,67 @@ def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
     is nonexpansive and the recorded residual stays <= delta.  If T x_i
     itself leaves the domain the exit is genuine: the perturbed point is
     recorded as-is and the orbit stops there when it is outside.
-    delta = 0 reproduces orbit_exact bit for bit.  This is the one-row case
-    of the batch that run_stability_experiment steps.  Raises
+    delta = 0 reproduces orbit_exact bit for bit.  One orbit steps through
+    the point form of apply, on the kernel orbit_exact uses.  Raises
     NonFiniteError if T gives a NaN or infinite image.
     """
-    if n < 1:
-        raise ArgumentError(f"orbit length must be >= 1, got {n}")
-    if delta < 0.0:
-        raise ArgumentError(f"perturbation bound must be >= 0, got {delta}")
-    d = T.space.dimension
-    x = _start(T, x0)
-    perturbed = delta > 0.0
-    noise = _ball_noise(noise_seed, n, d, delta)[:, None] if perturbed \
-        else None
-    run = _perturbed_steps(T, x[None], n, noise, record=True)
-    exited = int(run.exited_at[0]) or None
-    m = exited or n
-    pts = run.points[:m + 1, 0]
-    _refuse_non_finite(pts[1:], pts[:-1])
-    if perturbed:
-        res = T.space.rowwise_distance(pts[1:], run.images[:m, 0])
-    else:
-        res = np.zeros(m)
-    return Orbit(points=_frozen(pts), residuals=_frozen(res),
-                 exited_domain_at=exited, perturbation_bound=delta)
+    return _orbit(T, x0, n, delta, noise_seed)
+
+
+def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
+                     noise: np.ndarray | None, anchor: Point,
+                     k: int) -> np.ndarray:
+    """Step every row of the (m, d) array starts through
+    x_{i+1} = T x_i + noise[i, row] for up to n steps (noise None means
+    exact steps) and return each row's max of dist(x_i, anchor) over
+    i in [k, n] (k >= 1), inf for a row that left the domain.
+
+    All rows share one apply per step; the first is checked to map row by
+    row (core._apply_rows).  A perturbed point outside the domain is
+    projected back in when T x_i itself is inside; otherwise the exit is
+    genuine and the row leaves the batch, unless T x_i is NaN or
+    infinite, which raises NonFiniteError.  So does a row that never
+    exited but whose max is not finite, after the last step.
+    """
+    m = len(starts)
+    contains = T.domain.contains_rows
+    project = T.domain.project
+    live = np.arange(m)
+    exited = np.zeros(m, dtype=bool)
+    worst = np.full(m, -math.inf)
+    x = starts
+    for i in range(n):
+        y = T.apply(x) if i else _apply_rows(T, x)
+        cand = y if noise is None else y + noise[i, live]
+        out = ~contains(cand)
+        if out.any():
+            back = np.zeros(len(live), dtype=bool)
+            back[out] = contains(y[out])
+            if back.any():
+                cand[back] = project(cand[back])
+            out &= ~back
+            if out.any():
+                _refuse_non_finite(y[out], x[out])
+                exited[live[out]] = True
+                live = live[~out]
+                cand = cand[~out]
+        if i + 1 >= k:
+            worst[live] = np.maximum(worst[live],
+                                     T.space.rowwise_distance(cand, anchor))
+        if not live.size:
+            break
+        x = cand
+    # +inf passes the membership test of an unbounded domain, so a row can
+    # get there without exiting; NaN or +inf, not the -inf of an empty
+    # window, marks it
+    bad = ~exited & ~(worst < math.inf)
+    if bad.any():
+        j = int(bad.argmax())
+        raise NonFiniteError(
+            f"the orbit of row {j}, started at {starts[j]!r}, reached a NaN "
+            "or infinite point inside the domain")
+    worst[exited] = math.inf
+    return worst
 
 
 class FixedPointResult(NamedTuple):
@@ -464,7 +447,7 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
 
     The trials are stepped together as one (trials, d) array, one apply of
     T per step, so T.apply must map such an array row by row (see
-    MappingInstance); with more than one trial an apply that does not is
+    MappingInstance), a single trial included; an apply that does not is
     refused with ArgumentError.  Each trial's worst distance is kept as a
     running max rather than storing orbits, but the noise of every trial is
     drawn up front: n * trials * d floats (1.6 MB for 100 trials of 2000
@@ -487,6 +470,9 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
         raise ArgumentError(f"delta must be >= 0, got {delta_used}")
     violated = delta_override is not None and delta_override > consts.delta
 
+    # drawn trial by trial: the master generator interleaves each start's
+    # direction, its radius and its noise seed, so one batched draw would
+    # move every start and noise seed
     rng = np.random.default_rng(seed)
     starts = np.empty((trials, d))
     noise = np.empty((n, trials, d)) if delta_used > 0.0 else None
@@ -508,8 +494,7 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
         noise_seed = int(rng.integers(0, 2 ** 63))
         if noise is not None:
             noise[:, trial] = _ball_noise(noise_seed, n, d, delta_used)
-    worst = _perturbed_steps(T, starts, n, noise, anchor=xb,
-                             k=consts.k).worst.tolist()
+    worst = _perturbed_steps(T, starts, n, noise, xb, consts.k).tolist()
     records = tuple(TrialRecord(trial=j, x0=_frozen(starts[j]), worst=w,
                                 passed=w <= epsilon)
                     for j, w in enumerate(worst))

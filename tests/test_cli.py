@@ -63,11 +63,19 @@ def test_parse_config_duplicate_key(tmp_path):
         parse_config(p)
 
 
-def test_parse_config_foreign_key_for_experiment(tmp_path):
+def test_parse_config_foreign_key_for_experiment(tmp_path, capsys):
     p = _write(tmp_path, "a.cfg",
                "experiment = solve\nmap = constant\nq = 0.9\nx0 = 0.0\n")
     with pytest.raises(ConfigError, match="'q'"):
         parse_config(p)
+    # limit reads only the inner-solve keys of a path config, so q is
+    # foreign there too, and the run exits 2 like any unknown key
+    p = _write(tmp_path, "limit.cfg",
+               "experiment = limit\nmap = affine-halfline\nq = 0.3\n")
+    out = tmp_path / "o"
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    assert "'q'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_config_accepts_map_params(tmp_path):

@@ -262,6 +262,67 @@ def test_halfspace_projection_survives_an_overflowing_dot(nv, offset, p):
     assert np.array_equal(d.project(np.array([p, [0.0] * len(p)]))[0], q)
 
 
+# membership of points whose squared norm or dot product overflows: numpy
+# warns about the first attempt, then the domain takes the point in its
+# own units
+_OVERFLOW_WARNING = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning")
+
+
+@_OVERFLOW_WARNING
+def test_ball_membership_survives_an_overflowing_norm():
+    d = ball([0.0, 0.0], 1e200)
+    on, inside, past = [1e200, 0.0], [6e199, 0.0], [1e201, 0.0]
+    rows = np.array([on, inside, past, [math.inf, 0.0], [math.nan, 0.0]])
+    want = [True, True, False, False, False]
+    assert [d.contains(p) for p in rows] == want
+    assert d.contains_rows(rows).tolist() == want
+    assert [d.interior_contains(p) for p in rows] == [False, True] + [False] * 3
+    assert d.boundary_distance(np.array(inside)) == pytest.approx(4e199)
+    assert d.boundary_distance(np.array(on)) == 0.0
+    assert np.allclose(d.nearest_boundary(np.array(inside)), on)
+    # it used to retry its shave down to the center
+    q = d.project(np.array(past))
+    assert d.contains(q) and np.allclose(q, on, rtol=1e-9)
+
+
+@_OVERFLOW_WARNING
+@pytest.mark.parametrize("nv,offset,p,inside,dist", [
+    # the dot products overflow to +inf, -inf and NaN (inf - inf)
+    ([1.0, 1.0, 1.0], 1.5e308, [1e308, 1e308, -1e308], True,
+     0.5e308 / math.sqrt(3.0)),
+    ([1.0, 1.0, 1.0], -1.5e308, [-1e308, -1e308, 1e308], False, 0.0),
+    ([2.0, 2.0], 0.0, [-1e308, -1e308], True, math.sqrt(2.0) * 1e308),
+    ([2.0, 2.0, 2.0], 0.0, [1e308, -1e308, 1e308], False, 0.0),
+    # on the plane: no overflow in the normal's own units
+    ([2.0, 2.0], 0.0, [1e308, -1e308], True, 0.0),
+])
+def test_halfspace_membership_survives_an_overflowing_dot(nv, offset, p,
+                                                          inside, dist):
+    d = halfspace(nv, offset)
+    p = np.array(p)
+    assert d.contains(p) is inside
+    assert d.contains_rows(np.array([p, np.zeros(len(p))])).tolist() == [
+        inside, 0.0 <= offset]
+    assert d.interior_contains(p) is (inside and dist > 0.0)
+    assert d.boundary_distance(p) == pytest.approx(dist, rel=1e-12)
+
+
+@pytest.mark.parametrize("nv,offset,p,want,dist", [
+    # |normal|^2 overflows, or underflows to 0
+    ([1e200, 0.0], 0.0, [1.0, 3.0], [0.0, 3.0], 0.0),
+    ([1e200, 0.0], 0.0, [-1.0, 3.0], [-1.0, 3.0], 1.0),
+    ([1e-200], 1e-190, [2e10], [1e10], 0.0),
+    ([1e-200], 1e-190, [0.0], [0.0], 1e10),
+])
+def test_halfspace_survives_a_normal_of_any_scale(nv, offset, p, want, dist):
+    d = halfspace(nv, offset)
+    q = d.project(np.array(p))
+    assert d.contains(q) and np.allclose(q, want, rtol=1e-9, atol=1e-9)
+    assert d.boundary_distance(np.array(p)) == pytest.approx(dist)
+    assert d.params == (*nv, offset)
+
+
 @pytest.mark.parametrize("dom", [
     box([-1.0, -2.0], [1.0, 2.0]),
     ball([0.5, -0.5], 3.0),

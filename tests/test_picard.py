@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from fixpoint.core import (MappingInstance, as_point, ball, box,
                            constant_modulus, euclidean, halfline, halfspace,
                            max_norm, rational_decay_modulus,
-                           nonexpansive_modulus, _frozen)
+                           nonexpansive_modulus, table_modulus, _frozen)
 from fixpoint.errors import (ArgumentError, ConvergenceError, DomainError,
                              NonFiniteError, NonRakotchError,
                              NonselfExitError)
@@ -93,12 +94,47 @@ def test_bounds_reject_nonexpansive_and_bad_arguments():
         cluster_tolerance(0.0, constant_modulus(0.5))
 
 
-def test_bound_monotonicity_in_epsilon():
-    # a laxer accuracy target can only shorten the settling time
-    m = rational_decay_modulus()
-    ks = [settling_index(eps, m, 2.0, 0.5)
-          for eps in (0.01, 0.05, 0.1, 0.5, 1.0)]
-    assert ks == sorted(ks, reverse=True)
+# admissible moduli: rational decay, a constant below 1, and
+# non-increasing tables below 1
+_ADMISSIBLE = st.one_of(
+    st.floats(1e-3, 1e3).map(rational_decay_modulus),
+    st.floats(0.0, 0.999).map(constant_modulus),
+    st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(1e-6, 1e3), min_size=n - 1, max_size=n - 1,
+                 unique=True),
+        st.lists(st.floats(0.0, 0.999), min_size=n, max_size=n))).map(
+        lambda kv: table_modulus([0.0, *sorted(kv[0])],
+                                 sorted(kv[1], reverse=True))))
+# 1e-12 to 1e3, the exponents spread evenly
+_SCALE = st.builds(lambda m, k: m * 10.0 ** k,
+                   st.floats(1.0, 10.0), st.integers(-12, 2))
+
+
+@settings(max_examples=300)     # cheap draws: about a second
+@given(_ADMISSIBLE, st.lists(_SCALE, min_size=2, max_size=2),
+       st.lists(_SCALE, min_size=2, max_size=2), st.floats(0.0, 1e3),
+       st.floats(0.0, 1e3))
+def test_bound_monotonicity_in_epsilon(m, eps, seeds, radius, displacement):
+    # a laxer accuracy target never asks for more steps or a smaller
+    # budget; a wider seed ball never promises fewer steps or a smaller
+    # interim budget delta0
+    e_lo, e_hi = sorted(eps)
+    M_lo, M_hi = sorted(max(M, e_hi) for M in seeds)
+    try:
+        lo, hi = (stability_constants(M_lo, e, m) for e in (e_lo, e_hi))
+        settling = [settling_index(e, m, radius, displacement)
+                    for e in (e_lo, e_hi)]
+        coupling = [coupling_index(e, m, radius) for e in (e_lo, e_hi)]
+        cluster = [cluster_tolerance(e, m) for e in (e_lo, e_hi)]
+        small, wide = (stability_constants(M, e_lo, m) for M in (M_lo, M_hi))
+    except NonRakotchError:
+        # 1 - phi(t) cancels to 0 for a tiny a t (ROADMAP item 2)
+        reject()
+    assert hi.k <= lo.k and settling[1] <= settling[0]
+    assert coupling[1] <= coupling[0]
+    assert hi.delta >= lo.delta and hi.delta1 >= lo.delta1
+    assert cluster[1] >= cluster[0]
+    assert wide.k >= small.k and wide.delta0 >= small.delta0
 
 
 def test_stability_constants_frozen_decay():
@@ -334,6 +370,17 @@ def test_orbit_inexact_nan_image_is_non_finite_not_an_exit():
         orbit_inexact(_nan_map(), [1.0], 3, 0.1, 1)
     assert math.isnan(err.value.point[0])
     assert err.value.last_inside.tolist() == [1.0]
+
+
+def test_orbit_inexact_reports_the_non_finite_image_not_its_perturbation():
+    # the payload is T x itself: its finite coordinate carries no noise
+    T = MappingInstance(apply=lambda x: np.array([math.nan, 0.5]),
+                        declared_modulus=constant_modulus(0.0),
+                        domain=ball([0.0, 0.0], 1.0), space=euclidean(2))
+    with pytest.raises(NonFiniteError) as err:
+        orbit_inexact(T, [0.0, 0.0], 3, 0.1, 1)
+    assert math.isnan(err.value.point[0]) and err.value.point[1] == 0.5
+    assert err.value.last_inside.tolist() == [0.0, 0.0]
 
 
 def test_stability_trials_with_nan_images_are_non_finite():
@@ -626,12 +673,11 @@ def test_batched_stability_refuses_an_apply_that_is_not_rowwise():
     # R @ x of a (2, 2) array of rows is a matrix product, not the rows'
     # images; stepping with it would give a silently wrong report
     T, xbar = _rotation_map(lambda R, b: lambda x: R @ x + b)
-    with pytest.raises(ArgumentError, match="row by row"):
-        run_stability_experiment(T, xbar, 1.0, 0.5, trials=2, n=60, seed=1)
-    # one trial goes through the point form of apply
-    rep = run_stability_experiment(T, xbar, 1.0, 0.5, trials=1, n=60,
-                                   seed=1)
-    assert len(rep.trials) == 1
+    # with one trial too: a (1, 2) array of rows is still not a point
+    for trials in (2, 1):
+        with pytest.raises(ArgumentError, match="row by row"):
+            run_stability_experiment(T, xbar, 1.0, 0.5, trials=trials, n=60,
+                                     seed=1)
 
 
 def test_batched_stability_refuses_an_apply_numpy_cannot_broadcast():
