@@ -75,22 +75,28 @@ class Space:
 
 
 def _euclidean_norm(v: Point) -> float:
-    # v @ v then sqrt is measurably faster than np.linalg.norm on small vectors
-    return math.sqrt(float(v @ v))
+    # ndarray.dot reaches the same BLAS ddot as v @ v, so the bits are the
+    # same, at about half the dispatch cost of the matmul ufunc on a point;
+    # a view with a negative stride gets the bits of its contiguous copy,
+    # which the matmul ufunc's own loop for it did not give
+    return math.sqrt(v.dot(v))
 
 
 def _row_dot(rows: np.ndarray, v: Point) -> np.ndarray:
     """rows[j] @ v for every row of an (m, d) array.
 
-    A stacked matmul gives the same float as the 1-D ``v @ row`` on every
-    row; ``rows @ v``, np.sum(rows * v, 1) and einsum round differently
+    A stacked matmul gives the same float as the 1-D ``v.dot(row)`` on
+    every row; ``rows @ v``, np.sum(rows * v, 1) and einsum round differently
     and differ in the last bit on a sizeable share of rows once d >= 2.
     """
     return (rows[:, None, :] @ v[:, None])[:, 0, 0]
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row, equal bit for bit to _euclidean_norm."""
+    """Euclidean norm of every row, equal bit for bit to _euclidean_norm
+    on rows with a positive stride (a negative one sends the stacked
+    matmul to its own loop, which rounds differently); the library only
+    passes it fresh arrays."""
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
@@ -137,9 +143,16 @@ def euclidean(dimension: int) -> Space:
     then sqrt is the same IEEE product and root as v @ v then sqrt on a
     1-element array, so they equal the array form bit for bit at a
     fraction of its cost (the space counterpart of box's 1-D fast path).
+    In higher dimensions distance is _euclidean_norm written out on
+    x - y, which saves the call through norm on the hottest leaf.
     """
     if dimension != 1:
-        return _normed_space(dimension, _euclidean_norm, _row_norms)
+        def distance(x: Point, y: Point) -> float:
+            v = x - y
+            return math.sqrt(v.dot(v))
+
+        return _normed_space(dimension, _euclidean_norm, _row_norms,
+                             distance)
 
     def norm(v: Point) -> float:
         s = float(v[0])
@@ -489,6 +502,23 @@ def halfspace(normal, offset: float) -> DomainSet:
     # relative rounding bound of a dot product with nv
     dot_eps = nv.size * float(np.finfo(float).eps)
 
+    def toward(rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+        """rows - nv gap / |nv|^2 for every row of the (m, d) array rows
+        and its entry of gaps: the row moved across a gap of dot product
+        along the normal.  Where gap / |nv|^2 overflows (an unscaled
+        normal far below 1 against a boundary near the largest float) the
+        row and the move, the distance gap / |nv| along the unit normal,
+        are taken at half size and the result doubled, which overflows
+        only when the moved row itself passes the largest float."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = gaps / (nn * nn)
+            out = rows - nv * f[:, None]
+            big = np.isinf(f) & np.isfinite(gaps)
+            if big.any():
+                out[big] = 2.0 * (rows[big] / 2.0 - (nv / nn)
+                                  * (gaps[big] / 2.0 / nn)[:, None])
+        return out
+
     def dots(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """<nv, row> for every row of an (m, d) array and the unit it is
         taken in: 1, or for a row whose dot product overflowed the row's
@@ -504,7 +534,7 @@ def halfspace(normal, offset: float) -> DomainSet:
     def dot(p: Point) -> tuple[float, float, float]:
         """<nv, p>, the offset and the unit both are taken in (see dots);
         one dot product unless it overflowed."""
-        s = float(nv @ p)
+        s = float(nv.dot(p))
         if -math.inf < s < math.inf:
             return s, offset, 1.0
         s, unit = dots(p[None])
@@ -539,7 +569,7 @@ def halfspace(normal, offset: float) -> DomainSet:
         # overshoot by 1e-12 relative so membership survives rounding
         push = (s[over] - off[over]) * (1.0 + 1e-12)
         while over.size:
-            out[over] = rows[over] - nv * (push / (nn * nn))[:, None]
+            out[over] = toward(rows[over], push)
             s_out = _row_dot(out[over], nv)
             still = s_out > off[over]
             over = over[still]
@@ -554,7 +584,7 @@ def halfspace(normal, offset: float) -> DomainSet:
 
     def nearest_boundary(p: Point) -> Point:
         s, off, unit = dot(p)
-        return (p / unit - nv * ((s - off) / (nn * nn))) * unit
+        return toward((p / unit)[None], np.array([s - off]))[0] * unit
 
     return DomainSet(kind="halfspace", params=params,
                      contains=contains, interior_contains=interior,

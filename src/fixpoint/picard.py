@@ -146,24 +146,32 @@ def _orbit(T: MappingInstance, x0, n: int, delta: float,
     x = _start(T, x0)
     pts = np.empty((n + 1, d))
     pts[0] = x
-    step = T.apply
+    step, contains = T.apply, T.domain.contains
     if delta > 0.0:
         noise = _ball_noise(noise_seed, n, d, delta)
         images = np.empty((n, d))
-        contains, project = T.domain.contains, T.domain.project
+        domain_contains, project = T.domain.contains, T.domain.project
         index = iter(range(n))
+        inside = True
 
         def step(x: Point) -> Point:
+            nonlocal inside
             i = next(index)
             y = images[i] = T.apply(x)
             p = y + noise[i]
-            if not contains(p):
-                if contains(y):
-                    return project(p)
-                if not np.all(np.isfinite(y)):
+            inside = domain_contains(p)
+            if not inside:
+                if domain_contains(y):
+                    p = project(p)
+                    inside = domain_contains(p)
+                elif not np.all(np.isfinite(y)):
                     raise _non_finite(y, x)
             return p
-    run = _iterate(step, x, T.domain.contains, n, out=pts)
+
+        def contains(p: Point) -> bool:
+            # step has tested the point it returned; one test per step
+            return inside
+    run = _iterate(step, x, contains, n, out=pts)
     exited = None if run.outside is None else run.steps + 1
     m = exited or n
     pts = pts[:m + 1]
@@ -478,7 +486,7 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
     noise = np.empty((n, trials, d)) if delta_used > 0.0 else None
     for trial in range(trials):
         direction = rng.standard_normal(d)
-        nrm = math.sqrt(float(direction @ direction))
+        nrm = math.sqrt(direction.dot(direction))
         if nrm < 1e-300:
             direction = np.zeros(d)
             direction[0] = 1.0

@@ -2,6 +2,12 @@
 
 * euclidean(1)'s scalar distance and norm against the array norm and the
   row form, over all doubles;
+* the ndarray.dot point forms in dimensions 2 to 5 against frozen copies
+  of the 1-D matmul (``@``) forms they replaced, on any doubles and on
+  strided views: _euclidean_norm (and against the row form _row_norms),
+  euclidean(d)'s distance, the ball's point predicates, the halfspace's
+  point dot product and planar-rotation's apply on points and on rows
+  (on a view with a negative stride, against its contiguous copy);
 * a modulus called on an array against its scalar calls, and the audit's
   rhs against the per-pair products;
 * the chunked CSV writers against frozen copies of the row loops they
@@ -18,7 +24,9 @@ from hypothesis.extra import numpy as hnp
 from fixpoint.continuation import (ContinuationPath, LimitCertificate,
                                    PathConfig, PathEntry, limit_path,
                                    path_csv, trace_path)
-from fixpoint.core import (constant_modulus, euclidean, _euclidean_norm,
+from fixpoint.core import (ball, constant_modulus, euclidean, halfspace,
+                           _euclidean_norm, _row_dot, _row_norms,
+                           _row_norms_safe,
                            nonexpansive_modulus, rational_decay_modulus,
                            table_modulus, verify_contractive)
 from fixpoint.errors import ArgumentError
@@ -63,6 +71,201 @@ def test_euclidean_1d_scalar_forms_equal_the_array_forms(a, b):
     assert _same_float(float(rows[0]), want)
     got_norm = space.norm(x)
     assert type(got_norm) is float and _same_float(got_norm, want_norm)
+
+
+# ---------------------------------------------------------------------------
+# ndarray.dot point forms against the matmul forms, d = 2 to 5
+
+# any doubles, with ordinary magnitudes, the squares that overflow (from
+# about 1.3e154) and the subnormals drawn often
+_ENTRIES = st.one_of(_DOUBLES, st.floats(-10.0, 10.0),
+                     st.floats(1e150, 1e160), st.floats(-1e160, -1e150),
+                     st.floats(-1e-300, 1e-300))
+
+
+@st.composite
+def _points(draw, d: int, reversed_: bool = False):
+    """A point of dimension d with any entries: contiguous, or a strided
+    view (every other entry, a column), or with reversed_ a view with a
+    negative stride."""
+    base = draw(hnp.arrays(np.float64, 2 * d, elements=_ENTRIES))
+    if reversed_:
+        return draw(st.sampled_from([base[d - 1::-1], base[::-2]]))
+    return draw(st.sampled_from(
+        [base[:d].copy(), base[::2], base.reshape(d, 2)[:, 1]]))
+
+
+_DIM_POINTS = st.integers(2, 5).flatmap(
+    lambda d: st.tuples(_points(d), _points(d)))
+
+
+def _matmul_norm(v: np.ndarray) -> float:
+    """Frozen copy of _euclidean_norm as the 1-D matmul."""
+    return math.sqrt(float(v @ v))
+
+
+@given(_DIM_POINTS)
+@example((np.array([1e154, 1e154]), np.zeros(2)))
+@example((np.array([5e-324, -5e-324, 0.0]), np.array([-0.0, 0.0, 1e-320])))
+@example((np.array([math.inf, -math.inf]), np.array([math.nan, 1.0])))
+def test_dot_norm_and_distance_equal_the_matmul_forms(xy):
+    x, y = xy
+    space = euclidean(len(x))
+    with np.errstate(all="ignore"):
+        for v in (x, y, x - y):
+            got = _euclidean_norm(v)
+            assert type(got) is float
+            assert _same_float(got, _matmul_norm(v))
+            assert _same_float(got, float(_row_norms(v[None])[0]))
+        got = space.distance(x, y)
+        want = _matmul_norm(x - y)
+        assert _same_float(space.norm(x), _matmul_norm(x))
+    assert type(got) is float and _same_float(got, want)
+
+
+@given(st.integers(2, 5).flatmap(lambda d: _points(d, reversed_=True)))
+def test_dot_forms_on_a_reversed_view_equal_its_contiguous_copy(v):
+    # the matmul ufunc's own loop for a negative stride rounds
+    # differently from BLAS, so there the matmul form was the odd one out;
+    # ndarray.dot gives every layout the bits of the contiguous point
+    w = v.copy()
+    rotation = make_map("planar-rotation").mapping.apply
+    with np.errstate(all="ignore"):
+        assert _same_float(_euclidean_norm(v), _matmul_norm(w))
+        # one operand reversed, as p in the halfspace's nv.dot(p)
+        assert _same_float(float(w.dot(v)), float(w @ w))
+        if len(v) == 2:
+            assert rotation(v).tobytes() == rotation(w).tobytes()
+
+
+def _matmul_ball(c: np.ndarray, radius: float):
+    """Frozen copies of ball's point contains, interior_contains and
+    boundary_distance with the 1-D matmul norm."""
+    def norm(p):
+        return _matmul_norm(p - c)
+
+    def far_norm(p):
+        return float(_row_norms_safe((p - c)[None])[0])
+
+    def contains(p):
+        r = norm(p)
+        return r <= radius or r == math.inf and far_norm(p) <= radius
+
+    def interior(p):
+        r = norm(p)
+        return r < radius or r == math.inf and far_norm(p) < radius
+
+    def bdist(p):
+        r = norm(p)
+        return max(0.0, radius - (r if r < math.inf else far_norm(p)))
+
+    return contains, interior, bdist
+
+
+@given(_DIM_POINTS, st.floats(1e-300, 1e300),
+       st.sampled_from([None, 1.0, 2.0]))
+@example((np.array([1e200, 0.0]), np.zeros(2)), 1e200, None)
+# |p - c| summed in order rounds to 3.1080540535840107, the next double
+# down from what the reversed order gives
+@example((np.array([-0.6, -0.8, 0.7]), np.array([1.6, 0.3, -1.2])), 1.0,
+         1.0)
+@example((np.array([-0.6, -0.8, 0.7]), np.array([1.6, 0.3, -1.2])), 1.0,
+         2.0)
+def test_ball_point_predicates_equal_the_matmul_forms(pc, radius, rel):
+    # rel, when given, puts the radius at that multiple of |p - c|, where
+    # the last bit of the norm decides membership and shows in the
+    # boundary distance
+    p, c = pc
+    if not np.isfinite(c).all():
+        c = np.nan_to_num(c, nan=0.0, posinf=1e300, neginf=-1e300)
+    with np.errstate(all="ignore"):
+        r = _matmul_norm(p - c)
+    if rel is not None and 0.0 < r < 1e300:
+        radius = rel * r
+    dom = ball(c, radius)
+    with np.errstate(all="ignore"):
+        got = (dom.contains(p), dom.interior_contains(p),
+               dom.boundary_distance(p))
+        want = tuple(f(p) for f in _matmul_ball(c, radius))
+    assert got[:2] == want[:2]
+    assert _same_float(got[2], want[2])
+
+
+def _matmul_halfspace(normal: np.ndarray, offset: float):
+    """Frozen copies of halfspace's point contains, interior_contains and
+    boundary_distance with the 1-D matmul dot product, for a point whose
+    dot product with the scaled normal is finite, else None."""
+    nv = np.array(normal)
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(nv).max()))[1] - 1)
+    if math.isfinite(offset / unit):
+        nv, offset = nv / unit, offset / unit
+    nn = _matmul_norm(nv)
+
+    def predicates(p):
+        s = float(nv @ p)
+        if not math.isfinite(s):
+            return None
+        return s <= offset, s < offset, max(0.0, (offset - s) / nn)
+
+    return predicates
+
+
+@given(_DIM_POINTS, st.floats(-1e300, 1e300))
+@example((np.array([1e308, 1e308]), np.array([1.0, 1.0])), 0.0)
+# the dot product rounds to the offset, 1.3, only when summed in order
+@example((np.array([-1.7, -0.1, -1.2]), np.array([-1.0, 1.6, 0.2])), 1.3)
+def test_halfspace_point_dot_equals_the_matmul_form(pn, offset):
+    p, nv = pn
+    with np.errstate(all="ignore"):
+        got = nv.dot(p)
+        assert _same_float(float(got), float(nv @ p))
+        assert _same_float(float(got), float(_row_dot(p[None], nv)[0]))
+    if not (np.isfinite(nv).all() and 1e-300 < np.abs(nv).max() < 1e300):
+        return
+    # the domain's point predicates, which take the dot product with the
+    # normal in its own units, against the matmul form; membership also
+    # against the row form, which takes the stacked matmul
+    dom = halfspace(nv, offset)
+    with np.errstate(all="ignore"):
+        want = _matmul_halfspace(nv, offset)(p)
+        got = (dom.contains(p), dom.interior_contains(p),
+               dom.boundary_distance(p))
+        assert got[0] == bool(dom.contains_rows(p[None])[0])
+    if want is not None:
+        assert got[:2] == want[:2] and _same_float(got[2], want[2])
+
+
+def _matmul_rotation(theta: float, bx: float, by: float):
+    """Frozen copy of planar-rotation's apply as the matmul x @ R.T + b."""
+    c, s = math.cos(theta), math.sin(theta)
+    Rt = np.array([[c, -s], [s, c]]).T
+    b = np.array([bx, by])
+    return lambda x: x @ Rt + b
+
+
+@given(st.floats(0.1, 2.0 * math.pi - 0.1), st.floats(-10.0, 10.0),
+       st.floats(-10.0, 10.0),
+       st.integers(1, 40).flatmap(lambda m: hnp.arrays(
+           np.float64, (m, 2), elements=_ENTRIES)))
+def test_rotation_apply_equals_the_matmul_form(theta, bx, by, rows):
+    apply = make_map("planar-rotation", theta=theta, bx=bx, by=by,
+                     radius=1e6).mapping.apply
+    want = _matmul_rotation(theta, bx, by)
+    with np.errstate(all="ignore"):
+        assert apply(rows).tobytes() == want(rows).tobytes()
+        for x in (*rows, np.asfortranarray(rows)[0]):
+            assert apply(x).tobytes() == want(x).tobytes()
+
+
+def test_rotation_apply_equals_the_matmul_form_on_many_rows():
+    entry = make_map("planar-rotation")
+    want = _matmul_rotation(**{k: entry.params[k]
+                               for k in ("theta", "bx", "by")})
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 3, 1000, 40_000):
+        rows = rng.standard_normal((m, 2)) * 10.0 ** rng.integers(
+            -150, 150, (m, 1))
+        assert entry.mapping.apply(rows).tobytes() == want(rows).tobytes()
 
 
 # ---------------------------------------------------------------------------

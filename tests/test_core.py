@@ -323,6 +323,25 @@ def test_halfspace_survives_a_normal_of_any_scale(nv, offset, p, want, dist):
     assert d.params == (*nv, offset)
 
 
+@pytest.mark.parametrize("nv,offset,p,want", [
+    # offset / |normal|^2 overflows; the boundary is at -1e308
+    ([1e-25], -1e283, [0.0], [-1e308]),
+    ([1e-25], -1e283, [1e308], [-1e308]),    # so does the move itself
+    ([-1e-30], -1.7e278, [-1e308], [1.7e308]),
+    ([1e-25, 0.0], -1e283, [0.0, 5.0], [-1e308, 5.0]),
+])
+def test_halfspace_with_a_boundary_at_the_edge_of_the_floats(nv, offset, p,
+                                                             want):
+    # the unscaled normal (offset / unit would overflow) is far below 1:
+    # the move across the gap is taken along the unit normal, not as
+    # normal * (gap / |normal|^2), which overflowed to infinity
+    d = halfspace(nv, offset)
+    q = d.project(np.array(p))
+    assert np.all(np.isfinite(q)) and d.contains(q)
+    assert np.allclose(q, want, rtol=1e-11)
+    assert np.allclose(d.nearest_boundary(np.array(p)), want, rtol=1e-15)
+
+
 @pytest.mark.parametrize("dom", [
     box([-1.0, -2.0], [1.0, 2.0]),
     ball([0.5, -0.5], 3.0),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from fixpoint.picard import (Orbit, StabilityReport, TrialRecord,
                              run_stability_experiment, settling_index,
                              solve_fixed_point, stability_constants,
                              stability_report_text, _least_int_greater,
-                             _record_text)
+                             _ball_noise, _record_text)
 
 
 def _decay_map(a: float = 1.0) -> MappingInstance:
@@ -657,6 +658,41 @@ def test_orbit_inexact_matches_scalar_loop(T, x0, delta):
     assert np.array_equal(got.points, ref.points)
     assert np.array_equal(got.residuals, ref.residuals)
     assert got.exited_domain_at == ref.exited_domain_at
+
+
+def _counting_contains(T):
+    """T with its domain's contains wrapped to count its calls, and the
+    one-element list the count is kept in."""
+    calls = [0]
+    inner = T.domain.contains
+
+    def contains(p):
+        calls[0] += 1
+        return inner(p)
+
+    return dataclasses.replace(
+        T, domain=dataclasses.replace(T.domain, contains=contains)), calls
+
+
+def test_perturbed_orbit_tests_each_point_once():
+    # a step whose perturbed point is outside also tests the image and the
+    # projection; every other step tests its point once, and _iterate
+    # takes the verdict from the step instead of testing it again
+    T, calls = _counting_contains(make_map("rakotch-decay").mapping)
+    n, delta, seed = 10_000, 1e-3, 7
+    got = orbit_inexact(T, [1.0], n, delta, noise_seed=seed)
+    tests = calls[0]
+    ref = _reference_orbit_inexact(T, [1.0], n, delta, noise_seed=seed)
+    assert got.points.tobytes() == ref.points.tobytes()
+    assert got.residuals.tobytes() == ref.residuals.tobytes()
+    assert got.exited_domain_at is ref.exited_domain_at is None
+    noise = _ball_noise(seed, n, 1, delta)
+    projected = int((T.apply(got.points[:-1]) + noise < 0.0).sum())
+    assert 0 < projected < n // 10
+    assert tests == 1 + n + 2 * projected
+    calls[0] = 0
+    orbit_exact(T, [1.0], n)
+    assert calls[0] == n + 1
 
 
 def _rotation_map(apply_for):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fixpoint.core import (MappingInstance, ball, box, constant_modulus,
@@ -65,25 +65,37 @@ def _domains(draw):
     return halfspace(nv, offset), d, abs(offset) / math.hypot(*nv)
 
 
+@st.composite
+def _projection_cases(draw):
+    """(domain, scale, rows): a domain as _domains draws it and an (m, d)
+    array of points to project, some a few ulps off the boundary."""
+    dom, d, scale = draw(_domains())
+    rows = draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), d),
+                           elements=_COORD))
+    for i in range(len(rows)):
+        # a point a few ulps off the boundary, where rounding decides
+        # whether a projection lands inside
+        if draw(st.booleans()):
+            try:
+                rows[i] = dom.nearest_boundary(rows[i]) * (
+                    1.0 + draw(st.sampled_from([-1.0, 1.0]))
+                    * 10.0 ** -draw(st.integers(8, 17)))
+            except ArgumentError:       # no finite boundary face here
+                pass
+    return dom, scale, rows
+
+
 # the membership tests try one norm or dot product first; numpy warns when
 # it overflows, before the domain takes the point in its own units
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=200)     # 60 draws miss the hard boundary cases
-@given(st.data())
-def test_projection_lands_inside_and_is_nonexpansive(data):
-    dom, d, scale = data.draw(_domains())
-    rows = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 6)), d),
-                                elements=_COORD))
-    for i in range(len(rows)):
-        # a point a few ulps off the boundary, where rounding decides
-        # whether a projection lands inside
-        if data.draw(st.booleans()):
-            try:
-                rows[i] = dom.nearest_boundary(rows[i]) * (
-                    1.0 + data.draw(st.sampled_from([-1.0, 1.0]))
-                    * 10.0 ** -data.draw(st.integers(8, 17)))
-            except ArgumentError:       # no finite boundary face here
-                pass
+@given(_projection_cases())
+# a boundary at -1e308 where the factor gap / |normal|^2 of the move across
+# the plane overflows: the projection went to -inf
+@example((halfspace([1e-25], -1e283), 1e308,
+          np.array([[0.0], [1e308], [-1e300]])))
+def test_projection_lands_inside_and_is_nonexpansive(case):
+    dom, scale, rows = case
     projected = dom.project(rows)
     assert projected.shape == rows.shape
     assert dom.contains_rows(projected).all()
