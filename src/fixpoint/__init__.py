@@ -4,7 +4,7 @@ nonself-mappings."""
 __version__ = "0.1.0"
 
 from .core import (AdmissibilityReport, ContractivityReport, DomainSet,
-                   MappingInstance, Modulus, PairCheck, Space, as_point,
+                   MappingInstance, Modulus, Space, as_point,
                    ball, box, check_modulus_admissible, constant_modulus,
                    euclidean, halfline, halfspace, max_norm,
                    nonexpansive_modulus, rational_decay_modulus,

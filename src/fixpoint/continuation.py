@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,33 +208,30 @@ def lipschitz_bound(t_a: float, t_b: float, mbound: float, q: float) -> float:
 @dataclass(frozen=True)
 class LsReport:
     """Boundary-condition audit at one boundary point: violated is True
-    when T x lands within tol of lam x for some lam > 1, either from the
-    supplied grid or from the alignment ratio ||T x|| / ||x||."""
+    when T x lands within tol of lam x for lam = ||T x|| / ||x|| > 1, and
+    lam is then that ratio."""
 
     point: Point
     image: Point
     violated: bool
     lam: float | None
-    checked_lambdas: tuple[float, ...]
     tol: float
 
 
-def check_leray_schauder(T: MappingInstance, x, lambda_grid: Sequence[float],
-                         tol: float = 1e-9) -> LsReport:
+def check_leray_schauder(T: MappingInstance, x, tol: float = 1e-9) -> LsReport:
     """Test the boundary condition T x != lam x (lam > 1) at a boundary
     point x != 0.
 
-    Two routes: each lam in lambda_grid is tested directly, and the
-    alignment ratio mu = ||T x|| / ||x|| is tested when mu > 1, which
-    catches violations at lam values no finite grid would hit.  x must lie
-    in the closed domain within tol of its boundary; x = 0 is refused
-    because 0 is assumed interior.
+    One test: the alignment ratio mu = ||T x|| / ||x|| violates when
+    mu > 1 and ||T x - mu x|| <= tol.  It catches every lam that lands
+    within tol / 2, in any norm: the triangle inequality, applied twice,
+    gives ||T x - mu x|| <= 2 ||T x - lam x|| for every lam.  In one
+    dimension mu minimises ||T x - lam x|| over lam, so every lam within
+    tol is caught.  x must lie in the closed domain within tol of its
+    boundary; x = 0 is refused because 0 is assumed interior.
     """
     if tol <= 0.0:
         raise ArgumentError(f"tol must be > 0, got {tol}")
-    grid = tuple(float(lam) for lam in lambda_grid)
-    if any(lam <= 1.0 for lam in grid):
-        raise ArgumentError("lambda grid entries must be > 1")
     norm = T.space.norm
     x = as_point(x, T.space.dimension)
     nx = norm(x)
@@ -247,36 +244,28 @@ def check_leray_schauder(T: MappingInstance, x, lambda_grid: Sequence[float],
         raise ArgumentError(
             f"{x!r} is not within {tol} of the boundary")
     Tx = T.apply(x)
-    lam_hit = None
-    for lam in grid:
-        if norm(Tx - lam * x) <= tol:
-            lam_hit = lam
-            break
-    if lam_hit is None:
-        mu = norm(Tx) / nx
-        if mu > 1.0 and norm(Tx - mu * x) <= tol:
-            lam_hit = mu
-    return LsReport(point=_frozen(x), image=_frozen(Tx),
-                    violated=lam_hit is not None, lam=lam_hit,
-                    checked_lambdas=grid, tol=tol)
-
-
-# lam values worth probing directly when the tracer audits a pinned point
-_DEFAULT_LS_GRID = (1.25, 1.5, 2.0, 3.0, 5.0, 10.0)
+    mu = norm(Tx) / nx
+    violated = mu > 1.0 and norm(Tx - mu * x) <= tol
+    return LsReport(point=_frozen(x), image=_frozen(Tx), violated=violated,
+                    lam=mu if violated else None, tol=tol)
 
 
 def _audit_boundary(T: MappingInstance, x: Point, t: float,
                     inner_tol: float):
-    """Run the boundary-condition check, to max(inner_tol, 1e-12), at the
-    boundary point nearest x and raise LsViolationError on a hit.  Points
-    at which the check itself is ill-posed (x = 0, no finite boundary
-    face, no boundary point inside the closed domain) are left alone."""
+    """Run the boundary-condition check at the boundary point bx nearest x
+    and raise LsViolationError on a hit.  The tolerance,
+    max(inner_tol, 1e-11) * max(1, ||bx||), scales with the point, so the
+    rounding of a large bx cannot hide a violation, and its floor lies
+    above the 1e-12 relative shave with which project pulls a boundary
+    point that rounded outside back in.  Points at which the check itself
+    is ill-posed (x = 0, no finite boundary face, no boundary point inside
+    the closed domain) are left alone."""
     try:
         bx = T.domain.nearest_boundary(x)
         if not T.domain.contains(bx):
             bx = T.domain.project(bx)
-        rep = check_leray_schauder(T, bx, _DEFAULT_LS_GRID,
-                                   tol=max(inner_tol, 1e-12))
+        rep = check_leray_schauder(
+            T, bx, tol=max(inner_tol, 1e-11) * max(1.0, T.space.norm(bx)))
     except (ArgumentError, DomainError):
         return
     if rep.violated:
@@ -352,13 +341,9 @@ def trace_path(T: MappingInstance, cfg: PathConfig) -> ContinuationPath:
         mbound_obs = max(mbound_obs, norm_Tx)
         bd = T.domain.boundary_distance(x)
         r = min(bd, 1.0)
-        if r <= 0.0:
-            _audit_boundary(T, x, t0, cfg.inner_tol)
-            raise StallError(
-                f"path point at t={t0} sits on the boundary with no "
-                "detected violation", t=t0, point=_frozen(x), step=0.0)
+        # a point on the boundary has no invariant ball: its step is 0
         q_eff = max(cfg.q, 0.5 * (1.0 + t0))
-        step = step_size(r, q_eff, norm_Tx, t0)
+        step = step_size(r, q_eff, norm_Tx, t0) if r > 0.0 else 0.0
         if step < _STALL_STEP:
             _audit_boundary(T, x, t0, cfg.inner_tol)
             raise StallError(

@@ -60,8 +60,10 @@ class Space:
 
     rowwise_distance maps two (m, dimension) arrays (or one array and a
     broadcastable single point) to the m distances between corresponding
-    rows, each equal bit for bit to distance on that pair of rows; batch
-    routines use it to avoid Python-level loops.
+    rows; batch routines use it to avoid Python-level loops.  Each
+    distance equals distance on that pair of rows bit for bit when the
+    rows have a positive stride, as every array the library passes does;
+    on a view with a negative stride the last bit can differ.
     """
 
     dimension: int
@@ -86,8 +88,9 @@ def _row_dot(rows: np.ndarray, v: Point) -> np.ndarray:
     """rows[j] @ v for every row of an (m, d) array.
 
     A stacked matmul gives the same float as the 1-D ``v.dot(row)`` on
-    every row; ``rows @ v``, np.sum(rows * v, 1) and einsum round differently
-    and differ in the last bit on a sizeable share of rows once d >= 2.
+    every row with a positive stride (see _row_norms); ``rows @ v``,
+    np.sum(rows * v, 1) and einsum round differently and differ in the
+    last bit on a sizeable share of rows once d >= 2.
     """
     return (rows[:, None, :] @ v[:, None])[:, 0, 0]
 
@@ -326,9 +329,12 @@ class DomainSet:
     set has no finite boundary.
 
     contains_rows is contains applied to every row of an (m, dimension)
-    array at once, a bool array of length m.  It gives exactly what
+    array at once, a bool array of length m.  On rows with a positive
+    stride, which is what the library passes, it gives exactly what
     contains gives row by row, so batched experiments reproduce the
-    one-point ones.
+    one-point ones; on a view with a negative stride a norm or dot
+    product, and so a verdict at the boundary, can differ in the last
+    bit.
     """
 
     kind: str
@@ -685,15 +691,6 @@ def _refuse_non_finite(images: np.ndarray, sources: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class PairCheck:
-    x: Point
-    y: Point
-    lhs: float   # dist(T x, T y)
-    rhs: float   # phi(dist(x, y)) * dist(x, y)
-    passed: bool
-
-
-@dataclass(frozen=True)
 class ContractivityReport:
     """Outcome of auditing the declared modulus on finitely many pairs.
 
@@ -718,14 +715,6 @@ class ContractivityReport:
     @property
     def passed(self) -> bool:
         return bool(self.verdicts.all())
-
-    @property
-    def checks(self) -> tuple[PairCheck, ...]:
-        """One PairCheck per pair, built on each read."""
-        return tuple(PairCheck(x=x, y=y, lhs=lhs, rhs=rhs, passed=ok)
-                     for x, y, lhs, rhs, ok in zip(
-                         self.x, self.y, self.lhs.tolist(),
-                         self.rhs.tolist(), self.verdicts.tolist()))
 
 
 def verify_contractive(T: MappingInstance, pairs,

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fixpoint import __version__
-from fixpoint.cli import main, parse_config
+from fixpoint.cli import main, parse_config, run_config
 from fixpoint.errors import ConfigError
 from fixpoint.gallery import list_maps, make_map
 from fixpoint.picard import stability_constants
@@ -323,6 +324,31 @@ def test_list_maps_names_everything(capsys):
     for name in ("affine-halfline", "rakotch-decay", "constant",
                  "planar-rotation", "damped-rational"):
         assert name in out
+
+
+# ---------------------------------------------------------------------------
+# the README's example configs
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+# the files the README names for each experiment kind, besides manifest.txt
+_README_OUTPUTS = {"solve": {"orbit.csv", "solution.txt"},
+                   "stability": {"stability.txt"}, "trace": {"path.csv"},
+                   "limit": {"path.csv", "limit.txt"},
+                   "certify": {"certify.txt"}}
+
+
+def test_readme_configs_run_and_write_their_files(tmp_path):
+    texts = re.findall(r"```ini\n(.*?)```", _README.read_text(), re.S)
+    kinds = []
+    for j, text in enumerate(texts):
+        cfg = _write(tmp_path, f"readme{j}.cfg", text)
+        kind = parse_config(cfg)["experiment"]
+        out = tmp_path / f"out{j}"
+        assert run_config(cfg, out, None) == 0, text
+        assert {p.name for p in out.iterdir()} == \
+            _README_OUTPUTS[kind] | {"manifest.txt"}
+        kinds.append(kind)
+    assert sorted(kinds) == sorted(_README_OUTPUTS)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from fixpoint.continuation import (ContinuationPath, PathConfig,
-                                   apriori_norm_bound, check_leray_schauder,
-                                   limit_path, lipschitz_bound, path_csv,
-                                   solve_at_t, step_size, trace_path)
-from fixpoint.core import (MappingInstance, box, constant_modulus,
+                                   _audit_boundary, apriori_norm_bound,
+                                   check_leray_schauder, limit_path,
+                                   lipschitz_bound, path_csv, solve_at_t,
+                                   step_size, trace_path)
+from fixpoint.core import (MappingInstance, ball, box, constant_modulus,
                            euclidean, halfline, max_norm,
                            nonexpansive_modulus, rational_decay_modulus)
 from fixpoint.errors import (ArgumentError, ConvergenceError, DomainError,
@@ -178,43 +179,78 @@ def test_lipschitz_bound_refuses_parameters_past_q():
 
 def test_ls_passes_at_affine_fixed_boundary_point():
     # T(-1) = -1 = 1 * (-1): the alignment ratio is exactly 1, not > 1
-    rep = check_leray_schauder(_affine(), [-1.0], [1.5, 2.0, 3.0])
+    rep = check_leray_schauder(_affine(), [-1.0])
     assert not rep.violated
     assert rep.lam is None
 
 
 def test_ls_detects_constant_map_violation():
     # T(1) = 2 = 2 * 1 on the boundary of [-1, 1]
-    rep = check_leray_schauder(_const(2.0), [1.0], [1.5, 2.0])
+    rep = check_leray_schauder(_const(2.0), [1.0])
     assert rep.violated and rep.lam == 2.0
-
-
-def test_ls_alignment_route_catches_ungridded_lambda():
-    # lambda = 3 is not on the grid; the ratio test finds it anyway
-    rep = check_leray_schauder(_const(3.0), [1.0], [1.5, 2.0])
-    assert rep.violated
-    assert rep.lam == pytest.approx(3.0)
 
 
 def test_ls_image_shrinking_inward_is_fine():
     T = MappingInstance(apply=lambda x: 0.2 * x,
                         declared_modulus=constant_modulus(0.2),
                         domain=box([-1.0], [1.0]), space=euclidean(1))
-    rep = check_leray_schauder(T, [1.0], [1.5, 2.0])
+    rep = check_leray_schauder(T, [1.0])
     assert not rep.violated
 
 
 def test_ls_validates():
     with pytest.raises(ArgumentError):
-        check_leray_schauder(_const(), [1.0], [0.5])    # lam <= 1
-    with pytest.raises(ArgumentError):
-        check_leray_schauder(_const(), [0.2], [2.0])    # not boundary
+        check_leray_schauder(_const(), [0.2])    # not boundary
     with pytest.raises(ArgumentError):
         T = MappingInstance(apply=lambda x: x,
                             declared_modulus=constant_modulus(0.5),
                             domain=box([0.0 - 1e-12], [1.0]),
                             space=euclidean(1))
-        check_leray_schauder(T, [0.0], [2.0])           # x = 0
+        check_leray_schauder(T, [0.0])           # x = 0
+
+
+_ANGLES = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, 200)
+_R90 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _audit_lams(image, R, inner_tol):
+    """For each angle, the lam of the LsViolationError that _audit_boundary
+    raises at R u (1 - 1e-15) on the disc of radius R for the map
+    T x = image(x, u), or None where it raises nothing."""
+    lams = []
+    for a in _ANGLES:
+        u = np.array([math.cos(a), math.sin(a)])
+        T = MappingInstance(apply=lambda x, u=u: image(x, u),
+                            declared_modulus=nonexpansive_modulus(),
+                            domain=ball([0.0, 0.0], R), space=euclidean(2))
+        try:
+            _audit_boundary(T, R * u * (1.0 - 1e-15), 0.5, inner_tol)
+        except LsViolationError as exc:
+            lams.append(exc.lam)
+        else:
+            lams.append(None)
+    return lams
+
+
+@pytest.mark.parametrize("inner_tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("R", [1e-3, 1.0, 4.0, 1e3, 1e6])
+def test_audit_catches_a_pinned_constant_map_at_every_scale(R, inner_tol):
+    # T x = lam R u is lam times the boundary point R u: the audit must
+    # report it however large the disc and however tight inner_tol
+    for lam in (2.0, 1.01):
+        lams = _audit_lams(lambda x, u: lam * R * u + 0.0 * x, R, inner_tol)
+        assert lams.count(None) == 0
+        assert lams == pytest.approx([lam] * 200, rel=1e-9)
+
+
+@pytest.mark.parametrize("inner_tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("R", [1e-3, 1.0, 4.0, 1e3, 1e6])
+def test_audit_passes_maps_that_keep_the_boundary_condition(R, inner_tol):
+    # an image pulled inward (mu = 1/2) and one turned by 90 degrees
+    # (mu = 1) satisfy the boundary condition everywhere
+    assert _audit_lams(lambda x, u: 0.5 * x, R, inner_tol) == [None] * 200
+    assert _audit_lams(lambda x, u: x.dot(_R90), R,
+                       inner_tol) == [None] * 200
 
 
 # ---------------------------------------------------------------------------

@@ -455,10 +455,9 @@ def test_verify_contractive_frozen_pair():
     # phi(1) * 1 = 1/2
     rep = verify_contractive(_decay_map(), [([1.0], [2.0])])
     assert rep.n_pairs == 1
-    c = rep.checks[0]
-    assert c.lhs == pytest.approx(1.0 / 6.0, abs=1e-15)
-    assert c.rhs == pytest.approx(0.5, abs=0)
-    assert c.passed and rep.passed
+    assert rep.lhs[0] == pytest.approx(1.0 / 6.0, abs=1e-15)
+    assert rep.rhs[0] == pytest.approx(0.5, abs=0)
+    assert rep.verdicts[0] and rep.passed
 
 
 def test_verify_contractive_random_pairs_pass():
@@ -505,25 +504,25 @@ def test_verify_contractive_takes_tuples_or_an_array_alike():
     assert np.array_equal(b.x, xy[:, 0]) and np.array_equal(b.y, xy[:, 1])
 
 
-def test_verify_contractive_report_arrays_and_checks_agree():
+def test_verify_contractive_report_arrays_hold_the_pairs():
     rng = np.random.default_rng(61)
-    rep = verify_contractive(_decay_map(), rng.uniform(0, 5, (20, 2, 1)))
+    xy = rng.uniform(0, 5, (20, 2, 1))
+    rep = verify_contractive(_decay_map(), xy)
     assert rep.x.shape == rep.y.shape == (20, 1)
     assert rep.lhs.shape == rep.rhs.shape == rep.verdicts.shape == (20,)
     for arr in (rep.x, rep.y, rep.lhs, rep.rhs, rep.verdicts):
         assert not arr.flags.writeable
-    checks = rep.checks
-    assert len(checks) == rep.n_pairs
-    for j, c in enumerate(checks):
-        assert c.x.tolist() == rep.x[j].tolist()
-        assert c.y.tolist() == rep.y[j].tolist()
-        assert (c.lhs, c.rhs, c.passed) == (rep.lhs[j], rep.rhs[j],
-                                            rep.verdicts[j])
+    assert rep.n_pairs == 20
+    assert rep.x.tolist() == xy[:, 0].tolist()
+    assert rep.y.tolist() == xy[:, 1].tolist()
+    assert rep.verdicts.tolist() == (rep.lhs <= rep.rhs + rep.slack).tolist()
 
 
 def test_verify_contractive_no_pairs():
     rep = verify_contractive(_decay_map(), [])
-    assert rep.n_pairs == 0 and rep.checks == () and rep.passed
+    assert rep.n_pairs == 0 and rep.passed
+    assert rep.x.shape == rep.y.shape == (0, 1)
+    assert rep.lhs.size == rep.rhs.size == 0
 
 
 def test_verify_contractive_no_pairs_never_calls_the_map():

@@ -1,10 +1,13 @@
-"""Property tests (hypothesis) of the domains and the Picard kernels.
+"""Property tests (hypothesis) of the domains, the Picard kernels and the
+boundary-condition test.
 
 * every domain's project lands inside the domain and is nonexpansive, for
   points and for rows;
 * a perturbed orbit with delta = 0 is the exact orbit, bit for bit;
 * the batch kernel's worst distance of each of m rows stepped together
-  is, bit for bit, that of the row's single orbit.
+  is, bit for bit, that of the row's single orbit;
+* check_leray_schauder's one alignment test reports every lam > 1 that
+  T x meets within tol / 2, and no lam <= 1.
 """
 
 import math
@@ -14,8 +17,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fixpoint.continuation import check_leray_schauder
 from fixpoint.core import (MappingInstance, ball, box, constant_modulus,
-                           euclidean, halfline, halfspace)
+                           euclidean, halfline, halfspace, max_norm,
+                           nonexpansive_modulus)
 from fixpoint.errors import ArgumentError
 from fixpoint.gallery import list_maps, make_map
 from fixpoint.picard import (_ball_noise, _perturbed_steps, orbit_exact,
@@ -179,3 +184,43 @@ def test_stepping_rows_together_equals_one_row_runs(map_and_starts, n,
         one = (math.inf if orbit.exited_domain_at is not None else
                T.space.rowwise_distance(orbit.points[k:], anchor).max())
         assert worst[j:j + 1].tobytes() == np.array([one]).tobytes()
+
+
+@st.composite
+def _face_points(draw):
+    """(space, x, tol): x on a face of the box [-1, 1]^d, d = 1..3, under
+    the Euclidean or the max norm."""
+    d = draw(st.integers(1, 3))
+    space = draw(st.sampled_from([euclidean, max_norm]))(d)
+    x = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d,
+                               max_size=d)))
+    x[draw(st.integers(0, d - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+    return space, x, draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+
+
+@example((euclidean(1), np.array([1.0]), 1e-9), 3.0, [0, 0, 0], 0.0, 1.0)
+@given(_face_points(), st.floats(1.001, 10.0),
+       st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+       st.floats(0.0, 1.0), st.floats(-10.0, 1.0))
+def test_alignment_test_reports_every_lam_within_half_tol(case, lam, direction,
+                                                          scale, lam_ok):
+    # ||T x - mu x|| <= 2 ||T x - lam x|| in any norm, so T x = lam x + e
+    # with ||e|| <= 0.45 tol leaves the ratio mu within tol of aligned
+    space, x, tol = case
+    d = x.shape[0]
+    v = np.array(direction[:d], dtype=float)
+    nv = space.norm(v)
+    e = v * (0.45 * tol * scale / nv) if nv > 0.0 else np.zeros(d)
+
+    def check(apply):
+        return check_leray_schauder(
+            MappingInstance(apply=apply,
+                            declared_modulus=nonexpansive_modulus(),
+                            domain=box([-1.0] * d, [1.0] * d), space=space),
+            x, tol)
+
+    rep = check(lambda p: lam * p + e)
+    assert rep.violated
+    assert abs(rep.lam - lam) <= tol / space.norm(x)
+    rep = check(lambda p: lam_ok * p)
+    assert not rep.violated and rep.lam is None
