@@ -277,7 +277,9 @@ def run_config(config_path: Path, outdir: Path | None,
     values = parse_config(config_path)
     kind = values["experiment"]
     seed = seed_override if seed_override is not None else \
-        _as_int(values, "seed", 0)
+        _as_int(values, "seed", 0, at_least=0)
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     entry = _build_entry(values)
     if outdir is None:
         outdir = Path(values["out"]) if "out" in values else Path("out")

@@ -612,10 +612,12 @@ class MappingInstance:
     images of its rows, each what apply gives for that row alone: the
     stability experiment steps all its trials as one such array,
     verify_contractive maps all its pair points as one, and both refuse
-    an apply that does not map row by row.  Elementwise maps give
-    the same bits either way; an affine map is written ``x @ A.T + b``
-    rather than ``A @ x + b``, and its batched rows may differ from the
-    single-row images in the last bits.
+    an apply that does not map row by row.  Elementwise maps give the
+    same bits either way.  One written in + - * / alone may map a
+    one-coordinate point on its Python float, which rounds as the float64
+    ufuncs do (see gallery._elementwise).  An affine map is written
+    ``x @ A.T + b`` rather than ``A @ x + b``, and its batched rows may
+    differ from the single-row images in the last bits.
 
     The declared modulus is a claim, not a certificate; audit it with
     :func:`verify_contractive` on the pairs you care about.

@@ -22,6 +22,15 @@ suite audits rather than trusts:
   cos(theta) > 0, else 1.
 * damped-rational: T x = x / (2 + x^2) on [-2, 2].  |T'| <= 1/2, modulus
   1/2, fixed point 0 in the interior, path identically 0.
+
+affine-halfline, rakotch-decay and damped-rational are elementwise: each
+has one body, written in + - * / alone (no **, no math.*), that maps a
+one-coordinate point on its Python float and an (m, 1) array of rows on
+the array, with the same bits either way (see _elementwise).  On a point
+a division by zero raises ZeroDivisionError where numpy would warn; that
+needs a point outside the domain (rakotch-decay at x = -1/a).
+constant returns its frozen point, and planar-rotation's x R^T + b goes
+through ndarray.dot, whose BLAS sums a float formula does not reproduce.
 """
 
 from __future__ import annotations
@@ -73,6 +82,22 @@ def _interval_sampler(lo: float, width: float) -> Callable[..., Point]:
         lambda rng, m: (lo + width * rng.random(m))[:, None])
 
 
+def _elementwise(body: Callable) -> Callable[[Point], Point]:
+    """The apply of a one-coordinate map whose body uses only + - * /.
+
+    A point, of shape (1,), is mapped on its Python float and returned as
+    a fresh (1,) array; rows, of shape (m, 1), go through body on the
+    array.  Python floats and numpy's float64 ufuncs round + - * / the
+    same way, so both give the bits of body on the array, at a fraction of
+    the dispatch cost of its ufunc calls on one element.  Only a division
+    by zero differs: a ZeroDivisionError on a point where numpy warns."""
+    def apply(x: Point) -> Point:
+        if x.shape == (1,):
+            return np.array([body(x.item())])
+        return body(x)
+    return apply
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     default: float
@@ -83,11 +108,7 @@ class ParamSpec:
 
 def _build_affine_halfline() -> GalleryEntry:
     space = euclidean(1)
-
-    def apply(x: Point) -> Point:
-        return (x - 1.0) / 2.0
-
-    mapping = MappingInstance(apply=apply,
+    mapping = MappingInstance(apply=_elementwise(lambda x: (x - 1.0) / 2.0),
                               declared_modulus=constant_modulus(0.5),
                               domain=halfline(-1.0), space=space)
     return GalleryEntry(
@@ -100,11 +121,7 @@ def _build_affine_halfline() -> GalleryEntry:
 
 def _build_rakotch_decay(a: float) -> GalleryEntry:
     space = euclidean(1)
-
-    def apply(x: Point) -> Point:
-        return x / (1.0 + a * x)
-
-    mapping = MappingInstance(apply=apply,
+    mapping = MappingInstance(apply=_elementwise(lambda x: x / (1.0 + a * x)),
                               declared_modulus=rational_decay_modulus(a),
                               domain=halfline(0.0), space=space)
     return GalleryEntry(
@@ -197,13 +214,10 @@ def _build_planar_rotation(theta: float, bx: float, by: float,
 
 def _build_damped_rational() -> GalleryEntry:
     space = euclidean(1)
-
-    def apply(x: Point) -> Point:
-        return x / (2.0 + x * x)
-
     return GalleryEntry(
         name="damped-rational", mapping=MappingInstance(
-            apply=apply, declared_modulus=constant_modulus(0.5),
+            apply=_elementwise(lambda x: x / (2.0 + x * x)),
+            declared_modulus=constant_modulus(0.5),
             domain=box([-2.0], [2.0]), space=space),
         params={},
         known_fixed_point=_frozen([0.0]),

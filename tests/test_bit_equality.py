@@ -10,11 +10,15 @@
   (on a view with a negative stride, against its contiguous copy);
 * a modulus called on an array against its scalar calls, and the audit's
   rhs against the per-pair products;
+* the elementwise gallery maps' point form on Python floats against
+  frozen copies of the ufunc bodies it replaced, on points, on rows and
+  along 1,000-step orbits;
 * the chunked CSV writers against frozen copies of the row loops they
   replaced.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -306,6 +310,84 @@ def test_audit_rhs_equals_the_per_pair_products(name):
     phi = T.declared_modulus
     want = np.array([phi(s) * s for s in sep.tolist()])
     assert report.rhs.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# elementwise gallery maps on Python floats
+
+def _ufunc_body(name: str, a: float | None):
+    """Frozen copy of the elementwise map's apply as its ufunc body."""
+    return {"affine-halfline": lambda x: (x - 1.0) / 2.0,
+            "rakotch-decay": lambda x: x / (1.0 + a * x),
+            "damped-rational": lambda x: x / (2.0 + x * x)}[name]
+
+
+_MAX = 1.7976931348623157e308
+# each map's domain as [lo, hi], and the doubles every example maps: the
+# boundary, both zeros, subnormals, the smallest normal and the far end
+_ELEMENTWISE = {
+    "affine-halfline": (-1.0, _MAX, [-1.0, -0.0, 0.0, 5e-324, -5e-324,
+                                     2.2250738585072014e-308, 1e308, _MAX,
+                                     math.inf]),
+    "rakotch-decay": (0.0, _MAX, [0.0, -0.0, 5e-324, 1e-320,
+                                  2.2250738585072014e-308, 1e308, _MAX,
+                                  math.inf]),
+    "damped-rational": (-2.0, 2.0, [-2.0, 2.0, -0.0, 0.0, 5e-324, -5e-324,
+                                    1e-320, -2.2250738585072014e-308]),
+}
+
+
+def _domain_doubles(lo: float, hi: float):
+    # the whole domain, and its stretch around 0 where subnormals are
+    # drawn often
+    return st.one_of(st.floats(lo, hi),
+                     st.floats(max(lo, -1e-300), min(hi, 1e-300)))
+
+
+@pytest.mark.parametrize("name", sorted(_ELEMENTWISE))
+@given(data=st.data())
+def test_elementwise_point_form_equals_the_ufunc_body(name, data):
+    lo, hi, special = _ELEMENTWISE[name]
+    a = (data.draw(st.floats(1e-6, 100.0), label="a")
+         if name == "rakotch-decay" else None)
+    xs = special + data.draw(st.lists(_domain_doubles(lo, hi), max_size=20),
+                             label="xs")
+    apply = make_map(name, **({} if a is None else {"a": a})).mapping.apply
+    want = _ufunc_body(name, a)
+    rows = np.array(xs)[:, None]
+    with np.errstate(all="ignore"):
+        got_rows = apply(rows)
+        assert got_rows.tobytes() == want(rows).tobytes()
+        for j, v in enumerate(xs):
+            # a fresh point and the (1,) view of row j both take the
+            # point form
+            for x in (np.array([v]), rows[j]):
+                y = apply(x)
+                assert type(y) is np.ndarray and y.dtype == np.float64
+                assert y.shape == (1,) and not np.shares_memory(y, x)
+                assert y.tobytes() == want(x).tobytes()
+                assert y.tobytes() == got_rows[j].tobytes()
+
+
+@pytest.mark.parametrize("name,params,x0", [
+    ("affine-halfline", {}, -1.0),
+    ("affine-halfline", {}, 9.0),
+    ("affine-halfline", {}, 1e308),
+    ("rakotch-decay", {}, 10.0),
+    ("rakotch-decay", {"a": 0.37}, 1e308),
+    ("rakotch-decay", {"a": 1e-6}, 3.0),
+    ("damped-rational", {}, 2.0),
+    ("damped-rational", {}, -1e-10),    # reaches the subnormals
+])
+def test_elementwise_orbits_equal_the_ufunc_body_orbits(name, params, x0):
+    entry = make_map(name, **params)
+    T = entry.mapping
+    frozen = replace(T, apply=_ufunc_body(name, entry.params.get("a")))
+    got, want = orbit_exact(T, [x0], 1000), orbit_exact(frozen, [x0], 1000)
+    assert got.points.shape == (1001, 1)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.residuals.tobytes() == want.residuals.tobytes()
+    assert got.exited_domain_at == want.exited_domain_at is None
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,33 @@ def test_nonfinite_number_is_a_config_error(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+_STABILITY = ("experiment = stability\nmap = rakotch-decay\nM = 1.0\n"
+              "epsilon = 0.5\ntrials = 2\nn = 200\n")
+_CERTIFY = "experiment = certify\nmap = rakotch-decay\npairs = 4\n"
+_SOLVE = "experiment = solve\nmap = affine-halfline\nx0 = 4.0\n"
+
+
+@pytest.mark.parametrize("text,flags,match", [
+    (_STABILITY + "seed = -5\n", [], "key 'seed' must be >= 0, got -5"),
+    (_CERTIFY + "seed = -1\n", [], "key 'seed' must be >= 0, got -1"),
+    (_CERTIFY, ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    (_STABILITY + "seed = 3\n", ["--seed", "-5"],
+     "--seed must be >= 0, got -5"),
+    # solve draws nothing from the seed, and refuses a negative one all
+    # the same
+    (_SOLVE, ["--seed", "-1"], "--seed must be >= 0, got -1"),
+], ids=["stability-key", "certify-key", "certify-flag", "flag-over-key",
+        "solve-flag"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, text, flags,
+                                         match):
+    cfg = _write(tmp_path, "neg.cfg", text)
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fixpoint: ") and match in err
+    assert not out.exists()
+
+
 def test_list_maps_names_everything(capsys):
     assert main(["list-maps"]) == 0
     out = capsys.readouterr().out
