@@ -276,10 +276,13 @@ def run_config(config_path: Path, outdir: Path | None,
                seed_override: int | None) -> int:
     values = parse_config(config_path)
     kind = values["experiment"]
-    seed = seed_override if seed_override is not None else \
-        _as_int(values, "seed", 0, at_least=0)
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    # the key is checked even when --seed overrides it, so a config that
+    # fails on its own fails under the flag too
+    seed = _as_int(values, "seed", 0, at_least=0)
+    if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed_override}")
+        seed = seed_override
     entry = _build_entry(values)
     if outdir is None:
         outdir = Path(values["out"]) if "out" in values else Path("out")

@@ -142,10 +142,13 @@ def _normed_space(dimension: int, norm: Callable[[Point], float],
 def euclidean(dimension: int) -> Space:
     """Euclidean space of the given dimension.
 
-    In one dimension distance and norm work on the Python floats: s * s
-    then sqrt is the same IEEE product and root as v @ v then sqrt on a
-    1-element array, so they equal the array form bit for bit at a
-    fraction of its cost (the space counterpart of box's 1-D fast path).
+    In one dimension distance and norm work on the Python floats that
+    .item() reads: s * s then sqrt is the same IEEE product and root as
+    v @ v then sqrt on a 1-element array, so they equal the array form bit
+    for bit at a fraction of its cost (the space counterpart of box's 1-D
+    fast path).  The row form is the same square and root on the rows'
+    one column, half the cost of _row_norms' stacked matmul, whose 1 x 1
+    product is that square.
     In higher dimensions distance is _euclidean_norm written out on
     x - y, which saves the call through norm on the hottest leaf.
     """
@@ -158,14 +161,18 @@ def euclidean(dimension: int) -> Space:
                              distance)
 
     def norm(v: Point) -> float:
-        s = float(v[0])
+        s = v.item()
         return math.sqrt(s * s)
 
     def distance(x: Point, y: Point) -> float:
-        s = float(x[0]) - float(y[0])
+        s = x.item() - y.item()
         return math.sqrt(s * s)
 
-    return _normed_space(1, norm, _row_norms, distance)
+    def row_norms(rows: np.ndarray) -> np.ndarray:
+        v = rows[:, 0]
+        return np.sqrt(v * v)
+
+    return _normed_space(1, norm, row_norms, distance)
 
 
 def max_norm(dimension: int) -> Space:
@@ -352,6 +359,18 @@ def box(lo, hi) -> DomainSet:
 
     Entries of lo may be -inf and entries of hi +inf; a fully infinite box
     is the whole space (empty boundary, infinite boundary distance).
+
+    In one dimension the point predicates compare the Python float that
+    .item() reads, and contains_rows compares the rows' one column, both
+    against the bounds as Python floats (below an infinite hi only against
+    lo, which NaN fails already).  project is
+    np.minimum(hi, np.maximum(lo, p)): the bits of np.clip(p, lo, hi), NaN
+    included, without its Python wrapper, except that a coordinate that
+    is a zero at a zero bound of the other sign keeps its own sign, so a
+    point of the box comes back unchanged; np.clip gives it the bound's
+    sign in some of its loops (a single point among them) and not in
+    others.  The order of the arguments matters: np.maximum(p, lo) turns
+    a -0.0 at a 0 bound into 0.0.
     """
     lo_a = _frozen(np.atleast_1d(np.asarray(lo, dtype=float)))
     hi_a = _frozen(np.atleast_1d(np.asarray(hi, dtype=float)))
@@ -366,16 +385,22 @@ def box(lo, hi) -> DomainSet:
         lo_f, hi_f = float(lo_a[0]), float(hi_a[0])
 
         def contains(p: Point) -> bool:
-            return lo_f <= p[0] <= hi_f
+            return lo_f <= p.item() <= hi_f
 
         def interior(p: Point) -> bool:
-            return lo_f < p[0] < hi_f
+            return lo_f < p.item() < hi_f
 
         def bdist(p: Point) -> float:
-            v = p[0]
+            v = p.item()
             if v < lo_f or v > hi_f:
                 return 0.0
-            return float(min(v - lo_f, hi_f - v))
+            return min(v - lo_f, hi_f - v)
+
+        def contains_rows(rows: np.ndarray) -> np.ndarray:
+            v = rows[:, 0]
+            if hi_f == math.inf:    # NaN fails v >= lo_f already
+                return v >= lo_f
+            return (v >= lo_f) & (v <= hi_f)
     else:
         def contains(p: Point) -> bool:
             return bool(np.all(p >= lo_a) and np.all(p <= hi_a))
@@ -388,11 +413,11 @@ def box(lo, hi) -> DomainSet:
                 return 0.0
             return float(min(np.min(p - lo_a), np.min(hi_a - p)))
 
-    def contains_rows(rows: np.ndarray) -> np.ndarray:
-        return ((rows >= lo_a) & (rows <= hi_a)).all(axis=1)
+        def contains_rows(rows: np.ndarray) -> np.ndarray:
+            return ((rows >= lo_a) & (rows <= hi_a)).all(axis=1)
 
     def project(p: np.ndarray) -> np.ndarray:
-        return np.clip(p, lo_a, hi_a)
+        return np.minimum(hi_a, np.maximum(lo_a, p))
 
     def nearest_boundary(p: Point) -> Point:
         gaps_lo = p - lo_a

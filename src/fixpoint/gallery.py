@@ -86,14 +86,17 @@ def _elementwise(body: Callable) -> Callable[[Point], Point]:
     """The apply of a one-coordinate map whose body uses only + - * /.
 
     A point, of shape (1,), is mapped on its Python float and returned as
-    a fresh (1,) array; rows, of shape (m, 1), go through body on the
-    array.  Python floats and numpy's float64 ufuncs round + - * / the
+    a fresh (1,) array, made empty and filled with one item store (half
+    the cost of np.array([v])); rows, of shape (m, 1), go through body on
+    the array.  Python floats and numpy's float64 ufuncs round + - * / the
     same way, so both give the bits of body on the array, at a fraction of
     the dispatch cost of its ufunc calls on one element.  Only a division
     by zero differs: a ZeroDivisionError on a point where numpy warns."""
     def apply(x: Point) -> Point:
         if x.shape == (1,):
-            return np.array([body(x.item())])
+            out = np.empty(1)
+            out[0] = body(x.item())
+            return out
         return body(x)
     return apply
 

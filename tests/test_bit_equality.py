@@ -14,7 +14,13 @@
   frozen copies of the ufunc bodies it replaced, on points, on rows and
   along 1,000-step orbits;
 * the chunked CSV writers against frozen copies of the row loops they
-  replaced.
+  replaced;
+* the stability batch kernel against a frozen copy of the kernel that
+  gathered its noise by index on every step, run on frozen copies of the
+  row leaves it called (a box's reduction membership and np.clip, the
+  stacked-matmul 1-D distance);
+* box's 1-D membership and its projection against the reduction and
+  np.clip forms, and the 1-D .item() point forms against the p[0] forms.
 """
 
 import math
@@ -22,21 +28,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fixpoint.continuation import (ContinuationPath, LimitCertificate,
                                    PathConfig, PathEntry, limit_path,
                                    path_csv, trace_path)
-from fixpoint.core import (ball, constant_modulus, euclidean, halfspace,
-                           _euclidean_norm, _row_dot, _row_norms,
-                           _row_norms_safe,
+from fixpoint.core import (MappingInstance, ball, box, constant_modulus,
+                           euclidean, halfline, halfspace, _apply_rows,
+                           _euclidean_norm, _refuse_non_finite, _row_dot,
+                           _row_norms, _row_norms_safe,
                            nonexpansive_modulus, rational_decay_modulus,
                            table_modulus, verify_contractive)
-from fixpoint.errors import ArgumentError
+from fixpoint.errors import ArgumentError, NonFiniteError
 from fixpoint.gallery import list_maps, make_map
-from fixpoint.picard import (Orbit, _CSV_CHUNK, orbit_csv, orbit_exact,
-                             orbit_inexact)
+from fixpoint.picard import (Orbit, _CSV_CHUNK, _perturbed_steps, orbit_csv,
+                             orbit_exact, orbit_inexact)
 
 _DOUBLES = st.floats(allow_nan=True, allow_infinity=True,
                      allow_subnormal=True)
@@ -517,3 +524,263 @@ def test_path_csv_equals_the_row_loop_on_computed_paths():
     for path in (trace_path(rotation, PathConfig(q=0.99, target_t=0.95)),
                  limit_path(affine, PathConfig(), 1e-9)):
         assert path_csv(path) == _reference_path_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# the stability batch kernel
+
+def _reference_perturbed_steps(T, starts, n, noise, anchor, k):
+    """Frozen copy of _perturbed_steps as it gathered noise[i, live] and
+    tested membership with ~ and .any() on every step."""
+    m = len(starts)
+    contains = T.domain.contains_rows
+    project = T.domain.project
+    live = np.arange(m)
+    exited = np.zeros(m, dtype=bool)
+    worst = np.full(m, -math.inf)
+    x = starts
+    for i in range(n):
+        y = T.apply(x) if i else _apply_rows(T, x)
+        cand = y if noise is None else y + noise[i, live]
+        out = ~contains(cand)
+        if out.any():
+            back = np.zeros(len(live), dtype=bool)
+            back[out] = contains(y[out])
+            if back.any():
+                cand[back] = project(cand[back])
+            out &= ~back
+            if out.any():
+                _refuse_non_finite(y[out], x[out])
+                exited[live[out]] = True
+                live = live[~out]
+                cand = cand[~out]
+        if i + 1 >= k:
+            worst[live] = np.maximum(worst[live],
+                                     T.space.rowwise_distance(cand, anchor))
+        if not live.size:
+            break
+        x = cand
+    bad = ~exited & ~(worst < math.inf)
+    if bad.any():
+        raise NonFiniteError("a row reached a NaN or infinite point")
+    worst[exited] = math.inf
+    return worst
+
+
+def _reference_leaves(T):
+    """T with the row leaves the kernel calls frozen as they were: a box's
+    contains_rows as one reduction over every column and its project as
+    np.clip, euclidean(1)'s rowwise distance as the stacked matmul."""
+    dom, space = T.domain, T.space
+    if dom.kind == "box":
+        d = len(dom.params) // 2
+        lo, hi = np.array(dom.params[:d]), np.array(dom.params[d:])
+        dom = replace(
+            dom, project=lambda p: np.clip(p, lo, hi),
+            contains_rows=lambda r: ((r >= lo) & (r <= hi)).all(axis=1))
+    if space.dimension == 1:
+        space = replace(space,
+                        rowwise_distance=lambda a, b: _row_norms(a - b))
+    return replace(T, domain=dom, space=space)
+
+
+def _scaled(d: int, lo: float, hi: float, body) -> MappingInstance:
+    """A test-local elementwise map on the box [lo, hi]^d."""
+    return MappingInstance(apply=body, declared_modulus=constant_modulus(0.5),
+                           domain=box([lo] * d, [hi] * d), space=euclidean(d))
+
+
+def _grow_positive(x):
+    return np.where(x > 0.0, 1.5 * x, 0.5 * x)
+
+
+# name -> (mapping, interval the starts are drawn from); every case is
+# anchored at the origin
+_KERNEL_CASES = {
+    # the anchor 0 sits on the boundary, so perturbed rows are projected
+    "rakotch-decay": (make_map("rakotch-decay").mapping, (0.0, 2.0)),
+    # c = 2 lies outside [-1, 1]: every row exits at step 1
+    "constant-outside": (make_map("constant", c=2.0).mapping, (-1.0, 1.0)),
+    "damped-rational": (make_map("damped-rational").mapping, (-2.0, 2.0)),
+    # a positive coordinate grows by 1.5 until its row exits, at a step
+    # that depends on the row; rows with none settle at 0
+    "scale-1d": (_scaled(1, -1.0, 1.0, _grow_positive), (-1.0, 1.0)),
+    "scale-2d": (_scaled(2, -1.0, 1.0, _grow_positive), (-1.0, 1.0)),
+    # NaN inside the domain: it fails membership, then the finiteness test
+    "nan-image": (_scaled(1, -1.0, 1.0,
+                          lambda x: np.where(x > 0.3, math.nan, 0.5 * x)),
+                  (-1.0, 1.0)),
+    # +inf inside an unbounded domain: refused after the last step
+    "inf-image": (_scaled(1, -math.inf, math.inf,
+                          lambda x: np.where(x > 0.3, math.inf, 0.5 * x)),
+                  (-1.0, 1.0)),
+}
+
+
+def _outcome(kernel, *args):
+    """What the kernel returns as bytes, or the class it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return kernel(*args).tobytes()
+        except Exception as exc:        # compared by class only
+            return type(exc)
+
+
+@given(st.sampled_from(sorted(_KERNEL_CASES)), st.integers(1, 40),
+       st.integers(1, 60), st.sampled_from([None, 1e-3, 0.05, 0.4]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_perturbed_steps_equals_the_frozen_kernel(name, m, n, delta, seed,
+                                                  data):
+    T, (lo, hi) = _KERNEL_CASES[name]
+    d = T.space.dimension
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(lo, hi, (m, d))
+    noise = (None if delta is None
+             else rng.uniform(-delta / 2.0, delta / 2.0, (n, m, d)))
+    k = data.draw(st.integers(1, n), label="k")
+    anchor = np.zeros(d)
+    got = _outcome(_perturbed_steps, T, starts, n, noise, anchor, k)
+    want = _outcome(_reference_perturbed_steps, _reference_leaves(T),
+                    starts, n, noise, anchor, k)
+    assert got == want
+
+
+def test_frozen_kernel_cases_reach_every_branch():
+    # the cases above project rows, exit some and all rows, and raise
+    rng = np.random.default_rng(0)
+    starts = rng.uniform(-1.0, 1.0, (40, 1))
+    noise = rng.uniform(-0.2, 0.2, (30, 40, 1))
+    anchor = np.zeros(1)
+    T = _KERNEL_CASES["scale-1d"][0]
+    worst = _perturbed_steps(T, starts, 30, None, anchor, 5)
+    assert 0 < np.isinf(worst).sum() < 40
+    T = _KERNEL_CASES["constant-outside"][0]
+    assert np.isinf(_perturbed_steps(T, starts, 30, None, anchor, 1)).all()
+    for name in ("nan-image", "inf-image"):
+        with pytest.raises(NonFiniteError), np.errstate(all="ignore"):
+            _perturbed_steps(_KERNEL_CASES[name][0], starts, 30, noise,
+                             anchor, 1)
+    T = _KERNEL_CASES["rakotch-decay"][0]
+    calls = []
+
+    def project(p):
+        calls.append(len(p))
+        return T.domain.project(p)
+
+    counted = replace(T, domain=replace(T.domain, project=project))
+    _perturbed_steps(counted, np.abs(starts), 30, noise, anchor, 1)
+    assert calls
+
+
+def test_perturbed_steps_projects_and_exits_in_one_step():
+    # at step 1 the first row's image 0.99 is pushed out and projected
+    # back while the second row's image 1.35 exits; the third stays
+    T = _KERNEL_CASES["scale-1d"][0]
+    starts = np.array([[0.66], [0.9], [-0.5]])
+    noise = np.full((6, 3, 1), 0.05)
+    noise[1:, 0] = -0.5
+    anchor = np.zeros(1)
+    got = _perturbed_steps(T, starts, 6, noise, anchor, 1)
+    want = _reference_perturbed_steps(_reference_leaves(T), starts, 6,
+                                      noise, anchor, 1)
+    assert got[1] == math.inf and np.isfinite(got[[0, 2]]).all()
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# box predicates
+
+_BOUND = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0,
+                     math.inf, -math.inf]),
+    st.floats(allow_nan=False))
+
+
+@st.composite
+def _boxes(draw):
+    """(lo, hi): a 1-D box, a halfline or a 2-D or 3-D box, whose bounds
+    take both zeros, subnormals, infinities and the far doubles."""
+    d = draw(st.sampled_from([1, 1, 2, 3]))
+    if d == 1 and draw(st.booleans()):
+        a = draw(_BOUND.filter(lambda v: v < math.inf))
+        return [a], [math.inf]
+    lo, hi = [], []
+    for _ in range(d):
+        a, b = draw(_BOUND), draw(_BOUND)
+        a, b = min(a, b), max(a, b)
+        assume(a < b)
+        lo.append(a)
+        hi.append(b)
+    return lo, hi
+
+
+def _old_point_forms(lo_f: float, hi_f: float):
+    """Frozen copies of the 1-D box's point predicates on p[0]."""
+    def bdist(p):
+        v = p[0]
+        if v < lo_f or v > hi_f:
+            return 0.0
+        return float(min(v - lo_f, hi_f - v))
+    return (lambda p: lo_f <= p[0] <= hi_f,
+            lambda p: lo_f < p[0] < hi_f, bdist)
+
+
+@given(_boxes(), st.sampled_from([1, 2, 7, 64, 100]), st.data())
+@example(([-0.0], [1.0]), 1, None)
+def test_box_predicates_equal_the_reduction_and_clip_forms(bounds, m, data):
+    lo, hi = bounds
+    lo_a, hi_a = np.array(lo), np.array(hi)
+    dom = box(lo, hi) if len(lo) > 1 or hi[0] < math.inf else halfline(lo[0])
+    d = len(lo)
+    if data is None:        # the tie np.clip breaks toward the bound
+        rows = np.array([[0.0]])
+    else:
+        entries = st.one_of(_DOUBLES, st.sampled_from(
+            [0.0, -0.0, 1e308, -1e308, *lo, *hi]))
+        rows = data.draw(hnp.arrays(np.float64, (m, d), elements=entries),
+                         label="rows")
+    got = dom.contains_rows(rows)
+    assert got.dtype == bool and got.shape == (len(rows),)
+    assert np.array_equal(got, ((rows >= lo_a) & (rows <= hi_a)).all(axis=1))
+    assert got.tolist() == [dom.contains(r) for r in rows]
+    # np.clip's bits, but a zero at a zero bound keeps its own sign (np.clip
+    # gives it the bound's sign in some of its loops), so a row of the box
+    # comes back unchanged
+    tie = (rows == 0.0) & ((lo_a == 0.0) | (hi_a == 0.0))
+    with np.errstate(invalid="ignore"):
+        want = np.where(tie, rows, np.clip(rows, lo_a, hi_a))
+    proj = dom.project(rows)
+    assert proj.shape == rows.shape and proj.tobytes() == want.tobytes()
+    assert proj[got].tobytes() == rows[got].tobytes()
+    for r, w in zip(rows, want):
+        assert dom.project(r).tobytes() == w.tobytes()
+    if d == 1:
+        contains, interior, bdist = _old_point_forms(lo[0], hi[0])
+        with np.errstate(invalid="ignore"):
+            for r in rows:
+                assert dom.contains(r) == contains(r)
+                assert dom.interior_contains(r) == interior(r)
+                got_bd = dom.boundary_distance(r)
+                assert type(got_bd) is float
+                assert _same_float(got_bd, bdist(r))
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 130),
+                                        st.just(1)), elements=_DOUBLES),
+       st.data())
+def test_euclidean_1d_row_form_equals_the_matmul_and_point_forms(rows, data):
+    space = euclidean(1)
+    other = data.draw(st.one_of(
+        hnp.arrays(np.float64, rows.shape, elements=_DOUBLES),
+        hnp.arrays(np.float64, (1,), elements=_DOUBLES)), label="other")
+    with np.errstate(all="ignore"):
+        got = space.rowwise_distance(rows, other)
+        assert got.tobytes() == _row_norms(rows - other).tobytes()
+    pairs = zip(rows, other if other.ndim == 2 else [other] * len(rows))
+    for g, (x, y) in zip(got.tolist(), pairs):
+        assert _same_float(g, space.distance(x, y))
+        # the frozen float(p[0]) forms of distance and norm
+        s = float(x[0]) - float(y[0])
+        assert _same_float(space.distance(x, y), math.sqrt(s * s))
+        s = float(x[0])
+        assert _same_float(space.norm(x), math.sqrt(s * s))

@@ -345,6 +345,22 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, text, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--seed", "3"]],
+                         ids=["no-flag", "flag"])
+@pytest.mark.parametrize("value,match", [
+    ("abc", "key 'seed': not an integer: 'abc'"),
+    ("-5", "key 'seed' must be >= 0, got -5"),
+])
+def test_bad_seed_key_is_refused_with_or_without_the_flag(
+        tmp_path, capsys, value, match, flags):
+    cfg = _write(tmp_path, "bad.cfg", _SOLVE + f"seed = {value}\n")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fixpoint: ") and match in err
+    assert not out.exists()
+
+
 def test_list_maps_names_everything(capsys):
     assert main(["list-maps"]) == 0
     out = capsys.readouterr().out
