@@ -326,11 +326,19 @@ def check_modulus_admissible(m: Modulus,
 class DomainSet:
     """A closed subset of the ambient space with membership predicates.
 
+    dimension is that of the points; a MappingInstance refuses a domain
+    whose dimension is not its space's.
+
     boundary_distance returns the distance from an inside point to the
     complement; it is 0 on the boundary and for points outside.  project
     is the metric projection onto the set (all shipped kinds are convex,
     so projection is nonexpansive); given an (m, dimension) array it
-    projects every row, each as the point alone.  nearest_boundary returns
+    projects every row, each as the point alone.  It returns a new array
+    and does not write into its argument, and a point or row that
+    contains accepts comes back unchanged, bit for bit (a signed zero
+    keeps its sign): the stability experiment projects a whole batch at
+    once when every row is inside or is to be projected, so a custom
+    domain must keep both.  nearest_boundary returns
     a closest boundary point, used to audit the boundary condition when a
     path crowds the edge of its domain; it raises ArgumentError where the
     set has no finite boundary.
@@ -346,6 +354,7 @@ class DomainSet:
 
     kind: str
     params: tuple[float, ...]
+    dimension: int
     contains: Callable[[Point], bool]
     interior_contains: Callable[[Point], bool]
     boundary_distance: Callable[[Point], float]
@@ -430,6 +439,7 @@ def box(lo, hi) -> DomainSet:
         return out
 
     return DomainSet(kind="box", params=tuple(lo_a) + tuple(hi_a),
+                     dimension=lo_a.size,
                      contains=contains, interior_contains=interior,
                      boundary_distance=bdist, contains_rows=contains_rows,
                      project=project, nearest_boundary=nearest_boundary)
@@ -507,6 +517,7 @@ def ball(center, radius: float) -> DomainSet:
         return c + (p - c) * s
 
     return DomainSet(kind="ball", params=tuple(c) + (radius,),
+                     dimension=c.size,
                      contains=contains, interior_contains=interior,
                      boundary_distance=bdist, contains_rows=contains_rows,
                      project=project, nearest_boundary=nearest_boundary)
@@ -617,7 +628,7 @@ def halfspace(normal, offset: float) -> DomainSet:
         s, off, unit = dot(p)
         return toward((p / unit)[None], np.array([s - off]))[0] * unit
 
-    return DomainSet(kind="halfspace", params=params,
+    return DomainSet(kind="halfspace", params=params, dimension=nv.size,
                      contains=contains, interior_contains=interior,
                      boundary_distance=bdist, contains_rows=contains_rows,
                      project=project, nearest_boundary=nearest_boundary)
@@ -652,6 +663,13 @@ class MappingInstance:
     declared_modulus: Modulus
     domain: DomainSet
     space: Space
+
+    def __post_init__(self):
+        if self.domain.dimension != self.space.dimension:
+            raise ArgumentError(
+                f"the {self.domain.kind} domain has dimension "
+                f"{self.domain.dimension} but the space has dimension "
+                f"{self.space.dimension}")
 
 
 # a batched apply is checked against single-row applies on this many of

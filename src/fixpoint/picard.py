@@ -227,7 +227,10 @@ def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
 
     Until the first exit a step adds noise[i] as a view, tests membership
     once and keeps the running max in place; the first exit compacts the
-    batch to the rows still in it, which later steps gather by index.
+    batch to the rows still in it, which later steps gather by index.  A
+    step on which no row exits projects the whole batch in one call, since
+    project returns a point of the domain unchanged (see DomainSet); a
+    row that exits is never projected.
     """
     m = len(starts)
     contains = T.domain.contains_rows
@@ -246,23 +249,23 @@ def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
         inside = contains(cand)
         # count_nonzero is a third of the cost of the reduction inside.all()
         if np.count_nonzero(inside) < inside.size:
-            out = ~inside
-            back = contains(y[out])
-            if back.all():
-                cand[out] = project(cand[out])
+            # a row stays when its perturbed point or its image is inside
+            stay = inside | contains(y)
+            if np.count_nonzero(stay) == stay.size:
+                # project returns the rows already inside unchanged
+                cand = project(cand)
             else:
                 # cand is y, which may be read-only, when noise is None
-                if back.any():
-                    fix = out.copy()
-                    fix[out] = back
+                fix = stay & ~inside
+                if fix.any():
                     cand[fix] = project(cand[fix])
-                out[out] = ~back
+                out = ~stay
                 _refuse_non_finite(y[out], x[out])
                 if live is None:
                     live = np.arange(m)
                 exited[live[out]] = True
-                live = live[~out]
-                cand = cand[~out]
+                live = live[stay]
+                cand = cand[stay]
         if i + 1 >= k:
             d = distances(cand, anchor)
             if live is None:

@@ -16,9 +16,11 @@
 * the chunked CSV writers against frozen copies of the row loops they
   replaced;
 * the stability batch kernel against a frozen copy of the kernel that
-  gathered its noise by index on every step, run on frozen copies of the
-  row leaves it called (a box's reduction membership and np.clip, the
-  stacked-matmul 1-D distance);
+  gathered its noise by index on every step and projected only the rows
+  outside, run on frozen copies of the row leaves it called (a box's
+  reduction membership and np.clip, the stacked-matmul 1-D distance), on
+  boxes, a ball, a halfspace and a zero bound that rows land on with
+  either sign;
 * box's 1-D membership and its projection against the reduction and
   np.clip forms, and the 1-D .item() point forms against the p[0] forms.
 """
@@ -594,11 +596,33 @@ def _grow_positive(x):
     return np.where(x > 0.0, 1.5 * x, 0.5 * x)
 
 
+def _zero_by_sign(x):
+    # -0.0 goes to 0.75 and 0.0 to -0.0: a projection that changed the
+    # sign of a zero would change the orbit
+    return np.where(x >= 0.25, 0.5 * x, np.where(np.signbit(x), 0.75, -0.0))
+
+
 # name -> (mapping, interval the starts are drawn from); every case is
 # anchored at the origin
 _KERNEL_CASES = {
     # the anchor 0 sits on the boundary, so perturbed rows are projected
     "rakotch-decay": (make_map("rakotch-decay").mapping, (0.0, 2.0)),
+    # self-maps of the disc, whose fixed point (0.99, 0) is near the
+    # circle, and of the halfplane through the anchor: perturbed rows are
+    # projected onto the circle and onto the line; starts outside the
+    # halfplane exit at step 1
+    "ball-2d": (MappingInstance(
+        apply=lambda x: 0.9 * x * np.array([1.0, -1.0]) + [0.099, 0.0],
+        declared_modulus=constant_modulus(0.9),
+        domain=ball([0.0, 0.0], 1.0), space=euclidean(2)), (-0.7, 0.7)),
+    "halfspace-2d": (MappingInstance(
+        apply=lambda x: 0.5 * x, declared_modulus=constant_modulus(0.5),
+        domain=halfspace([1.0, -2.0], 0.0), space=euclidean(2)),
+        (-1.0, 1.0)),
+    # the noise is rounded to a grid that holds both zeros (_NOISE_GRIDS),
+    # so perturbed rows land on the zero bound of [0, 1] with either sign,
+    # while other rows are pushed below it and the whole batch is projected
+    "zero-bound": (_scaled(1, 0.0, 1.0, _zero_by_sign), (0.0, 1.0)),
     # c = 2 lies outside [-1, 1]: every row exits at step 1
     "constant-outside": (make_map("constant", c=2.0).mapping, (-1.0, 1.0)),
     "damped-rational": (make_map("damped-rational").mapping, (-2.0, 2.0)),
@@ -615,6 +639,9 @@ _KERNEL_CASES = {
                           lambda x: np.where(x > 0.3, math.inf, 0.5 * x)),
                   (-1.0, 1.0)),
 }
+
+# name -> the share of delta a case's noise is rounded to a multiple of
+_NOISE_GRIDS = {"zero-bound": 0.5}
 
 
 def _outcome(kernel, *args):
@@ -637,6 +664,10 @@ def test_perturbed_steps_equals_the_frozen_kernel(name, m, n, delta, seed,
     starts = rng.uniform(lo, hi, (m, d))
     noise = (None if delta is None
              else rng.uniform(-delta / 2.0, delta / 2.0, (n, m, d)))
+    if name in _NOISE_GRIDS and noise is not None:
+        # np.round gives -0.0 for a small negative entry
+        step = _NOISE_GRIDS[name] * delta
+        noise = np.round(noise / step) * step
     k = data.draw(st.integers(1, n), label="k")
     anchor = np.zeros(d)
     got = _outcome(_perturbed_steps, T, starts, n, noise, anchor, k)
@@ -660,22 +691,48 @@ def test_frozen_kernel_cases_reach_every_branch():
         with pytest.raises(NonFiniteError), np.errstate(all="ignore"):
             _perturbed_steps(_KERNEL_CASES[name][0], starts, 30, noise,
                              anchor, 1)
-    T = _KERNEL_CASES["rakotch-decay"][0]
+    # no row of rakotch-decay exits, so a step that projects some rows
+    # projects the whole batch in one call
+    T, calls = _counting_projections(_KERNEL_CASES["rakotch-decay"][0])
+    _perturbed_steps(T, np.abs(starts), 30, noise, anchor, 1)
+    assert len(starts) in map(len, calls)
+
+
+def test_whole_batch_projection_keeps_the_sign_of_a_zero_on_its_bound():
+    # noise on a grid of 0.1 holds both zeros; a row at -0.0 next goes to
+    # 0.75 and one at 0.0 to -0.0, so worst over the window [n, n], the
+    # last point alone, differs from the frozen kernel's wherever a
+    # projection changed a sign on the step before
+    rng = np.random.default_rng(3)
+    starts = rng.uniform(0.0, 1.0, (8, 1))
+    noise = np.round(rng.uniform(-0.1, 0.1, (12, 8, 1)) / 0.1) * 0.1
+    anchor = np.zeros(1)
+    T, calls = _counting_projections(_KERNEL_CASES["zero-bound"][0])
+    for n in range(1, 13):
+        got = _perturbed_steps(T, starts, n, noise, anchor, n)
+        want = _reference_perturbed_steps(_reference_leaves(T), starts, n,
+                                          noise, anchor, n)
+        assert got.tobytes() == want.tobytes()
+    assert any(len(p) == len(starts) and np.signbit(p[p == 0.0]).any()
+               for p in calls)
+
+
+def _counting_projections(T):
+    """T with a project that records the rows it gets, and that record."""
     calls = []
 
     def project(p):
-        calls.append(len(p))
+        calls.append(p.copy())
         return T.domain.project(p)
 
-    counted = replace(T, domain=replace(T.domain, project=project))
-    _perturbed_steps(counted, np.abs(starts), 30, noise, anchor, 1)
-    assert calls
+    return replace(T, domain=replace(T.domain, project=project)), calls
 
 
 def test_perturbed_steps_projects_and_exits_in_one_step():
     # at step 1 the first row's image 0.99 is pushed out and projected
-    # back while the second row's image 1.35 exits; the third stays
-    T = _KERNEL_CASES["scale-1d"][0]
+    # back while the second row's image 1.35 exits; the third stays.  Only
+    # the first row is projected: never a row that exits
+    T, calls = _counting_projections(_KERNEL_CASES["scale-1d"][0])
     starts = np.array([[0.66], [0.9], [-0.5]])
     noise = np.full((6, 3, 1), 0.05)
     noise[1:, 0] = -0.5
@@ -685,6 +742,7 @@ def test_perturbed_steps_projects_and_exits_in_one_step():
                                       noise, anchor, 1)
     assert got[1] == math.inf and np.isfinite(got[[0, 2]]).all()
     assert got.tobytes() == want.tobytes()
+    assert len(calls) == 1 and calls[0].tolist() == [[1.5 * 0.66 + 0.05]]
 
 
 # ---------------------------------------------------------------------------

@@ -440,6 +440,26 @@ def test_nearest_boundary_lands_on_boundary(dom, dim):
         assert np.linalg.norm(b - p) <= dom.boundary_distance(p) + 1e-9
 
 
+@pytest.mark.parametrize("dom,dim,space", [
+    (box([0.0], [1.0]), 1, euclidean(2)),
+    (box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), 3, max_norm(2)),
+    (halfline(0.0), 1, max_norm(3)),
+    (ball([0.0, 0.0, 0.0], 1.0), 3, euclidean(2)),
+    (halfspace([1.0, 1.0], 0.0), 2, euclidean(1)),
+])
+def test_mapping_refuses_a_domain_of_another_dimension(dom, dim, space):
+    assert dom.dimension == dim
+    with pytest.raises(ArgumentError) as info:
+        MappingInstance(apply=lambda x: x, declared_modulus=constant_modulus(
+            0.5), domain=dom, space=space)
+    msg = str(info.value)
+    assert f"dimension {dim}" in msg
+    assert f"dimension {space.dimension}" in msg
+    T = MappingInstance(apply=lambda x: x, declared_modulus=constant_modulus(
+        0.5), domain=dom, space=euclidean(dim))
+    assert T.domain.dimension == T.space.dimension
+
+
 # ---------------------------------------------------------------------------
 # contractivity audits
 

@@ -3,6 +3,8 @@ boundary-condition test.
 
 * every domain's project lands inside the domain and is nonexpansive, for
   points and for rows;
+* every domain's project returns a member unchanged, bit for bit, and
+  does not write into its argument, for points and for rows;
 * a perturbed orbit with delta = 0 is the exact orbit, bit for bit;
 * the batch kernel's worst distance of each of m rows stepped together
   is, bit for bit, that of the row's single orbit;
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fixpoint.continuation import check_leray_schauder
@@ -118,6 +120,103 @@ def test_projection_lands_inside_and_is_nonexpansive(case):
             bound = math.hypot(*(rows[i] - rows[j]))
             size = scale + np.abs(rows[i]).max() + np.abs(rows[j]).max()
             assert gap <= bound * (1.0 + 1e-12) + 1e-9 * size
+
+
+# signed zeros, subnormals, the least normal, the far doubles and the
+# infinities, beside the spread coordinates
+_EDGE = st.one_of(st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+     1e308, -1e308, math.inf, -math.inf]), _COORD)
+
+
+@st.composite
+def _members(draw):
+    """(domain, rows): a domain and an (m, d) array of points, many of
+    them members on its boundary: box and halfline rows built from signed
+    zeros, subnormals and the bounds themselves; ball rows on the sphere
+    (radii up to 1e251) or on a segment from the center to it; halfspace
+    rows on the plane or pushed inside along a normal of any scale, and
+    infinite rows inside the unbounded set."""
+    kind = draw(st.sampled_from(["box", "halfline", "ball", "halfspace"]))
+    d = 1 if kind == "halfline" else draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    coords = st.lists(_COORD, min_size=d, max_size=d)
+    if kind == "halfline":
+        a = draw(_EDGE.filter(lambda v: v < math.inf))
+        return halfline(a), draw(hnp.arrays(
+            np.float64, (m, 1), elements=st.one_of(_EDGE, st.just(a))))
+    if kind == "box":
+        lo, hi = [], []
+        for _ in range(d):
+            a, b = draw(_EDGE), draw(_EDGE)
+            assume(a != b)
+            lo.append(min(a, b))
+            hi.append(max(a, b))
+        return box(lo, hi), draw(hnp.arrays(
+            np.float64, (m, d), elements=st.one_of(
+                _EDGE, st.sampled_from(lo + hi))))
+    rows = np.empty((m, d))
+    if kind == "ball":
+        c = np.array(draw(coords))
+        dom = ball(c, draw(_POSITIVE))
+        for i in range(m):
+            with np.errstate(all="ignore"):
+                on = dom.nearest_boundary(np.array(draw(coords)))
+            rows[i] = c + (on - c) * draw(st.sampled_from([1.0, 0.5, 0.0]))
+        return dom, rows
+    nv = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.3, -3.0]),
+                                min_size=d, max_size=d).filter(any)))
+    # the offset in the normal's units, so that the boundary stays within
+    # the floats however tiny or huge the normal
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    offset = draw(_COORD) * scale
+    assume(math.isfinite(offset))
+    dom = halfspace(nv * scale, offset)
+    for i in range(m):
+        how = draw(st.sampled_from(["plane", "inside", "infinite"]))
+        p = np.array(draw(coords))
+        if how == "infinite":
+            # infinite along each coordinate that lowers <normal, p>
+            rows[i] = np.where(nv < 0.0, math.inf,
+                               np.where(nv > 0.0, -math.inf, p))
+            continue
+        with np.errstate(all="ignore"):
+            rows[i] = dom.nearest_boundary(p)
+            if how == "inside":
+                rows[i] -= nv / np.abs(nv).max() * abs(p[0])
+    return dom, rows
+
+
+@settings(max_examples=300)
+@given(_members())
+@example((box([0.0, -1.0], [1.0, -0.0]),
+          np.array([[-0.0, 0.0], [0.0, -0.0], [5e-324, -5e-324]])))
+@example((halfline(-0.0), np.array([[0.0], [-0.0], [math.inf]])))
+@example((ball([1e250, 0.0], 1e251),
+          np.array([[1.1e251, 0.0], [1e250, 1e251], [1e250, -1e251]])))
+@example((halfspace([-1e-300, 0.0, 1e300], 1.0),
+          np.array([[math.inf, 5.0, -math.inf], [math.inf, -1.0, 0.0]])))
+@example((halfspace([-1.0, 2.0], 0.0), np.array([[-0.0, -0.0], [0.0, 0.0]])))
+def test_project_returns_a_member_unchanged_and_leaves_its_argument(case):
+    # the stability kernel projects a whole batch once no row exits, so a
+    # row already inside must come back with the same bits
+    dom, rows = case
+    before = rows.tobytes()
+    with np.errstate(all="ignore"):     # what happens to the other rows
+        inside = dom.contains_rows(rows)
+        mixed = dom.project(rows)
+    assert rows.tobytes() == before
+    members = rows[inside]
+    assert mixed[inside].tobytes() == members.tobytes()
+    kept = members.tobytes()
+    assert dom.project(members).tobytes() == kept
+    assert members.tobytes() == kept
+    for p in rows:
+        with np.errstate(all="ignore"):
+            if not dom.contains(p):
+                continue
+        q = p.tobytes()
+        assert dom.project(p).tobytes() == q and p.tobytes() == q
 
 
 # ---------------------------------------------------------------------------
