@@ -122,6 +122,11 @@ def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
     meets inner_tol is returned untouched.  Raises DomainExitError if an
     iterate leaves the closed domain, NonFiniteError if t T gives a NaN or
     infinite image, and ConvergenceError on budget exhaustion.
+
+    The step scales by t held as a 0-d float64 array: numpy multiplies an
+    array by it without the conversion a Python float takes on every call,
+    and since images are float64 (the Point contract) the product is the
+    same IEEE float64 product, bit for bit.
     """
     if not 0.0 <= t < 1.0:
         raise ArgumentError(f"t must lie in [0, 1), got {t}")
@@ -130,7 +135,8 @@ def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
     if max_inner_iter < 1:
         raise ArgumentError("max_inner_iter must be >= 1")
     apply = T.apply
-    run = _iterate(lambda v: t * apply(v), _start(T, x_init, "warm start"),
+    tt = np.array(t, dtype=float)
+    run = _iterate(lambda v: tt * apply(v), _start(T, x_init, "warm start"),
                    T.domain.contains, max_inner_iter + 1, T.space.distance,
                    inner_tol)
     if run.outside is not None:

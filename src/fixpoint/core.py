@@ -200,12 +200,17 @@ class Modulus:
     numpy array it returns the array of phi at every entry, each equal bit
     for bit to the scalar call, since one body written in float operations
     numpy rounds as Python does serves both.
+
+    gap(t) is 1 - phi(t) for a number t, in a closed form per kind: the
+    subtraction 1.0 - phi(t) cancels where phi(t) is near 1, which for
+    rational-decay at small t loses most of the digits of the gap.
     """
 
     kind: str
     params: tuple[float, ...]
     rakotch: bool
     _fn: Callable = field(repr=False, compare=False)
+    _gap: Callable = field(repr=False, compare=False)
 
     def __call__(self, t):
         if not isinstance(t, np.ndarray) or t.ndim == 0:
@@ -220,24 +225,37 @@ class Modulus:
         v = self._fn(t)
         return v if np.shape(v) == t.shape else np.full(t.shape, v)
 
+    def gap(self, t) -> float:
+        """1 - phi(t) as a Python float, for a number t >= 0."""
+        if t < 0.0:
+            raise ArgumentError(f"modulus argument must be >= 0, got {t}")
+        return float(self._gap(t))
+
 
 def constant_modulus(c: float) -> Modulus:
     """phi identically c, with 0 <= c <= 1.  Rakotch iff c < 1."""
     if not 0.0 <= c <= 1.0:
         raise ArgumentError(f"constant modulus must lie in [0, 1], got {c}")
     return Modulus(kind="constant", params=(c,), rakotch=c < 1.0,
-                   _fn=lambda t: c)
+                   _fn=lambda t: c, _gap=lambda t: 1.0 - c)
 
 
 def rational_decay_modulus(a: float = 1.0) -> Modulus:
     """phi(t) = 1 / (1 + a t) with a > 0.
 
     Non-increasing, phi(0) = 1, and phi(t) < 1 for t > 0, so admissible.
+    Its gap a t / (1 + a t) is within 2 ulp of the exact value (three
+    roundings, none of them a cancellation), and 1 once a t overflows.
     """
     if not a > 0.0:
         raise ArgumentError(f"decay rate must be > 0, got {a}")
+
+    def gap(t):
+        s = a * t
+        return 1.0 if s == math.inf else s / (1.0 + s)
+
     return Modulus(kind="rational-decay", params=(a,), rakotch=True,
-                   _fn=lambda t: 1.0 / (1.0 + a * t))
+                   _fn=lambda t: 1.0 / (1.0 + a * t), _gap=gap)
 
 
 def table_modulus(knots: Sequence[float], values: Sequence[float]) -> Modulus:
@@ -263,16 +281,19 @@ def table_modulus(knots: Sequence[float], values: Sequence[float]) -> Modulus:
     kn = _frozen(kn)
     va = _frozen(va)
 
+    def phi(t):
+        return va[np.searchsorted(kn, t, side="right") - 1]
+
     return Modulus(kind="piecewise-table",
                    params=tuple(kn) + tuple(va),
                    rakotch=bool(np.all(va < 1.0)),
-                   _fn=lambda t: va[np.searchsorted(kn, t, side="right") - 1])
+                   _fn=phi, _gap=lambda t: 1.0 - phi(t))
 
 
 def nonexpansive_modulus() -> Modulus:
     """The sentinel phi identically 1: no contraction promised."""
     return Modulus(kind="nonexpansive", params=(), rakotch=False,
-                   _fn=lambda t: 1.0)
+                   _fn=lambda t: 1.0, _gap=lambda t: 0.0)
 
 
 @dataclass(frozen=True)
@@ -451,10 +472,19 @@ def halfline(a: float) -> DomainSet:
 
 
 def ball(center, radius: float) -> DomainSet:
-    """Closed Euclidean ball of the given center and radius > 0."""
+    """Closed Euclidean ball of the given center and radius > 0.
+
+    About a center of zeros (the usual setting: continuation needs 0
+    interior) the point predicates take the norm of p itself rather than
+    of p - c.  That keeps the bits: x - 0.0 is x for every float, signed
+    zeros, NaN and infinities included, and where the center holds a -0.0
+    the difference only turns a -0.0 coordinate into +0.0, whose square is
+    the same.
+    """
     c = _frozen(np.atleast_1d(np.asarray(center, dtype=float)))
     if not radius > 0.0:
         raise ArgumentError(f"ball radius must be > 0, got {radius}")
+    centred = not c.any()
 
     # the finite case is one norm and one comparison; only a norm that
     # overflowed is taken again, in the units of p - c (_row_norms_safe)
@@ -462,15 +492,17 @@ def ball(center, radius: float) -> DomainSet:
         return float(_row_norms_safe((p - c)[None])[0])
 
     def contains(p: Point) -> bool:
-        r = _euclidean_norm(p - c)
+        # _euclidean_norm written out: the hottest leaf of the inner solves
+        v = p if centred else p - c
+        r = math.sqrt(v.dot(v))
         return r <= radius or r == math.inf and far_norm(p) <= radius
 
     def interior(p: Point) -> bool:
-        r = _euclidean_norm(p - c)
+        r = _euclidean_norm(p if centred else p - c)
         return r < radius or r == math.inf and far_norm(p) < radius
 
     def bdist(p: Point) -> float:
-        r = _euclidean_norm(p - c)
+        r = _euclidean_norm(p if centred else p - c)
         return max(0.0, radius - (r if r < math.inf else far_norm(p)))
 
     def contains_rows(rows: np.ndarray) -> np.ndarray:
@@ -532,15 +564,25 @@ def halfspace(normal, offset: float) -> DomainSet:
     # normal floats): it keeps the normal's square and the push of a
     # projection clear of overflow and underflow whatever the normal's
     # scale, and changes no result where neither happened.  Not where the
-    # offset would overflow: that boundary lies at the edge of the floats
+    # offset would overflow: that boundary lies at the edge of the floats,
+    # and beyond them when offset / |normal| overflows too
     top = float(np.abs(nv).max())
     unit = math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < math.inf \
         else 1.0
-    if math.isfinite(offset / unit) or not math.isfinite(offset):
-        nv, offset = _frozen(nv / unit), offset / unit
-    nn = _euclidean_norm(nv)
+    nn = _euclidean_norm(nv / unit)     # |normal| in units: no underflow
     if nn == 0.0:
         raise ArgumentError("halfspace normal must be nonzero")
+    if math.isfinite(offset / unit) or not math.isfinite(offset):
+        nv, offset = _frozen(nv / unit), offset / unit
+    elif math.isinf(offset / nn / unit):
+        raise ArgumentError(
+            f"halfspace boundary lies beyond the largest float: offset "
+            f"{offset} / |normal| {nn * unit} overflows")
+    else:
+        # |normal| itself: scaling back by a power of two is exact above
+        # the subnormals, and the square that underflows for a tiny
+        # normal is never taken
+        nn *= unit
     # relative rounding bound of a dot product with nv
     dot_eps = nv.size * float(np.finfo(float).eps)
 
@@ -551,11 +593,13 @@ def halfspace(normal, offset: float) -> DomainSet:
         normal far below 1 against a boundary near the largest float) the
         row and the move, the distance gap / |nv| along the unit normal,
         are taken at half size and the result doubled, which overflows
-        only when the moved row itself passes the largest float."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        only when the moved row itself passes the largest float; so is a
+        row where |nv|^2 underflowed to 0 (f is then infinite, or NaN at a
+        zero gap)."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f = gaps / (nn * nn)
             out = rows - nv * f[:, None]
-            big = np.isinf(f) & np.isfinite(gaps)
+            big = ~np.isfinite(f) & np.isfinite(gaps)
             if big.any():
                 out[big] = 2.0 * (rows[big] / 2.0 - (nv / nn)
                                   * (gaps[big] / 2.0 / nn)[:, None])

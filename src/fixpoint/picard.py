@@ -47,7 +47,7 @@ def _least_int_greater(v: float) -> int:
 
 
 def _one_minus_phi(m: Modulus, t: float, what: str) -> float:
-    gap = 1.0 - m(t)
+    gap = m.gap(t)
     if gap <= 0.0:
         raise NonRakotchError(
             f"{what} needs phi({t}) < 1, got {m(t)} (kind={m.kind})")

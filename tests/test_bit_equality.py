@@ -5,7 +5,8 @@
 * the ndarray.dot point forms in dimensions 2 to 5 against frozen copies
   of the 1-D matmul (``@``) forms they replaced, on any doubles and on
   strided views: _euclidean_norm (and against the row form _row_norms),
-  euclidean(d)'s distance, the ball's point predicates, the halfspace's
+  euclidean(d)'s distance, the ball's point predicates (also in 1-D, and
+  about a center of zeros, where they norm p itself), the halfspace's
   point dot product and planar-rotation's apply on points and on rows
   (on a view with a negative stride, against its contiguous copy);
 * a modulus called on an array against its scalar calls, and the audit's
@@ -22,7 +23,10 @@
   boxes, a ball, a halfspace and a zero bound that rows land on with
   either sign;
 * box's 1-D membership and its projection against the reduction and
-  np.clip forms, and the 1-D .item() point forms against the p[0] forms.
+  np.clip forms, and the 1-D .item() point forms against the p[0] forms;
+* solve_at_t's 0-d multiplier against a frozen copy that scaled by the
+  Python float t, on every gallery map over a grid of t, and trace_path
+  on both with the ball predicates above.
 """
 
 import math
@@ -33,19 +37,22 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fixpoint import continuation
 from fixpoint.continuation import (ContinuationPath, LimitCertificate,
                                    PathConfig, PathEntry, limit_path,
-                                   path_csv, trace_path)
+                                   path_csv, solve_at_t, trace_path)
 from fixpoint.core import (MappingInstance, ball, box, constant_modulus,
                            euclidean, halfline, halfspace, _apply_rows,
-                           _euclidean_norm, _refuse_non_finite, _row_dot,
+                           _euclidean_norm, _frozen, _refuse_non_finite,
+                           _row_dot,
                            _row_norms, _row_norms_safe,
                            nonexpansive_modulus, rational_decay_modulus,
                            table_modulus, verify_contractive)
-from fixpoint.errors import ArgumentError, NonFiniteError
+from fixpoint.errors import (ArgumentError, ConvergenceError,
+                             DomainExitError, NonFiniteError)
 from fixpoint.gallery import list_maps, make_map
-from fixpoint.picard import (Orbit, _CSV_CHUNK, _perturbed_steps, orbit_csv,
-                             orbit_exact, orbit_inexact)
+from fixpoint.picard import (Orbit, _CSV_CHUNK, _iterate, _perturbed_steps,
+                             _start, orbit_csv, orbit_exact, orbit_inexact)
 
 _DOUBLES = st.floats(allow_nan=True, allow_infinity=True,
                      allow_subnormal=True)
@@ -153,7 +160,8 @@ def test_dot_forms_on_a_reversed_view_equal_its_contiguous_copy(v):
 
 def _matmul_ball(c: np.ndarray, radius: float):
     """Frozen copies of ball's point contains, interior_contains and
-    boundary_distance with the 1-D matmul norm."""
+    boundary_distance as they took the 1-D matmul norm of p - c for
+    every center."""
     def norm(p):
         return _matmul_norm(p - c)
 
@@ -175,22 +183,51 @@ def _matmul_ball(c: np.ndarray, radius: float):
     return contains, interior, bdist
 
 
-@given(_DIM_POINTS, st.floats(1e-300, 1e300),
-       st.sampled_from([None, 1.0, 2.0]))
-@example((np.array([1e200, 0.0]), np.zeros(2)), 1e200, None)
+# signed zeros, subnormals, the overflow path's 1e154 to 1e308, NaN and
+# the infinities, beside _ENTRIES' ordinary and edge magnitudes
+_BALL_ENTRIES = st.one_of(
+    _ENTRIES, st.floats(1e154, 1e308), st.floats(-1e308, -1e154),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _ball_cases(draw):
+    """A point of dimension 1 to 5 (contiguous or a strided view), a
+    center of zeros of either sign or any finite center, and a radius."""
+    d = draw(st.integers(1, 5))
+    base = draw(hnp.arrays(np.float64, 2 * d, elements=_BALL_ENTRIES))
+    p = draw(st.sampled_from([base[:d].copy(), base[::2],
+                              base.reshape(d, 2)[:, 1]]))
+    if draw(st.booleans()):
+        c = draw(hnp.arrays(np.float64, d,
+                            elements=st.sampled_from([0.0, -0.0])))
+    else:
+        c = np.nan_to_num(draw(hnp.arrays(np.float64, d, elements=_ENTRIES)),
+                          nan=0.0, posinf=1e300, neginf=-1e300)
+    return p, c, draw(st.floats(1e-300, 1e308))
+
+
+@given(_ball_cases(), st.sampled_from([None, 1.0, 2.0]))
+@example((np.array([1e200, 0.0]), np.zeros(2), 1e200), None)
 # |p - c| summed in order rounds to 3.1080540535840107, the next double
 # down from what the reversed order gives
-@example((np.array([-0.6, -0.8, 0.7]), np.array([1.6, 0.3, -1.2])), 1.0,
+@example((np.array([-0.6, -0.8, 0.7]), np.array([1.6, 0.3, -1.2]), 1.0),
          1.0)
-@example((np.array([-0.6, -0.8, 0.7]), np.array([1.6, 0.3, -1.2])), 1.0,
+@example((np.array([-0.6, -0.8, 0.7]), np.array([1.6, 0.3, -1.2]), 1.0),
          2.0)
-def test_ball_point_predicates_equal_the_matmul_forms(pc, radius, rel):
+@example((np.array([-0.0, 0.0]), np.array([0.0, -0.0]), 1.0), None)
+@example((np.array([1e200, -1e300]), np.zeros(2), 1e300), None)
+@example((np.array([math.nan, 0.0]), np.zeros(2), 1.0), None)
+@example((np.array([math.inf, -0.0, 5e-324]), np.array([-0.0] * 3), 1.0),
+         None)
+@example((np.array([0.6, 0.8]), np.zeros(2), 1.0), None)   # on the sphere
+def test_ball_point_predicates_equal_the_matmul_forms(case, rel):
     # rel, when given, puts the radius at that multiple of |p - c|, where
     # the last bit of the norm decides membership and shows in the
-    # boundary distance
-    p, c = pc
-    if not np.isfinite(c).all():
-        c = np.nan_to_num(c, nan=0.0, posinf=1e300, neginf=-1e300)
+    # boundary distance; a ball about zeros takes the norm of p itself,
+    # the reference that of p - c
+    p, c, radius = case
     with np.errstate(all="ignore"):
         r = _matmul_norm(p - c)
     if rel is not None and 0.0 < r < 1e300:
@@ -201,7 +238,7 @@ def test_ball_point_predicates_equal_the_matmul_forms(pc, radius, rel):
                dom.boundary_distance(p))
         want = tuple(f(p) for f in _matmul_ball(c, radius))
     assert got[:2] == want[:2]
-    assert _same_float(got[2], want[2])
+    assert type(got[2]) is float and _same_float(got[2], want[2])
 
 
 def _matmul_halfspace(normal: np.ndarray, offset: float):
@@ -842,3 +879,102 @@ def test_euclidean_1d_row_form_equals_the_matmul_and_point_forms(rows, data):
         assert _same_float(space.distance(x, y), math.sqrt(s * s))
         s = float(x[0])
         assert _same_float(space.norm(x), math.sqrt(s * s))
+
+
+# ---------------------------------------------------------------------------
+# the continuation inner solve: the centred ball and the 0-d multiplier
+
+def _frozen_solve_at_t(T, t, x_init, inner_tol, max_inner_iter=200_000):
+    """Frozen copy of solve_at_t as it scaled each image by t, a Python
+    float."""
+    apply = T.apply
+    run = _iterate(lambda v: t * apply(v), _start(T, x_init, "warm start"),
+                   T.domain.contains, max_inner_iter + 1, T.space.distance,
+                   inner_tol)
+    if run.outside is not None:
+        raise DomainExitError("left", t=t, point=_frozen(run.outside),
+                              last_inside=_frozen(run.x))
+    if run.residual > inner_tol:
+        raise ConvergenceError("budget", residual=run.residual)
+    return _frozen(run.x), run.residual
+
+
+def _solve_outcome(solve, *args):
+    """A solve's point and residual as bytes, or the class it raises with
+    the points or the residual it carries."""
+    try:
+        x, res = solve(*args)
+    except DomainExitError as exc:
+        return DomainExitError, exc.point.tobytes(), exc.last_inside.tobytes()
+    except ConvergenceError as exc:
+        return ConvergenceError, np.float64(exc.residual).tobytes()
+    return x.tobytes(), np.float64(res).tobytes()
+
+
+# every gallery map, the constant one inside its box and outside it
+_SOLVE_MAPS = [(name, {}) for name in list_maps()] + [("constant",
+                                                       {"c": 0.5})]
+
+
+@pytest.mark.parametrize("name,params", _SOLVE_MAPS,
+                         ids=[f"{n}{'-c0.5' if p else ''}"
+                              for n, p in _SOLVE_MAPS])
+def test_solve_at_t_equals_the_python_float_multiplier(name, params):
+    entry = make_map(name, **params)
+    T = entry.mapping
+    rng = np.random.default_rng(41)
+    starts = [entry.sampler(rng) for _ in range(3)]
+    for t in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999):
+        for x0 in starts:
+            assert _solve_outcome(solve_at_t, T, t, x0, 1e-12, 400) == \
+                _solve_outcome(_frozen_solve_at_t, T, t, x0, 1e-12, 400)
+
+
+def test_solve_at_t_cases_reach_every_outcome():
+    # the grid above meets a solved point, an exhausted budget and an exit
+    outcomes = set()
+    for name, params in _SOLVE_MAPS:
+        entry = make_map(name, **params)
+        x0 = entry.sampler(np.random.default_rng(41))
+        for t in (0.5, 0.75, 0.999):
+            got = _solve_outcome(solve_at_t, entry.mapping, t, x0, 1e-12, 400)
+            outcomes.add(got[0] if isinstance(got[0], type) else "solved")
+    assert outcomes == {"solved", ConvergenceError, DomainExitError}
+
+
+def _rotation_off_center() -> MappingInstance:
+    """planar-rotation on a disk whose center is not the origin (the
+    origin stays interior), so trace_path's ball takes p - c."""
+    T = make_map("planar-rotation").mapping
+    return replace(T, domain=ball([0.25, -0.5], 4.0))
+
+
+@pytest.mark.parametrize("T", [
+    make_map("affine-halfline").mapping,
+    make_map("constant", c=0.5).mapping,
+    make_map("planar-rotation").mapping,
+    make_map("planar-rotation", radius=9.0).mapping,
+    make_map("damped-rational").mapping,
+    _rotation_off_center(),
+], ids=["affine-halfline", "constant", "planar-rotation", "rotation-r9",
+        "damped-rational", "rotation-off-center"])
+def test_trace_path_entries_equal_the_frozen_inner_solve(T, monkeypatch):
+    # the traced path on the frozen solve and, on a disk, the frozen
+    # predicates that took the norm of p - c gives every entry's bits
+    cfg = PathConfig(q=0.95, inner_tol=1e-12, target_t=0.95)
+    got = trace_path(T, cfg)
+    if T.domain.kind == "ball":
+        c, radius = np.array(T.domain.params[:-1]), T.domain.params[-1]
+        contains, interior, bdist = _matmul_ball(c, radius)
+        T = replace(T, domain=replace(T.domain, contains=contains,
+                                      interior_contains=interior,
+                                      boundary_distance=bdist))
+    monkeypatch.setattr(continuation, "solve_at_t", _frozen_solve_at_t)
+    want = trace_path(T, cfg)
+    assert len(got.entries) == len(want.entries) > 2
+    for a, b in zip(got.entries, want.entries):
+        assert a.x.tobytes() == b.x.tobytes()
+        assert all(_same_float(u, v) for u, v in zip(a[2:5], b[2:5]))
+        assert a.t == b.t and a.norm_bound_ok == b.norm_bound_ok
+    assert path_csv(got) == path_csv(want)
+    assert _same_float(got.mbound, want.mbound)

@@ -426,11 +426,12 @@ _GOLDEN = {
         "tol = 1e-10\nmax-iter = 5\n", 1,
         {"error.txt": "89be0979d233806375a194d15e54e7b8"
                       "dfdee878a87ff16b4209f9c0fcaa48f0"}),
+    # delta = 0.00625, the exact value: 1 - phi(t) is taken in closed form
     "stability": (
         "experiment = stability\nmap = rakotch-decay\nM = 1.0\n"
         "epsilon = 0.5\ntrials = 5\nn = 200\nseed = 11\n", 0,
-        {"stability.txt": "2546c3fc714e611304eca34b6c17b520"
-                          "c6f09ba48883d320ef54b6a0bad68013"}),
+        {"stability.txt": "ec331c940a336fa9e19e5cc842fed056"
+                          "66b408bc172e502061b4224ac08326bf"}),
     "trace": (
         "experiment = trace\nmap = affine-halfline\ntarget-t = 0.8\n"
         "q = 0.9\n", 0,

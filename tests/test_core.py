@@ -342,6 +342,35 @@ def test_halfspace_with_a_boundary_at_the_edge_of_the_floats(nv, offset, p,
     assert np.allclose(d.nearest_boundary(np.array(p)), want, rtol=1e-15)
 
 
+@pytest.mark.parametrize("nv,offset", [
+    ([3e-301], 1e250),
+    ([1e-170, 1e-170], 1e200),
+])
+def test_halfspace_beyond_the_largest_float_is_refused_as_such(nv, offset):
+    # |normal|^2 underflows to 0 here; the refusal used to call the normal
+    # zero, but the cause is a boundary offset / |normal| past the floats
+    with pytest.raises(ArgumentError, match="beyond the largest float"):
+        halfspace(nv, offset)
+    with pytest.raises(ArgumentError, match="must be nonzero"):
+        halfspace([0.0] * len(nv), offset)
+
+
+def test_halfspace_with_an_underflowing_normal_square_is_kept():
+    # a tiny normal against a zero offset is rescaled as before
+    d = halfspace([1e-160], 0.0)
+    assert d.contains(np.array([-1.0])) and not d.contains(np.array([1.0]))
+    assert d.boundary_distance(np.array([-2.0])) == 2.0
+    # |normal|^2 underflows, offset / unit overflows, but the boundary
+    # x + y = 2e138 / 1e-170, at 2e308 along the diagonal, is finite
+    d = halfspace([1e-170, 1e-170], 2e138)
+    q = d.project(np.array([1.5e308, 1.5e308]))
+    assert d.contains(q) and np.allclose(q, [1e308, 1e308], rtol=1e-12)
+    assert np.allclose(d.nearest_boundary(np.zeros(2)), [1e308, 1e308],
+                       rtol=1e-12)
+    assert d.boundary_distance(np.zeros(2)) == pytest.approx(
+        math.sqrt(2.0) * 1e308, rel=1e-12)
+
+
 @pytest.mark.parametrize("dom", [
     box([-1.0, -2.0], [1.0, 2.0]),
     ball([0.5, -0.5], 3.0),

@@ -1,9 +1,10 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fixpoint.core import (MappingInstance, as_point, ball, box,
                            constant_modulus, euclidean, halfline, halfspace,
@@ -121,16 +122,12 @@ def test_bound_monotonicity_in_epsilon(m, eps, seeds, radius, displacement):
     # interim budget delta0
     e_lo, e_hi = sorted(eps)
     M_lo, M_hi = sorted(max(M, e_hi) for M in seeds)
-    try:
-        lo, hi = (stability_constants(M_lo, e, m) for e in (e_lo, e_hi))
-        settling = [settling_index(e, m, radius, displacement)
-                    for e in (e_lo, e_hi)]
-        coupling = [coupling_index(e, m, radius) for e in (e_lo, e_hi)]
-        cluster = [cluster_tolerance(e, m) for e in (e_lo, e_hi)]
-        small, wide = (stability_constants(M, e_lo, m) for M in (M_lo, M_hi))
-    except NonRakotchError:
-        # 1 - phi(t) cancels to 0 for a tiny a t (ROADMAP item 2)
-        reject()
+    lo, hi = (stability_constants(M_lo, e, m) for e in (e_lo, e_hi))
+    settling = [settling_index(e, m, radius, displacement)
+                for e in (e_lo, e_hi)]
+    coupling = [coupling_index(e, m, radius) for e in (e_lo, e_hi)]
+    cluster = [cluster_tolerance(e, m) for e in (e_lo, e_hi)]
+    small, wide = (stability_constants(M, e_lo, m) for M in (M_lo, M_hi))
     assert hi.k <= lo.k and settling[1] <= settling[0]
     assert coupling[1] <= coupling[0]
     assert hi.delta >= lo.delta and hi.delta1 >= lo.delta1
@@ -157,6 +154,57 @@ def test_stability_constants_frozen_constant_modulus():
     assert c.k == 21
 
 
+_TABLE_KNOTS = (0.0, 1e-3, 1.0, 1e3)
+
+
+@settings(max_examples=300)
+@given(st.floats(1e-3, 1e3), st.floats(0.0, allow_infinity=False),
+       st.floats(0.0, 1.0),
+       st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+def test_gap_is_one_minus_phi_within_two_ulp(a, t, c, values):
+    # 1 - phi(t) at 50 digits, for every kind; rational decay's gap is the
+    # one a subtraction 1.0 - phi(t) would cancel
+    j = sum(k <= t for k in _TABLE_KNOTS) - 1
+    with mpmath.workdps(50):
+        s = mpmath.mpf(a) * mpmath.mpf(t)
+        cases = ((rational_decay_modulus(a), s / (1 + s)),
+                 (constant_modulus(c), 1 - mpmath.mpf(c)),
+                 (table_modulus(_TABLE_KNOTS, values),
+                  1 - mpmath.mpf(values[j])),
+                 (nonexpansive_modulus(), mpmath.mpf(0)))
+        for m, exact in cases:
+            got = m.gap(t)
+            assert isinstance(got, float)
+            assert abs(mpmath.mpf(got) - exact) <= 2 * math.ulp(float(exact))
+
+
+def test_gap_limits_and_validation():
+    m = rational_decay_modulus(2.0)
+    assert m.gap(0.0) == 0.0
+    assert m.gap(1e308) == 1.0 and m.gap(math.inf) == 1.0   # a t overflows
+    assert math.isnan(m.gap(math.nan))
+    assert m.gap(1e-300) == 2e-300     # 1.0 - phi(1e-300) is 0.0
+    with pytest.raises(ArgumentError, match=">= 0"):
+        m.gap(-1.0)
+
+
+def test_stability_constants_keep_a_gap_below_the_float_epsilon():
+    # 1.0 - phi(eps) cancelled here: k came out 6.6e8 steps short at
+    # eps = 1e-9, and eps = 1e-17 was refused with NonRakotchError
+    m = rational_decay_modulus(1.0)
+    with mpmath.workdps(50):
+        for eps in (1e-9, 1e-17):
+            c = stability_constants(1.0, eps, m)
+            e = mpmath.mpf(eps)
+            exact = 4 * 2 / (e / (1 + e) * e) + 4   # k's real-number bound
+            if eps == 1e-9:
+                assert c.k > exact
+            # no outward rounding yet: k may sit ulps below at 1e-17
+            assert abs(c.k - exact) <= 1e-15 * exact
+    assert cluster_tolerance(1e-17, m) > 0.0
+    assert coupling_index(1e-17, m, 1.0) > 1e34
+
+
 def test_stability_constants_validation():
     m = rational_decay_modulus()
     with pytest.raises(ArgumentError):
@@ -173,16 +221,25 @@ def test_stability_constants_validation():
 
 
 def test_stability_delta_never_exceeds_its_three_floors():
+    # the floors are taken at 50 digits: a reference written as
+    # 1.0 - phi(eps) in floats cancels, and could hide a bound on the
+    # wrong side of the exact one
     rng = np.random.default_rng(43)
     for _ in range(200):
         M = float(10.0 ** rng.uniform(-2, 2))
         eps = M * float(10.0 ** rng.uniform(-3, 0))
         a = float(10.0 ** rng.uniform(-2, 2))
-        m = rational_decay_modulus(a)
-        c = stability_constants(M, eps, m)
-        third = eps * (1.0 - m(eps)) / 4.0
-        assert c.delta <= min(c.delta0, c.delta1, third) / 2.0 * (1 + 1e-15)
-        assert c.k > 4.0 * (M + 1.0) / ((1.0 - m(eps)) * eps)
+        c = stability_constants(M, eps, rational_decay_modulus(a))
+        with mpmath.workdps(50):
+            M_, e = mpmath.mpf(M), mpmath.mpf(eps)
+
+            def gap(t):
+                return 1 - 1 / (1 + mpmath.mpf(a) * t)
+
+            floors = min(M_ * gap(M_ / 2) / 8, e * gap(e / 2) / 8,
+                         e * gap(e) / 4)
+            assert c.delta <= floors / 2 * (1 + mpmath.mpf(1e-15))
+            assert c.k > 4 * (M_ + 1) / (gap(e) * e)
 
 
 # ---------------------------------------------------------------------------
