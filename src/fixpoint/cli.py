@@ -4,7 +4,8 @@ Config format: one ``key = value`` per line, ``#`` starts a comment.  Keys
 are hyphenated (``inner-tol``); map parameters use a ``map.`` prefix
 (``map.a = 2.0``).  Vectors are semicolon-separated (``x0 = 1.0;2.0``).
 Unknown and duplicate keys are hard errors, with the offending line in the
-message.
+message.  Each kind's keys, with their types, defaults and bounds, are
+stated once, in the table _EXPERIMENTS.
 
 Five experiment kinds: solve, stability, trace, limit, certify.  Outputs go
 to the --out directory as CSV and key=value text files whose floats are
@@ -35,7 +36,10 @@ from .picard import (_record_text, orbit_csv, orbit_exact,
                      run_stability_experiment, solve_fixed_point,
                      stability_report_text)
 
-_COMMON_KEYS = {"experiment", "map", "seed", "out"}
+# marks a key the config must give
+_REQUIRED = object()
+_SEED = {"seed": (int, 0, ">= 0")}
+_COMMON_KEYS = {"experiment", "map", "out", *_SEED}
 
 
 def parse_config(path: Path) -> dict[str, str]:
@@ -68,7 +72,7 @@ def parse_config(path: Path) -> dict[str, str]:
                           f"{', '.join(_EXPERIMENTS)}")
     if "map" not in values:
         raise ConfigError(f"{path}: missing required key 'map'")
-    allowed = _COMMON_KEYS | _EXPERIMENTS[kind][0]
+    allowed = _COMMON_KEYS | _EXPERIMENTS[kind][0].keys()
     for key in values:
         if key.startswith("map."):
             continue
@@ -80,65 +84,40 @@ def parse_config(path: Path) -> dict[str, str]:
     return values
 
 
-def _as_float(values: dict[str, str], key: str, default: float | None = None,
-              positive: bool = False) -> float:
+def _vector(raw: str) -> np.ndarray:
+    return np.array([float(p) for p in raw.split(";")])
+
+
+# what each parser takes, for the message that refuses a raw value
+_EXPECTED = {float: "a number", int: "an integer",
+             _vector: "semicolon-separated numbers"}
+
+
+def _read(values: dict[str, str], key: str, spec: tuple):
+    """The value of key under spec = (parse, default, bound): the default
+    when the key is absent, else the parsed raw value, which must be
+    finite and, when bound is given (as "> least" or ">= least"), within
+    it.  A default of _REQUIRED makes the key required."""
+    parse, default, bound = spec
     if key not in values:
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
         return default
+    raw = values[key]
     try:
-        v = float(values[key])
+        v = parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number: "
-                          f"{values[key]!r}") from exc
-    if not math.isfinite(v):
-        raise ConfigError(f"key {key!r} must be finite, got {values[key]!r}")
-    if positive and v <= 0.0:
-        raise ConfigError(f"key {key!r} must be > 0, got {v}")
+        raise ConfigError(f"key {key!r}: not {_EXPECTED[parse]}: "
+                          f"{raw!r}") from exc
+    # math.isfinite on a scalar: np.isfinite costs a microsecond a call
+    if (not np.isfinite(v).all() if parse is _vector
+            else parse is float and not math.isfinite(v)):
+        raise ConfigError(f"key {key!r} must be finite, got {raw!r}")
+    if bound is not None:
+        op, least = bound.split()
+        if v < float(least) or op == ">" and v == float(least):
+            raise ConfigError(f"key {key!r} must be {bound}, got {v}")
     return v
-
-
-def _as_int(values: dict[str, str], key: str, default: int | None = None,
-            at_least: int | None = None) -> int:
-    if key not in values:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        v = int(values[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not an integer: "
-                          f"{values[key]!r}") from exc
-    if at_least is not None and v < at_least:
-        raise ConfigError(f"key {key!r} must be >= {at_least}, got {v}")
-    return v
-
-
-def _as_vector(values: dict[str, str], key: str) -> np.ndarray:
-    if key not in values:
-        raise ConfigError(f"missing required key {key!r}")
-    try:
-        v = np.array([float(p) for p in values[key].split(";")])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected semicolon-separated "
-                          f"floats, got {values[key]!r}") from exc
-    if not np.all(np.isfinite(v)):
-        raise ConfigError(f"key {key!r} must be finite, got {values[key]!r}")
-    return v
-
-
-def _build_entry(values: dict[str, str]) -> GalleryEntry:
-    params = {}
-    for key, raw in values.items():
-        if not key.startswith("map."):
-            continue
-        pname = key[len("map."):]
-        try:
-            params[pname] = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: not a number: "
-                              f"{raw!r}") from exc
-    return make_map(values["map"], **params)
 
 
 # the payload attributes error.txt reports, in order, when an error has them
@@ -159,13 +138,9 @@ def _write(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text)
 
 
-def _run_solve(entry: GalleryEntry, values: dict[str, str], outdir: Path,
-               seed: int) -> int:
-    x0 = _as_vector(values, "x0")
-    tol = _as_float(values, "tol", 1e-10, positive=True)
-    max_iter = _as_int(values, "max-iter", 100_000, at_least=1)
-    T = entry.mapping
-    res = solve_fixed_point(T, x0, tol, max_iter)
+def _run_solve(entry: GalleryEntry, cfg: dict, outdir: Path) -> int:
+    T, x0 = entry.mapping, cfg["x0"]
+    res = solve_fixed_point(T, x0, cfg["tol"], cfg["max-iter"])
     orbit = orbit_exact(T, x0, max(res.iterations, 1))
     _write(outdir, "orbit.csv", orbit_csv(orbit))
     _write(outdir, "solution.txt", _record_text([
@@ -174,48 +149,32 @@ def _run_solve(entry: GalleryEntry, values: dict[str, str], outdir: Path,
     return 0
 
 
-def _run_stability(entry: GalleryEntry, values: dict[str, str],
-                   outdir: Path, seed: int) -> int:
-    T = entry.mapping
-    if "xbar" in values:
-        xbar = _as_vector(values, "xbar")
-    elif entry.known_fixed_point is not None:
-        xbar = entry.known_fixed_point
-    else:
+def _run_stability(entry: GalleryEntry, cfg: dict, outdir: Path) -> int:
+    xbar = entry.known_fixed_point if cfg["xbar"] is None else cfg["xbar"]
+    if xbar is None:
         raise ConfigError(f"map {entry.name!r} has no known fixed point; "
                           "give one with 'xbar'")
-    M = _as_float(values, "M", positive=True)
-    epsilon = _as_float(values, "epsilon", positive=True)
-    trials = _as_int(values, "trials", 100, at_least=1)
-    n = _as_int(values, "n", at_least=1)
-    report = run_stability_experiment(T, xbar, M, epsilon, trials, n, seed)
+    report = run_stability_experiment(
+        entry.mapping, xbar, cfg["M"], cfg["epsilon"], cfg["trials"],
+        cfg["n"], cfg["seed"])
     _write(outdir, "stability.txt", stability_report_text(report))
     return 0 if report.all_passed else 1
 
 
-def _path_config(values: dict[str, str], target_key: str | None) -> \
-        PathConfig:
-    q = _as_float(values, "q", 0.9, positive=True)
-    inner_tol = _as_float(values, "inner-tol", 1e-10, positive=True)
-    max_inner = _as_int(values, "max-inner-iter", 200_000, at_least=1)
-    target = _as_float(values, target_key, q) if target_key else q
-    return PathConfig(q=q, inner_tol=inner_tol, max_inner_iter=max_inner,
-                      target_t=target)
-
-
-def _run_trace(entry: GalleryEntry, values: dict[str, str], outdir: Path,
-               seed: int) -> int:
-    path = trace_path(entry.mapping, _path_config(values, "target-t"))
+def _run_trace(entry: GalleryEntry, cfg: dict, outdir: Path) -> int:
+    q, target = cfg["q"], cfg["target-t"]
+    path = trace_path(entry.mapping, PathConfig(
+        q=q, inner_tol=cfg["inner-tol"],
+        max_inner_iter=cfg["max-inner-iter"],
+        target_t=q if target is None else target))
     _write(outdir, "path.csv", path_csv(path))
     return 0
 
 
-def _run_limit(entry: GalleryEntry, values: dict[str, str], outdir: Path,
-               seed: int) -> int:
-    cfg = _path_config(values, None)
-    final_tol = _as_float(values, "final-tol", 1e-6, positive=True)
-    ratio = _as_float(values, "ratio", 0.5, positive=True)
-    path = limit_path(entry.mapping, cfg, final_tol, ratio)
+def _run_limit(entry: GalleryEntry, cfg: dict, outdir: Path) -> int:
+    path = limit_path(entry.mapping, PathConfig(
+        inner_tol=cfg["inner-tol"], max_inner_iter=cfg["max-inner-iter"]),
+        cfg["final-tol"], cfg["ratio"])
     _write(outdir, "path.csv", path_csv(path))
     x1, cert = path.terminal
     _write(outdir, "limit.txt", _record_text([
@@ -225,22 +184,17 @@ def _run_limit(entry: GalleryEntry, values: dict[str, str], outdir: Path,
     return 0
 
 
-def _run_certify(entry: GalleryEntry, values: dict[str, str],
-                 outdir: Path, seed: int) -> int:
-    n_pairs = _as_int(values, "pairs", 64, at_least=1)
-    slack = _as_float(values, "slack", 1e-12)
-    if slack < 0.0:
-        raise ConfigError(f"key 'slack' must be >= 0, got {slack}")
-    grid_max = _as_float(values, "grid-max", 10.0, positive=True)
-    grid_pts = _as_int(values, "grid-points", 64, at_least=2)
+def _run_certify(entry: GalleryEntry, cfg: dict, outdir: Path) -> int:
+    n_pairs, grid_max = cfg["pairs"], cfg["grid-max"]
+    # the grid's least positive point, which bounds grid-max from below
     grid = np.concatenate(
-        [[0.0], np.geomspace(1e-6, grid_max, grid_pts - 1)])
+        [[0.0], np.geomspace(1e-6, grid_max, cfg["grid-points"] - 1)])
     T = entry.mapping
     adm = check_modulus_admissible(T.declared_modulus, grid)
     # rows x_0, y_0, x_1, y_1, ...: the pairs of successive point draws
-    pairs = entry.sampler(np.random.default_rng(seed), 2 * n_pairs)
+    pairs = entry.sampler(np.random.default_rng(cfg["seed"]), 2 * n_pairs)
     rep = verify_contractive(
-        T, pairs.reshape(n_pairs, 2, T.space.dimension), slack=slack)
+        T, pairs.reshape(n_pairs, 2, T.space.dimension), slack=cfg["slack"])
     ok = adm.admissible and rep.passed
     _write(outdir, "certify.txt", _record_text([
         ("map", entry.name), ("modulus_kind", T.declared_modulus.kind),
@@ -254,16 +208,31 @@ def _run_certify(entry: GalleryEntry, values: dict[str, str],
     return 0 if ok else 1
 
 
-# experiment kind -> (its config keys, its runner); a runner writes the
-# reports of a successful run and returns the exit status
+_INNER = {"inner-tol": (float, 1e-10, "> 0"),
+          "max-inner-iter": (int, 200_000, ">= 1")}
+
+# experiment kind -> ({its config key: (parse, default, bound)}, its
+# runner).  An optional key whose default is None falls back in the
+# runner: xbar to the map's known fixed point, target-t to q.  A runner
+# takes the read keys, seed included, writes the reports of a successful
+# run and returns the exit status
 _EXPERIMENTS = {
-    "solve": ({"x0", "tol", "max-iter"}, _run_solve),
-    "stability": ({"xbar", "M", "epsilon", "trials", "n"}, _run_stability),
-    "trace": ({"q", "inner-tol", "max-inner-iter", "target-t"}, _run_trace),
-    "limit": ({"inner-tol", "max-inner-iter", "final-tol", "ratio"},
-              _run_limit),
-    "certify": ({"pairs", "slack", "grid-max", "grid-points"},
-                _run_certify),
+    "solve": ({"x0": (_vector, _REQUIRED, None),
+               "tol": (float, 1e-10, "> 0"),
+               "max-iter": (int, 100_000, ">= 1")}, _run_solve),
+    "stability": ({"xbar": (_vector, None, None),
+                   "M": (float, _REQUIRED, "> 0"),
+                   "epsilon": (float, _REQUIRED, "> 0"),
+                   "trials": (int, 100, ">= 1"),
+                   "n": (int, _REQUIRED, ">= 1")}, _run_stability),
+    "trace": ({"q": (float, 0.9, "> 0"), **_INNER,
+               "target-t": (float, None, None)}, _run_trace),
+    "limit": ({**_INNER, "final-tol": (float, 1e-6, "> 0"),
+               "ratio": (float, 0.5, "> 0")}, _run_limit),
+    "certify": ({"pairs": (int, 64, ">= 1"),
+                 "slack": (float, 1e-12, ">= 0"),
+                 "grid-max": (float, 10.0, ">= 1e-6"),
+                 "grid-points": (int, 64, ">= 2")}, _run_certify),
 }
 
 # errors of an experiment that ran but failed: reported in error.txt with
@@ -276,19 +245,24 @@ def run_config(config_path: Path, outdir: Path | None,
                seed_override: int | None) -> int:
     values = parse_config(config_path)
     kind = values["experiment"]
-    # the key is checked even when --seed overrides it, so a config that
-    # fails on its own fails under the flag too
-    seed = _as_int(values, "seed", 0, at_least=0)
+    keys, runner = _EXPERIMENTS[kind]
+    # every key is read before the map is built or anything runs, the seed
+    # key even when --seed overrides it, so a config that fails on its own
+    # fails under the flag too
+    cfg = {key: _read(values, key, spec)
+           for key, spec in (*_SEED.items(), *keys.items())}
     if seed_override is not None:
         if seed_override < 0:
             raise ConfigError(f"--seed must be >= 0, got {seed_override}")
-        seed = seed_override
-    entry = _build_entry(values)
+        cfg["seed"] = seed_override
+    entry = make_map(values["map"], **{
+        key[len("map."):]: _read(values, key, (float, None, None))
+        for key in values if key.startswith("map.")})
     if outdir is None:
         outdir = Path(values["out"]) if "out" in values else Path("out")
     start = time.perf_counter()
     try:
-        status = _EXPERIMENTS[kind][1](entry, values, outdir, seed)
+        status = runner(entry, cfg, outdir)
     except _RUN_FAILURES as exc:
         _write(outdir, "error.txt", _error_text(exc))
         if isinstance(exc, NonselfExitError) and exc.orbit is not None:
@@ -301,8 +275,8 @@ def run_config(config_path: Path, outdir: Path | None,
         sep=" ").rstrip("\n")
     _write(outdir, "manifest.txt", _record_text([
         ("engine", f"fixpoint {__version__}"), ("experiment", kind),
-        ("map", values["map"]), ("map_params", map_params), ("seed", seed),
-        ("config", config_path), ("status", status),
+        ("map", values["map"]), ("map_params", map_params),
+        ("seed", cfg["seed"]), ("config", config_path), ("status", status),
         ("elapsed_seconds", elapsed)]))
     return status
 

@@ -406,6 +406,9 @@ def box(lo, hi) -> DomainSet:
     hi_a = _frozen(np.atleast_1d(np.asarray(hi, dtype=float)))
     if lo_a.shape != hi_a.shape or lo_a.ndim != 1:
         raise ArgumentError("box bounds must be 1-D of equal length")
+    for name, bound in (("lo", lo_a), ("hi", hi_a)):
+        if np.isnan(bound).any():
+            raise ArgumentError(f"box {name} must not be NaN, got {bound}")
     if np.any(lo_a >= hi_a):
         raise ArgumentError("box needs lo < hi in every coordinate")
 
@@ -482,6 +485,8 @@ def ball(center, radius: float) -> DomainSet:
     the same.
     """
     c = _frozen(np.atleast_1d(np.asarray(center, dtype=float)))
+    if np.isnan(c).any():
+        raise ArgumentError(f"ball center must not be NaN, got {c}")
     if not radius > 0.0:
         raise ArgumentError(f"ball radius must be > 0, got {radius}")
     centred = not c.any()
@@ -558,6 +563,10 @@ def ball(center, radius: float) -> DomainSet:
 def halfspace(normal, offset: float) -> DomainSet:
     """Closed halfspace {x : <normal, x> <= offset} with normal != 0."""
     nv = _frozen(np.atleast_1d(np.asarray(normal, dtype=float)))
+    if np.isnan(nv).any():
+        raise ArgumentError(f"halfspace normal must not be NaN, got {nv}")
+    if math.isnan(offset):
+        raise ArgumentError("halfspace offset must not be NaN")
     params = tuple(nv) + (offset,)
     # the same set, with the normal and the offset divided by the power of
     # two at the normal's largest magnitude (exact while the quotients stay

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fixpoint import __version__
-from fixpoint.cli import main, parse_config, run_config
+from fixpoint.cli import (_EXPERIMENTS, _REQUIRED, _SEED, main,
+                          parse_config, run_config)
 from fixpoint.errors import ConfigError
 from fixpoint.gallery import list_maps, make_map
 from fixpoint.picard import stability_constants
@@ -361,6 +363,77 @@ def test_bad_seed_key_is_refused_with_or_without_the_flag(
     assert not out.exists()
 
 
+# a map and valid values of the required keys for each kind, so that a
+# config built on one fails only for the key a test changes
+_VALID = {"solve": {"map": "affine-halfline", "x0": "3.0"},
+          "stability": {"map": "rakotch-decay", "M": "1.0",
+                        "epsilon": "0.5", "trials": "2", "n": "200"},
+          "trace": {"map": "affine-halfline"},
+          "limit": {"map": "affine-halfline"},
+          "certify": {"map": "rakotch-decay", "pairs": "4"}}
+
+
+def _config(kind: str, changes: dict) -> str:
+    """The valid config of kind with changes applied; None drops a key."""
+    keys = {"experiment": kind, **_VALID[kind], **changes}
+    return "".join(f"{k} = {v}\n" for k, v in keys.items() if v is not None)
+
+
+def _past(parse, bound: str):
+    """The value just past bound: the least value itself when strict."""
+    op, least = bound.split()
+    least = parse(least)
+    if op == ">":
+        return least
+    return least - 1 if parse is int else math.nextafter(least, -math.inf)
+
+
+_BOUNDED = [(kind, key, spec) for kind, (keys, _) in _EXPERIMENTS.items()
+            for key, spec in {**_SEED, **keys}.items() if spec[2]]
+_REQUIRED_KEYS = [(kind, key) for kind, (keys, _) in _EXPERIMENTS.items()
+                  for key, spec in keys.items() if spec[1] is _REQUIRED]
+
+
+@pytest.mark.parametrize("kind", sorted(_VALID))
+def test_valid_configs_run(tmp_path, kind):
+    cfg = _write(tmp_path, "ok.cfg", _config(kind, {}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("kind,key,spec", _BOUNDED,
+                         ids=[f"{k}-{key}" for k, key, _ in _BOUNDED])
+def test_value_past_its_bound_is_a_config_error(tmp_path, capsys, kind,
+                                                key, spec):
+    parse, _, bound = spec
+    value = _past(parse, bound)
+    cfg = _write(tmp_path, "bad.cfg", _config(kind, {key: repr(value)}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"key {key!r} must be {bound}, got {value}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,key", _REQUIRED_KEYS,
+                         ids=[f"{k}-{key}" for k, key in _REQUIRED_KEYS])
+def test_missing_required_key_is_a_config_error(tmp_path, capsys, kind,
+                                                key):
+    cfg = _write(tmp_path, "bad.cfg", _config(kind, {key: None}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"missing required key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_certify_grid_max_at_its_bound_runs(tmp_path):
+    # below 1e-6 the grid's geometric part would run downward, and the
+    # refusal used to name a sorted grid the config never gave
+    cfg = _write(tmp_path, "ok.cfg", _config("certify", {"grid-max": "1e-6"}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert "grid_max=1e-06" in (out / "certify.txt").read_text()
+
+
 def test_list_maps_names_everything(capsys):
     assert main(["list-maps"]) == 0
     out = capsys.readouterr().out
@@ -392,6 +465,35 @@ def test_readme_configs_run_and_write_their_files(tmp_path):
             _README_OUTPUTS[kind] | {"manifest.txt"}
         kinds.append(kind)
     assert sorted(kinds) == sorted(_README_OUTPUTS)
+
+
+# one table per experiment kind, and one for the seed, whose rows give
+# each key, its type, its default and its bound
+_KEY_TABLE = re.compile(r"^\| (.+) key \| type \| default \| bound \|\n"
+                        r"\|[-| ]+\|\n((?:\|.*\n)+)", re.M)
+
+
+def test_readme_key_tables_match_the_cli():
+    want = {f"`{kind}`": keys for kind, (keys, _) in _EXPERIMENTS.items()}
+    want["every experiment's"] = _SEED
+    tables = dict(_KEY_TABLE.findall(_README.read_text()))
+    assert tables.keys() == want.keys()
+    for head, rows in tables.items():
+        got = {}
+        for row in rows.splitlines():
+            key, *cells = (c.strip().strip("`")
+                           for c in row.strip("|").split("|"))
+            got[key] = cells
+        assert got.keys() == want[head].keys(), head
+        for key, (parse, default, bound) in want[head].items():
+            kind, doc_default, doc_bound = got[key]
+            assert kind == parse.__name__.lstrip("_"), key
+            assert doc_bound == (bound or ""), key
+            if default is _REQUIRED or default is None:
+                assert doc_default == ("optional" if default is None
+                                       else "required"), key
+            else:
+                assert parse(doc_default) == default, key
 
 
 # ---------------------------------------------------------------------------

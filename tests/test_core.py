@@ -191,6 +191,27 @@ def test_box_requires_proper_bounds():
         box([1.0], [0.0])
 
 
+@pytest.mark.parametrize("make,name", [
+    (lambda: box([math.nan], [1.0]), "box lo"),
+    (lambda: box([0.0], [math.nan]), "box hi"),
+    (lambda: ball([math.nan], 1.0), "ball center"),
+    (lambda: halfspace([math.nan], 0.0), "halfspace normal"),
+    (lambda: halfspace([1.0], math.nan), "halfspace offset"),
+], ids=["box-lo", "box-hi", "ball-center", "halfspace-normal",
+        "halfspace-offset"])
+def test_nan_domain_parameter_is_refused_by_name(make, name):
+    # a NaN parameter used to build an empty set, so a later run failed on
+    # its start point instead of on the parameter
+    with pytest.raises(ArgumentError, match=f"{name} must not be NaN"):
+        make()
+
+
+def test_infinite_box_bounds_and_halfspace_offsets_are_kept():
+    assert box([-math.inf], [math.inf]).contains(np.array([0.0]))
+    assert halfspace([1.0], math.inf).contains(np.array([1e308]))
+    assert not halfspace([1.0], -math.inf).contains(np.array([0.0]))
+
+
 def test_halfline_is_box_with_infinite_top():
     d = halfline(-1.0)
     assert d.contains(as_point(1e12))
