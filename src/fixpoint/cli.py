@@ -8,11 +8,13 @@ message.  Each kind's keys, with their types, defaults and bounds, are
 stated once, in the table _EXPERIMENTS.
 
 Five experiment kinds: solve, stability, trace, limit, certify.  Outputs go
-to the --out directory as CSV and key=value text files whose floats are
-written with repr, so a repeated run with the same config and seed produces
-byte-identical reports; the wall-time stamp lives only in manifest.txt.
-Exit status: 0 when every asserted invariant passed, 1 when the experiment
-ran but an assertion or continuation failed, 2 for config or usage errors.
+to the --out directory, which must be a directory or not exist yet, as CSV
+and key=value text files whose floats are written with repr, so a repeated
+run with the same config and seed produces byte-identical reports; the
+wall-time stamp lives only in manifest.txt.  Exit status: 0 when every
+asserted invariant passed, 1 when the experiment ran but an assertion or
+continuation failed, 2 for config or usage errors, an unusable output path
+and a report that cannot be written among them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import math
 import sys
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -131,11 +134,35 @@ def _error_text(exc: FixpointError) -> str:
                          *((a, v) for a, v in payload if v is not None)])
 
 
-def _write(outdir: Path, name: str, text: str) -> None:
-    """Write one report, creating outdir on the first write, so a run
-    refused for its config leaves no directory behind."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / name).write_text(text)
+def _refuse_outdir(outdir: Path) -> None:
+    """Refuse, before anything runs, an output path that is an existing
+    non-directory or lies under one: the nearest existing path of outdir
+    and its parents must be a directory."""
+    try:
+        for p in (outdir, *outdir.parents):
+            if p.exists():
+                if not p.is_dir():
+                    raise ConfigError(f"output directory {outdir} cannot "
+                                      f"be made: {p} is not a directory")
+                return
+    except OSError as exc:
+        raise ConfigError(f"output directory {outdir}: {exc}") from exc
+
+
+def _write(outdir: Path, name: str, text: str | Iterable[str]) -> None:
+    """Write one report, a str or its pieces one at a time, creating
+    outdir on the first write, so a run refused for its config leaves no
+    directory behind.  The text is encoded as UTF-8, with a path's
+    undecodable bytes written back as they were, so the bytes depend on
+    neither the locale nor the platform."""
+    path = outdir / name
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        with path.open("w", encoding="utf-8", errors="surrogateescape",
+                       newline="") as f:
+            f.writelines([text] if isinstance(text, str) else text)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write report: {exc}") from exc
 
 
 def _run_solve(entry: GalleryEntry, cfg: dict, outdir: Path) -> int:
@@ -260,6 +287,7 @@ def run_config(config_path: Path, outdir: Path | None,
         for key in values if key.startswith("map.")})
     if outdir is None:
         outdir = Path(values["out"]) if "out" in values else Path("out")
+    _refuse_outdir(outdir)
     start = time.perf_counter()
     try:
         status = runner(entry, cfg, outdir)

@@ -29,6 +29,7 @@ certifies the limit as a fixed point of T itself, possibly on the boundary.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -449,10 +450,12 @@ def limit_path(T: MappingInstance, cfg: PathConfig, final_tol: float,
 # serialization
 
 
-def path_csv(path: ContinuationPath) -> str:
-    """Path as CSV: t, coordinates, inner residual, accepted step, backing
-    radius.  A terminal record (t = 1 limit) is appended as a final row
-    with the certificate residual in the residual column."""
+def path_csv(path: ContinuationPath) -> Iterator[str]:
+    """Path as CSV pieces: t, coordinates, inner residual, accepted step,
+    backing radius.  A terminal record (t = 1 limit) is appended as a
+    final row with the certificate residual in the residual column.
+    Joined, the pieces are the file's text; written one at a time, they
+    hold one chunk of rows whatever the path's length."""
     d = path.entries[0].x.shape[0]
     t, x, res, step, r, _ = zip(*path.entries)
     if path.terminal is not None:

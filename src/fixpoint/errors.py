@@ -18,7 +18,8 @@ class ArgumentError(FixpointError, ValueError):
 
 
 class ConfigError(FixpointError, ValueError):
-    """A config file could not be parsed or validated.
+    """A config file could not be parsed or validated, or the output
+    directory of its run could not be written.
 
     Messages are prefixed with ``<path>:<line>`` where a line is known.
     """

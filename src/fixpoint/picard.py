@@ -24,7 +24,9 @@ by raising NonRakotchError instead of returning an unusable integer.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -178,7 +180,10 @@ def _orbit(T: MappingInstance, x0, n: int, delta: float,
     _refuse_non_finite(pts[1:], pts[:-1])
     res = (T.space.rowwise_distance(pts[1:], images[:m]) if delta > 0.0
            else np.zeros(m))
-    return Orbit(points=_frozen(pts), residuals=_frozen(res),
+    # both buffers are fresh and the orbit's own: read-only in place, no copy
+    pts.setflags(write=False)
+    res.setflags(write=False)
+    return Orbit(points=pts, residuals=res,
                  exited_domain_at=exited, perturbation_bound=delta)
 
 
@@ -541,21 +546,23 @@ _CSV_CHUNK = 8192
 
 
 def _csv_text(header: list[str], lead: list[list],
-              columns: list[np.ndarray]) -> str:
-    """CSV text: the header line, the lead rows of Python numbers, then one
-    line per row of the equal-length 1-D arrays columns, every cell the
-    repr of the row's Python number (a None lead cell stays empty), so
-    equal runs give byte-equal files.
+              columns: list[np.ndarray | range]) -> Iterator[str]:
+    """CSV text in pieces: the header line with the lead rows of Python
+    numbers, then one piece per _CSV_CHUNK rows of the equal-length
+    columns (1-D arrays, or a range), every cell the repr of the row's
+    Python number (a None lead cell stays empty), so equal runs give
+    byte-equal files.  Every piece ends in a newline.
 
-    The rows are formatted _CSV_CHUNK at a time, a column at once: only
-    one chunk is ever held as Python objects.
+    Each chunk is formatted a column at once, and only one chunk is ever
+    held as Python objects: written a piece at a time, the text never
+    grows with the number of rows.
     """
-    lines = [",".join(header), *(",".join(
-        "" if v is None else repr(v) for v in row) for row in lead)]
+    yield "\n".join([",".join(header), *(",".join(
+        "" if v is None else repr(v) for v in row) for row in lead), ""])
     for lo in range(0, len(columns[0]), _CSV_CHUNK):
-        cells = [map(repr, c[lo:lo + _CSV_CHUNK].tolist()) for c in columns]
-        lines.append("\n".join(map(",".join, zip(*cells))))
-    return "\n".join(lines) + "\n"
+        cells = [map(repr, part if isinstance(part, range) else part.tolist())
+                 for part in (c[lo:lo + _CSV_CHUNK] for c in columns)]
+        yield "\n".join(chain(map(",".join, zip(*cells)), ("",)))
 
 
 def _record_text(fields, sep: str = "\n") -> str:
@@ -569,8 +576,10 @@ def _record_text(fields, sep: str = "\n") -> str:
         for k, v in fields) + "\n"
 
 
-def orbit_csv(orbit: Orbit) -> str:
-    """Orbit as CSV: index, coordinates, residual (empty on the seed row).
+def orbit_csv(orbit: Orbit) -> Iterator[str]:
+    """Orbit as CSV pieces: index, coordinates, residual (empty on the
+    seed row).  Joined, the pieces are the file's text; written one at a
+    time, they hold one chunk of rows whatever the orbit's length.
 
     Floats are written with repr, so equal runs give byte-equal files.
     """
@@ -578,7 +587,7 @@ def orbit_csv(orbit: Orbit) -> str:
     d = pts.shape[1]
     return _csv_text(["i", *(f"x{j}" for j in range(d)), "residual"],
                      [[0, *pts[0].tolist(), None]],
-                     [np.arange(1, len(pts)), *pts[1:].T, orbit.residuals])
+                     [range(1, len(pts)), *pts[1:].T, orbit.residuals])
 
 
 def stability_report_text(report: StabilityReport) -> str:

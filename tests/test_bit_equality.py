@@ -495,7 +495,21 @@ def _orbit(points: np.ndarray, residuals: np.ndarray) -> Orbit:
 def test_orbit_csv_equals_the_row_loop(d, rows):
     rng = np.random.default_rng(rows + d)
     orbit = _orbit(_spread(rng, (rows, d)), np.abs(_spread(rng, rows - 1)))
-    assert orbit_csv(orbit) == _reference_orbit_csv(orbit)
+    assert "".join(orbit_csv(orbit)) == _reference_orbit_csv(orbit)
+
+
+@pytest.mark.parametrize("rows", [1, _CSV_CHUNK, _CSV_CHUNK + 1,
+                                  2 * _CSV_CHUNK + 5])
+def test_orbit_csv_pieces_are_the_head_then_one_per_chunk(rows):
+    rng = np.random.default_rng(rows)
+    pieces = list(orbit_csv(_orbit(rng.random((rows + 1, 2)),
+                                   rng.random(rows))))
+    assert len(pieces) == 1 + math.ceil(rows / _CSV_CHUNK)
+    # the header and the seed row, then whole chunks of rows, every piece
+    # ending its last line
+    assert [p.count("\n") for p in pieces] == [
+        2, *(min(_CSV_CHUNK, rows - lo) for lo in range(0, rows, _CSV_CHUNK))]
+    assert all(p.endswith("\n") for p in pieces)
 
 
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30),
@@ -505,7 +519,7 @@ def test_orbit_csv_equals_the_row_loop_on_any_doubles(points, data):
     residuals = data.draw(hnp.arrays(np.float64, len(points) - 1,
                                      elements=_DOUBLES))
     orbit = _orbit(points, residuals)
-    assert orbit_csv(orbit) == _reference_orbit_csv(orbit)
+    assert "".join(orbit_csv(orbit)) == _reference_orbit_csv(orbit)
 
 
 def test_orbit_csv_equals_the_row_loop_on_computed_orbits():
@@ -518,7 +532,7 @@ def test_orbit_csv_equals_the_row_loop_on_computed_orbits():
     for orbit in (exit_, perturbed, orbit_exact(decay, [1.0], 8192),
                   orbit_inexact(rotation, [0.5, -1.0], 400, 0.05,
                                 noise_seed=9)):
-        assert orbit_csv(orbit) == _reference_orbit_csv(orbit)
+        assert "".join(orbit_csv(orbit)) == _reference_orbit_csv(orbit)
 
 
 def _path(x: np.ndarray, rest: np.ndarray, terminal: bool
@@ -545,7 +559,7 @@ def test_path_csv_equals_the_row_loop(d, entries, terminal):
     rng = np.random.default_rng(7 * entries + d)
     path = _path(_spread(rng, (entries, d)), _spread(rng, (entries, 4)),
                  terminal)
-    assert path_csv(path) == _reference_path_csv(path)
+    assert "".join(path_csv(path)) == _reference_path_csv(path)
 
 
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 20),
@@ -554,7 +568,7 @@ def test_path_csv_equals_the_row_loop(d, entries, terminal):
 def test_path_csv_equals_the_row_loop_on_any_doubles(x, data, terminal):
     rest = data.draw(hnp.arrays(np.float64, (len(x), 4), elements=_DOUBLES))
     path = _path(x, rest, terminal)
-    assert path_csv(path) == _reference_path_csv(path)
+    assert "".join(path_csv(path)) == _reference_path_csv(path)
 
 
 def test_path_csv_equals_the_row_loop_on_computed_paths():
@@ -562,7 +576,7 @@ def test_path_csv_equals_the_row_loop_on_computed_paths():
     affine = make_map("affine-halfline").mapping
     for path in (trace_path(rotation, PathConfig(q=0.99, target_t=0.95)),
                  limit_path(affine, PathConfig(), 1e-9)):
-        assert path_csv(path) == _reference_path_csv(path)
+        assert "".join(path_csv(path)) == _reference_path_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -976,5 +990,5 @@ def test_trace_path_entries_equal_the_frozen_inner_solve(T, monkeypatch):
         assert a.x.tobytes() == b.x.tobytes()
         assert all(_same_float(u, v) for u, v in zip(a[2:5], b[2:5]))
         assert a.t == b.t and a.norm_bound_ok == b.norm_bound_ok
-    assert path_csv(got) == path_csv(want)
+    assert "".join(path_csv(got)) == "".join(path_csv(want))
     assert _same_float(got.mbound, want.mbound)

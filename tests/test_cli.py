@@ -1,19 +1,23 @@
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fixpoint import __version__
+from fixpoint import __version__, cli
 from fixpoint.cli import (_EXPERIMENTS, _REQUIRED, _SEED, main,
                           parse_config, run_config)
 from fixpoint.errors import ConfigError
 from fixpoint.gallery import list_maps, make_map
-from fixpoint.picard import stability_constants
+from fixpoint.picard import Orbit, orbit_csv, stability_constants
 
 
 def _write(tmp_path, name, text):
@@ -606,6 +610,87 @@ def test_manifest_lists_its_keys_in_order(tmp_path):
     assert values["seed"] == "7"
     assert values["status"] == "0"
     assert float(values["elapsed_seconds"]) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# writing the reports
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_non_ascii_config_path_is_written_under_an_ascii_locale(tmp_path):
+    # under the C locale, without UTF-8 mode, the path's bytes reach
+    # Python as surrogate escapes; the manifest writes them back as they
+    # were, so its config line holds the path's own bytes
+    cfg = _write(tmp_path, os.fsdecode("\u00e9".encode() + b".cfg"), _SOLVE)
+    out = tmp_path / "o"
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fixpoint.cli", "run", str(cfg), "--out",
+         str(out)], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (b"\nconfig=" + os.fsencode(cfg) + b"\n"
+            in (out / "manifest.txt").read_bytes())
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the experiment ran")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("via_key", [False, True], ids=["flag", "out-key"])
+def test_out_at_or_under_a_file_is_refused_before_the_run(
+        tmp_path, capsys, monkeypatch, under, via_key):
+    taken = _write(tmp_path, "taken", "keep me\n")
+    out = taken / "sub" if under else taken
+    monkeypatch.setattr(cli, "solve_fixed_point", _must_not_run)
+    cfg = _write(tmp_path, "a.cfg", _SOLVE + (f"out = {out}\n" if via_key
+                                              else ""))
+    flags = [] if via_key else ["--out", str(out)]
+    assert main(["run", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fixpoint: output directory {out} cannot be "
+                          "made: ")
+    assert f"{taken} is not a directory" in err
+    assert taken.read_bytes() == b"keep me\n"
+
+
+def test_a_report_that_cannot_be_written_exits_two_naming_it(tmp_path,
+                                                              capsys):
+    out = tmp_path / "o"
+    (out / "orbit.csv").mkdir(parents=True)
+    cfg = _write(tmp_path, "a.cfg", _SOLVE)
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fixpoint: {out / 'orbit.csv'}: cannot write "
+                          "report: ")
+    assert not any((out / "orbit.csv").iterdir())
+    assert not (out / "manifest.txt").exists()
+
+
+def _orbit_write_peak(outdir: Path, rows: int) -> int:
+    """The traced allocation peak of writing an orbit of `rows` points."""
+    rng = np.random.default_rng(rows)
+    orbit = Orbit(points=rng.random((rows, 1)), residuals=rng.random(rows - 1),
+                  exited_domain_at=None, perturbation_bound=0.0)
+    tracemalloc.start()
+    try:
+        cli._write(outdir, "orbit.csv", orbit_csv(orbit))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_orbit_write_holds_one_chunk_whatever_the_length(tmp_path):
+    mib = 2.0 ** 20
+    short = _orbit_write_peak(tmp_path / "short", 50_000)
+    long = _orbit_write_peak(tmp_path / "long", 200_000)
+    assert (tmp_path / "long" / "orbit.csv").read_text().count("\n") \
+        == 200_001
+    assert abs(long - short) <= 0.25 * mib
+    assert long < 2.0 * mib
 
 
 # ---------------------------------------------------------------------------

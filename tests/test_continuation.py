@@ -418,16 +418,16 @@ def test_limit_validates():
 
 def test_path_csv_trace_layout():
     path = trace_path(_affine(), PathConfig(q=0.9, target_t=0.5))
-    text = path_csv(path)
+    text = "".join(path_csv(path))
     lines = text.strip().split("\n")
     assert lines[0] == "t,x0,inner_residual,step_bound_used,r_used"
     assert len(lines) == len(path.entries) + 1
     assert lines[1].startswith("0.0,0.0,")
-    assert text == path_csv(path)
+    assert text == "".join(path_csv(path))
 
 
 def test_path_csv_limit_appends_terminal_row():
     path = limit_path(_affine(), PathConfig(), 1e-6)
-    lines = path_csv(path).strip().split("\n")
+    lines = "".join(path_csv(path)).strip().split("\n")
     assert len(lines) == len(path.entries) + 2
     assert lines[-1].startswith("1.0,")

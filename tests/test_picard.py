@@ -795,12 +795,12 @@ def test_batched_stability_accepts_a_rowwise_affine_map():
 
 def test_orbit_csv_shape_and_determinism():
     orb = orbit_inexact(_decay_map(), [1.0], 5, 1e-3, noise_seed=31)
-    text = orbit_csv(orb)
+    text = "".join(orbit_csv(orb))
     lines = text.strip().split("\n")
     assert lines[0] == "i,x0,residual"
     assert len(lines) == 7
     assert lines[1].startswith("0,1.0,")
-    assert text == orbit_csv(orb)
+    assert text == "".join(orbit_csv(orb))
     # residual column empty on the seed row, filled afterwards
     assert lines[1].endswith(",")
     assert not lines[2].endswith(",")
