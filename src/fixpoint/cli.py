@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from collections.abc import Iterable
@@ -46,9 +47,11 @@ _COMMON_KEYS = {"experiment", "map", "out", *_SEED}
 
 
 def parse_config(path: Path) -> dict[str, str]:
-    """Read a flat config file into a key -> raw value dict."""
+    """Read a flat config file into a key -> raw value dict.  The file is
+    read as UTF-8 whatever the locale, its undecodable bytes kept as
+    surrogate escapes, the way the reports are written."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     values: dict[str, str] = {}
@@ -286,7 +289,9 @@ def run_config(config_path: Path, outdir: Path | None,
         key[len("map."):]: _read(values, key, (float, None, None))
         for key in values if key.startswith("map.")})
     if outdir is None:
-        outdir = Path(values["out"]) if "out" in values else Path("out")
+        # the out key names the directory by the bytes the config holds
+        outdir = Path(os.fsdecode(values["out"].encode(
+            "utf-8", "surrogateescape")) if "out" in values else "out")
     _refuse_outdir(outdir)
     start = time.perf_counter()
     try:

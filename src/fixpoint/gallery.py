@@ -192,13 +192,15 @@ def _build_planar_rotation(theta: float, bx: float, by: float,
         return np.linalg.solve(eye - t * R, t * b)
 
     def rows(rng: np.random.Generator, m: int) -> np.ndarray:
-        # the normal draws take a variable share of the stream, so the
-        # draws stay one sample at a time: two normals, then one uniform
+        # the ziggurat normals take a variable share of the stream, so the
+        # draws stay one point at a time (two normals, then one uniform),
+        # which keeps the rows equal to the point draws; the normals go
+        # straight into their row, with no fresh array per point to copy
         v = np.empty((m, 2))
         u = np.empty(m)
         normal, uniform = rng.standard_normal, rng.random
-        for j in range(m):
-            v[j] = normal(2)
+        for j, row in enumerate(v):
+            normal(out=row)
             u[j] = uniform()
         v /= np.maximum(_row_norms(v), 1e-300)[:, None]
         return v * (radius * np.sqrt(u))[:, None]

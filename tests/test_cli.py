@@ -512,6 +512,14 @@ _GOLDEN = {
                       "82ecdba405bee76c891c4a2696d47535",
          "solution.txt": "0a5efd0542f99b576f9e471c7d663124"
                          "f63e97a723e54bb808072cb19769c242"}),
+    # x0 is the fixed point, so tol is met at the start: 0 iterations, and
+    # orbit.csv still holds the start row and one step
+    "solve-at-start": (
+        "experiment = solve\nmap = affine-halfline\nx0 = -1.0\n", 0,
+        {"orbit.csv": "2d2c228810029002e1554643c90f5fc9"
+                      "0afc4bb62842eeec598a377d8077cda9",
+         "solution.txt": "63fac6e99dedd962d026287edb1d15dc"
+                         "f22af81508eb08c53e9b1e39931bfcba"}),
     "solve-nonself-exit": (
         "experiment = solve\nmap = constant\nmap.c = 2.0\nx0 = 0.0\n", 1,
         {"error.txt": "affe67fff74065a5c45bf36cb9679312"
@@ -618,21 +626,38 @@ def test_manifest_lists_its_keys_in_order(tmp_path):
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _run_under_ascii_locale(*args):
+    """Run the CLI in a subprocess under the C locale, without UTF-8 mode
+    or locale coercion, so its filesystem encoding is ASCII."""
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "fixpoint.cli", *args],
+                          env=env, capture_output=True, timeout=120)
+
+
 def test_non_ascii_config_path_is_written_under_an_ascii_locale(tmp_path):
     # under the C locale, without UTF-8 mode, the path's bytes reach
     # Python as surrogate escapes; the manifest writes them back as they
     # were, so its config line holds the path's own bytes
     cfg = _write(tmp_path, os.fsdecode("\u00e9".encode() + b".cfg"), _SOLVE)
     out = tmp_path / "o"
-    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
-           "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": os.pathsep.join(
-               filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "fixpoint.cli", "run", str(cfg), "--out",
-         str(out)], env=env, capture_output=True, timeout=120)
+    proc = _run_under_ascii_locale("run", str(cfg), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (b"\nconfig=" + os.fsencode(cfg) + b"\n"
             in (out / "manifest.txt").read_bytes())
+
+
+def test_non_ascii_config_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # the config is read as UTF-8 whatever the locale, so a non-ASCII
+    # comment parses, and the out key names the directory by its bytes
+    out = tmp_path / os.fsdecode("é".encode() + b"out")
+    cfg = tmp_path / "a.cfg"
+    cfg.write_bytes(_SOLVE.encode() + "# café\n".encode()
+                    + b"out = " + os.fsencode(out) + b"\n")
+    proc = _run_under_ascii_locale("run", str(cfg))
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "solution.txt").is_file()
 
 
 def _must_not_run(*args, **kwargs):

@@ -111,10 +111,11 @@ def _reference_point_sampler(name):
 def test_sampler_keeps_the_frozen_point_draws(name):
     e = make_map(name)
     draw = _reference_point_sampler(name)
-    for seed in (0, 1, 7):
+    # 40,000 rows: the draws of the certify benchmark's rotation config
+    for seed, m in ((0, 500), (1, 500), (7, 500), (2026, 40_000)):
         rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-        rows = e.sampler(rng, 500)
-        ref = np.array([draw(ref_rng) for _ in range(500)])
+        rows = e.sampler(rng, m)
+        ref = np.array([draw(ref_rng) for _ in range(m)])
         assert rows.tobytes() == ref.tobytes()
         assert rng.random() == ref_rng.random()
 
