@@ -126,13 +126,10 @@ def _read(values: dict[str, str], key: str, spec: tuple):
     return v
 
 
-# the payload attributes error.txt reports, in order, when an error has them
-_ERROR_PAYLOAD = ("t", "lam", "step", "residual", "tail_bound", "point",
-                  "last_inside")
-
-
 def _error_text(exc: FixpointError) -> str:
-    payload = ((a, getattr(exc, a, None)) for a in _ERROR_PAYLOAD)
+    """error.txt: the error's class, its message and its payload fields
+    that are set, in the order the class lists them."""
+    payload = ((a, getattr(exc, a)) for a in exc.payload)
     return _record_text([("error", type(exc).__name__), ("message", exc),
                          *((a, v) for a, v in payload if v is not None)])
 

@@ -64,10 +64,10 @@ class PathConfig:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ArgumentError(f"q must lie in (0, 1), got {self.q}")
-        if self.inner_tol <= 0.0:
+        if not self.inner_tol > 0.0:
             raise ArgumentError(
                 f"inner_tol must be > 0, got {self.inner_tol}")
-        if self.max_inner_iter < 1:
+        if not self.max_inner_iter >= 1:
             raise ArgumentError("max_inner_iter must be >= 1")
         if not 0.0 <= self.target_t < 1.0:
             raise ArgumentError(
@@ -131,9 +131,9 @@ def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
     """
     if not 0.0 <= t < 1.0:
         raise ArgumentError(f"t must lie in [0, 1), got {t}")
-    if inner_tol <= 0.0:
+    if not inner_tol > 0.0:
         raise ArgumentError(f"inner_tol must be > 0, got {inner_tol}")
-    if max_inner_iter < 1:
+    if not max_inner_iter >= 1:
         raise ArgumentError("max_inner_iter must be >= 1")
     apply = T.apply
     tt = np.array(t, dtype=float)
@@ -160,13 +160,13 @@ def step_size(r: float, q: float, norm_Tx: float, t0: float) -> float:
     point invariant for the next scaled map; halving keeps the inequality
     strict in floating point.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise ArgumentError(f"ball radius must be > 0, got {r}")
     if not 0.0 < q < 1.0:
         raise ArgumentError(f"q must lie in (0, 1), got {q}")
     if not 0.0 <= t0 < q:
         raise ArgumentError(f"t0 must lie in [0, q), got t0={t0}, q={q}")
-    if norm_Tx < 0.0:
+    if not norm_Tx >= 0.0:
         raise ArgumentError(f"norm_Tx must be >= 0, got {norm_Tx}")
     return 0.5 * min(r * (1.0 - q) / (1.0 + norm_Tx), q - t0)
 
@@ -182,17 +182,18 @@ def apriori_norm_bound(norm_T0: float, q: float, m: Modulus) -> NormBounds:
     The nonexpansive bound needs only ||T x|| <= ||T 0|| + ||x||; the
     second needs an admissible modulus and is infinite for the nonexpansive
     sentinel.  Raises NonRakotchError if a modulus claiming admissibility
-    has phi(1) >= 1.
+    has phi(1) >= 1.  1 - phi(1) is the modulus's closed-form gap, not
+    the subtraction, which cancels where phi(1) is near 1.
     """
-    if norm_T0 < 0.0:
+    if not norm_T0 >= 0.0:
         raise ArgumentError(f"norm_T0 must be >= 0, got {norm_T0}")
     if not 0.0 < q < 1.0:
         raise ArgumentError(f"q must lie in (0, 1), got {q}")
-    phi1 = m(1.0)
-    if m.rakotch and phi1 >= 1.0:
+    gap1 = m.gap(1.0)
+    if m.rakotch and not gap1 > 0.0:
         raise NonRakotchError(
-            f"modulus flagged admissible but phi(1) = {phi1}")
-    rak = max(1.0, norm_T0 / (1.0 - phi1)) if phi1 < 1.0 else math.inf
+            f"modulus flagged admissible but phi(1) = {m(1.0)}")
+    rak = max(1.0, norm_T0 / gap1) if gap1 > 0.0 else math.inf
     return NormBounds(nonexpansive=norm_T0 / (1.0 - q), rakotch=rak)
 
 
@@ -203,7 +204,7 @@ def lipschitz_bound(t_a: float, t_b: float, mbound: float, q: float) -> float:
     only valid there."""
     if not 0.0 < q < 1.0:
         raise ArgumentError(f"q must lie in (0, 1), got {q}")
-    if mbound <= 0.0:
+    if not mbound > 0.0:
         raise ArgumentError(f"mbound must be > 0, got {mbound}")
     for t in (t_a, t_b):
         if not 0.0 <= t <= q:
@@ -237,7 +238,7 @@ def check_leray_schauder(T: MappingInstance, x, tol: float = 1e-9) -> LsReport:
     tol is caught.  x must lie in the closed domain within tol of its
     boundary; x = 0 is refused because 0 is assumed interior.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ArgumentError(f"tol must be > 0, got {tol}")
     norm = T.space.norm
     x = as_point(x, T.space.dimension)
@@ -395,7 +396,7 @@ def limit_path(T: MappingInstance, cfg: PathConfig, final_tol: float,
     tail bound.  NonFiniteError is raised when T gives a NaN or infinite
     image along the way.
     """
-    if final_tol <= 0.0:
+    if not final_tol > 0.0:
         raise ArgumentError(f"final_tol must be > 0, got {final_tol}")
     if not 0.0 < schedule_ratio < 1.0:
         raise ArgumentError(

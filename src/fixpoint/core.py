@@ -114,16 +114,30 @@ def _overflowed(rows: np.ndarray, prods: np.ndarray):
     return big, np.ldexp(1.0, np.frexp(top)[1] - 1)
 
 
+def _own_units(f, rows: np.ndarray, *args) -> tuple[np.ndarray, np.ndarray]:
+    """f(rows, *args), a squared norm or dot product per row of an (m, d)
+    array, with each finite row whose value overflowed taken again in its
+    own units (see _overflowed), and the unit of every row: 1, or the
+    power of two the retaken row was divided by.  The overflow it handles
+    raises no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = f(rows, *args)
+    unit = np.ones(len(s))
+    if not np.isfinite(s).all():
+        big, scale = _overflowed(rows, s)
+        unit[big] = scale
+        s[big] = f(rows[big] / scale[:, None], *args)
+    return s, unit
+
+
 def _row_norms_safe(rows: np.ndarray) -> np.ndarray:
     """_row_norms, but a finite row whose squared norm overflowed is
-    normed in its own units (see _overflowed) and scaled back, so the
+    normed in its own units (see _own_units) and scaled back, so the
     norm is inf only past the largest float or for a row that is not
     finite."""
-    r = _row_norms(rows)
-    if not np.isfinite(r).all():
-        big, scale = _overflowed(rows, r)
-        r[big] = _row_norms(rows[big] / scale[:, None]) * scale
-    return r
+    r, unit = _own_units(_row_norms, rows)
+    with np.errstate(over="ignore"):
+        return r * unit
 
 
 def _normed_space(dimension: int, norm: Callable[[Point], float],
@@ -204,6 +218,9 @@ class Modulus:
     gap(t) is 1 - phi(t) for a number t, in a closed form per kind: the
     subtraction 1.0 - phi(t) cancels where phi(t) is near 1, which for
     rational-decay at small t loses most of the digits of the gap.
+
+    Both refuse a negative or NaN argument with ArgumentError; +inf is
+    taken (the rational-decay gap is 1 there).
     """
 
     kind: str
@@ -214,20 +231,20 @@ class Modulus:
 
     def __call__(self, t):
         if not isinstance(t, np.ndarray) or t.ndim == 0:
-            if t < 0.0:
+            if not t >= 0.0:
                 raise ArgumentError(f"modulus argument must be >= 0, got {t}")
             return float(self._fn(t))
         t = t.astype(float, copy=False)
-        neg = t < 0.0
-        if neg.any():
+        bad = ~(t >= 0.0)
+        if bad.any():
             raise ArgumentError("modulus argument must be >= 0, got "
-                                f"{t[neg][0]}")
+                                f"{t[bad][0]}")
         v = self._fn(t)
         return v if np.shape(v) == t.shape else np.full(t.shape, v)
 
     def gap(self, t) -> float:
         """1 - phi(t) as a Python float, for a number t >= 0."""
-        if t < 0.0:
+        if not t >= 0.0:
             raise ArgumentError(f"modulus argument must be >= 0, got {t}")
         return float(self._gap(t))
 
@@ -274,9 +291,9 @@ def table_modulus(knots: Sequence[float], values: Sequence[float]) -> Modulus:
         raise ArgumentError("knots and values must be equal-length 1-D")
     if kn[0] != 0.0:
         raise ArgumentError("first knot must be 0")
-    if np.any(np.diff(kn) <= 0.0):
+    if not np.all(np.diff(kn) > 0.0):
         raise ArgumentError("knots must increase strictly")
-    if np.any(va < 0.0) or np.any(va > 1.0):
+    if not np.all((va >= 0.0) & (va <= 1.0)):
         raise ArgumentError("table values must lie in [0, 1]")
     kn = _frozen(kn)
     va = _frozen(va)
@@ -326,7 +343,7 @@ def check_modulus_admissible(m: Modulus,
     g = [float(t) for t in grid]
     if not g:
         raise ArgumentError("grid must be non-empty")
-    if any(t < 0.0 for t in g):
+    if not all(t >= 0.0 for t in g):
         raise ArgumentError("grid entries must be >= 0")
     if any(b < a for a, b in zip(g, g[1:])):
         raise ArgumentError("grid must be sorted ascending")
@@ -515,19 +532,13 @@ def ball(center, radius: float) -> DomainSet:
 
     def project(p: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(p)
-        v = rows - c
-        with np.errstate(over="ignore"):
-            r = _row_norms(v)
-        out = np.array(rows)
         # c + v radius / r is the same point for v and r in any units, so
         # a row whose squared norm overflowed is taken in its own units,
         # against the radius in those units
-        big, scale = _overflowed(v, r)
-        unit = np.ones(len(r))
-        unit[big] = scale
-        if big.size:
-            v[big] /= scale[:, None]
-            r[big] = _row_norms(v[big])
+        v = rows - c
+        r, unit = _own_units(_row_norms, v)
+        v /= unit[:, None]
+        out = np.array(rows)
         far = np.flatnonzero(r > radius / unit)
         # pull a hair inside the sphere so membership survives rounding;
         # where c + v s still rounds outside (a center far from the origin
@@ -535,8 +546,7 @@ def ball(center, radius: float) -> DomainSet:
         shave = 1e-12
         while far.size:
             out[far] = c + v[far] * ((radius / r[far]) * (1.0 - shave))[:, None]
-            with np.errstate(over="ignore"):
-                far = far[_row_norms_safe(out[far] - c) > radius]
+            far = far[_row_norms_safe(out[far] - c) > radius]
             shave = min(16.0 * shave, 1.0)
         return out.reshape(np.shape(p))
 
@@ -616,15 +626,8 @@ def halfspace(normal, offset: float) -> DomainSet:
 
     def dots(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """<nv, row> for every row of an (m, d) array and the unit it is
-        taken in: 1, or for a row whose dot product overflowed the row's
-        own units (see _overflowed), to be held against offset / unit."""
-        s = _row_dot(rows, nv)
-        unit = np.ones(len(s))
-        if not np.isfinite(s).all():
-            big, scale = _overflowed(rows, s)
-            unit[big] = scale
-            s[big] = _row_dot(rows[big] / scale[:, None], nv)
-        return s, unit
+        taken in (see _own_units), to be held against offset / unit."""
+        return _own_units(_row_dot, rows, nv)
 
     def dot(p: Point) -> tuple[float, float, float]:
         """<nv, p>, the offset and the unit both are taken in (see dots);
@@ -653,8 +656,7 @@ def halfspace(normal, offset: float) -> DomainSet:
 
     def project(p: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(p)
-        with np.errstate(over="ignore", invalid="ignore"):
-            s, unit = dots(rows)
+        s, unit = dots(rows)
         out = np.array(rows)
         # a row whose dot product overflowed is projected in its own units,
         # against the offset in those units (any other unit is 1)
@@ -838,7 +840,7 @@ def verify_contractive(T: MappingInstance, pairs,
     single-point ones in the last bits (planar-rotation: about 29% of
     20,000 sampled pairs, by 1.2e-14 relative at most); rhs never does.
     """
-    if slack < 0.0:
+    if not slack >= 0.0:
         raise ArgumentError(f"slack must be >= 0, got {slack}")
     d = T.space.dimension
     try:

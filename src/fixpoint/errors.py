@@ -10,7 +10,24 @@ from __future__ import annotations
 
 
 class FixpointError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    A subclass lists in payload the attributes that carry the data of its
+    event, in the order error.txt reports them.  The constructor sets each
+    from the keyword of its name, None when that is absent, and refuses
+    any other keyword with TypeError.
+    """
+
+    payload: tuple[str, ...] = ()
+
+    def __init__(self, message: str, **payload):
+        unknown = payload.keys() - self.payload
+        if unknown:
+            raise TypeError(f"{type(self).__name__} takes no payload "
+                            f"{', '.join(sorted(unknown))}")
+        super().__init__(message)
+        for name in self.payload:
+            setattr(self, name, payload.get(name))
 
 
 class ArgumentError(FixpointError, ValueError):
@@ -28,13 +45,14 @@ class ConfigError(FixpointError, ValueError):
 class UnknownMapError(FixpointError, KeyError):
     """A map name is not present in the gallery registry."""
 
+    # the message as given, not the repr KeyError makes of it
+    __str__ = Exception.__str__
+
 
 class DomainError(FixpointError, ValueError):
     """A supplied point lies outside the domain it was required to be in."""
 
-    def __init__(self, message: str, point=None):
-        super().__init__(message)
-        self.point = point
+    payload = ("point",)
 
 
 class NonRakotchError(FixpointError):
@@ -44,11 +62,8 @@ class NonRakotchError(FixpointError):
 
 class NonselfExitError(FixpointError):
     """An exact orbit left the domain before reaching its tolerance.
-
-    Attributes
-    ----------
-    orbit : the partial orbit up to and including the exiting point.
-    """
+    orbit is the partial orbit up to and including the exiting point; it
+    is reported in orbit.csv, not as payload."""
 
     def __init__(self, message: str, orbit=None):
         super().__init__(message)
@@ -56,82 +71,42 @@ class NonselfExitError(FixpointError):
 
 
 class ConvergenceError(FixpointError):
-    """An iteration hit its step budget before meeting its tolerance.
+    """An iteration hit its step budget before meeting its tolerance:
+    residual is the last residual observed, tail_bound, for the t -> 1
+    limit schedule, the last tail bound reached."""
 
-    Attributes
-    ----------
-    residual : the last residual observed.
-    tail_bound : for the t -> 1 limit schedule, the last tail bound reached.
-    """
-
-    def __init__(self, message: str, residual: float | None = None,
-                 tail_bound: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-        self.tail_bound = tail_bound
+    payload = ("residual", "tail_bound")
 
 
 class DomainExitError(FixpointError):
-    """An inner solve produced an iterate outside the closed domain.
+    """An inner solve produced an iterate outside the closed domain: at
+    homotopy parameter t, the iterate point left it, and last_inside is
+    the final iterate that was still inside."""
 
-    Attributes
-    ----------
-    t : homotopy parameter at which the exit happened.
-    point : the iterate that left the domain.
-    last_inside : the final iterate that was still inside.
-    """
-
-    def __init__(self, message: str, t: float | None = None, point=None,
-                 last_inside=None):
-        super().__init__(message)
-        self.t = t
-        self.point = point
-        self.last_inside = last_inside
+    payload = ("t", "point", "last_inside")
 
 
 class NonFiniteError(FixpointError):
     """A map sent a point of its domain to a NaN or infinite image (or an
     infinite residual).  point is that image, last_inside the point."""
 
-    def __init__(self, message: str, point=None, last_inside=None):
-        super().__init__(message)
-        self.point = point
-        self.last_inside = last_inside
+    payload = ("point", "last_inside")
 
 
 class LsViolationError(FixpointError):
     """The boundary condition T x != lam * x (lam > 1) failed on the
-    boundary, so the continuation cannot pass the reported parameter.
+    boundary, so the continuation cannot pass the reported parameter: t
+    is where the violation was detected, point the boundary point that
+    witnesses it, lam the scalar lam > 1 with T x close to lam * x (None
+    when an inner solve left the domain with no violation found)."""
 
-    Attributes
-    ----------
-    t : parameter value at which the violation was detected.
-    point : boundary point witnessing the violation.
-    lam : the scalar lam > 1 with T x close to lam * x.
-    """
-
-    def __init__(self, message: str, t: float | None = None, point=None,
-                 lam: float | None = None):
-        super().__init__(message)
-        self.t = t
-        self.point = point
-        self.lam = lam
+    payload = ("t", "lam", "point")
 
 
 class StallError(FixpointError):
     """The path step size collapsed (below 1e-14) without a detected
-    boundary-condition violation.
+    boundary-condition violation: t is the parameter where the path
+    stalled, step the step size that triggered the stall, point the
+    current path point."""
 
-    Attributes
-    ----------
-    t : parameter value where the path stalled.
-    point : current path point.
-    step : the step size that triggered the stall.
-    """
-
-    def __init__(self, message: str, t: float | None = None, point=None,
-                 step: float | None = None):
-        super().__init__(message)
-        self.t = t
-        self.point = point
-        self.step = step
+    payload = ("t", "step", "point")

@@ -263,10 +263,8 @@ def list_maps() -> tuple[str, ...]:
 
 def map_summary(name: str) -> str:
     """One paragraph per map for the CLI listing."""
-    if name not in _REGISTRY:
-        raise UnknownMapError(name)
-    _, schema = _REGISTRY[name]
     entry = make_map(name)
+    _, schema = _REGISTRY[name]
     lines = [f"{name}: {entry.notes}"]
     for key, spec in schema.items():
         lines.append(f"  {key} = {spec.default!r}  "

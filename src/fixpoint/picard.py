@@ -18,7 +18,9 @@ admissible modulus phi:
   1/8 rather than the sharp 1/4 keep the guarantee strict under roundoff.
 
 All bounds refuse non-contractive moduli (phi >= 1 at the probed argument)
-by raising NonRakotchError instead of returning an unusable integer.
+by raising NonRakotchError instead of returning an unusable integer, and
+an index whose bound is no finite float by raising ArgumentError.  Every
+argument guard here is written so that NaN fails it (not tol > 0.0).
 """
 
 from __future__ import annotations
@@ -48,9 +50,21 @@ def _least_int_greater(v: float) -> int:
     return math.floor(v) + 1
 
 
+def _index(bound: str, num: float, den: float, add: float = 0.0) -> int:
+    """_least_int_greater(num / den + add) for the index bound, refused
+    with ArgumentError when the quotient is no finite float (den
+    underflowed to 0, or the quotient overflowed): no integer index can
+    be certified from it."""
+    v = num / den + add if den > 0.0 else math.inf
+    if not v < math.inf:
+        raise ArgumentError(f"{bound} = {num!r} / {den!r} exceeds the "
+                            "largest float")
+    return _least_int_greater(v)
+
+
 def _one_minus_phi(m: Modulus, t: float, what: str) -> float:
     gap = m.gap(t)
-    if gap <= 0.0:
+    if not gap > 0.0:
         raise NonRakotchError(
             f"{what} needs phi({t}) < 1, got {m(t)} (kind={m.kind})")
     return gap
@@ -140,9 +154,9 @@ def _orbit(T: MappingInstance, x0, n: int, delta: float,
     """The orbit of orbit_inexact, recorded by _iterate: the step is T.apply
     when delta is 0, else T x_i plus the seeded noise e_i, projected back
     in when only the perturbed point is outside."""
-    if n < 1:
+    if not n >= 1:
         raise ArgumentError(f"orbit length must be >= 1, got {n}")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ArgumentError(f"perturbation bound must be >= 0, got {delta}")
     d = T.space.dimension
     x = _start(T, x0)
@@ -311,9 +325,9 @@ def solve_fixed_point(T: MappingInstance, x0, tol: float,
     gives a NaN or infinite image, and ConvergenceError after max_iter
     steps.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ArgumentError(f"tolerance must be > 0, got {tol}")
-    if max_iter < 1:
+    if not max_iter >= 1:
         raise ArgumentError(f"max_iter must be >= 1, got {max_iter}")
     if not T.declared_modulus.rakotch:
         raise NonRakotchError(
@@ -344,30 +358,32 @@ def settling_index(epsilon: float, m: Modulus, radius: float,
     """Least k with k > (2 radius + displacement) / (eps (1 - phi(eps))),
     for an orbit started within radius of an anchor point whose
     displacement under the map is anchor_displacement."""
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ArgumentError(f"epsilon must be > 0, got {epsilon}")
-    if radius < 0.0 or anchor_displacement < 0.0:
+    if not (radius >= 0.0 and anchor_displacement >= 0.0):
         raise ArgumentError("seed bounds must be >= 0")
     gap = _one_minus_phi(m, epsilon, "settling index")
-    v = (2.0 * radius + anchor_displacement) / (epsilon * gap)
-    return _least_int_greater(v)
+    return _index("settling index bound (2 radius + displacement) / "
+                  "(eps (1 - phi(eps)))",
+                  2.0 * radius + anchor_displacement, epsilon * gap)
 
 
 def coupling_index(epsilon: float, m: Modulus, radius: float) -> int:
     """Least k with k > 4 radius / ((1 - phi(eps)) eps): from step k two
     orbits launched within radius of each other stay eps-close."""
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ArgumentError(f"epsilon must be > 0, got {epsilon}")
-    if radius < 0.0:
+    if not radius >= 0.0:
         raise ArgumentError(f"radius must be >= 0, got {radius}")
     gap = _one_minus_phi(m, epsilon, "coupling index")
-    return _least_int_greater(4.0 * radius / (gap * epsilon))
+    return _index("coupling index bound 4 radius / ((1 - phi(eps)) eps)",
+                  4.0 * radius, gap * epsilon)
 
 
 def cluster_tolerance(delta: float, m: Modulus) -> float:
     """delta (1 - phi(delta)) / 8: points delta-fixed under a delta-accurate
     surrogate of T cluster within this resolution."""
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ArgumentError(f"delta must be > 0, got {delta}")
     gap = _one_minus_phi(m, delta, "cluster tolerance")
     return delta * gap / 8.0
@@ -419,7 +435,8 @@ def stability_constants(M: float, epsilon: float,
     delta0 = M * gap_M2 / 8.0
     delta1 = epsilon * gap_e2 / 8.0
     delta = 0.5 * min(delta0, delta1, epsilon * gap_e / 4.0)
-    k = _least_int_greater(4.0 * (M + 1.0) / (gap_e * epsilon) + 4.0)
+    k = _index("settling time bound 4 (M + 1) / ((1 - phi(eps)) eps)",
+               4.0 * (M + 1.0), gap_e * epsilon, 4.0)
     return StabilityConstants(M=M, epsilon=epsilon, delta0=delta0,
                               delta1=delta1, delta=delta, k=k)
 
@@ -488,7 +505,7 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
     drawn up front: n * trials * d floats (1.6 MB for 100 trials of 2000
     steps in one dimension), none when the budget is 0.
     """
-    if trials < 1:
+    if not trials >= 1:
         raise ArgumentError(f"trials must be >= 1, got {trials}")
     d = T.space.dimension
     xb = _start(T, xbar, "fixed point")
@@ -497,11 +514,11 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
         raise ArgumentError(
             f"xbar moves by {drift} under T; not fixed to 1e-10")
     consts = stability_constants(M, epsilon, T.declared_modulus)
-    if n < consts.k:
+    if not n >= consts.k:
         raise ArgumentError(
             f"orbit length n={n} is below the settling index k={consts.k}")
     delta_used = consts.delta if delta_override is None else delta_override
-    if delta_used < 0.0:
+    if not delta_used >= 0.0:
         raise ArgumentError(f"delta must be >= 0, got {delta_used}")
     violated = delta_override is not None and delta_override > consts.delta
 

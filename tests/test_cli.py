@@ -15,7 +15,8 @@ from hypothesis import given, strategies as st
 from fixpoint import __version__, cli
 from fixpoint.cli import (_EXPERIMENTS, _REQUIRED, _SEED, main,
                           parse_config, run_config)
-from fixpoint.errors import ConfigError
+from fixpoint.errors import (ConfigError, ConvergenceError, LsViolationError,
+                             NonFiniteError, NonselfExitError, StallError)
 from fixpoint.gallery import list_maps, make_map
 from fixpoint.picard import Orbit, orbit_csv, stability_constants
 
@@ -288,7 +289,9 @@ def test_config_error_exits_two_with_message(tmp_path, capsys):
         x0 = 0.0
     """)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "no-such-map" in capsys.readouterr().err
+    # the message itself, not the repr a KeyError makes of it
+    assert capsys.readouterr().err.startswith(
+        "fixpoint: unknown map 'no-such-map'; known: affine-halfline")
 
 
 def test_bad_map_param_exits_two(tmp_path, capsys):
@@ -438,6 +441,39 @@ def test_certify_grid_max_at_its_bound_runs(tmp_path):
     assert "grid_max=1e-06" in (out / "certify.txt").read_text()
 
 
+# error.txt of each run failure with every payload field set, byte for
+# byte: the fields in the order the error class lists them, an orbit
+# going to orbit.csv instead
+_ERROR_TEXTS = {
+    "stall": (StallError("step collapsed", t=0.25,
+                         point=np.array([1.0, -0.5]), step=1e-15),
+              "error=StallError\nmessage=step collapsed\nt=0.25\n"
+              "step=1e-15\npoint=1.0;-0.5\n"),
+    "non-finite": (NonFiniteError("the map sent it",
+                                  point=np.array([math.nan, math.inf]),
+                                  last_inside=np.array([0.5, 2.0])),
+                   "error=NonFiniteError\nmessage=the map sent it\n"
+                   "point=nan;inf\nlast_inside=0.5;2.0\n"),
+    "ls-violation": (LsViolationError("boundary condition fails", t=0.5,
+                                      point=np.array([2.0]), lam=1.5),
+                     "error=LsViolationError\nmessage=boundary condition "
+                     "fails\nt=0.5\nlam=1.5\npoint=2.0\n"),
+    "convergence": (ConvergenceError("no residual", residual=0.125,
+                                     tail_bound=3.0),
+                    "error=ConvergenceError\nmessage=no residual\n"
+                    "residual=0.125\ntail_bound=3.0\n"),
+    "nonself-exit": (NonselfExitError("iterate 1 left", orbit=Orbit(
+        np.zeros((2, 1)), np.zeros(1), 1, 0.0)),
+                     "error=NonselfExitError\nmessage=iterate 1 left\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ERROR_TEXTS))
+def test_error_text_writes_each_payload_field_in_order(name):
+    exc, text = _ERROR_TEXTS[name]
+    assert cli._error_text(exc) == text
+
+
 def test_list_maps_names_everything(capsys):
     assert main(["list-maps"]) == 0
     out = capsys.readouterr().out
@@ -469,6 +505,23 @@ def test_readme_configs_run_and_write_their_files(tmp_path):
             _README_OUTPUTS[kind] | {"manifest.txt"}
         kinds.append(kind)
     assert sorted(kinds) == sorted(_README_OUTPUTS)
+
+
+def test_an_index_past_the_largest_float_exits_two_without_a_directory(
+        tmp_path, capsys):
+    # the README's stability config at epsilon = 1e-300: eps (1 - phi(eps))
+    # underflows to 0, so no settling time can be certified
+    text = re.search(r"```ini\n(# stability:.*?)```", _README.read_text(),
+                     re.S).group(1)
+    text, n = re.subn(r"(?m)^epsilon=.*$", "epsilon=1e-300", text)
+    assert n == 1
+    cfg = _write(tmp_path, "tiny.cfg", text)
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "fixpoint: settling time bound 4 (M + 1) / ((1 - phi(eps)) eps) = "
+        "8.0 / 0.0 exceeds the largest float")
+    assert not out.exists()
 
 
 # one table per experiment kind, and one for the seed, whose rows give

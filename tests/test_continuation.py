@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -146,6 +147,18 @@ def test_apriori_norm_bound_frozen():
     assert b2.nonexpansive == 0.0 and b2.rakotch == 1.0
     b3 = apriori_norm_bound(2.0, 0.9, constant_modulus(0.5))
     assert b3.rakotch == pytest.approx(4.0)
+
+
+def test_apriori_rakotch_bound_takes_the_closed_form_gap():
+    # ||T 0|| / (1 - phi(1)) with phi(1) = 1 / (1 + a), exactly (1 + a) / a
+    # at ||T 0|| = 1; the subtraction 1.0 - phi(1) cancelled for small a
+    # (1000001.000061145 at a = 1e-6)
+    with mpmath.workdps(50):
+        for a in [1e-6, *np.geomspace(1e-6, 1e2, 41).tolist()]:
+            got = apriori_norm_bound(1.0, 0.5,
+                                     rational_decay_modulus(a)).rakotch
+            exact = (1 + mpmath.mpf(a)) / mpmath.mpf(a)
+            assert abs(got - exact) <= 4 * math.ulp(got), a
 
 
 def test_apriori_norm_bound_sentinel_gives_infinite_rakotch():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -327,6 +328,19 @@ def test_halfspace_membership_survives_an_overflowing_dot(nv, offset, p,
         inside, 0.0 <= offset]
     assert d.interior_contains(p) is (inside and dist > 0.0)
     assert d.boundary_distance(p) == pytest.approx(dist, rel=1e-12)
+
+
+def test_row_forms_take_an_overflowing_row_without_a_warning():
+    # the own-units retry handles the overflow of the first attempt, so
+    # it raises no warning; a norm past the largest float raises none either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.array([[1e200, 0.0], [1.5e308, 1.5e308], [6e199, 0.0]])
+        assert ball([0.0, 0.0], 1e200).contains_rows(rows).tolist() == [
+            True, False, True]
+        rows = np.array([[1e308, 1e308], [-1e308, -1e308], [1e308, -1e308]])
+        assert halfspace([1.0, 1.0], 0.0).contains_rows(rows).tolist() == [
+            False, True, True]
 
 
 @pytest.mark.parametrize("nv,offset,p,want,dist", [

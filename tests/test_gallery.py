@@ -212,7 +212,8 @@ def test_map_summaries_mention_parameters():
     s = map_summary("rakotch-decay")
     assert "a = 1.0" in s
     assert "rakotch-decay" in s
-    with pytest.raises(UnknownMapError):
+    # make_map's refusal, the one place that refuses an unknown name
+    with pytest.raises(UnknownMapError, match="^unknown map 'nope'; known: "):
         map_summary("nope")
 
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixpoint.continuation import PathConfig, check_leray_schauder, limit_path
 from fixpoint.core import (MappingInstance, as_point, ball, box,
-                           constant_modulus, euclidean, halfline, halfspace,
-                           max_norm, rational_decay_modulus,
-                           nonexpansive_modulus, table_modulus, _frozen)
+                           check_modulus_admissible, constant_modulus,
+                           euclidean, halfline, halfspace, max_norm,
+                           rational_decay_modulus, nonexpansive_modulus,
+                           table_modulus, verify_contractive, _frozen)
 from fixpoint.errors import (ArgumentError, ConvergenceError, DomainError,
                              NonFiniteError, NonRakotchError,
                              NonselfExitError)
@@ -94,6 +96,61 @@ def test_bounds_reject_nonexpansive_and_bad_arguments():
         coupling_index(0.1, rational_decay_modulus(), -1.0)
     with pytest.raises(ArgumentError):
         cluster_tolerance(0.0, constant_modulus(0.5))
+
+
+_NAN = math.nan
+_DECAY = rational_decay_modulus(1.0)
+
+
+# each call once accepted its NaN argument: it returned a result, ran into
+# a later error, or raised a bare ValueError
+@pytest.mark.parametrize("call", [
+    lambda: solve_fixed_point(_decay_map(), [1.0], _NAN, max_iter=50),
+    lambda: run_stability_experiment(_decay_map(), [0.0], 1.0, 0.1, 2, 900,
+                                     0, delta_override=_NAN),
+    lambda: verify_contractive(_decay_map(), [(1.0, 2.0)], slack=_NAN),
+    lambda: check_leray_schauder(_affine_map(), [-1.0], tol=_NAN),
+    lambda: PathConfig(inner_tol=_NAN),
+    lambda: limit_path(_affine_map(), PathConfig(), final_tol=_NAN),
+    lambda: orbit_inexact(_decay_map(), [1.0], 10, _NAN, 0),
+    lambda: _DECAY(_NAN),
+    lambda: _DECAY(np.array([0.5, _NAN])),
+    lambda: cluster_tolerance(_NAN, _DECAY),
+    lambda: settling_index(_NAN, _DECAY, 1.0, 0.0),
+    lambda: settling_index(0.1, _DECAY, _NAN, 0.0),
+    lambda: coupling_index(_NAN, _DECAY, 1.0),
+    lambda: coupling_index(0.1, _DECAY, _NAN),
+    lambda: table_modulus([0.0, _NAN], [0.5, 0.4]),
+    lambda: table_modulus([0.0, 1.0], [0.5, _NAN]),
+    lambda: check_modulus_admissible(_DECAY, [0.0, _NAN]),
+], ids=["solve-tol", "stability-delta", "verify-slack", "ls-tol",
+        "path-inner-tol", "limit-final-tol", "orbit-delta", "modulus",
+        "modulus-array", "cluster-delta", "settling-eps", "settling-radius",
+        "coupling-eps", "coupling-radius", "table-knot", "table-value",
+        "admissibility-grid"])
+def test_nan_arguments_are_refused(call):
+    with pytest.raises(ArgumentError):
+        call()
+
+
+@pytest.mark.parametrize("call,bound", [
+    # eps (1 - phi(eps)) underflows to 0, or to a subnormal the bound
+    # overflows against
+    (lambda: stability_constants(1.0, 1e-300, _DECAY), "settling time"),
+    (lambda: stability_constants(1.0, 1e-155, _DECAY), "settling time"),
+    # 4 (M + 1) overflows
+    (lambda: stability_constants(1e308, 0.1, _DECAY), "settling time"),
+    (lambda: settling_index(0.1, _DECAY, math.inf, 0.0), "settling index"),
+    (lambda: settling_index(1e-300, _DECAY, 1.0, 0.0), "settling index"),
+    (lambda: coupling_index(1e-300, _DECAY, 1.0), "coupling index"),
+    (lambda: coupling_index(0.1, _DECAY, math.inf), "coupling index"),
+], ids=["stability-eps-1e-300", "stability-eps-1e-155", "stability-M-1e308",
+        "settling-radius", "settling-eps", "coupling-eps", "coupling-radius"])
+def test_an_index_past_the_largest_float_is_refused_naming_its_bound(
+        call, bound):
+    with pytest.raises(ArgumentError,
+                       match=f"^{bound} bound .* exceeds the largest float"):
+        call()
 
 
 # admissible moduli: rational decay, a constant below 1, and
@@ -182,10 +239,10 @@ def test_gap_limits_and_validation():
     m = rational_decay_modulus(2.0)
     assert m.gap(0.0) == 0.0
     assert m.gap(1e308) == 1.0 and m.gap(math.inf) == 1.0   # a t overflows
-    assert math.isnan(m.gap(math.nan))
     assert m.gap(1e-300) == 2e-300     # 1.0 - phi(1e-300) is 0.0
-    with pytest.raises(ArgumentError, match=">= 0"):
-        m.gap(-1.0)
+    for t in (-1.0, math.nan):
+        with pytest.raises(ArgumentError, match=">= 0"):
+            m.gap(t)
 
 
 def test_stability_constants_keep_a_gap_below_the_float_epsilon():
