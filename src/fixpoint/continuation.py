@@ -391,10 +391,11 @@ def limit_path(T: MappingInstance, cfg: PathConfig, final_tol: float,
     carries the terminal point and its certificate; the limit may sit on
     the boundary, which is reported, not an error.  Different ratios give
     interlaced schedules; their limits must agree, which makes the ratio a
-    useful consistency probe.  If t_n rounds to 1.0 before the tail bound
-    drops below final_tol, ConvergenceError is raised carrying the last
-    tail bound.  NonFiniteError is raised when T gives a NaN or infinite
-    image along the way.
+    useful consistency probe.  If t_n rounds to 1.0, or the schedule's 399
+    steps run out, before the tail bound drops below final_tol,
+    ConvergenceError is raised carrying the last tail bound.
+    NonFiniteError is raised when T gives a NaN or infinite image along
+    the way.
     """
     if not final_tol > 0.0:
         raise ArgumentError(f"final_tol must be > 0, got {final_tol}")
@@ -411,7 +412,6 @@ def limit_path(T: MappingInstance, cfg: PathConfig, final_tol: float,
 
     t_prev = 0.0
     tail = mb / gap_ft
-    terminal = None
     for step_no in range(1, 400):
         t_n = 1.0 - schedule_ratio ** step_no
         if t_n >= 1.0:
@@ -436,15 +436,12 @@ def limit_path(T: MappingInstance, cfg: PathConfig, final_tol: float,
             cert = LimitCertificate(residual=resid, tail_bound=tail,
                                     schedule_steps=step_no,
                                     on_boundary=on_bd)
-            terminal = (x, cert)
-            break
-    if terminal is None:
-        raise ConvergenceError(
-            "limit schedule exhausted 400 steps without meeting its "
-            "tail bound")
-    return ContinuationPath(entries=tuple(entries), q=cfg.q,
-                            inner_tol=cfg.inner_tol, mbound=mb,
-                            terminal=terminal)
+            return ContinuationPath(entries=tuple(entries), q=cfg.q,
+                                    inner_tol=cfg.inner_tol, mbound=mb,
+                                    terminal=(x, cert))
+    raise ConvergenceError(
+        f"limit schedule exhausted {step_no} steps with tail bound {tail} "
+        f"still >= final_tol {final_tol}", tail_bound=tail)
 
 
 # ---------------------------------------------------------------------------

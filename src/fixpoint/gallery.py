@@ -31,6 +31,9 @@ a division by zero raises ZeroDivisionError where numpy would warn; that
 needs a point outside the domain (rakotch-decay at x = -1/a).
 constant returns its frozen point, and planar-rotation's x R^T + b goes
 through ndarray.dot, whose BLAS sums a float formula does not reproduce.
+
+Each map is one _REGISTRY entry (its builder, parameters and notes); the
+builder returns only what differs between maps, and make_map does the rest.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (DomainSet, MappingInstance, Modulus, Point, Space, ball,
-                   box, constant_modulus, euclidean, halfline, _frozen,
+from .core import (DomainSet, MappingInstance, Modulus, Point, ball, box,
+                   constant_modulus, euclidean, halfline, _frozen,
                    _row_norms, nonexpansive_modulus, rational_decay_modulus)
 from .errors import ArgumentError, UnknownMapError
 
@@ -75,11 +78,10 @@ def _with_point_form(rows: Callable[[np.random.Generator, int], np.ndarray]
     return sampler
 
 
-def _interval_sampler(lo: float, width: float) -> Callable[..., Point]:
-    """Uniform draws from [lo, lo + width) in one dimension; one
+def _interval_rows(lo: float, width: float) -> Callable:
+    """Uniform draws from [lo, lo + width) as (m, 1) rows; one
     rng.random(m) gives the same stream as m calls of rng.random()."""
-    return _with_point_form(
-        lambda rng, m: (lo + width * rng.random(m))[:, None])
+    return lambda rng, m: (lo + width * rng.random(m))[:, None]
 
 
 def _elementwise(body: Callable) -> Callable[[Point], Point]:
@@ -109,56 +111,50 @@ class ParamSpec:
     doc: str
 
 
-def _build_affine_halfline() -> GalleryEntry:
-    space = euclidean(1)
-    mapping = MappingInstance(apply=_elementwise(lambda x: (x - 1.0) / 2.0),
-                              declared_modulus=constant_modulus(0.5),
-                              domain=halfline(-1.0), space=space)
-    return GalleryEntry(
-        name="affine-halfline", mapping=mapping, params={},
-        known_fixed_point=_frozen([-1.0]),
-        known_path=lambda t: np.array([-t / (2.0 - t)]),
-        notes="fixed point -1 on the boundary; path x_t = -t/(2-t)",
-        sampler=_interval_sampler(-1.0, 10.0))
+# a builder's parts, what differs between maps: the mapping, its closed-form
+# fixed point and path, its sampler's row form rows(rng, m).  Evaluated at
+# import, so it names no np.random type, which would import numpy.random
+_Parts = tuple[MappingInstance, Point | None, Callable[[float], Point],
+               Callable[..., np.ndarray]]
 
 
-def _build_rakotch_decay(a: float) -> GalleryEntry:
-    space = euclidean(1)
-    mapping = MappingInstance(apply=_elementwise(lambda x: x / (1.0 + a * x)),
-                              declared_modulus=rational_decay_modulus(a),
-                              domain=halfline(0.0), space=space)
-    return GalleryEntry(
-        name="rakotch-decay", mapping=mapping, params={"a": a},
-        known_fixed_point=_frozen([0.0]),
-        known_path=lambda t: np.array([0.0]),
-        notes="contractive only in the Rakotch sense; fixed point 0 with "
-              "no contraction ratio near it",
-        sampler=_interval_sampler(0.0, 10.0))
+def _one_coordinate(body: Callable, modulus: Modulus, domain: DomainSet,
+                    fixed: float, path: Callable[[float], float],
+                    lo: float, width: float) -> _Parts:
+    """The parts of a one-coordinate map x -> body(x) (see _elementwise)
+    with fixed point fixed and path x_t = path(t), its sampler uniform on
+    [lo, lo + width)."""
+    mapping = MappingInstance(apply=_elementwise(body),
+                              declared_modulus=modulus, domain=domain,
+                              space=euclidean(1))
+    return (mapping, _frozen([fixed]), lambda t: np.array([path(t)]),
+            _interval_rows(lo, width))
 
 
-def _build_constant(c: float, lo: float, hi: float) -> GalleryEntry:
-    if not lo < 0.0 < hi:
-        raise ArgumentError(
-            f"constant-map box must have lo < 0 < hi, got [{lo}, {hi}]")
-    space = euclidean(1)
+def _build_affine_halfline() -> _Parts:
+    return _one_coordinate(lambda x: (x - 1.0) / 2.0, constant_modulus(0.5),
+                           halfline(-1.0), -1.0, lambda t: -t / (2.0 - t),
+                           -1.0, 10.0)
+
+
+def _build_rakotch_decay(a: float) -> _Parts:
+    return _one_coordinate(lambda x: x / (1.0 + a * x),
+                           rational_decay_modulus(a), halfline(0.0), 0.0,
+                           lambda t: 0.0, 0.0, 10.0)
+
+
+def _build_constant(c: float, lo: float, hi: float) -> _Parts:
     c_arr = _frozen([c])
 
     def apply(x: Point) -> Point:
         # broadcast_to costs microseconds, so single points skip it
         return c_arr if x.ndim == 1 else np.broadcast_to(c_arr, x.shape)
 
-    inside = lo <= c <= hi
-    return GalleryEntry(
-        name="constant", mapping=MappingInstance(
-            apply=apply, declared_modulus=constant_modulus(0.0),
-            domain=box([lo], [hi]), space=space),
-        params={"c": c, "lo": lo, "hi": hi},
-        known_fixed_point=_frozen([c]) if inside else None,
-        known_path=lambda t: np.array([t * c]),
-        notes="modulus 0; with c outside the box the path x_t = t c pins "
-              "against the boundary (known_path is only a solution while "
-              "t c stays inside)",
-        sampler=_interval_sampler(lo, hi - lo))
+    mapping = MappingInstance(apply=apply,
+                              declared_modulus=constant_modulus(0.0),
+                              domain=box([lo], [hi]), space=euclidean(1))
+    return (mapping, _frozen([c]) if lo <= c <= hi else None,
+            lambda t: np.array([t * c]), _interval_rows(lo, hi - lo))
 
 
 def _rotation_min_singular(theta: float) -> float:
@@ -168,7 +164,7 @@ def _rotation_min_singular(theta: float) -> float:
 
 
 def _build_planar_rotation(theta: float, bx: float, by: float,
-                           radius: float) -> GalleryEntry:
+                           radius: float) -> _Parts:
     b = np.array([bx, by])
     smin = _rotation_min_singular(theta)
     path_reach = math.sqrt(b.dot(b)) / smin
@@ -205,46 +201,35 @@ def _build_planar_rotation(theta: float, bx: float, by: float,
         v /= np.maximum(_row_norms(v), 1e-300)[:, None]
         return v * (radius * np.sqrt(u))[:, None]
 
-    return GalleryEntry(
-        name="planar-rotation", mapping=MappingInstance(
-            apply=apply, declared_modulus=nonexpansive_modulus(),
-            domain=ball([0.0, 0.0], radius), space=euclidean(2)),
-        params={"theta": theta, "bx": bx, "by": by, "radius": radius},
-        known_fixed_point=_frozen(np.linalg.solve(eye - R, b)),
-        known_path=path,
-        notes="isometry plus translation: nonexpansive, never contractive; "
-              "fixed point and path by linear solve",
-        sampler=_with_point_form(rows))
+    mapping = MappingInstance(
+        apply=apply, declared_modulus=nonexpansive_modulus(),
+        domain=ball([0.0, 0.0], radius), space=euclidean(2))
+    return mapping, _frozen(np.linalg.solve(eye - R, b)), path, rows
 
 
-def _build_damped_rational() -> GalleryEntry:
-    space = euclidean(1)
-    return GalleryEntry(
-        name="damped-rational", mapping=MappingInstance(
-            apply=_elementwise(lambda x: x / (2.0 + x * x)),
-            declared_modulus=constant_modulus(0.5),
-            domain=box([-2.0], [2.0]), space=space),
-        params={},
-        known_fixed_point=_frozen([0.0]),
-        known_path=lambda t: np.array([0.0]),
-        notes="|T'| <= 1/2 on the box; interior fixed point 0, path "
-              "identically 0",
-        sampler=_interval_sampler(-2.0, 4.0))
+def _build_damped_rational() -> _Parts:
+    return _one_coordinate(lambda x: x / (2.0 + x * x), constant_modulus(0.5),
+                           box([-2.0], [2.0]), 0.0, lambda t: 0.0, -2.0, 4.0)
 
 
 _TWO_PI = 2.0 * math.pi
 
-_REGISTRY: dict[str, tuple[Callable[..., GalleryEntry],
-                           dict[str, ParamSpec]]] = {
-    "affine-halfline": (_build_affine_halfline, {}),
+# name -> (builder, parameters, notes): everything make_map needs for a map
+_REGISTRY: dict[str, tuple[Callable[..., _Parts], dict[str, ParamSpec],
+                           str]] = {
+    "affine-halfline": (_build_affine_halfline, {}, "fixed point -1 on the "
+                        "boundary; path x_t = -t/(2-t)"),
     "rakotch-decay": (_build_rakotch_decay, {
         "a": ParamSpec(1.0, 1e-6, 100.0, "decay rate in x / (1 + a x)"),
-    }),
+    }, "contractive only in the Rakotch sense; fixed point 0 with no "
+       "contraction ratio near it"),
     "constant": (_build_constant, {
         "c": ParamSpec(2.0, -10.0, 10.0, "the constant value"),
         "lo": ParamSpec(-1.0, -1e6, -1e-6, "box lower bound (< 0)"),
         "hi": ParamSpec(1.0, 1e-6, 1e6, "box upper bound (> 0)"),
-    }),
+    }, "modulus 0; with c outside the box the path x_t = t c pins against "
+       "the boundary (known_path is only a solution while t c stays "
+       "inside)"),
     "planar-rotation": (_build_planar_rotation, {
         "theta": ParamSpec(math.pi / 4.0, 0.1, _TWO_PI - 0.1,
                            "rotation angle"),
@@ -252,8 +237,10 @@ _REGISTRY: dict[str, tuple[Callable[..., GalleryEntry],
         "by": ParamSpec(0.0, -10.0, 10.0, "translation, second coordinate"),
         "radius": ParamSpec(4.0, 1e-6, 1e6, "disk radius; must be at least "
                             "twice the path reach"),
-    }),
-    "damped-rational": (_build_damped_rational, {}),
+    }, "isometry plus translation: nonexpansive, never contractive; fixed "
+       "point and path by linear solve"),
+    "damped-rational": (_build_damped_rational, {}, "|T'| <= 1/2 on the "
+                        "box; interior fixed point 0, path identically 0"),
 }
 
 
@@ -263,10 +250,8 @@ def list_maps() -> tuple[str, ...]:
 
 def map_summary(name: str) -> str:
     """One paragraph per map for the CLI listing."""
-    entry = make_map(name)
-    _, schema = _REGISTRY[name]
-    lines = [f"{name}: {entry.notes}"]
-    for key, spec in schema.items():
+    lines = [f"{name}: {make_map(name).notes}"]
+    for key, spec in _REGISTRY[name][1].items():
         lines.append(f"  {key} = {spec.default!r}  "
                      f"(range [{spec.lo!r}, {spec.hi!r}]: {spec.doc})")
     return "\n".join(lines)
@@ -281,7 +266,7 @@ def make_map(name: str, **params: float) -> GalleryEntry:
     if name not in _REGISTRY:
         known = ", ".join(_REGISTRY)
         raise UnknownMapError(f"unknown map {name!r}; known: {known}")
-    builder, schema = _REGISTRY[name]
+    builder, schema, notes = _REGISTRY[name]
     unknown = set(params) - set(schema)
     if unknown:
         raise ArgumentError(
@@ -294,4 +279,7 @@ def make_map(name: str, **params: float) -> GalleryEntry:
             raise ArgumentError(
                 f"{name}.{key} = {val} outside [{spec.lo}, {spec.hi}]")
         merged[key] = val
-    return builder(**merged)
+    mapping, fixed_point, path, rows = builder(**merged)
+    return GalleryEntry(name=name, mapping=mapping, params=merged,
+                        known_fixed_point=fixed_point, known_path=path,
+                        notes=notes, sampler=_with_point_form(rows))

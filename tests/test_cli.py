@@ -244,6 +244,25 @@ def test_limit_schedule_reaching_one_exits_one(tmp_path):
     assert not (out / "limit.txt").exists()
 
 
+def test_limit_schedule_running_out_of_steps_exits_one(tmp_path):
+    # at ratio 0.95 the 399 schedule steps end with t_n below 1.0 and the
+    # tail bound, about 3.9e-9, still above final-tol
+    cfg = _write(tmp_path, "limit.cfg", """
+        experiment = limit
+        map = affine-halfline
+        ratio = 0.95
+        final-tol = 1e-12
+    """)
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = (out / "error.txt").read_text()
+    assert "error=ConvergenceError" in err
+    assert "exhausted 399 steps" in err
+    tail = float(err.split("\ntail_bound=")[1].split("\n")[0])
+    assert 1e-12 < tail < 1e-8
+    assert not (out / "limit.txt").exists()
+
+
 def test_certify_contractive_map_exits_zero(tmp_path):
     cfg = _write(tmp_path, "cert.cfg", """
         experiment = certify
@@ -292,6 +311,24 @@ def test_config_error_exits_two_with_message(tmp_path, capsys):
     # the message itself, not the repr a KeyError makes of it
     assert capsys.readouterr().err.startswith(
         "fixpoint: unknown map 'no-such-map'; known: affine-halfline")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("experiment = solve\nmap = constant\n= 1\nx0 = 0.0\n",
+     r"bad\.cfg:3: empty key$"),
+    ("experiment = solve\nx0 = 0.0\n", "missing required key 'map'$"),
+    # c = 2 lies outside the box: no known fixed point to default xbar to
+    ("experiment = stability\nmap = constant\nmap.c = 2.0\nM = 1.0\n"
+     "epsilon = 0.5\nn = 200\n",
+     "map 'constant' has no known fixed point; give one with 'xbar'$"),
+], ids=["empty-key", "no-map", "no-xbar"])
+def test_usage_errors_exit_two_without_a_directory(tmp_path, capsys, text,
+                                                    message):
+    cfg = _write(tmp_path, "bad.cfg", text)
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert re.search(message, capsys.readouterr().err.rstrip("\n"))
+    assert not out.exists()
 
 
 def test_bad_map_param_exits_two(tmp_path, capsys):
@@ -480,6 +517,9 @@ def test_list_maps_names_everything(capsys):
     for name in ("affine-halfline", "rakotch-decay", "constant",
                  "planar-rotation", "damped-rational"):
         assert name in out
+    # every map's notes and parameters, byte for byte
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f298415a2ebf59127d62b9dadfb91bce34a221620d51a9644e26795f9fa2c5e6")
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +751,19 @@ def test_non_ascii_config_is_read_as_utf8_under_an_ascii_locale(tmp_path):
     proc = _run_under_ascii_locale("run", str(cfg))
     assert proc.returncode == 0, proc.stderr
     assert (out / "solution.txt").is_file()
+
+
+def test_importing_the_cli_loads_no_numpy_random_of_its_own():
+    # numpy 2 loads numpy.random on first use; a solve or a trace never
+    # draws, and loading it at import cost about 2 MiB of peak memory
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, numpy; print('numpy.random' in sys.modules); "
+            "import fixpoint.cli; print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    before, after = proc.stdout.split()
+    assert after == before, proc.stderr
 
 
 def _must_not_run(*args, **kwargs):

@@ -9,8 +9,8 @@ from fixpoint.continuation import (ContinuationPath, PathConfig,
                                    check_leray_schauder, limit_path,
                                    lipschitz_bound, path_csv, solve_at_t,
                                    step_size, trace_path)
-from fixpoint.core import (MappingInstance, ball, box, constant_modulus,
-                           euclidean, halfline, max_norm,
+from fixpoint.core import (MappingInstance, Modulus, ball, box,
+                           constant_modulus, euclidean, halfline, max_norm,
                            nonexpansive_modulus, rational_decay_modulus)
 from fixpoint.errors import (ArgumentError, ConvergenceError, DomainError,
                              DomainExitError, LsViolationError,
@@ -172,6 +172,11 @@ def test_apriori_norm_bound_validates():
         apriori_norm_bound(-1.0, 0.5, constant_modulus(0.5))
     with pytest.raises(ArgumentError):
         apriori_norm_bound(1.0, 1.0, constant_modulus(0.5))
+    # a modulus flagged admissible whose gap at 1 is 0
+    m = Modulus(kind="constant", params=(1.0,), rakotch=True,
+                _fn=lambda t: 1.0, _gap=lambda t: 0.0)
+    with pytest.raises(NonRakotchError, match="flagged admissible"):
+        apriori_norm_bound(1.0, 0.9, m)
 
 
 def test_lipschitz_bound_frozen():
@@ -220,6 +225,9 @@ def test_ls_validates():
                             domain=box([0.0 - 1e-12], [1.0]),
                             space=euclidean(1))
         check_leray_schauder(T, [0.0])           # x = 0
+    with pytest.raises(DomainError, match="outside the closed domain") as err:
+        check_leray_schauder(_const(), [1.5])
+    assert err.value.point.tolist() == [1.5]
 
 
 _ANGLES = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, 200)
@@ -424,6 +432,57 @@ def test_limit_validates():
         limit_path(_affine(), PathConfig(), 0.0)
     with pytest.raises(ArgumentError):
         limit_path(_affine(), PathConfig(), 1e-6, schedule_ratio=1.0)
+
+
+def test_limit_schedule_that_runs_out_of_steps_reports_its_tail_bound():
+    # 1 - 0.95^399 stays below 1.0, but the tail bound, 3.9e-9 at the
+    # last step, never drops below final_tol
+    with pytest.raises(ConvergenceError, match="exhausted 399 steps") as err:
+        limit_path(_affine(), PathConfig(), 1e-12, schedule_ratio=0.95)
+    assert 1e-12 < err.value.tail_bound < 1e-8
+    assert err.value.residual is None
+
+
+def test_limit_inner_exit_with_no_violation_is_an_ls_violation():
+    # T x = 0.5 R_90 x + (3, 0) on the unit disk: at t = 0.5 the first
+    # inner step from 0 lands on (1.5, 0), outside; the audit at the
+    # boundary point (1, 0) nearest the last inside point 0 finds
+    # T (1, 0) = (3, 0.5), no multiple of (1, 0)
+    R = np.array([[0.0, -1.0], [1.0, 0.0]])
+    T = MappingInstance(apply=lambda x: 0.5 * x.dot(R.T) + [3.0, 0.0],
+                        declared_modulus=constant_modulus(0.5),
+                        domain=ball([0.0, 0.0], 1.0), space=euclidean(2))
+    with pytest.raises(LsViolationError, match="left the domain") as err:
+        limit_path(T, PathConfig(), 1e-6)
+    assert err.value.t == 0.5
+    assert err.value.lam is None
+    assert err.value.point.tolist() == [0.0, 0.0]
+
+
+def test_limit_residual_guard_catches_a_false_modulus():
+    # T x = 0.99 x + 1 declared with modulus 0: the tail bound trusts the
+    # false modulus and stops while the residual is still about 4.8e-5
+    T = MappingInstance(apply=lambda x: 0.99 * x + 1.0,
+                        declared_modulus=constant_modulus(0.0),
+                        domain=halfline(-1.0), space=euclidean(1))
+    with pytest.raises(ConvergenceError, match="exceeds 10 \\* final_tol") \
+            as err:
+        limit_path(T, PathConfig(), 1e-6)
+    assert 10.0 * 1e-6 < err.value.residual < 1e-4
+    assert err.value.tail_bound is None
+
+
+def test_trace_audits_a_solved_point_within_inner_tol_of_the_boundary():
+    # x_t = 2 t meets the boundary 1 at t = 0.5; with inner_tol 1e-3 a
+    # solved point comes within inner_tol of it while the step is still
+    # far above the stall threshold, and its audit finds T 1 = 2 * 1
+    with pytest.raises(LsViolationError, match="boundary condition fails") \
+            as err:
+        trace_path(_const(2.0), PathConfig(q=0.9, inner_tol=1e-3,
+                                           target_t=0.9))
+    assert 0.4995 - 1e-6 <= err.value.t < 0.5 - 1e-9
+    assert err.value.lam == 2.0
+    assert err.value.point.tolist() == [1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,15 @@ def test_halfspace_with_a_boundary_at_the_edge_of_the_floats(nv, offset, p,
     assert np.allclose(d.nearest_boundary(np.array(p)), want, rtol=1e-15)
 
 
+def test_ball_nearest_boundary_from_within_radius_over_2_1024_of_centre():
+    # radius / r overflows for r = 1e-10 against radius 1e300: the
+    # boundary point is taken along the unit direction instead
+    d = ball([0.0, 0.0], 1e300)
+    assert d.nearest_boundary(np.array([1e-10, 0.0])).tolist() == [1e300, 0.0]
+    assert d.nearest_boundary(np.array([0.0, -1e-10])).tolist() == [
+        0.0, -1e300]
+
+
 @pytest.mark.parametrize("nv,offset", [
     ([3e-301], 1e250),
     ([1e-170, 1e-170], 1e200),
@@ -697,6 +706,13 @@ def test_verify_contractive_refuses_an_apply_that_is_not_rowwise():
     rep = verify_contractive(rowwise, rng.uniform(-1, 1, (5, 2, 2)),
                              slack=1e-12)
     assert rep.n_pairs == 5 and rep.passed
+
+
+def test_verify_contractive_refuses_single_row_images_of_the_wrong_shape():
+    # the rows map to rows, but a single row maps to three coordinates
+    T = _whole_line(lambda x: x / 2.0 if x.ndim == 2 else np.zeros(3))
+    with pytest.raises(ArgumentError, match="row by row"):
+        verify_contractive(T, [([1.0], [2.0]), ([3.0], [4.0])])
 
 
 def _always_singular(x):

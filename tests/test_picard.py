@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixpoint.continuation import PathConfig, check_leray_schauder, limit_path
+from fixpoint.continuation import (PathConfig, check_leray_schauder,
+                                   limit_path, solve_at_t)
 from fixpoint.core import (MappingInstance, as_point, ball, box,
                            check_modulus_admissible, constant_modulus,
                            euclidean, halfline, halfspace, max_norm,
@@ -103,7 +104,8 @@ _DECAY = rational_decay_modulus(1.0)
 
 
 # each call once accepted its NaN argument: it returned a result, ran into
-# a later error, or raised a bare ValueError
+# a later error, or raised a bare ValueError; an iteration budget below 1
+# is refused the same way
 @pytest.mark.parametrize("call", [
     lambda: solve_fixed_point(_decay_map(), [1.0], _NAN, max_iter=50),
     lambda: run_stability_experiment(_decay_map(), [0.0], 1.0, 0.1, 2, 900,
@@ -123,11 +125,14 @@ _DECAY = rational_decay_modulus(1.0)
     lambda: table_modulus([0.0, _NAN], [0.5, 0.4]),
     lambda: table_modulus([0.0, 1.0], [0.5, _NAN]),
     lambda: check_modulus_admissible(_DECAY, [0.0, _NAN]),
+    lambda: solve_fixed_point(_decay_map(), [1.0], 1e-8, max_iter=0),
+    lambda: solve_at_t(_affine_map(), 0.5, [0.0], 1e-10, max_inner_iter=0),
+    lambda: PathConfig(max_inner_iter=0),
 ], ids=["solve-tol", "stability-delta", "verify-slack", "ls-tol",
         "path-inner-tol", "limit-final-tol", "orbit-delta", "modulus",
         "modulus-array", "cluster-delta", "settling-eps", "settling-radius",
         "coupling-eps", "coupling-radius", "table-knot", "table-value",
-        "admissibility-grid"])
+        "admissibility-grid", "solve-budget", "inner-budget", "path-budget"])
 def test_nan_arguments_are_refused(call):
     with pytest.raises(ArgumentError):
         call()
@@ -600,6 +605,18 @@ def test_stability_experiment_validates_inputs():
     with pytest.raises(ArgumentError):
         run_stability_experiment(_decay_map(), [0.0], 1.0, 0.5,
                                  trials=0, n=200, seed=1)
+
+
+def test_stability_start_the_domain_cannot_place_is_a_domain_error():
+    # a project that breaks its contract hands the drawn start back
+    # unchanged, still outside the box, and the draw is refused
+    dom = dataclasses.replace(box([-1e-3], [1e-3]), project=lambda p: p)
+    T = MappingInstance(apply=lambda x: x / 2.0,
+                        declared_modulus=constant_modulus(0.5), domain=dom,
+                        space=euclidean(1))
+    with pytest.raises(DomainError, match="could not be placed") as err:
+        run_stability_experiment(T, [0.0], 1.0, 0.5, trials=3, n=200, seed=1)
+    assert not dom.contains(err.value.point)
 
 
 # ---------------------------------------------------------------------------
