@@ -124,10 +124,13 @@ def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
     iterate leaves the closed domain, NonFiniteError if t T gives a NaN or
     infinite image, and ConvergenceError on budget exhaustion.
 
-    The step scales by t held as a 0-d float64 array: numpy multiplies an
-    array by it without the conversion a Python float takes on every call,
-    and since images are float64 (the Point contract) the product is the
-    same IEEE float64 product, bit for bit.
+    A map that declares float_points is stepped on Python floats and
+    scaled by t as a Python float; any other map's array images are scaled
+    by t held as a 0-d float64 array, which numpy multiplies an array by
+    without the conversion a Python float takes on every call.  Images are
+    float64 (the Point contract), so either way each step is the same IEEE
+    float64 product, bit for bit; the solution, and every point an error
+    carries, is a point array.
     """
     if not 0.0 <= t < 1.0:
         raise ArgumentError(f"t must lie in [0, 1), got {t}")
@@ -136,10 +139,13 @@ def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
     if not max_inner_iter >= 1:
         raise ArgumentError("max_inner_iter must be >= 1")
     apply = T.apply
-    tt = np.array(t, dtype=float)
-    run = _iterate(lambda v: tt * apply(v), _start(T, x_init, "warm start"),
-                   T.domain.contains, max_inner_iter + 1, T.space.distance,
-                   inner_tol)
+    x = _start(T, x_init, "warm start")
+    if T.float_points:
+        x, tt = x.item(), float(t)
+    else:
+        tt = np.array(t, dtype=float)
+    run = _iterate(lambda v: tt * apply(v), x, T.domain.contains,
+                   max_inner_iter + 1, T.space.distance, inner_tol)
     if run.outside is not None:
         raise DomainExitError(
             f"inner iterate left the domain at t={t}", t=t,

@@ -2,7 +2,11 @@
 
 Conventions
 -----------
-Points are 1-D float64 numpy arrays of shape ``(dimension,)``.  A modulus is
+Points are 1-D float64 numpy arrays of shape ``(dimension,)``.  A mapping
+that sets ``float_points`` (the gallery's one-coordinate maps) also takes
+its single coordinate as a Python float in apply, domain.contains and
+space.distance, and the exact Picard drives step such a map on floats;
+every point they return or raise is still a ``(1,)`` array.  A modulus is
 a function phi on [0, inf); a mapping T is contractive with modulus phi when
 
     dist(T x, T y) <= phi(dist(x, y)) * dist(x, y)
@@ -44,8 +48,9 @@ def as_point(x, dimension: int | None = None) -> Point:
     return p
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _frozen(a) -> np.ndarray:
+    """A read-only float64 copy of a, a Python float as a (1,) point."""
+    out = np.array(a, dtype=float, ndmin=1)
     out.setflags(write=False)
     return out
 
@@ -157,12 +162,13 @@ def euclidean(dimension: int) -> Space:
     """Euclidean space of the given dimension.
 
     In one dimension distance and norm work on the Python floats that
-    .item() reads: s * s then sqrt is the same IEEE product and root as
-    v @ v then sqrt on a 1-element array, so they equal the array form bit
-    for bit at a fraction of its cost (the space counterpart of box's 1-D
-    fast path).  The row form is the same square and root on the rows'
-    one column, half the cost of _row_norms' stacked matmul, whose 1 x 1
-    product is that square.
+    .item() reads, and distance also takes a point given as that float
+    (see MappingInstance.float_points): s * s then sqrt is the same IEEE
+    product and root as v @ v then sqrt on a 1-element array, so they
+    equal the array form bit for bit at a fraction of its cost (the space
+    counterpart of box's 1-D fast path).  The row form is the same square
+    and root on the rows' one column, half the cost of _row_norms' stacked
+    matmul, whose 1 x 1 product is that square.
     In higher dimensions distance is _euclidean_norm written out on
     x - y, which saves the call through norm on the hottest leaf.
     """
@@ -178,8 +184,9 @@ def euclidean(dimension: int) -> Space:
         s = v.item()
         return math.sqrt(s * s)
 
-    def distance(x: Point, y: Point) -> float:
-        s = x.item() - y.item()
+    def distance(x: Point | float, y: Point | float) -> float:
+        s = ((x if x.__class__ is float else x.item())
+             - (y if y.__class__ is float else y.item()))
         return math.sqrt(s * s)
 
     def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -408,9 +415,10 @@ def box(lo, hi) -> DomainSet:
     is the whole space (empty boundary, infinite boundary distance).
 
     In one dimension the point predicates compare the Python float that
-    .item() reads, and contains_rows compares the rows' one column, both
-    against the bounds as Python floats (below an infinite hi only against
-    lo, which NaN fails already).  project is
+    .item() reads (contains also takes a point given as that float, see
+    MappingInstance.float_points), and contains_rows compares the rows'
+    one column, both against the bounds as Python floats (below an
+    infinite hi only against lo, which NaN fails already).  project is
     np.minimum(hi, np.maximum(lo, p)): the bits of np.clip(p, lo, hi), NaN
     included, without its Python wrapper, except that a coordinate that
     is a zero at a zero bound of the other sign keeps its own sign, so a
@@ -434,8 +442,8 @@ def box(lo, hi) -> DomainSet:
         # time in these membership calls
         lo_f, hi_f = float(lo_a[0]), float(hi_a[0])
 
-        def contains(p: Point) -> bool:
-            return lo_f <= p.item() <= hi_f
+        def contains(p: Point | float) -> bool:
+            return lo_f <= (p if p.__class__ is float else p.item()) <= hi_f
 
         def interior(p: Point) -> bool:
             return lo_f < p.item() < hi_f
@@ -710,6 +718,15 @@ class MappingInstance:
     ``x @ A.T + b`` rather than ``A @ x + b``, and its batched rows may
     differ from the single-row images in the last bits.
 
+    float_points is the promise of a one-coordinate map that apply,
+    domain.contains and space.distance also take the coordinate as a
+    Python float, apply then returning the image's float.
+    solve_fixed_point, orbit_exact and solve_at_t then step the map on
+    floats, through those three callables, with the bits of its array
+    steps; what they return or raise holds (1,) points.  The gallery's
+    elementwise maps promise it (gallery._one_coordinate), on a box and
+    euclidean(1), whose 1-D forms take the float.
+
     The declared modulus is a claim, not a certificate; audit it with
     :func:`verify_contractive` on the pairs you care about.
     """
@@ -718,6 +735,7 @@ class MappingInstance:
     declared_modulus: Modulus
     domain: DomainSet
     space: Space
+    float_points: bool = False
 
     def __post_init__(self):
         if self.domain.dimension != self.space.dimension:
@@ -776,9 +794,12 @@ def _applies_pointwise(T: MappingInstance, points: np.ndarray) -> bool:
     return True
 
 
-def _non_finite(y, x: Point) -> NonFiniteError:
+def _non_finite(y, x) -> NonFiniteError:
+    """The error for a point x (a Python float on the float drive) that
+    the map sent to the non-finite y; both are reported as points."""
+    y, x = _frozen(y), _frozen(x)
     return NonFiniteError(f"the map sent {x!r} to the non-finite {y!r}",
-                          point=_frozen(y), last_inside=_frozen(x))
+                          point=y, last_inside=x)
 
 
 def _refuse_non_finite(images: np.ndarray, sources: np.ndarray) -> None:

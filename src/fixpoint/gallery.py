@@ -26,9 +26,11 @@ suite audits rather than trusts:
 affine-halfline, rakotch-decay and damped-rational are elementwise: each
 has one body, written in + - * / alone (no **, no math.*), that maps a
 one-coordinate point on its Python float and an (m, 1) array of rows on
-the array, with the same bits either way (see _elementwise).  On a point
-a division by zero raises ZeroDivisionError where numpy would warn; that
-needs a point outside the domain (rakotch-decay at x = -1/a).
+the array, with the same bits either way (see _elementwise), and
+declares float_points, so the exact Picard drives step it on the float
+itself.  On a point a division by zero raises ZeroDivisionError where
+numpy would warn; that needs a point outside the domain (rakotch-decay
+at x = -1/a).
 constant returns its frozen point, and planar-rotation's x R^T + b goes
 through ndarray.dot, whose BLAS sums a float formula does not reproduce.
 
@@ -93,8 +95,12 @@ def _elementwise(body: Callable) -> Callable[[Point], Point]:
     the array.  Python floats and numpy's float64 ufuncs round + - * / the
     same way, so both give the bits of body on the array, at a fraction of
     the dispatch cost of its ufunc calls on one element.  Only a division
-    by zero differs: a ZeroDivisionError on a point where numpy warns."""
-    def apply(x: Point) -> Point:
+    by zero differs: a ZeroDivisionError on a point where numpy warns.
+    A Python float, a point's float form (MappingInstance.float_points),
+    goes through body and comes back as the image's float."""
+    def apply(x: Point | float) -> Point | float:
+        if x.__class__ is float:
+            return body(x)
         if x.shape == (1,):
             out = np.empty(1)
             out[0] = body(x.item())
@@ -123,10 +129,10 @@ def _one_coordinate(body: Callable, modulus: Modulus, domain: DomainSet,
                     lo: float, width: float) -> _Parts:
     """The parts of a one-coordinate map x -> body(x) (see _elementwise)
     with fixed point fixed and path x_t = path(t), its sampler uniform on
-    [lo, lo + width)."""
+    [lo, lo + width).  domain is a box, so the map promises float_points."""
     mapping = MappingInstance(apply=_elementwise(body),
                               declared_modulus=modulus, domain=domain,
-                              space=euclidean(1))
+                              space=euclidean(1), float_points=True)
     return (mapping, _frozen([fixed]), lambda t: np.array([path(t)]),
             _interval_rows(lo, width))
 

@@ -109,14 +109,17 @@ class _Run(NamedTuple):
     outside: Point | None   # the image of x outside the domain, if any
 
 
-def _iterate(step, x: Point, contains, n: int, dist=None, tol: float = 0.0,
-             out: np.ndarray | None = None) -> _Run:
+def _iterate(step, x: Point | float, contains, n: int, dist=None,
+             tol: float = 0.0, out: np.ndarray | None = None) -> _Run:
     """The exact Picard kernel: x <- step(x), at most n applies, from x
-    inside the domain.  With dist it stops before stepping once
-    dist(x, step x) <= tol; it stops at the first image outside the
+    inside the domain.  x is a point, or the Python float of a
+    one-coordinate point when step, contains and dist all take one (see
+    MappingInstance.float_points).  With dist it stops before stepping
+    once dist(x, step x) <= tol; it stops at the first image outside the
     domain.  out, if given, gets the image of apply i in row i + 1.  A
-    non-finite residual, or a non-finite image outside (NaN fails every
-    membership test), raises NonFiniteError."""
+    non-finite image raises NonFiniteError when its residual is not finite
+    or when it lies outside (NaN fails every membership test); a residual
+    that overflows between finite points only means not converged."""
     isfinite = math.isfinite
     r = math.inf
     for i in range(n):
@@ -125,7 +128,7 @@ def _iterate(step, x: Point, contains, n: int, dist=None, tol: float = 0.0,
             r = dist(x, y)
             if r <= tol:
                 return _Run(x, i, r, None)
-            if not isfinite(r):
+            if not isfinite(r) and not np.all(np.isfinite(y)):
                 raise _non_finite(y, x)
         if out is not None:
             out[i + 1] = y
@@ -141,6 +144,14 @@ def _ball_noise(noise_seed: int, n: int, d: int, delta: float) -> np.ndarray:
     """The n perturbations of one orbit, drawn uniformly from the delta-ball
     by a generator seeded with noise_seed: an (n, d) array."""
     rng = np.random.default_rng(noise_seed)
+    if d == 1:
+        # z / |z| is the sign of z, exactly, for every normal draw (z * z
+        # cannot underflow), so the radii take z's sign, and a zero z
+        # gives the zero of its own sign as the general form below does
+        z = rng.standard_normal(n)
+        radii = delta * rng.random(n) * (1.0 - 1e-9)
+        radii[z == 0.0] = 0.0
+        return np.copysign(radii, z)[:, None]
     dirs = rng.standard_normal((n, d))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
     # shave 1e-9 off the radii so projection roundoff cannot push a
@@ -152,8 +163,10 @@ def _ball_noise(noise_seed: int, n: int, d: int, delta: float) -> np.ndarray:
 def _orbit(T: MappingInstance, x0, n: int, delta: float,
            noise_seed: int) -> Orbit:
     """The orbit of orbit_inexact, recorded by _iterate: the step is T.apply
-    when delta is 0, else T x_i plus the seeded noise e_i, projected back
-    in when only the perturbed point is outside."""
+    when delta is 0, on the Python float of each point when T declares
+    float_points (recorded into the points' one column), else T x_i plus
+    the seeded noise e_i, projected back in when only the perturbed point
+    is outside."""
     if not n >= 1:
         raise ArgumentError(f"orbit length must be >= 1, got {n}")
     if not delta >= 0.0:
@@ -162,7 +175,7 @@ def _orbit(T: MappingInstance, x0, n: int, delta: float,
     x = _start(T, x0)
     pts = np.empty((n + 1, d))
     pts[0] = x
-    step, contains = T.apply, T.domain.contains
+    step, contains, out = T.apply, T.domain.contains, pts
     if delta > 0.0:
         noise = _ball_noise(noise_seed, n, d, delta)
         images = np.empty((n, d))
@@ -187,7 +200,9 @@ def _orbit(T: MappingInstance, x0, n: int, delta: float,
         def contains(p: Point) -> bool:
             # step has tested the point it returned; one test per step
             return inside
-    run = _iterate(step, x, contains, n, out=pts)
+    elif T.float_points:
+        x, out = x.item(), pts[:, 0]
+    run = _iterate(step, x, contains, n, out=out)
     exited = None if run.outside is None else run.steps + 1
     m = exited or n
     pts = pts[:m + 1]
@@ -207,7 +222,8 @@ def orbit_exact(T: MappingInstance, x0, n: int) -> Orbit:
     Stops early if an iterate leaves the domain; that iterate is kept as the
     last row and flagged in exited_domain_at.  x0 itself must be inside.
     Raises NonFiniteError if T gives a NaN or infinite image, inside the
-    domain or not.
+    domain or not.  A map that declares float_points is stepped on Python
+    floats, with the bits of the array steps.
     """
     return _orbit(T, x0, n, 0.0, 0)
 
@@ -323,7 +339,10 @@ def solve_fixed_point(T: MappingInstance, x0, tol: float,
     convergence guarantee there), NonselfExitError (carrying the partial
     orbit) if an iterate escapes the domain first, NonFiniteError if T
     gives a NaN or infinite image, and ConvergenceError after max_iter
-    steps.
+    steps.  A residual that overflows between two finite iterates (a
+    start near 1e160) is only not converged yet.  A map that declares
+    float_points is stepped on Python floats; the point returned, and
+    every point an error carries, is still a (1,) array.
     """
     if not tol > 0.0:
         raise ArgumentError(f"tolerance must be > 0, got {tol}")
@@ -334,8 +353,8 @@ def solve_fixed_point(T: MappingInstance, x0, tol: float,
             "declared modulus is not admissible; plain iteration is not "
             "guaranteed to converge")
     x = _start(T, x0)
-    run = _iterate(T.apply, x, T.domain.contains, max_iter + 1,
-                   T.space.distance, tol)
+    run = _iterate(T.apply, x.item() if T.float_points else x,
+                   T.domain.contains, max_iter + 1, T.space.distance, tol)
     if run.outside is not None:
         k = run.steps + 1
         raise NonselfExitError(

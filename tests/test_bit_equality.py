@@ -26,7 +26,12 @@
   np.clip forms, and the 1-D .item() point forms against the p[0] forms;
 * solve_at_t's 0-d multiplier against a frozen copy that scaled by the
   Python float t, on every gallery map over a grid of t, and trace_path
-  on both with the ball predicates above.
+  on both with the ball predicates above;
+* the float drive of the one-coordinate maps (float_points) against the
+  array drive of the same map, in solve_fixed_point, orbit_exact and
+  solve_at_t: results, error messages and payloads;
+* _ball_noise's one-coordinate form against a frozen copy of its general
+  form, signed zeros included.
 """
 
 import math
@@ -48,11 +53,13 @@ from fixpoint.core import (MappingInstance, ball, box, constant_modulus,
                            _row_norms, _row_norms_safe,
                            nonexpansive_modulus, rational_decay_modulus,
                            table_modulus, verify_contractive)
-from fixpoint.errors import (ArgumentError, ConvergenceError,
-                             DomainExitError, NonFiniteError)
+from fixpoint.errors import (ArgumentError, ConvergenceError, DomainError,
+                             DomainExitError, FixpointError, NonFiniteError,
+                             NonselfExitError)
 from fixpoint.gallery import list_maps, make_map
-from fixpoint.picard import (Orbit, _CSV_CHUNK, _iterate, _perturbed_steps,
-                             _start, orbit_csv, orbit_exact, orbit_inexact)
+from fixpoint.picard import (Orbit, _CSV_CHUNK, _ball_noise, _iterate,
+                             _perturbed_steps, _start, orbit_csv, orbit_exact,
+                             orbit_inexact, solve_fixed_point)
 
 _DOUBLES = st.floats(allow_nan=True, allow_infinity=True,
                      allow_subnormal=True)
@@ -992,3 +999,166 @@ def test_trace_path_entries_equal_the_frozen_inner_solve(T, monkeypatch):
         assert a.t == b.t and a.norm_bound_ok == b.norm_bound_ok
     assert "".join(path_csv(got)) == "".join(path_csv(want))
     assert _same_float(got.mbound, want.mbound)
+
+
+# ---------------------------------------------------------------------------
+# the float drive of the one-coordinate maps
+
+def _bits(v):
+    """A drive's result as comparable bits: an array by its shape, bytes
+    and write flag, a float by its double's bytes, an orbit field by
+    field, a tuple item by item."""
+    if isinstance(v, Orbit):
+        return tuple(_bits(getattr(v, f)) for f in (
+            "points", "residuals", "exited_domain_at", "perturbation_bound"))
+    if isinstance(v, tuple):
+        return tuple(map(_bits, v))
+    if isinstance(v, np.ndarray):
+        return v.shape, v.tobytes(), v.flags.writeable
+    if isinstance(v, float):
+        return np.float64(v).tobytes()
+    return v
+
+
+def _drive(f, *args):
+    """What a drive returns, as bits, or the class it raises with its
+    message and its payload as bits (a NonselfExitError's partial
+    orbit)."""
+    try:
+        return _bits(f(*args))
+    except FixpointError as exc:
+        fields = (("orbit",) if isinstance(exc, NonselfExitError)
+                  else exc.payload)
+        return (type(exc), str(exc),
+                *(_bits(getattr(exc, k)) for k in fields))
+
+
+# a box of each one-coordinate map that its iterates leave
+_NARROWED = {"affine-halfline": halfline(-0.5),
+             "rakotch-decay": halfline(0.5),
+             "damped-rational": box([0.01], [2.0])}
+
+
+@pytest.mark.parametrize("narrowed", [False, True],
+                         ids=["domain", "narrowed"])
+@pytest.mark.parametrize("name", sorted(_ELEMENTWISE))
+@given(data=st.data())
+def test_float_drive_equals_the_array_drive(name, narrowed, data):
+    lo, hi, special = _ELEMENTWISE[name]
+    params = ({"a": data.draw(st.floats(1e-6, 100.0), label="a")}
+              if name == "rakotch-decay" else {})
+    T = make_map(name, **params).mapping
+    assert T.float_points
+    if narrowed:
+        T = replace(T, domain=_NARROWED[name])
+    arrays = replace(T, float_points=False)
+    x0 = data.draw(st.one_of(
+        st.sampled_from([*special, lo, hi, -0.0, 1e160, math.inf]),
+        _domain_doubles(lo, hi)), label="x0")
+    tol = data.draw(st.sampled_from([1e-12, 1e-6, 1e-2]), label="tol")
+    t = data.draw(st.floats(0.0, 0.999), label="t")
+    for drive, args in ((solve_fixed_point, ([x0], tol, 200)),
+                        (orbit_exact, ([x0], 50)),
+                        (solve_at_t, (t, [x0], tol, 200))):
+        got = _drive(drive, T, *args)
+        with np.errstate(all="ignore"):     # 0 * inf on the arrays
+            assert got == _drive(drive, arrays, *args), drive.__name__
+
+
+def test_float_drive_cases_reach_every_outcome():
+    # the starts above meet each drive's result and each error payload
+    cases = [("affine-halfline", False, math.inf),      # NonFiniteError
+             ("damped-rational", False, 1e160),         # DomainError
+             ("affine-halfline", False, 1e160),         # overflowed residual
+             ("rakotch-decay", False, -0.0),
+             ("affine-halfline", True, 4.0),            # exits
+             ("damped-rational", True, 1.0)]
+    kinds = set()
+    for name, narrowed, x0 in cases:
+        T = make_map(name).mapping
+        if narrowed:
+            T = replace(T, domain=_NARROWED[name])
+        for drive, args in ((solve_fixed_point, ([x0], 1e-12, 200)),
+                            (orbit_exact, ([x0], 50)),
+                            (solve_at_t, (0.9, [x0], 1e-12, 200))):
+            got = _drive(drive, T, *args)
+            kinds.add((drive.__name__, got[0] if isinstance(got[0], type)
+                       else "returned"))
+    assert kinds == {
+        (d, k) for d in ("solve_fixed_point", "orbit_exact", "solve_at_t")
+        for k in ("returned", NonFiniteError, DomainError)} | {
+        ("solve_fixed_point", NonselfExitError),
+        ("solve_fixed_point", ConvergenceError),
+        ("solve_at_t", DomainExitError), ("solve_at_t", ConvergenceError)}
+
+
+@pytest.mark.parametrize("name", sorted(_ELEMENTWISE))
+def test_float_drive_steps_on_floats_through_the_leaves(name):
+    # apply, contains and distance, the callables a tracer wraps, see
+    # every step; only the start's membership test sees the point array
+    seen = []
+
+    def spy(f):
+        def leaf(*args):
+            seen.extend(type(v) for v in args)
+            return f(*args)
+        return leaf
+
+    T = make_map(name).mapping
+    T = replace(T, apply=spy(T.apply),
+                domain=replace(T.domain, contains=spy(T.domain.contains)),
+                space=replace(T.space, distance=spy(T.space.distance)))
+    res = solve_fixed_point(T, [0.5], 1e-6, 10_000)
+    orbit_exact(T, [0.5], 10)
+    solve_at_t(T, 0.5, [0.5], 1e-6)
+    assert res.iterations > 2
+    assert seen.count(np.ndarray) == 3 and set(seen) == {float, np.ndarray}
+
+
+# ---------------------------------------------------------------------------
+# the one-coordinate perturbation draw
+
+def _frozen_ball_noise(rng, n: int, d: int, delta: float) -> np.ndarray:
+    """Frozen copy of _ball_noise's general form, drawing from rng."""
+    dirs = rng.standard_normal((n, d))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+    radii = delta * rng.random(n) ** (1.0 / d) * (1.0 - 1e-9)
+    return dirs * radii[:, None]
+
+
+def test_ball_noise_in_one_dimension_equals_the_general_form():
+    for seed in range(300):
+        for n, delta in ((1, 0.5), (2000, 1e-3), (333, 7.0)):
+            got = _ball_noise(seed, n, 1, delta)
+            want = _frozen_ball_noise(np.random.default_rng(seed), n, 1,
+                                      delta)
+            assert got.shape == (n, 1)
+            assert got.tobytes() == want.tobytes()
+
+
+class _Draws:
+    """A generator that returns the given normals and uniforms."""
+
+    def __init__(self, z, u):
+        self.z, self.u = z, u
+
+    def standard_normal(self, shape):
+        return np.reshape(np.array(self.z), shape)
+
+    def random(self, n):
+        return np.array(self.u)
+
+
+def test_ball_noise_in_one_dimension_keeps_the_sign_of_a_zero_normal(
+        monkeypatch):
+    # a normal draw of exactly +-0.0 (rare, but the ziggurat can give it)
+    # and a uniform draw of 0.0
+    z = [0.0, -0.0, 1.5, -2.0, 0.0, -1e-3]
+    u = [0.3, 0.7, 0.0, 0.0, 0.9, 1.0 - 2.0 ** -53]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Draws(z, u))
+    got = _ball_noise(0, 6, 1, 0.25)
+    want = _frozen_ball_noise(_Draws(z, u), 6, 1, 0.25)
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got[:, 0]).tolist() == [False, True] * 3
+    assert got[[0, 1, 4], 0].tolist() == [0.0, 0.0, 0.0]
+    assert got[5, 0] < -0.24

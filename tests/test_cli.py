@@ -119,6 +119,18 @@ def test_solve_experiment_writes_orbit_and_solution(tmp_path):
     assert "engine=fixpoint" in (out / "manifest.txt").read_text()
 
 
+def test_solve_from_a_start_whose_residual_overflows(tmp_path):
+    # the residual of 1e160 squares past the largest float; its image
+    # 5e159 is finite, so the solve runs on instead of ending in
+    # NonFiniteError (exit 1)
+    cfg = _write(tmp_path, "far.cfg", "experiment=solve\n"
+                 "map=affine-halfline\nx0=1e160\ntol=1e-10\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert "iterations=564\n" in (out / "solution.txt").read_text()
+    assert not (out / "error.txt").exists()
+
+
 def test_solve_nonself_exit_gives_status_one_and_error_file(tmp_path):
     cfg = _write(tmp_path, "exit.cfg", """
         experiment = solve

@@ -468,6 +468,31 @@ def test_solve_fixed_point_infinite_image_inside_is_non_finite():
     assert err.value.point.tolist() == [math.inf]
 
 
+@pytest.mark.parametrize("float_points", [True, False])
+@pytest.mark.parametrize("name,iterations", [("affine-halfline", 564),
+                                             ("rakotch-decay", 100_000)])
+def test_residual_overflow_between_finite_points_is_not_non_finite(
+        name, iterations, float_points):
+    # from 1e160 the first residuals square past the largest float while
+    # every iterate is finite: the solve goes on, on floats or on arrays
+    T = dataclasses.replace(make_map(name).mapping,
+                            float_points=float_points)
+    res = solve_fixed_point(T, [1e160], 1e-10, 100_000)
+    assert res.iterations == iterations and res.residual <= 1e-10
+    assert res.point.shape == (1,) and not res.point.flags.writeable
+
+
+def test_residual_overflow_of_a_custom_map_is_not_non_finite():
+    # x / 2 on the whole line from 1e308: the first residual is inf
+    T = MappingInstance(apply=lambda x: x / 2.0,
+                        declared_modulus=constant_modulus(0.5),
+                        domain=box([-math.inf], [math.inf]),
+                        space=euclidean(1))
+    res = solve_fixed_point(T, [1e308], 1e-6, 5000)
+    assert 0.0 < res.residual <= 1e-6
+    assert res.point.tolist() == [2.0 * res.residual]
+
+
 def test_orbit_exact_nan_image_is_non_finite():
     with pytest.raises(NonFiniteError):
         orbit_exact(_nan_map(), [1.0], 5)

@@ -55,3 +55,25 @@ def test_traced_entries_build_and_count_leaves(tracer):
     finally:
         t.uninstall()
     assert fixpoint.cli.make_map.__module__ == "fixpoint.gallery"
+
+
+def test_traced_solve_counts_every_apply_of_the_float_drive(tracer,
+                                                            tmp_path):
+    # the one-coordinate maps are stepped on floats through the wrapped
+    # leaves, so a traced solve counts each apply in the span that makes
+    # it: tol is met after 999 steps, and the orbit replays them
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("experiment=solve\nmap=rakotch-decay\nx0=1.0\n"
+                   "tol=1e-6\n")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert fixpoint.cli.run_config(cfg, tmp_path / "out", None) == 0
+    finally:
+        t.uninstall()
+    assert t.solve_iterations == 999
+    assert t.calls("gallery.apply", "picard.solve_fixed_point") == 1000
+    assert t.calls("gallery.apply", "picard.orbit_exact") == 999
+    assert t.calls("core.distance", "picard.solve_fixed_point") == 1000
+    assert t.calls("core.contains", "picard.solve_fixed_point") == 1000
+    assert t.calls("core.contains", "picard.orbit_exact") == 1000
