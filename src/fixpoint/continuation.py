@@ -81,7 +81,6 @@ class PathEntry(NamedTuple):
     inner_residual: float
     step_bound_used: float    # the accepted step that led to this entry
     r_used: float             # invariant-ball radius backing that step
-    norm_bound_ok: bool
 
 
 @dataclass(frozen=True)
@@ -300,7 +299,8 @@ def _image_norm(T: MappingInstance, x: Point, norm) -> float:
 def _path_start(T: MappingInstance, q: float):
     """What trace_path and limit_path share before their first step: the
     norm, 0 (interior to the domain), a finite ||T 0||, the a-priori bounds
-    for the cap q, and the entry list holding the path's start (0, 0)."""
+    for the cap q (which refuse a modulus flagged admissible with
+    phi(1) >= 1), and the entry list holding the path's start (0, 0)."""
     norm = T.space.norm
     zero = np.zeros(T.space.dimension)
     if not T.domain.interior_contains(zero):
@@ -308,7 +308,7 @@ def _path_start(T: MappingInstance, q: float):
     norm_T0 = _image_norm(T, zero, norm)
     bounds = apriori_norm_bound(norm_T0, q, T.declared_modulus)
     entries = [PathEntry(t=0.0, x=_frozen(zero), inner_residual=0.0,
-                         step_bound_used=0.0, r_used=0.0, norm_bound_ok=True)]
+                         step_bound_used=0.0, r_used=0.0)]
     return norm, zero, norm_T0, bounds, entries
 
 
@@ -338,14 +338,14 @@ def trace_path(T: MappingInstance, cfg: PathConfig) -> ContinuationPath:
     both 1 and the distance to the domain boundary, so every accepted point
     is interior.
 
-    Each accepted entry records the inner residual, the accepted step, the
-    backing radius, and whether the a-priori norm bounds held.  A path
-    pinned against the boundary raises LsViolationError when the pin point
-    violates the boundary condition, StallError when the step collapses
-    below 1e-14 without a detected violation.  NonFiniteError is raised
+    Each accepted entry records the inner residual, the accepted step and
+    the backing radius.  A path pinned against the boundary raises
+    LsViolationError when the pin point violates the boundary condition,
+    StallError when the step collapses below 1e-14 without a detected
+    violation.  NonFiniteError is raised
     when T gives a NaN or infinite image along the way.
     """
-    norm, x, mbound_obs, bounds, entries = _path_start(T, cfg.q)
+    norm, x, mbound_obs, _, entries = _path_start(T, cfg.q)
     target = cfg.target_t
     if not T.declared_modulus.rakotch:
         target = min(target, cfg.q)
@@ -367,15 +367,8 @@ def trace_path(T: MappingInstance, cfg: PathConfig) -> ContinuationPath:
         t1 = min(t0 + step, target)
         x1, res = _path_solve(T, t1, x, cfg,
                               "and no admissible continuation exists")
-        nx1 = norm(x1)
-        ok = True
-        if t1 <= cfg.q and nx1 > bounds.nonexpansive + 1e-9:
-            ok = False
-        if T.declared_modulus.rakotch and nx1 > bounds.rakotch + 1e-9:
-            ok = False
         entries.append(PathEntry(t=t1, x=x1, inner_residual=res,
-                                 step_bound_used=t1 - t0, r_used=r,
-                                 norm_bound_ok=ok))
+                                 step_bound_used=t1 - t0, r_used=r))
         # a solved point hugging the boundary must still satisfy the
         # boundary condition or the continuation is over
         if T.domain.boundary_distance(x1) <= cfg.inner_tol:
@@ -426,10 +419,8 @@ def limit_path(T: MappingInstance, cfg: PathConfig, final_tol: float,
                 f"{step_no} with tail bound {tail} still >= final_tol "
                 f"{final_tol}", tail_bound=tail)
         x, res = _path_solve(T, t_n, x, cfg, "on the limit schedule")
-        ok = norm(x) <= bounds.rakotch + 1e-9
         entries.append(PathEntry(t=t_n, x=x, inner_residual=res,
-                                 step_bound_used=t_n - t_prev, r_used=0.0,
-                                 norm_bound_ok=ok))
+                                 step_bound_used=t_n - t_prev, r_used=0.0))
         t_prev = t_n
         tail = (1.0 - t_n) * mb / gap_ft
         if tail < final_tol:
@@ -461,7 +452,7 @@ def path_csv(path: ContinuationPath) -> Iterator[str]:
     Joined, the pieces are the file's text; written one at a time, they
     hold one chunk of rows whatever the path's length."""
     d = path.entries[0].x.shape[0]
-    t, x, res, step, r, _ = zip(*path.entries)
+    t, x, res, step, r = zip(*path.entries)
     if path.terminal is not None:
         x1, cert = path.terminal
         t, x, res, step, r = (t + (1.0,), x + (x1,), res + (cert.residual,),

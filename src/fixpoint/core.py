@@ -438,8 +438,8 @@ def box(lo, hi) -> DomainSet:
         raise ArgumentError("box needs lo < hi in every coordinate")
 
     if lo_a.size == 1:
-        # scalar fast path: perturbed-orbit experiments spend most of their
-        # time in these membership calls
+        # 1-D point forms on the coordinate's float: contains also takes a
+        # Python float, for the float drive of float_points maps
         lo_f, hi_f = float(lo_a[0]), float(hi_a[0])
 
         def contains(p: Point | float) -> bool:
@@ -712,9 +712,7 @@ class MappingInstance:
     stability experiment steps all its trials as one such array,
     verify_contractive maps all its pair points as one, and both refuse
     an apply that does not map row by row.  Elementwise maps give the
-    same bits either way.  One written in + - * / alone may map a
-    one-coordinate point on its Python float, which rounds as the float64
-    ufuncs do (see gallery._elementwise).  An affine map is written
+    same bits either way.  An affine map is written
     ``x @ A.T + b`` rather than ``A @ x + b``, and its batched rows may
     differ from the single-row images in the last bits.
 

@@ -23,14 +23,14 @@ suite audits rather than trusts:
 * damped-rational: T x = x / (2 + x^2) on [-2, 2].  |T'| <= 1/2, modulus
   1/2, fixed point 0 in the interior, path identically 0.
 
-affine-halfline, rakotch-decay and damped-rational are elementwise: each
-has one body, written in + - * / alone (no **, no math.*), that maps a
-one-coordinate point on its Python float and an (m, 1) array of rows on
-the array, with the same bits either way (see _elementwise), and
-declares float_points, so the exact Picard drives step it on the float
-itself.  On a point a division by zero raises ZeroDivisionError where
-numpy would warn; that needs a point outside the domain (rakotch-decay
-at x = -1/a).
+affine-halfline, rakotch-decay and damped-rational are one-coordinate: each
+apply is one body, written in + - * / alone (no **, no math.*), that maps
+a Python float, a (1,) point and an (m, 1) array of rows with the same
+bits, since Python floats and numpy's float64 ufuncs round + - * / alike.
+Each declares float_points, so the exact Picard drives step it on the
+float itself.  Only a division by zero differs: a Python float raises
+ZeroDivisionError where numpy warns and gives an infinity; that needs a
+point outside the domain (rakotch-decay at x = -1/a).
 constant returns its frozen point, and planar-rotation's x R^T + b goes
 through ndarray.dot, whose BLAS sums a float formula does not reproduce.
 
@@ -86,29 +86,6 @@ def _interval_rows(lo: float, width: float) -> Callable:
     return lambda rng, m: (lo + width * rng.random(m))[:, None]
 
 
-def _elementwise(body: Callable) -> Callable[[Point], Point]:
-    """The apply of a one-coordinate map whose body uses only + - * /.
-
-    A point, of shape (1,), is mapped on its Python float and returned as
-    a fresh (1,) array, made empty and filled with one item store (half
-    the cost of np.array([v])); rows, of shape (m, 1), go through body on
-    the array.  Python floats and numpy's float64 ufuncs round + - * / the
-    same way, so both give the bits of body on the array, at a fraction of
-    the dispatch cost of its ufunc calls on one element.  Only a division
-    by zero differs: a ZeroDivisionError on a point where numpy warns.
-    A Python float, a point's float form (MappingInstance.float_points),
-    goes through body and comes back as the image's float."""
-    def apply(x: Point | float) -> Point | float:
-        if x.__class__ is float:
-            return body(x)
-        if x.shape == (1,):
-            out = np.empty(1)
-            out[0] = body(x.item())
-            return out
-        return body(x)
-    return apply
-
-
 @dataclass(frozen=True)
 class ParamSpec:
     default: float
@@ -127,10 +104,11 @@ _Parts = tuple[MappingInstance, Point | None, Callable[[float], Point],
 def _one_coordinate(body: Callable, modulus: Modulus, domain: DomainSet,
                     fixed: float, path: Callable[[float], float],
                     lo: float, width: float) -> _Parts:
-    """The parts of a one-coordinate map x -> body(x) (see _elementwise)
-    with fixed point fixed and path x_t = path(t), its sampler uniform on
+    """The parts of a one-coordinate map x -> body(x), body written in
+    + - * / alone so that it maps floats, points and rows alike, with fixed
+    point fixed and path x_t = path(t), its sampler uniform on
     [lo, lo + width).  domain is a box, so the map promises float_points."""
-    mapping = MappingInstance(apply=_elementwise(body),
+    mapping = MappingInstance(apply=body,
                               declared_modulus=modulus, domain=domain,
                               space=euclidean(1), float_points=True)
     return (mapping, _frozen([fixed]), lambda t: np.array([path(t)]),

@@ -546,7 +546,7 @@ def _path(x: np.ndarray, rest: np.ndarray, terminal: bool
           ) -> ContinuationPath:
     entries = tuple(PathEntry(t=float(r[0]), x=p, inner_residual=float(r[1]),
                               step_bound_used=float(r[2]),
-                              r_used=float(r[3]), norm_bound_ok=True)
+                              r_used=float(r[3]))
                     for p, r in zip(x, rest))
     term = None
     if terminal:
@@ -996,7 +996,7 @@ def test_trace_path_entries_equal_the_frozen_inner_solve(T, monkeypatch):
     for a, b in zip(got.entries, want.entries):
         assert a.x.tobytes() == b.x.tobytes()
         assert all(_same_float(u, v) for u, v in zip(a[2:5], b[2:5]))
-        assert a.t == b.t and a.norm_bound_ok == b.norm_bound_ok
+        assert a.t == b.t
     assert "".join(path_csv(got)) == "".join(path_csv(want))
     assert _same_float(got.mbound, want.mbound)
 

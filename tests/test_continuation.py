@@ -277,6 +277,21 @@ def test_audit_passes_maps_that_keep_the_boundary_condition(R, inner_tol):
 # ---------------------------------------------------------------------------
 # path tracing
 
+def _assert_within_apriori_bounds(T: MappingInstance,
+                                  path: ContinuationPath) -> None:
+    # every entry keeps the a-priori norm bounds for its t: the
+    # nonexpansive one up to t = q, the rakotch one for an admissible
+    # modulus, each with 1e-9 of slack
+    norm = T.space.norm
+    bounds = apriori_norm_bound(norm(T.apply(np.zeros(T.space.dimension))),
+                                path.q, T.declared_modulus)
+    for e in path.entries:
+        if e.t <= path.q:
+            assert norm(e.x) <= bounds.nonexpansive + 1e-9
+        if T.declared_modulus.rakotch:
+            assert norm(e.x) <= bounds.rakotch + 1e-9
+
+
 def test_trace_affine_matches_closed_form():
     path = trace_path(_affine(), PathConfig(q=0.9, target_t=0.9))
     assert path.entries[0].t == 0.0
@@ -285,7 +300,7 @@ def test_trace_affine_matches_closed_form():
         want = -e.t / (2.0 - e.t)
         assert e.x[0] == pytest.approx(want, abs=1e-8)
         assert e.inner_residual <= path.inner_tol
-        assert e.norm_bound_ok
+    _assert_within_apriori_bounds(_affine(), path)
 
 
 def test_trace_t_strictly_increasing_to_target():
@@ -405,6 +420,7 @@ def test_limit_path_certificate_is_coherent():
     assert cert.tail_bound < 1e-6
     assert cert.schedule_steps == len(path.entries) - 1
     assert cert.on_boundary
+    _assert_within_apriori_bounds(_affine(), path)
     ts = [e.t for e in path.entries]
     assert ts == sorted(ts)
     # the schedule is geometric: 1 - t halves each step

@@ -59,6 +59,22 @@ def test_known_fixed_points_are_fixed(name):
     assert T.space.distance(e.known_fixed_point, img) <= 1e-12
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 4.0])
+def test_rakotch_decay_pole_point_takes_the_row_form(a):
+    # x = -1/a lies outside the domain [0, inf), where 1 + a x is 0: a
+    # (1,) point goes through the ufuncs like a row and gives -inf, while
+    # the Python float the float drive would pass raises
+    apply = make_map("rakotch-decay", a=a).mapping.apply
+    pole = -1.0 / a
+    with np.errstate(divide="ignore"):
+        point = apply(np.array([pole]))
+        row = apply(np.array([[pole]]))
+    assert point.shape == (1,) and point[0] == -math.inf
+    assert point.tobytes() == row[0].tobytes()
+    with pytest.raises(ZeroDivisionError):
+        apply(pole)
+
+
 def test_constant_outside_box_has_no_fixed_point():
     assert make_map("constant", c=2.0).known_fixed_point is None
     e = make_map("constant", c=0.25)
