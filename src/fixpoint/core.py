@@ -381,12 +381,12 @@ class DomainSet:
     projects every row, each as the point alone.  It returns a new array
     and does not write into its argument, and a point or row that
     contains accepts comes back unchanged, bit for bit (a signed zero
-    keeps its sign): the stability experiment projects a whole batch at
-    once when every row is inside or is to be projected, so a custom
-    domain must keep both.  nearest_boundary returns
-    a closest boundary point, used to audit the boundary condition when a
-    path crowds the edge of its domain; it raises ArgumentError where the
-    set has no finite boundary.
+    keeps its sign): on every step where a perturbed point is outside,
+    the stability experiment projects its whole batch, exited rows parked
+    at the fixed point, so a custom domain must keep both.
+    nearest_boundary returns a closest boundary point, used to audit the
+    boundary condition when a path crowds the edge of its domain; it
+    raises ArgumentError where the set has no finite boundary.
 
     contains_rows is contains applied to every row of an (m, dimension)
     array at once, a bool array of length m.  On rows with a positive

@@ -162,48 +162,44 @@ def _ball_noise(noise_seed: int, n: int, d: int, delta: float) -> np.ndarray:
 
 def _orbit(T: MappingInstance, x0, n: int, delta: float,
            noise_seed: int) -> Orbit:
-    """The orbit of orbit_inexact, recorded by _iterate: the step is T.apply
-    when delta is 0, on the Python float of each point when T declares
-    float_points (recorded into the points' one column), else T x_i plus
+    """The orbit of orbit_exact and orbit_inexact: each step is T x_i plus
     the seeded noise e_i, projected back in when only the perturbed point
-    is outside."""
+    is outside; with delta 0, _iterate records it, on Python floats when
+    T declares float_points (into the points' one column)."""
     if not n >= 1:
         raise ArgumentError(f"orbit length must be >= 1, got {n}")
-    if not delta >= 0.0:
-        raise ArgumentError(f"perturbation bound must be >= 0, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise ArgumentError(
+            f"perturbation bound must be finite and >= 0, got {delta}")
+    if not noise_seed >= 0:
+        raise ArgumentError(f"noise_seed must be >= 0, got {noise_seed}")
     d = T.space.dimension
     x = _start(T, x0)
     pts = np.empty((n + 1, d))
     pts[0] = x
-    step, contains, out = T.apply, T.domain.contains, pts
     if delta > 0.0:
         noise = _ball_noise(noise_seed, n, d, delta)
         images = np.empty((n, d))
-        domain_contains, project = T.domain.contains, T.domain.project
-        index = iter(range(n))
-        inside = True
-
-        def step(x: Point) -> Point:
-            nonlocal inside
-            i = next(index)
+        contains, project = T.domain.contains, T.domain.project
+        for i in range(n):
             y = images[i] = T.apply(x)
             p = y + noise[i]
-            inside = domain_contains(p)
+            inside = contains(p)
             if not inside:
-                if domain_contains(y):
+                if contains(y):
                     p = project(p)
-                    inside = domain_contains(p)
+                    inside = contains(p)
                 elif not np.all(np.isfinite(y)):
                     raise _non_finite(y, x)
-            return p
-
-        def contains(p: Point) -> bool:
-            # step has tested the point it returned; one test per step
-            return inside
-    elif T.float_points:
-        x, out = x.item(), pts[:, 0]
-    run = _iterate(step, x, contains, n, out=out)
-    exited = None if run.outside is None else run.steps + 1
+            pts[i + 1] = x = p
+            if not inside:
+                break
+        exited = None if inside else i + 1
+    else:
+        one = T.float_points
+        run = _iterate(T.apply, x.item() if one else x, T.domain.contains,
+                       n, out=pts[:, 0] if one else pts)
+        exited = None if run.outside is None else run.steps + 1
     m = exited or n
     pts = pts[:m + 1]
     _refuse_non_finite(pts[1:], pts[:-1])
@@ -238,9 +234,9 @@ def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
     is nonexpansive and the recorded residual stays <= delta.  If T x_i
     itself leaves the domain the exit is genuine: the perturbed point is
     recorded as-is and the orbit stops there when it is outside.
-    delta = 0 reproduces orbit_exact bit for bit.  One orbit steps through
-    the point form of apply, on the kernel orbit_exact uses.  Raises
-    NonFiniteError if T gives a NaN or infinite image.
+    delta = 0 reproduces orbit_exact bit for bit; a delta that is not
+    finite and >= 0, or a negative noise_seed, raises ArgumentError.
+    Raises NonFiniteError if T gives a NaN or infinite image.
     """
     return _orbit(T, x0, n, delta, noise_seed)
 
@@ -256,59 +252,42 @@ def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
     All rows share one apply per step; the first is checked to map row by
     row (core._apply_rows).  A perturbed point outside the domain is
     projected back in when T x_i itself is inside; otherwise the exit is
-    genuine and the row leaves the batch, unless T x_i is NaN or
-    infinite, which raises NonFiniteError.  So does a row that never
-    exited but whose max is not finite, after the last step.
+    genuine and the row fails, unless T x_i is NaN or infinite, which
+    raises NonFiniteError.  So does a row that never exited but whose max
+    is not finite, after the last step.
 
-    Until the first exit a step adds noise[i] as a view, tests membership
-    once and keeps the running max in place; the first exit compacts the
-    batch to the rows still in it, which later steps gather by index.  A
-    step on which no row exits projects the whole batch in one call, since
-    project returns a point of the domain unchanged (see DomainSet); a
-    row that exits is never projected.
+    An exited row is parked at the anchor, a point of the domain, and its
+    later steps are thrown away: it is never refused and never exits
+    again.  So the batch keeps its shape, and a step on which a perturbed
+    point is outside projects it whole in one call, since project returns
+    a point of the domain unchanged (see DomainSet); an exiting row's own
+    point is replaced by the anchor first, so it is never projected.
     """
     m = len(starts)
     contains = T.domain.contains_rows
     project = T.domain.project
     distances = T.space.rowwise_distance
-    live = None         # the rows still stepped, or None for all of them
     exited = np.zeros(m, dtype=bool)
     worst = np.full(m, -math.inf)
     x = starts
     for i in range(n):
         y = T.apply(x) if i else _apply_rows(T, x)
-        if noise is None:
-            cand = y
-        else:
-            cand = y + (noise[i] if live is None else noise[i, live])
+        cand = y if noise is None else y + noise[i]
         inside = contains(cand)
         # count_nonzero is a third of the cost of the reduction inside.all()
         if np.count_nonzero(inside) < inside.size:
             # a row stays when its perturbed point or its image is inside
             stay = inside | contains(y)
-            if np.count_nonzero(stay) == stay.size:
-                # project returns the rows already inside unchanged
-                cand = project(cand)
-            else:
-                # cand is y, which may be read-only, when noise is None
-                fix = stay & ~inside
-                if fix.any():
-                    cand[fix] = project(cand[fix])
-                out = ~stay
+            if np.count_nonzero(stay) < stay.size:
+                out = ~stay & ~exited
                 _refuse_non_finite(y[out], x[out])
-                if live is None:
-                    live = np.arange(m)
-                exited[live[out]] = True
-                live = live[stay]
-                cand = cand[stay]
+                exited |= out
+                if exited.all():
+                    break
+                cand = np.where(out[:, None], anchor, cand)
+            cand = project(cand)
         if i + 1 >= k:
-            d = distances(cand, anchor)
-            if live is None:
-                np.maximum(worst, d, out=worst)
-            else:
-                worst[live] = np.maximum(worst[live], d)
-        if live is not None and not live.size:
-            break
+            np.maximum(worst, distances(cand, anchor), out=worst)
         x = cand
     # +inf passes the membership test of an unbounded domain, so a row can
     # get there without exiting; NaN or +inf, not the -inf of an empty
@@ -526,10 +505,16 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
     """
     if not trials >= 1:
         raise ArgumentError(f"trials must be >= 1, got {trials}")
+    if not seed >= 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     d = T.space.dimension
     xb = _start(T, xbar, "fixed point")
-    drift = T.space.distance(xb, T.apply(xb))
-    if drift > 1e-10:
+    # an exited trial is parked at xbar, so its image must be finite
+    image = T.apply(xb)
+    if not np.all(np.isfinite(image)):
+        raise _non_finite(image, xb)
+    drift = T.space.distance(xb, image)
+    if not drift <= 1e-10:
         raise ArgumentError(
             f"xbar moves by {drift} under T; not fixed to 1e-10")
     consts = stability_constants(M, epsilon, T.declared_modulus)
@@ -537,8 +522,9 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
         raise ArgumentError(
             f"orbit length n={n} is below the settling index k={consts.k}")
     delta_used = consts.delta if delta_override is None else delta_override
-    if not delta_used >= 0.0:
-        raise ArgumentError(f"delta must be >= 0, got {delta_used}")
+    if not 0.0 <= delta_used < math.inf:
+        raise ArgumentError(
+            f"delta_override must be finite and >= 0, got {delta_used}")
     violated = delta_override is not None and delta_override > consts.delta
 
     # drawn trial by trial: the master generator interleaves each start's

@@ -788,8 +788,9 @@ def _counting_projections(T):
 
 def test_perturbed_steps_projects_and_exits_in_one_step():
     # at step 1 the first row's image 0.99 is pushed out and projected
-    # back while the second row's image 1.35 exits; the third stays.  Only
-    # the first row is projected: never a row that exits
+    # back while the second row's image 1.35 exits; the third stays.  The
+    # exiting row is parked at the anchor before the batch is projected
+    # whole, so its own point 1.40 never reaches project
     T, calls = _counting_projections(_KERNEL_CASES["scale-1d"][0])
     starts = np.array([[0.66], [0.9], [-0.5]])
     noise = np.full((6, 3, 1), 0.05)
@@ -800,7 +801,30 @@ def test_perturbed_steps_projects_and_exits_in_one_step():
                                       noise, anchor, 1)
     assert got[1] == math.inf and np.isfinite(got[[0, 2]]).all()
     assert got.tobytes() == want.tobytes()
-    assert len(calls) == 1 and calls[0].tolist() == [[1.5 * 0.66 + 0.05]]
+    assert len(calls) == 1
+    assert calls[0].tolist() == [[1.5 * 0.66 + 0.05], [0.0], [-0.25 + 0.05]]
+
+
+def _nan_at_anchor(x):
+    return np.where(x < -0.5, math.nan, np.where(x > 0.5, 2.0 * x, x / 2.0))
+
+
+@pytest.mark.parametrize("delta", [None, 1e-3])
+def test_rows_parked_where_the_map_is_nan_are_never_refused(delta):
+    # every start above 0.5 exits at step 1 and is parked at the anchor
+    # -0.75, whose image is NaN: a parked row leaves the domain on every
+    # later step, and neither counts as an exit nor is refused for it
+    T = _scaled(1, -1.0, 1.0, _nan_at_anchor)
+    rng = np.random.default_rng(5)
+    starts = rng.uniform(-0.5, 1.0, (20, 1))
+    noise = (None if delta is None
+             else rng.uniform(-delta, delta, (30, 20, 1)))
+    anchor = np.array([-0.75])
+    got = _perturbed_steps(T, starts, 30, noise, anchor, 1)
+    want = _reference_perturbed_steps(_reference_leaves(T), starts, 30,
+                                      noise, anchor, 1)
+    assert 0 < np.isinf(got).sum() < len(starts)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,34 @@ def test_nan_arguments_are_refused(call):
         call()
 
 
+def _disc_map() -> MappingInstance:
+    return MappingInstance(apply=lambda x: 0.5 * x,
+                           declared_modulus=constant_modulus(0.5),
+                           domain=ball([0.0, 0.0], 1.0), space=euclidean(2))
+
+
+# an infinite budget once drew infinite noise (NaN in d >= 2, from 0 * inf)
+# and blamed the map for it with NonFiniteError; a negative seed escaped
+# as numpy's ValueError
+@pytest.mark.parametrize("call,name", [
+    (lambda: orbit_inexact(make_map("rakotch-decay").mapping, [1.0], 10,
+                           math.inf, 0), "perturbation bound"),
+    (lambda: orbit_inexact(_disc_map(), [0.5, 0.0], 10, math.inf, 0),
+     "perturbation bound"),
+    (lambda: run_stability_experiment(_decay_map(), [0.0], 1.0, 0.1, 2,
+                                      900, 0, delta_override=math.inf),
+     "delta_override"),
+    (lambda: orbit_inexact(_decay_map(), [1.0], 10, 1e-3, -1),
+     "noise_seed"),
+    (lambda: run_stability_experiment(_decay_map(), [0.0], 1.0, 0.1, 2,
+                                      900, -1), "seed"),
+], ids=["orbit-inf-delta", "orbit-inf-delta-2d", "stability-inf-delta",
+        "orbit-negative-seed", "stability-negative-seed"])
+def test_infinite_budgets_and_negative_seeds_are_refused(call, name):
+    with pytest.raises(ArgumentError, match=f"^{name} must be"):
+        call()
+
+
 @pytest.mark.parametrize("call,bound", [
     # eps (1 - phi(eps)) underflows to 0, or to a subnormal the bound
     # overflows against
@@ -632,6 +660,29 @@ def test_stability_experiment_validates_inputs():
                                  trials=0, n=200, seed=1)
 
 
+def test_stability_refuses_a_fixed_point_whose_image_is_not_finite():
+    # NaN fails drift > 1e-10, so xbar = 0 once passed as fixed; a trial
+    # that exits is parked at xbar, whose image must be finite
+    for value in (math.nan, math.inf):
+        T = MappingInstance(
+            apply=lambda x, v=value: np.where(x == 0.0, v, x / 2.0),
+            declared_modulus=constant_modulus(0.5), domain=box([-1.0], [1.0]),
+            space=euclidean(1))
+        with pytest.raises(NonFiniteError, match="non-finite") as err:
+            run_stability_experiment(T, [0.0], 1.0, 0.5, trials=3, n=200,
+                                     seed=1)
+        assert err.value.last_inside.tolist() == [0.0]
+
+
+def test_stability_drift_guard_refuses_a_nan_drift():
+    # a distance that is NaN between finite points fails the guard too
+    T = _decay_map()
+    T = dataclasses.replace(T, space=dataclasses.replace(
+        T.space, distance=lambda a, b: math.nan))
+    with pytest.raises(ArgumentError, match="not fixed"):
+        run_stability_experiment(T, [0.0], 1.0, 0.5, trials=3, n=200, seed=1)
+
+
 def test_stability_start_the_domain_cannot_place_is_a_domain_error():
     # a project that breaks its contract hands the drawn start back
     # unchanged, still outside the box, and the draw is refused
@@ -832,8 +883,7 @@ def _counting_contains(T):
 
 def test_perturbed_orbit_tests_each_point_once():
     # a step whose perturbed point is outside also tests the image and the
-    # projection; every other step tests its point once, and _iterate
-    # takes the verdict from the step instead of testing it again
+    # projection; every other step tests its point once
     T, calls = _counting_contains(make_map("rakotch-decay").mapping)
     n, delta, seed = 10_000, 1e-3, 7
     got = orbit_inexact(T, [1.0], n, delta, noise_seed=seed)
