@@ -4,10 +4,11 @@ Conventions
 -----------
 Points are 1-D float64 numpy arrays of shape ``(dimension,)``.  A mapping
 that sets ``float_points`` (the gallery's one-coordinate maps) also takes
-its single coordinate as a Python float in apply, domain.contains and
-space.distance, and the exact Picard drives step such a map on floats;
-every point they return or raise is still a ``(1,)`` array.  A modulus is
-a function phi on [0, inf); a mapping T is contractive with modulus phi when
+its single coordinate as a Python float in apply, domain.contains,
+domain.project and space.distance, and the Picard drives step such a map
+on floats; every point they return or raise is still a ``(1,)`` array.
+A modulus is a function phi on [0, inf); a mapping T is contractive with
+modulus phi when
 
     dist(T x, T y) <= phi(dist(x, y)) * dist(x, y)
 
@@ -717,11 +718,12 @@ class MappingInstance:
     differ from the single-row images in the last bits.
 
     float_points is the promise of a one-coordinate map that apply,
-    domain.contains and space.distance also take the coordinate as a
-    Python float, apply then returning the image's float.
-    solve_fixed_point, orbit_exact and solve_at_t then step the map on
-    floats, through those three callables, with the bits of its array
-    steps; what they return or raise holds (1,) points.  The gallery's
+    domain.contains, domain.project and space.distance also take the
+    coordinate as a Python float, apply then returning the image's float
+    and project the projected (1,) point.  solve_fixed_point,
+    orbit_exact, orbit_inexact and solve_at_t then step the map on
+    floats, through those callables, with the bits of its array steps;
+    what they return or raise holds (1,) points.  The gallery's
     elementwise maps promise it (gallery._one_coordinate), on a box and
     euclidean(1), whose 1-D forms take the float.
 

@@ -27,12 +27,20 @@ affine-halfline, rakotch-decay and damped-rational are one-coordinate: each
 apply is one body, written in + - * / alone (no **, no math.*), that maps
 a Python float, a (1,) point and an (m, 1) array of rows with the same
 bits, since Python floats and numpy's float64 ufuncs round + - * / alike.
-Each declares float_points, so the exact Picard drives step it on the
-float itself.  Only a division by zero differs: a Python float raises
-ZeroDivisionError where numpy warns and gives an infinity; that needs a
-point outside the domain (rakotch-decay at x = -1/a).
+Each declares float_points, so the Picard drives, exact and perturbed,
+step it on the float itself.  Only a division by zero differs: a Python
+float raises ZeroDivisionError where numpy warns and gives an infinity;
+that needs a point outside the domain (rakotch-decay at x = -1/a).
 constant returns its frozen point, and planar-rotation's x R^T + b goes
-through ndarray.dot, whose BLAS sums a float formula does not reproduce.
+through ndarray.dot, whose BLAS sums a float formula does not reproduce:
+on the OpenBLAS that numpy wheels ship, a 2-element dot rounds as one
+fused multiply-add (x.dot(x) is fma(x1, x1, x0 * x0), and coordinate j
+of x.dot(R^T) is fma(x0, R[j, 0], x1 * R[j, 1]), each in 5,000 of 5,000
+normal draws, checked exactly with fractions), while x0 * R[j, 0] +
+x1 * R[j, 1] on Python floats rounds twice and gave other bits in about
+3 draws of 10.  Python floats have no fused multiply-add before
+math.fma (Python 3.13), so a float drive of the disk maps would change
+their orbits' bits.
 
 Each map is one _REGISTRY entry (its builder, parameters and notes); the
 builder returns only what differs between maps, and make_map does the rest.

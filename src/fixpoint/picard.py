@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -164,8 +164,9 @@ def _orbit(T: MappingInstance, x0, n: int, delta: float,
            noise_seed: int) -> Orbit:
     """The orbit of orbit_exact and orbit_inexact: each step is T x_i plus
     the seeded noise e_i, projected back in when only the perturbed point
-    is outside; with delta 0, _iterate records it, on Python floats when
-    T declares float_points (into the points' one column)."""
+    is outside; with delta 0, _iterate records it.  When T declares
+    float_points both step on the coordinate's Python float, the
+    perturbed loop reading a projected point back with .item()."""
     if not n >= 1:
         raise ArgumentError(f"orbit length must be >= 1, got {n}")
     if not 0.0 <= delta < math.inf:
@@ -177,10 +178,14 @@ def _orbit(T: MappingInstance, x0, n: int, delta: float,
     x = _start(T, x0)
     pts = np.empty((n + 1, d))
     pts[0] = x
+    one = T.float_points
     if delta > 0.0:
         noise = _ball_noise(noise_seed, n, d, delta)
         images = np.empty((n, d))
         contains, project = T.domain.contains, T.domain.project
+        if one:
+            x, noise = x.item(), noise[:, 0].tolist()
+            project = lambda p, onto=project: onto(p).item()
         for i in range(n):
             y = images[i] = T.apply(x)
             p = y + noise[i]
@@ -196,7 +201,6 @@ def _orbit(T: MappingInstance, x0, n: int, delta: float,
                 break
         exited = None if inside else i + 1
     else:
-        one = T.float_points
         run = _iterate(T.apply, x.item() if one else x, T.domain.contains,
                        n, out=pts[:, 0] if one else pts)
         exited = None if run.outside is None else run.steps + 1
@@ -236,7 +240,9 @@ def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
     recorded as-is and the orbit stops there when it is outside.
     delta = 0 reproduces orbit_exact bit for bit; a delta that is not
     finite and >= 0, or a negative noise_seed, raises ArgumentError.
-    Raises NonFiniteError if T gives a NaN or infinite image.
+    Raises NonFiniteError if T gives a NaN or infinite image.  A map that
+    declares float_points is stepped on Python floats, with the bits of
+    the array steps.
     """
     return _orbit(T, x0, n, delta, noise_seed)
 
@@ -567,23 +573,39 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
 _CSV_CHUNK = 8192
 
 
+def _constant_repr(c: np.ndarray | range) -> str | None:
+    """The repr of every cell of the float column c when all its cells
+    hold one bit pattern, else None.  Bits, not ==: 0.0 == -0.0 while
+    their reprs differ, and NaN equals nothing."""
+    if isinstance(c, range) or not len(c):
+        return None
+    bits = c.view(np.uint64)
+    return repr(c[0].item()) if (bits == bits[0]).all() else None
+
+
 def _csv_text(header: list[str], lead: list[list],
               columns: list[np.ndarray | range]) -> Iterator[str]:
     """CSV text in pieces: the header line with the lead rows of Python
     numbers, then one piece per _CSV_CHUNK rows of the equal-length
-    columns (1-D arrays, or a range), every cell the repr of the row's
-    Python number (a None lead cell stays empty), so equal runs give
+    columns (1-D float arrays, or a range), every cell the repr of the
+    row's Python number (a None lead cell stays empty), so equal runs give
     byte-equal files.  Every piece ends in a newline.
 
     Each chunk is formatted a column at once, and only one chunk is ever
     held as Python objects: written a piece at a time, the text never
-    grows with the number of rows.
+    grows with the number of rows.  A column whose cells share one bit
+    pattern (an exact orbit's zero residuals) is formatted once.
     """
     yield "\n".join([",".join(header), *(",".join(
         "" if v is None else repr(v) for v in row) for row in lead), ""])
-    for lo in range(0, len(columns[0]), _CSV_CHUNK):
-        cells = [map(repr, part if isinstance(part, range) else part.tolist())
-                 for part in (c[lo:lo + _CSV_CHUNK] for c in columns)]
+    n = len(columns[0])
+    consts = [_constant_repr(c) for c in columns]
+    for lo in range(0, n, _CSV_CHUNK):
+        hi = min(lo + _CSV_CHUNK, n)
+        cells = [repeat(k, hi - lo) if k is not None
+                 else map(repr, c[lo:hi] if isinstance(c, range)
+                          else c[lo:hi].tolist())
+                 for c, k in zip(columns, consts)]
         yield "\n".join(chain(map(",".join, zip(*cells)), ("",)))
 
 

@@ -29,7 +29,8 @@
   on both with the ball predicates above;
 * the float drive of the one-coordinate maps (float_points) against the
   array drive of the same map, in solve_fixed_point, orbit_exact and
-  solve_at_t: results, error messages and payloads;
+  solve_at_t, and in orbit_inexact against a frozen copy of its array
+  loop: results, error messages and payloads;
 * _ball_noise's one-coordinate form against a frozen copy of its general
   form, signed zeros included.
 """
@@ -48,7 +49,8 @@ from fixpoint.continuation import (ContinuationPath, LimitCertificate,
                                    path_csv, solve_at_t, trace_path)
 from fixpoint.core import (MappingInstance, ball, box, constant_modulus,
                            euclidean, halfline, halfspace, _apply_rows,
-                           _euclidean_norm, _frozen, _refuse_non_finite,
+                           _euclidean_norm, _frozen, _non_finite,
+                           _refuse_non_finite,
                            _row_dot,
                            _row_norms, _row_norms_safe,
                            nonexpansive_modulus, rational_decay_modulus,
@@ -254,9 +256,12 @@ def _matmul_halfspace(normal: np.ndarray, offset: float):
     dot product with the scaled normal is finite, else None."""
     nv = np.array(normal)
     unit = math.ldexp(1.0, math.frexp(float(np.abs(nv).max()))[1] - 1)
+    # |normal| in its own units, whose square cannot underflow
+    nn = _matmul_norm(nv / unit)
     if math.isfinite(offset / unit):
         nv, offset = nv / unit, offset / unit
-    nn = _matmul_norm(nv)
+    else:
+        nn *= unit
 
     def predicates(p):
         s = float(nv @ p)
@@ -271,6 +276,11 @@ def _matmul_halfspace(normal: np.ndarray, offset: float):
 @example((np.array([1e308, 1e308]), np.array([1.0, 1.0])), 0.0)
 # the dot product rounds to the offset, 1.3, only when summed in order
 @example((np.array([-1.7, -0.1, -1.2]), np.array([-1.0, 1.6, 0.2])), 1.3)
+# a normal whose square underflows, at offsets whose quotient by a unit of
+# it overflows: the boundary lies beyond the largest float (refused), and
+# just inside it
+@example((np.zeros(2), np.array([2.18701521e-179, 0.0])), 4e129)
+@example((np.zeros(2), np.array([2.18701521e-179, 0.0])), 3e129)
 def test_halfspace_point_dot_equals_the_matmul_form(pn, offset):
     p, nv = pn
     with np.errstate(all="ignore"):
@@ -282,7 +292,15 @@ def test_halfspace_point_dot_equals_the_matmul_form(pn, offset):
     # the domain's point predicates, which take the dot product with the
     # normal in its own units, against the matmul form; membership also
     # against the row form, which takes the stacked matmul
-    dom = halfspace(nv, offset)
+    try:
+        dom = halfspace(nv, offset)
+    except ArgumentError:
+        # refused only when the boundary's distance from the origin,
+        # offset / |normal| >= offset / (sqrt(d) max |normal_j|), is
+        # beyond the largest float
+        top = float(np.abs(nv).max())
+        assert abs(offset) / top / math.sqrt(nv.size) > 1e307
+        return
     with np.errstate(all="ignore"):
         want = _matmul_halfspace(nv, offset)(p)
         got = (dom.contains(p), dom.interior_contains(p),
@@ -584,6 +602,67 @@ def test_path_csv_equals_the_row_loop_on_computed_paths():
     for path in (trace_path(rotation, PathConfig(q=0.99, target_t=0.95)),
                  limit_path(affine, PathConfig(), 1e-9)):
         assert "".join(path_csv(path)) == _reference_path_csv(path)
+
+
+def _nan_bits(bits: int) -> float:
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+# NaNs of both signs and other payloads, all written as nan
+_NANS = [math.nan, _nan_bits(0xFFF8000000000000),
+         _nan_bits(0x7FF8000000000001), _nan_bits(0x7FF0000000000001)]
+
+
+def _constant_column(kind: str, m: int) -> np.ndarray:
+    """m cells of one kind of (near-)constant column: a near-constant one
+    differs from its first cell in its last."""
+    col = np.full(m, {"negative-zero": -0.0, "nan": math.nan,
+                      "nan-payloads": math.nan, "nonzero": 0.1}.get(kind, 0.0))
+    if kind == "one-negative-zero":
+        col[-1] = -0.0
+    elif kind == "nan-payloads":
+        col[:] = np.resize(_NANS, m)[::-1]
+    return col
+
+
+_CONSTANT_KINDS = ["zero", "negative-zero", "one-negative-zero", "nan",
+                   "nan-payloads", "nonzero"]
+
+
+@pytest.mark.parametrize("rows", [1, _CSV_CHUNK, _CSV_CHUNK + 1])
+@pytest.mark.parametrize("kind", _CONSTANT_KINDS)
+def test_csv_writers_equal_the_row_loops_on_constant_columns(kind, rows):
+    # every column but the orbit's x1 and the path's x0 is of one kind;
+    # those two hold other doubles
+    rng = np.random.default_rng(rows)
+    points = np.stack([_constant_column(kind, rows + 1),
+                       _spread(rng, rows + 1)], axis=1)
+    orbit = _orbit(points, _constant_column(kind, rows))
+    assert "".join(orbit_csv(orbit)) == _reference_orbit_csv(orbit)
+    rest = np.stack([_constant_column(kind, rows)] * 4, axis=1)
+    for terminal in (False, True):
+        path = _path(points[1:, ::-1], rest, terminal)
+        assert "".join(path_csv(path)) == _reference_path_csv(path)
+
+
+# cells from a set this small make constant and near-constant columns
+# common
+_FEW = st.sampled_from([0.0, -0.0, math.nan, 1.5])
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30),
+                                        st.integers(1, 3)), elements=_FEW),
+       st.data(), st.booleans())
+def test_csv_writers_equal_the_row_loops_on_few_values(points, data,
+                                                       terminal):
+    residuals = data.draw(hnp.arrays(np.float64, len(points) - 1,
+                                     elements=_FEW))
+    orbit = _orbit(points, residuals)
+    assert "".join(orbit_csv(orbit)) == _reference_orbit_csv(orbit)
+    rest = data.draw(hnp.arrays(np.float64, (len(points), 4),
+                                elements=_FEW))
+    path = _path(points, rest, terminal)
+    assert "".join(path_csv(path)) == _reference_path_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -1119,7 +1198,7 @@ def test_float_drive_cases_reach_every_outcome():
 @pytest.mark.parametrize("name", sorted(_ELEMENTWISE))
 def test_float_drive_steps_on_floats_through_the_leaves(name):
     # apply, contains and distance, the callables a tracer wraps, see
-    # every step; only the start's membership test sees the point array
+    # every step; only the starts' membership tests see the point array
     seen = []
 
     def spy(f):
@@ -1134,9 +1213,107 @@ def test_float_drive_steps_on_floats_through_the_leaves(name):
                 space=replace(T.space, distance=spy(T.space.distance)))
     res = solve_fixed_point(T, [0.5], 1e-6, 10_000)
     orbit_exact(T, [0.5], 10)
+    orbit_inexact(T, [0.5], 10, 1e-3, 5)
     solve_at_t(T, 0.5, [0.5], 1e-6)
     assert res.iterations > 2
-    assert seen.count(np.ndarray) == 3 and set(seen) == {float, np.ndarray}
+    assert seen.count(np.ndarray) == 4 and set(seen) == {float, np.ndarray}
+
+
+def _frozen_orbit_inexact(T, x0, n: int, delta: float, noise_seed: int
+                          ) -> Orbit:
+    """Frozen copy of orbit_inexact's loop as it stepped every map on
+    (d,) arrays, float_points or not (delta > 0)."""
+    d = T.space.dimension
+    x = _start(T, x0)
+    pts = np.empty((n + 1, d))
+    pts[0] = x
+    noise = _ball_noise(noise_seed, n, d, delta)
+    images = np.empty((n, d))
+    contains, project = T.domain.contains, T.domain.project
+    for i in range(n):
+        y = images[i] = T.apply(x)
+        p = y + noise[i]
+        inside = contains(p)
+        if not inside:
+            if contains(y):
+                p = project(p)
+                inside = contains(p)
+            elif not np.all(np.isfinite(y)):
+                raise _non_finite(y, x)
+        pts[i + 1] = x = p
+        if not inside:
+            break
+    exited = None if inside else i + 1
+    m = exited or n
+    pts = pts[:m + 1]
+    _refuse_non_finite(pts[1:], pts[:-1])
+    res = T.space.rowwise_distance(pts[1:], images[:m])
+    pts.setflags(write=False)
+    res.setflags(write=False)
+    return Orbit(points=pts, residuals=res, exited_domain_at=exited,
+                 perturbation_bound=delta)
+
+
+# a one-coordinate map that promises float_points and grows by 5/4: its
+# orbits leave [-1, 1], some after a step projected onto a bound
+_GROWER = MappingInstance(apply=lambda x: 1.25 * x,
+                          declared_modulus=constant_modulus(0.5),
+                          domain=box([-1.0], [1.0]), space=euclidean(1),
+                          float_points=True)
+_INEXACT = {**_ELEMENTWISE, "grower": (-1.0, 1.0, [-1.0, 1.0, -0.0, 0.0,
+                                                   5e-324, 0.8])}
+
+
+def _inexact_map(name: str, data) -> MappingInstance:
+    if name == "grower":
+        return _GROWER
+    params = ({"a": data.draw(st.floats(1e-6, 100.0), label="a")}
+              if name == "rakotch-decay" else {})
+    return make_map(name, **params).mapping
+
+
+@pytest.mark.parametrize("name", sorted(_INEXACT))
+@given(data=st.data())
+def test_float_drive_orbit_inexact_equals_the_frozen_array_loop(name, data):
+    lo, hi, special = _INEXACT[name]
+    T = _inexact_map(name, data)
+    assert T.float_points
+    x0 = data.draw(st.one_of(
+        st.sampled_from([*special, lo, hi, 1e160, math.inf]),
+        _domain_doubles(lo, hi)), label="x0")
+    delta = data.draw(st.one_of(st.sampled_from([5e-324, 1e-3, 0.05, 1.0]),
+                                st.floats(1e-300, 1e3)), label="delta")
+    n = data.draw(st.integers(1, 300), label="n")
+    seed = data.draw(st.integers(0, 2 ** 63 - 1), label="seed")
+    got = _drive(orbit_inexact, T, [x0], n, delta, seed)
+    with np.errstate(all="ignore"):     # overflow on the arrays
+        assert got == _drive(_frozen_orbit_inexact, T, [x0], n, delta, seed)
+
+
+def test_float_drive_orbit_inexact_cases_reach_every_branch():
+    decay = make_map("rakotch-decay").mapping
+    cases = {
+        # near 0 the noise pushes points below the bound, projected onto 0
+        "projects": (decay, [1e-4], 2000, 1e-3, 5),
+        "exits": (_GROWER, [0.5], 100, 0.05, 13),
+        # inf / (1 + inf) is NaN, outside the halfline
+        "nan-image": (decay, [math.inf], 10, 1e-3, 5),
+    }
+    outcomes = {}
+    for label, args in cases.items():
+        got = _drive(orbit_inexact, *args)
+        with np.errstate(all="ignore"):     # inf / inf on the arrays
+            assert got == _drive(_frozen_orbit_inexact, *args), label
+        outcomes[label] = got
+    points = np.frombuffer(outcomes["projects"][0][1])
+    assert np.count_nonzero(points == 0.0) > 10
+    assert outcomes["projects"][2] is None
+    exits = orbit_inexact(*cases["exits"])
+    assert exits.exited_domain_at == len(exits) - 1
+    assert 1.0 in exits.points      # a step projected onto the bound first
+    kind, _, point, last_inside = outcomes["nan-image"]
+    assert kind is NonFiniteError
+    assert point[0] == last_inside[0] == (1,)
 
 
 # ---------------------------------------------------------------------------
