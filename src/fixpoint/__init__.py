@@ -15,7 +15,7 @@ from .picard import (FixedPointResult, Orbit, StabilityConstants,
                      run_stability_experiment, settling_index,
                      solve_fixed_point, stability_constants,
                      stability_report_text)
-from .continuation import (ContinuationPath, LimitCertificate, LsReport,
+from .continuation import (ContinuationPath, LimitCertificate,
                            NormBounds, PathConfig, PathEntry,
                            apriori_norm_bound, check_leray_schauder,
                            limit_path, lipschitz_bound, path_csv,

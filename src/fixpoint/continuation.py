@@ -218,22 +218,10 @@ def lipschitz_bound(t_a: float, t_b: float, mbound: float, q: float) -> float:
     return abs(t_a - t_b) * mbound / (1.0 - q)
 
 
-@dataclass(frozen=True)
-class LsReport:
-    """Boundary-condition audit at one boundary point: violated is True
-    when T x lands within tol of lam x for lam = ||T x|| / ||x|| > 1, and
-    lam is then that ratio."""
-
-    point: Point
-    image: Point
-    violated: bool
-    lam: float | None
-    tol: float
-
-
-def check_leray_schauder(T: MappingInstance, x, tol: float = 1e-9) -> LsReport:
+def check_leray_schauder(T: MappingInstance, x,
+                         tol: float = 1e-9) -> float | None:
     """Test the boundary condition T x != lam x (lam > 1) at a boundary
-    point x != 0.
+    point x != 0: the violating lam, or None when the condition holds.
 
     One test: the alignment ratio mu = ||T x|| / ||x|| violates when
     mu > 1 and ||T x - mu x|| <= tol.  It catches every lam that lands
@@ -258,9 +246,7 @@ def check_leray_schauder(T: MappingInstance, x, tol: float = 1e-9) -> LsReport:
             f"{x!r} is not within {tol} of the boundary")
     Tx = T.apply(x)
     mu = norm(Tx) / nx
-    violated = mu > 1.0 and norm(Tx - mu * x) <= tol
-    return LsReport(point=_frozen(x), image=_frozen(Tx), violated=violated,
-                    lam=mu if violated else None, tol=tol)
+    return mu if mu > 1.0 and norm(Tx - mu * x) <= tol else None
 
 
 def _audit_boundary(T: MappingInstance, x: Point, t: float,
@@ -277,14 +263,14 @@ def _audit_boundary(T: MappingInstance, x: Point, t: float,
         bx = T.domain.nearest_boundary(x)
         if not T.domain.contains(bx):
             bx = T.domain.project(bx)
-        rep = check_leray_schauder(
+        lam = check_leray_schauder(
             T, bx, tol=max(inner_tol, 1e-11) * max(1.0, T.space.norm(bx)))
     except (ArgumentError, DomainError):
         return
-    if rep.violated:
+    if lam is not None:
         raise LsViolationError(
-            f"boundary condition fails at t={t}: T x is {rep.lam} x at "
-            f"boundary point {bx!r}", t=t, point=bx, lam=rep.lam)
+            f"boundary condition fails at t={t}: T x is {lam} x at "
+            f"boundary point {bx!r}", t=t, point=bx, lam=lam)
 
 
 def _image_norm(T: MappingInstance, x: Point, norm) -> float:

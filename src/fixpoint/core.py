@@ -613,6 +613,7 @@ def halfspace(normal, offset: float) -> DomainSet:
         nn *= unit
     # relative rounding bound of a dot product with nv
     dot_eps = nv.size * float(np.finfo(float).eps)
+    off_finite = math.isfinite(offset)
 
     def toward(rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
         """rows - nv gap / |nv|^2 for every row of the (m, d) array rows
@@ -635,14 +636,24 @@ def halfspace(normal, offset: float) -> DomainSet:
 
     def dots(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """<nv, row> for every row of an (m, d) array and the unit it is
-        taken in (see _own_units), to be held against offset / unit."""
-        return _own_units(_row_dot, rows, nv)
+        taken in (see _own_units), to be held against offset / unit: a
+        finite row whose dot product, or its gap to a finite offset,
+        overflowed is taken in its own units."""
+        s, unit = _own_units(_row_dot, rows, nv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = s - offset / unit
+        if off_finite and not np.isfinite(gap).all():
+            big, scale = _overflowed(rows, gap)
+            unit[big] = scale
+            s[big] = _row_dot(rows[big] / scale[:, None], nv)
+        return s, unit
 
     def dot(p: Point) -> tuple[float, float, float]:
         """<nv, p>, the offset and the unit both are taken in (see dots);
-        one dot product unless it overflowed."""
+        one dot product unless it, or its gap to a finite offset,
+        overflowed."""
         s = float(nv.dot(p))
-        if -math.inf < s < math.inf:
+        if -math.inf < (s - offset if off_finite else s) < math.inf:
             return s, offset, 1.0
         s, unit = dots(p[None])
         return float(s[0]), offset / float(unit[0]), float(unit[0])
@@ -724,8 +735,9 @@ class MappingInstance:
     orbit_exact, orbit_inexact and solve_at_t then step the map on
     floats, through those callables, with the bits of its array steps;
     what they return or raise holds (1,) points.  The gallery's
-    elementwise maps promise it (gallery._one_coordinate), on a box and
-    euclidean(1), whose 1-D forms take the float.
+    one-coordinate maps promise it (gallery._one_coordinate).  It is
+    refused with ArgumentError on any domain but a one-coordinate box (a
+    halfline among them), the one whose point forms take the float.
 
     The declared modulus is a claim, not a certificate; audit it with
     :func:`verify_contractive` on the pairs you care about.
@@ -743,6 +755,11 @@ class MappingInstance:
                 f"the {self.domain.kind} domain has dimension "
                 f"{self.domain.dimension} but the space has dimension "
                 f"{self.space.dimension}")
+        d = self.domain
+        if self.float_points and (d.kind, d.dimension) != ("box", 1):
+            raise ArgumentError(
+                f"float_points needs a one-coordinate box; the {d.kind} "
+                f"domain has dimension {d.dimension}")
 
 
 # a batched apply is checked against single-row applies on this many of

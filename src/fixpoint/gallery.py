@@ -23,16 +23,18 @@ suite audits rather than trusts:
 * damped-rational: T x = x / (2 + x^2) on [-2, 2].  |T'| <= 1/2, modulus
   1/2, fixed point 0 in the interior, path identically 0.
 
-affine-halfline, rakotch-decay and damped-rational are one-coordinate: each
-apply is one body, written in + - * / alone (no **, no math.*), that maps
-a Python float, a (1,) point and an (m, 1) array of rows with the same
-bits, since Python floats and numpy's float64 ufuncs round + - * / alike.
-Each declares float_points, so the Picard drives, exact and perturbed,
-step it on the float itself.  Only a division by zero differs: a Python
-float raises ZeroDivisionError where numpy warns and gives an infinity;
-that needs a point outside the domain (rakotch-decay at x = -1/a).
-constant returns its frozen point, and planar-rotation's x R^T + b goes
-through ndarray.dot, whose BLAS sums a float formula does not reproduce:
+affine-halfline, rakotch-decay, constant and damped-rational are
+one-coordinate: each apply is one body, written in + - * / alone (no **,
+no math.*), that maps a Python float, a (1,) point and an (m, 1) array of
+rows with the same bits, since Python floats and numpy's float64 ufuncs
+round + - * / alike.  constant's body is c - (x - x): x - x is +0.0 for
+every finite x, and c - 0.0 is c, a -0.0 included (an infinite or NaN x,
+outside every domain, gives NaN).  Each declares float_points, so the
+Picard drives, exact and perturbed, step it on the float itself.  Only a
+division by zero differs: a Python float raises ZeroDivisionError where
+numpy warns and gives an infinity; that needs a point outside the domain
+(rakotch-decay at x = -1/a).  planar-rotation's x R^T + b goes through
+ndarray.dot, whose BLAS sums a float formula does not reproduce:
 on the OpenBLAS that numpy wheels ship, a 2-element dot rounds as one
 fused multiply-add (x.dot(x) is fma(x1, x1, x0 * x0), and coordinate j
 of x.dot(R^T) is fma(x0, R[j, 0], x1 * R[j, 1]), each in 5,000 of 5,000
@@ -110,17 +112,18 @@ _Parts = tuple[MappingInstance, Point | None, Callable[[float], Point],
 
 
 def _one_coordinate(body: Callable, modulus: Modulus, domain: DomainSet,
-                    fixed: float, path: Callable[[float], float],
+                    fixed: float | None, path: Callable[[float], float],
                     lo: float, width: float) -> _Parts:
     """The parts of a one-coordinate map x -> body(x), body written in
     + - * / alone so that it maps floats, points and rows alike, with fixed
-    point fixed and path x_t = path(t), its sampler uniform on
-    [lo, lo + width).  domain is a box, so the map promises float_points."""
+    point fixed (None when the map has none in its domain) and path
+    x_t = path(t), its sampler uniform on [lo, lo + width).  domain is a
+    box, so the map promises float_points."""
     mapping = MappingInstance(apply=body,
                               declared_modulus=modulus, domain=domain,
                               space=euclidean(1), float_points=True)
-    return (mapping, _frozen([fixed]), lambda t: np.array([path(t)]),
-            _interval_rows(lo, width))
+    return (mapping, None if fixed is None else _frozen([fixed]),
+            lambda t: np.array([path(t)]), _interval_rows(lo, width))
 
 
 def _build_affine_halfline() -> _Parts:
@@ -136,17 +139,9 @@ def _build_rakotch_decay(a: float) -> _Parts:
 
 
 def _build_constant(c: float, lo: float, hi: float) -> _Parts:
-    c_arr = _frozen([c])
-
-    def apply(x: Point) -> Point:
-        # broadcast_to costs microseconds, so single points skip it
-        return c_arr if x.ndim == 1 else np.broadcast_to(c_arr, x.shape)
-
-    mapping = MappingInstance(apply=apply,
-                              declared_modulus=constant_modulus(0.0),
-                              domain=box([lo], [hi]), space=euclidean(1))
-    return (mapping, _frozen([c]) if lo <= c <= hi else None,
-            lambda t: np.array([t * c]), _interval_rows(lo, hi - lo))
+    return _one_coordinate(lambda x: c - (x - x), constant_modulus(0.0),
+                           box([lo], [hi]), c if lo <= c <= hi else None,
+                           lambda t: t * c, lo, hi - lo)
 
 
 def _rotation_min_singular(theta: float) -> float:

@@ -5,8 +5,8 @@ no example database), takes as long as it needs (no deadline, so a slow
 shared host cannot turn a pass into a flake) and stops after a bounded
 number of examples, so a plain ``pytest`` run is deterministic and its
 time bounded.  ``fixpoint`` is the default; ``fixpoint-ci`` is the same
-search widened to 500 examples, which CI runs on the bit-equality tests
-with ``--hypothesis-profile=fixpoint-ci``.
+search widened to 500 examples, which CI runs on the bit-equality and
+property tests with ``--hypothesis-profile=fixpoint-ci``.
 """
 
 from hypothesis import settings

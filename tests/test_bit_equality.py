@@ -13,7 +13,8 @@
   rhs against the per-pair products;
 * the elementwise gallery maps' point form on Python floats against
   frozen copies of the ufunc bodies it replaced, on points, on rows and
-  along 1,000-step orbits;
+  along 1,000-step orbits, and constant's body c - (x - x) against the
+  frozen point c broadcast to the argument's shape, the form it replaced;
 * the chunked CSV writers against frozen copies of the row loops they
   replaced;
 * the stability batch kernel against a frozen copy of the kernel that
@@ -386,11 +387,29 @@ def test_audit_rhs_equals_the_per_pair_products(name):
 # ---------------------------------------------------------------------------
 # elementwise gallery maps on Python floats
 
-def _ufunc_body(name: str, a: float | None):
+def _ufunc_body(name: str, params: dict[str, float]):
     """Frozen copy of the elementwise map's apply as its ufunc body."""
+    a, c = params.get("a"), params.get("c")
     return {"affine-halfline": lambda x: (x - 1.0) / 2.0,
             "rakotch-decay": lambda x: x / (1.0 + a * x),
+            "constant": lambda x: c - (x - x),
             "damped-rational": lambda x: x / (2.0 + x * x)}[name]
+
+
+# the constant map's values: both zeros, the smallest subnormal, the
+# box's bounds, and values outside its default box [-1, 1]
+_CONSTANTS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -1.0, 1.0, 2.0,
+                                        -10.0]), st.floats(-10.0, 10.0))
+
+
+def _draw_params(name: str, data) -> dict[str, float]:
+    """Drawn parameters of an elementwise map: rakotch-decay's a and
+    constant's c, the others take none."""
+    if name == "rakotch-decay":
+        return {"a": data.draw(st.floats(1e-6, 100.0), label="a")}
+    if name == "constant":
+        return {"c": data.draw(_CONSTANTS, label="c")}
+    return {}
 
 
 _MAX = 1.7976931348623157e308
@@ -403,6 +422,8 @@ _ELEMENTWISE = {
     "rakotch-decay": (0.0, _MAX, [0.0, -0.0, 5e-324, 1e-320,
                                   2.2250738585072014e-308, 1e308, _MAX,
                                   math.inf]),
+    "constant": (-1.0, 1.0, [-1.0, 1.0, -0.0, 0.0, 5e-324, -5e-324,
+                             2.2250738585072014e-308]),
     "damped-rational": (-2.0, 2.0, [-2.0, 2.0, -0.0, 0.0, 5e-324, -5e-324,
                                     1e-320, -2.2250738585072014e-308]),
 }
@@ -419,12 +440,11 @@ def _domain_doubles(lo: float, hi: float):
 @given(data=st.data())
 def test_elementwise_point_form_equals_the_ufunc_body(name, data):
     lo, hi, special = _ELEMENTWISE[name]
-    a = (data.draw(st.floats(1e-6, 100.0), label="a")
-         if name == "rakotch-decay" else None)
+    params = _draw_params(name, data)
     xs = special + data.draw(st.lists(_domain_doubles(lo, hi), max_size=20),
                              label="xs")
-    apply = make_map(name, **({} if a is None else {"a": a})).mapping.apply
-    want = _ufunc_body(name, a)
+    apply = make_map(name, **params).mapping.apply
+    want = _ufunc_body(name, params)
     rows = np.array(xs)[:, None]
     with np.errstate(all="ignore"):
         got_rows = apply(rows)
@@ -440,6 +460,27 @@ def test_elementwise_point_form_equals_the_ufunc_body(name, data):
                 assert y.tobytes() == got_rows[j].tobytes()
 
 
+@given(c=_CONSTANTS, lo=st.floats(-1e6, -1e-6), hi=st.floats(1e-6, 1e6),
+       data=st.data())
+def test_constant_body_equals_the_broadcast_form(c, lo, hi, data):
+    # c - (x - x) against the form it replaced, the frozen point c
+    # broadcast to the argument's shape, on floats, points and rows of
+    # the box
+    apply = make_map("constant", c=c, lo=lo, hi=hi).mapping.apply
+    xs = [lo, hi, -0.0, 0.0, 5e-324] + data.draw(
+        st.lists(_domain_doubles(lo, hi), max_size=20), label="xs")
+    rows = np.array(xs)[:, None]
+    got = apply(rows)
+    assert got.tobytes() == np.broadcast_to([c], rows.shape).tobytes()
+    for v, row in zip(xs, rows):
+        y = apply(v)
+        assert type(y) is float and np.float64(y).tobytes() == \
+            np.float64(c).tobytes()
+        for x in (np.array([v]), row):
+            assert apply(x).tobytes() == np.broadcast_to(
+                [c], x.shape).tobytes()
+
+
 @pytest.mark.parametrize("name,params,x0", [
     ("affine-halfline", {}, -1.0),
     ("affine-halfline", {}, 9.0),
@@ -447,13 +488,15 @@ def test_elementwise_point_form_equals_the_ufunc_body(name, data):
     ("rakotch-decay", {}, 10.0),
     ("rakotch-decay", {"a": 0.37}, 1e308),
     ("rakotch-decay", {"a": 1e-6}, 3.0),
+    ("constant", {"c": -0.0}, 1.0),
+    ("constant", {"c": 5e-324, "lo": -1e-6}, -1e-6),
     ("damped-rational", {}, 2.0),
     ("damped-rational", {}, -1e-10),    # reaches the subnormals
 ])
 def test_elementwise_orbits_equal_the_ufunc_body_orbits(name, params, x0):
     entry = make_map(name, **params)
     T = entry.mapping
-    frozen = replace(T, apply=_ufunc_body(name, entry.params.get("a")))
+    frozen = replace(T, apply=_ufunc_body(name, entry.params))
     got, want = orbit_exact(T, [x0], 1000), orbit_exact(frozen, [x0], 1000)
     assert got.points.shape == (1001, 1)
     assert got.points.tobytes() == want.points.tobytes()
@@ -1136,9 +1179,11 @@ def _drive(f, *args):
                 *(_bits(getattr(exc, k)) for k in fields))
 
 
-# a box of each one-coordinate map that its iterates leave
+# a box of each one-coordinate map that its iterates leave (constant's
+# when c lies above -1e-300, both zeros among them)
 _NARROWED = {"affine-halfline": halfline(-0.5),
              "rakotch-decay": halfline(0.5),
+             "constant": box([-1.0], [-1e-300]),
              "damped-rational": box([0.01], [2.0])}
 
 
@@ -1148,9 +1193,7 @@ _NARROWED = {"affine-halfline": halfline(-0.5),
 @given(data=st.data())
 def test_float_drive_equals_the_array_drive(name, narrowed, data):
     lo, hi, special = _ELEMENTWISE[name]
-    params = ({"a": data.draw(st.floats(1e-6, 100.0), label="a")}
-              if name == "rakotch-decay" else {})
-    T = make_map(name, **params).mapping
+    T = make_map(name, **_draw_params(name, data)).mapping
     assert T.float_points
     if narrowed:
         T = replace(T, domain=_NARROWED[name])
@@ -1207,7 +1250,8 @@ def test_float_drive_steps_on_floats_through_the_leaves(name):
             return f(*args)
         return leaf
 
-    T = make_map(name).mapping
+    # constant at c = 0.75 settles in one step, the others take more
+    T = make_map(name, **({"c": 0.75} if name == "constant" else {})).mapping
     T = replace(T, apply=spy(T.apply),
                 domain=replace(T.domain, contains=spy(T.domain.contains)),
                 space=replace(T.space, distance=spy(T.space.distance)))
@@ -1215,7 +1259,7 @@ def test_float_drive_steps_on_floats_through_the_leaves(name):
     orbit_exact(T, [0.5], 10)
     orbit_inexact(T, [0.5], 10, 1e-3, 5)
     solve_at_t(T, 0.5, [0.5], 1e-6)
-    assert res.iterations > 2
+    assert res.iterations > (0 if name == "constant" else 2)
     assert seen.count(np.ndarray) == 4 and set(seen) == {float, np.ndarray}
 
 
@@ -1267,9 +1311,7 @@ _INEXACT = {**_ELEMENTWISE, "grower": (-1.0, 1.0, [-1.0, 1.0, -0.0, 0.0,
 def _inexact_map(name: str, data) -> MappingInstance:
     if name == "grower":
         return _GROWER
-    params = ({"a": data.draw(st.floats(1e-6, 100.0), label="a")}
-              if name == "rakotch-decay" else {})
-    return make_map(name, **params).mapping
+    return make_map(name, **_draw_params(name, data)).mapping
 
 
 @pytest.mark.parametrize("name", sorted(_INEXACT))

@@ -415,6 +415,22 @@ def test_halfspace_with_an_underflowing_normal_square_is_kept():
         math.sqrt(2.0) * 1e308, rel=1e-12)
 
 
+@pytest.mark.parametrize("nv,offset,p", [
+    ([1.0], -1.7e308, [1.7e308]),
+    ([1.0, 0.0], -1.7e308, [1.7e308, 0.0]),
+])
+def test_halfspace_nearest_boundary_across_a_gap_past_the_floats(nv, offset,
+                                                                 p):
+    # p lies more than the largest float beyond the plane: the gap to the
+    # offset is taken in p's own units, not as an overflowed difference,
+    # which gave [-inf] and [-inf, nan]
+    d = halfspace(nv, offset)
+    b = d.nearest_boundary(np.array(p))
+    assert np.isfinite(b).all() and d.contains(b)
+    assert d.boundary_distance(b) == 0.0
+    assert np.allclose(b, [offset] + [0.0] * (len(nv) - 1), rtol=1e-12)
+
+
 @pytest.mark.parametrize("dom", [
     box([-1.0, -2.0], [1.0, 2.0]),
     ball([0.5, -0.5], 3.0),
@@ -531,6 +547,30 @@ def test_mapping_refuses_a_domain_of_another_dimension(dom, dim, space):
     T = MappingInstance(apply=lambda x: x, declared_modulus=constant_modulus(
         0.5), domain=dom, space=euclidean(dim))
     assert T.domain.dimension == T.space.dimension
+
+
+@pytest.mark.parametrize("dom,kind", [
+    (ball([0.0], 1.0), "ball"),
+    (halfspace([1.0], 1.0), "halfspace"),
+    (box([0.0, 0.0], [1.0, 1.0]), "box"),
+])
+def test_float_points_refuses_a_domain_whose_point_forms_take_no_float(
+        dom, kind):
+    # the drives would step these on a Python float, which a ball's or a
+    # halfspace's dot product or a 2-D box's membership does not take
+    with pytest.raises(ArgumentError) as info:
+        MappingInstance(apply=lambda x: x / 2.0,
+                        declared_modulus=constant_modulus(0.5), domain=dom,
+                        space=euclidean(dom.dimension), float_points=True)
+    msg = str(info.value)
+    assert "float_points" in msg
+    assert f"the {kind} domain has dimension {dom.dimension}" in msg
+    for dom in (box([-1.0], [1.0]), halfline(0.0)):
+        T = MappingInstance(apply=lambda x: x / 2.0,
+                            declared_modulus=constant_modulus(0.5),
+                            domain=dom, space=euclidean(1),
+                            float_points=True)
+        assert T.float_points
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,13 @@ def _projection_cases(draw):
 # the plane overflows: the projection went to -inf
 @example((halfspace([1e-25], -1e283), 1e308,
           np.array([[0.0], [1e308], [-1e300]])))
+# boundaries at -1.7e308 that a point at 1.7e308 lies more than the
+# largest float beyond: the gap to the offset overflowed, and the
+# projections went to [-inf] and [-inf, nan]
+@example((halfspace([1.0], -1.7e308), 1.7e308,
+          np.array([[1.7e308], [0.0]])))
+@example((halfspace([1.0, 0.0], -1.7e308), 1.7e308,
+          np.array([[1.7e308, 0.0]])))
 def test_projection_lands_inside_and_is_nonexpansive(case):
     dom, scale, rows = case
     projected = dom.project(rows)
@@ -318,8 +325,7 @@ def test_alignment_test_reports_every_lam_within_half_tol(case, lam, direction,
                             domain=box([-1.0] * d, [1.0] * d), space=space),
             x, tol)
 
-    rep = check(lambda p: lam * p + e)
-    assert rep.violated
-    assert abs(rep.lam - lam) <= tol / space.norm(x)
-    rep = check(lambda p: lam_ok * p)
-    assert not rep.violated and rep.lam is None
+    got = check(lambda p: lam * p + e)
+    assert got is not None
+    assert abs(got - lam) <= tol / space.norm(x)
+    assert check(lambda p: lam_ok * p) is None
