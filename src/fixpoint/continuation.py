@@ -35,8 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (MappingInstance, Modulus, Point, as_point, _frozen,
-                   _non_finite)
+from .core import (MappingInstance, Modulus, Point, as_point, _float_form,
+                   _frozen, _non_finite)
 from .errors import (ArgumentError, ConvergenceError, DomainError,
                      DomainExitError, LsViolationError, NonRakotchError,
                      StallError)
@@ -123,13 +123,14 @@ def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
     iterate leaves the closed domain, NonFiniteError if t T gives a NaN or
     infinite image, and ConvergenceError on budget exhaustion.
 
-    A map that declares float_points is stepped on Python floats and
-    scaled by t as a Python float; any other map's array images are scaled
-    by t held as a 0-d float64 array, which numpy multiplies an array by
-    without the conversion a Python float takes on every call.  Images are
-    float64 (the Point contract), so either way each step is the same IEEE
-    float64 product, bit for bit; the solution, and every point an error
-    carries, is a point array.
+    A map that declares float_points is stepped on its float form (a
+    Python float, or a tuple of two in two dimensions) and each image
+    coordinate scaled by t as a Python float; any other map's array images
+    are scaled by t held as a 0-d float64 array, which numpy multiplies an
+    array by without the conversion a Python float takes on every call.
+    Images are float64 (the Point contract), so either way each step is
+    the same IEEE float64 product, bit for bit; the solution, and every
+    point an error carries, is a point array.
     """
     if not 0.0 <= t < 1.0:
         raise ArgumentError(f"t must lie in [0, 1), got {t}")
@@ -140,11 +141,17 @@ def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
     apply = T.apply
     x = _start(T, x_init, "warm start")
     if T.float_points:
-        x, tt = x.item(), float(t)
+        x, tt = _float_form(x), float(t)
     else:
         tt = np.array(t, dtype=float)
-    run = _iterate(lambda v: tt * apply(v), x, T.domain.contains,
-                   max_inner_iter + 1, T.space.distance, inner_tol)
+    if x.__class__ is tuple:
+        def step(v: tuple) -> tuple:
+            y0, y1 = apply(v)
+            return tt * y0, tt * y1
+    else:
+        step = lambda v: tt * apply(v)
+    run = _iterate(step, x, T.domain.contains, max_inner_iter + 1,
+                   T.space.distance, inner_tol)
     if run.outside is not None:
         raise DomainExitError(
             f"inner iterate left the domain at t={t}", t=t,
@@ -336,10 +343,10 @@ def trace_path(T: MappingInstance, cfg: PathConfig) -> ContinuationPath:
     if not T.declared_modulus.rakotch:
         target = min(target, cfg.q)
     t0 = 0.0
+    bd = T.domain.boundary_distance(x)
     while t0 < target:
         norm_Tx = _image_norm(T, x, norm)
         mbound_obs = max(mbound_obs, norm_Tx)
-        bd = T.domain.boundary_distance(x)
         r = min(bd, 1.0)
         # a point on the boundary has no invariant ball: its step is 0
         q_eff = max(cfg.q, 0.5 * (1.0 + t0))
@@ -357,7 +364,8 @@ def trace_path(T: MappingInstance, cfg: PathConfig) -> ContinuationPath:
                                  step_bound_used=t1 - t0, r_used=r))
         # a solved point hugging the boundary must still satisfy the
         # boundary condition or the continuation is over
-        if T.domain.boundary_distance(x1) <= cfg.inner_tol:
+        bd = T.domain.boundary_distance(x1)
+        if bd <= cfg.inner_tol:
             _audit_boundary(T, x1, t1, cfg.inner_tol)
         t0 = t1
         x = x1

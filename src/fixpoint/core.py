@@ -3,10 +3,12 @@
 Conventions
 -----------
 Points are 1-D float64 numpy arrays of shape ``(dimension,)``.  A mapping
-that sets ``float_points`` (the gallery's one-coordinate maps) also takes
-its single coordinate as a Python float in apply, domain.contains,
-domain.project and space.distance, and the Picard drives step such a map
-on floats; every point they return or raise is still a ``(1,)`` array.
+that sets ``float_points`` (the gallery's one-coordinate maps and
+planar-rotation) also takes a point in its float form, the coordinate's
+Python float in one dimension or the tuple of both coordinates' floats in
+two (_float_form), in apply, domain.contains and space.distance (and, in
+one dimension, domain.project), and the drives step such a map on that
+form; every point they return or raise is still an array.
 A modulus is a function phi on [0, inf); a mapping T is contractive with
 modulus phi when
 
@@ -54,6 +56,67 @@ def _frozen(a) -> np.ndarray:
     out = np.array(a, dtype=float, ndmin=1)
     out.setflags(write=False)
     return out
+
+
+def _float_form(x: Point) -> float | tuple[float, float]:
+    """The float form of a point of a float_points map (see
+    MappingInstance): its coordinate's Python float in one dimension, the
+    tuple of its two coordinates' floats in two."""
+    return x.item() if x.shape[0] == 1 else tuple(x.tolist())
+
+
+# Veltkamp's splitting constant 2^27 + 1, and the squares of the magnitudes
+# between which the products of the halves of two split floats are exact,
+# 2^-480 and 2^480: no split overflows, and no product loses a bit below
+# the subnormals
+_SPLITTER = 134217729.0
+_SPLIT_LO2 = 2.0 ** -960
+_SPLIT_HI2 = 2.0 ** 960
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c on Python floats, rounded once as a fused multiply-add
+    rounds it (math.fma comes only with Python 3.13).
+
+    This is the 2-term dot product of the float forms: the OpenBLAS kernels
+    that numpy ships with FMA round x.dot(x) for a (2,) point as
+    fma(x1, x1, x0 * x0), and coordinate j of x.dot(R^T) as
+    fma(x0, R[j, 0], x1 * R[j, 1]).  Veltkamp's split writes a = ah + al
+    and b = bh + bl in halves of at most 26 bits, whose four products are
+    exact, so they add up to a * b exactly (Dekker's two-product, Numer.
+    Math. 18, 1971, folds them into p + e; math.fsum needs no fold), and
+    fsum rounds their sum with c once.  Where a or b is zero, NaN,
+    infinite or of magnitude outside (2^-480, 2^480), where the split is
+    not exact or fsum would give +0.0 for a -0.0 due, a zero, NaN or
+    infinite product is exact in float arithmetic, so a * b + c rounds
+    once; a finite a and b leave a NaN or infinite c as it is; otherwise
+    the exact rational value is rounded, to an infinity of its sign past
+    the largest float.
+    """
+    # a square is the cheaper test of a magnitude: abs is a call; both
+    # bounds are exact squares, so rounding cannot move a square across
+    if _SPLIT_LO2 < a * a < _SPLIT_HI2 and _SPLIT_LO2 < b * b < _SPLIT_HI2:
+        s = _SPLITTER * a
+        ah = s - (s - a)
+        s = _SPLITTER * b
+        bh = s - (s - b)
+        al, bl = a - ah, b - bh
+        # |a * b| < 2^960 lies far below half an ulp of the largest float,
+        # 2^970, so fsum cannot overflow
+        return math.fsum((ah * bh, ah * bl, al * bh, al * bl, c))
+    if not (math.isfinite(a) and math.isfinite(b)) or not a or not b:
+        return a * b + c
+    if not math.isfinite(c):
+        return c
+    # imported here, not at the top: fractions pulls in decimal, which
+    # every process would otherwise load for a case this rare
+    from fractions import Fraction
+
+    v = Fraction(a) * Fraction(b) + Fraction(c)
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +234,17 @@ def euclidean(dimension: int) -> Space:
     and root on the rows' one column, half the cost of _row_norms' stacked
     matmul, whose 1 x 1 product is that square.
     In higher dimensions distance is _euclidean_norm written out on
-    x - y, which saves the call through norm on the hottest leaf.
+    x - y, which saves the call through norm on the hottest leaf.  In two
+    dimensions it also takes two points given as tuples of floats (see
+    MappingInstance.float_points), whose squared distance is the fused
+    dot product _fma(v1, v1, v0 * v0) that BLAS gives on the array.
     """
     if dimension != 1:
-        def distance(x: Point, y: Point) -> float:
+        def distance(x: Point | tuple, y: Point | tuple) -> float:
+            if x.__class__ is tuple:
+                (x0, x1), (y0, y1) = x, y
+                v0, v1 = x0 - y0, x1 - y1
+                return math.sqrt(_fma(v1, v1, v0 * v0))
             v = x - y
             return math.sqrt(v.dot(v))
 
@@ -500,6 +570,27 @@ def halfline(a: float) -> DomainSet:
     return box([a], [math.inf])
 
 
+def _offsets(rows: np.ndarray, c: Point) -> tuple[np.ndarray, np.ndarray]:
+    """rows - c for an (m, d) array and a finite point c, with each finite
+    row whose difference overflowed taken in its own units: the row and c
+    divided by the power of two at the larger of their largest magnitudes,
+    which is exact but for entries it takes below the normal floats and
+    leaves every entry of the difference below 4 in magnitude; and the
+    unit of every row, 1 or that power.  The overflow
+    it handles raises no warning."""
+    with np.errstate(over="ignore"):
+        v = rows - c
+    unit = np.ones(len(v))
+    if not np.isfinite(v).all():
+        big = np.flatnonzero(~np.isfinite(v).all(axis=1)
+                             & np.isfinite(rows).all(axis=1))
+        top = np.maximum(np.abs(rows[big]).max(axis=1), np.abs(c).max())
+        scale = np.ldexp(1.0, np.frexp(top)[1] - 1)[:, None]
+        unit[big] = scale[:, 0]
+        v[big] = rows[big] / scale - c / scale
+    return v, unit
+
+
 def ball(center, radius: float) -> DomainSet:
     """Closed Euclidean ball of the given center and radius > 0.
 
@@ -509,6 +600,14 @@ def ball(center, radius: float) -> DomainSet:
     zeros, NaN and infinities included, and where the center holds a -0.0
     the difference only turns a -0.0 coordinate into +0.0, whose square is
     the same.
+
+    In two dimensions contains also takes a point given as a tuple of
+    floats (see MappingInstance.float_points): it subtracts the center
+    coordinate by coordinate and squares the norm by the fused dot product
+    _fma(v1, v1, v0 * v0), as BLAS does for the array; only a norm that
+    overflowed goes to the array form.  The array point forms take p - c,
+    and its norm, in the point's own units where either overflowed
+    (_offsets, _own_units), with no warning.
     """
     c = _frozen(np.atleast_1d(np.asarray(center, dtype=float)))
     if np.isnan(c).any():
@@ -516,37 +615,58 @@ def ball(center, radius: float) -> DomainSet:
     if not radius > 0.0:
         raise ArgumentError(f"ball radius must be > 0, got {radius}")
     centred = not c.any()
+    c_floats = tuple(c.tolist())
 
-    # the finite case is one norm and one comparison; only a norm that
-    # overflowed is taken again, in the units of p - c (_row_norms_safe)
-    def far_norm(p: Point) -> float:
-        return float(_row_norms_safe((p - c)[None])[0])
+    def in_units(p: Point) -> tuple[Point, float, float]:
+        """p - c, its norm, and the unit both are taken in: that of p - c
+        where it overflowed, else that of its squared norm."""
+        v, unit = _offsets(p[None], c)
+        r, u = _own_units(_row_norms, v)
+        return v[0] / u[0], float(r[0]), float(unit[0] * u[0])
 
-    def contains(p: Point) -> bool:
-        # _euclidean_norm written out: the hottest leaf of the inner solves
-        v = p if centred else p - c
-        r = math.sqrt(v.dot(v))
-        return r <= radius or r == math.inf and far_norm(p) <= radius
+    def norm(p: Point) -> float:
+        """||p - c|| of a point array: one dot product unless it, or the
+        difference, overflowed; inf only past the largest float."""
+        with np.errstate(over="ignore"):
+            r = _euclidean_norm(p if centred else p - c)
+        if r < math.inf:
+            return r
+        _, r, unit = in_units(p)
+        return r * unit
+
+    def contains(p: Point | tuple) -> bool:
+        if p.__class__ is tuple:
+            # the hottest leaf of the inner solves: _euclidean_norm written
+            # out on the floats
+            v0, v1 = p
+            if not centred:
+                c0, c1 = c_floats
+                v0, v1 = v0 - c0, v1 - c1
+            r = math.sqrt(_fma(v1, v1, v0 * v0))
+            return r <= radius or r == math.inf and \
+                norm(np.array(p)) <= radius
+        return norm(p) <= radius
 
     def interior(p: Point) -> bool:
-        r = _euclidean_norm(p if centred else p - c)
-        return r < radius or r == math.inf and far_norm(p) < radius
+        return norm(p) < radius
 
     def bdist(p: Point) -> float:
-        r = _euclidean_norm(p if centred else p - c)
-        return max(0.0, radius - (r if r < math.inf else far_norm(p)))
+        return max(0.0, radius - norm(p))
 
     def contains_rows(rows: np.ndarray) -> np.ndarray:
-        return _row_norms_safe(rows - c) <= radius
+        v, unit = _offsets(rows, c)
+        return _row_norms_safe(v) <= radius / unit
 
     def project(p: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(p)
         # c + v radius / r is the same point for v and r in any units, so
-        # a row whose squared norm overflowed is taken in its own units,
-        # against the radius in those units
-        v = rows - c
-        r, unit = _own_units(_row_norms, v)
-        v /= unit[:, None]
+        # a row whose offset from the center, or its squared norm,
+        # overflowed is taken in its own units, against the radius in
+        # those units
+        v, unit = _offsets(rows, c)
+        r, u = _own_units(_row_norms, v)
+        v /= u[:, None]
+        unit *= u
         out = np.array(rows)
         far = np.flatnonzero(r > radius / unit)
         # pull a hair inside the sphere so membership survives rounding;
@@ -560,17 +680,21 @@ def ball(center, radius: float) -> DomainSet:
         return out.reshape(np.shape(p))
 
     def nearest_boundary(p: Point) -> Point:
-        r = _euclidean_norm(p - c)
+        with np.errstate(over="ignore"):
+            v = p - c
+            r = _euclidean_norm(v)
+        unit = 1.0
         if r == math.inf:
-            r = far_norm(p)
+            v, r, unit = in_units(p)
         if r == 0.0:
             out = np.array(c)
             out[0] += radius
             return out
         s = radius / r
-        if s == math.inf:       # p is nearer c than radius / 2^1024
-            return c + (p - c) / r * radius
-        return c + (p - c) * s
+        # p - c in its own units, or p nearer c than radius / 2^1024
+        if unit != 1.0 or s == math.inf:
+            return c + v / r * radius
+        return c + v * s
 
     return DomainSet(kind="ball", params=tuple(c) + (radius,),
                      dimension=c.size,
@@ -728,16 +852,22 @@ class MappingInstance:
     ``x @ A.T + b`` rather than ``A @ x + b``, and its batched rows may
     differ from the single-row images in the last bits.
 
-    float_points is the promise of a one-coordinate map that apply,
-    domain.contains, domain.project and space.distance also take the
-    coordinate as a Python float, apply then returning the image's float
-    and project the projected (1,) point.  solve_fixed_point,
-    orbit_exact, orbit_inexact and solve_at_t then step the map on
-    floats, through those callables, with the bits of its array steps;
-    what they return or raise holds (1,) points.  The gallery's
-    one-coordinate maps promise it (gallery._one_coordinate).  It is
+    float_points is the promise of a map that apply, domain.contains and
+    space.distance also take a point in its float form (_float_form): in
+    one dimension the coordinate's Python float, which domain.project
+    takes too, apply then returning the image's float and project the
+    projected (1,) point; in two dimensions the tuple of the coordinates'
+    floats, apply then returning the image's tuple, its 2-term dots
+    rounded once as _fma rounds them.  solve_fixed_point, orbit_exact and
+    solve_at_t then step the map on the float form, through those
+    callables, and so does orbit_inexact in one dimension; what they
+    return or raise holds point arrays, with the bits of the array steps
+    (in two dimensions, where the OpenBLAS kernel fuses a 2-term dot as
+    the default one does).  The gallery's one-coordinate maps
+    (gallery._one_coordinate) and planar-rotation promise it.  It is
     refused with ArgumentError on any domain but a one-coordinate box (a
-    halfline among them), the one whose point forms take the float.
+    halfline among them) or a two-coordinate ball, the ones whose point
+    forms take the float form.
 
     The declared modulus is a claim, not a certificate; audit it with
     :func:`verify_contractive` on the pairs you care about.
@@ -756,10 +886,12 @@ class MappingInstance:
                 f"{self.domain.dimension} but the space has dimension "
                 f"{self.space.dimension}")
         d = self.domain
-        if self.float_points and (d.kind, d.dimension) != ("box", 1):
+        if self.float_points and (d.kind, d.dimension) not in (
+                ("box", 1), ("ball", 2)):
             raise ArgumentError(
-                f"float_points needs a one-coordinate box; the {d.kind} "
-                f"domain has dimension {d.dimension}")
+                f"float_points needs a one-coordinate box or a "
+                f"two-coordinate ball; the {d.kind} domain has dimension "
+                f"{d.dimension}")
 
 
 # a batched apply is checked against single-row applies on this many of

@@ -34,15 +34,17 @@ Picard drives, exact and perturbed, step it on the float itself.  Only a
 division by zero differs: a Python float raises ZeroDivisionError where
 numpy warns and gives an infinity; that needs a point outside the domain
 (rakotch-decay at x = -1/a).  planar-rotation's x R^T + b goes through
-ndarray.dot, whose BLAS sums a float formula does not reproduce:
-on the OpenBLAS that numpy wheels ship, a 2-element dot rounds as one
-fused multiply-add (x.dot(x) is fma(x1, x1, x0 * x0), and coordinate j
-of x.dot(R^T) is fma(x0, R[j, 0], x1 * R[j, 1]), each in 5,000 of 5,000
-normal draws, checked exactly with fractions), while x0 * R[j, 0] +
-x1 * R[j, 1] on Python floats rounds twice and gave other bits in about
-3 draws of 10.  Python floats have no fused multiply-add before
-math.fma (Python 3.13), so a float drive of the disk maps would change
-their orbits' bits.
+ndarray.dot on arrays.  On the OpenBLAS kernels that numpy wheels pick on
+a CPU with fused multiply-add, a 2-element dot rounds as one fused
+multiply-add: coordinate j of x.dot(R^T) is fma(x0, R[j, 0],
+x1 * R[j, 1]), and x.dot(x) is fma(x1, x1, x0 * x0), each in 5,000 of
+5,000 normal draws, checked exactly with fractions.  Its float form
+computes exactly that on Python floats (core._fma, an error-free product
+added up by math.fsum), so planar-rotation also declares float_points:
+the inner solves of the continuation step it on a tuple of two floats,
+through the same apply, ball membership and Euclidean distance, with the
+bits of its array steps on such a kernel, and with the same bits on any
+other kernel, where the array steps round twice.
 
 Each map is one _REGISTRY entry (its builder, parameters and notes); the
 builder returns only what differs between maps, and make_map does the rest.
@@ -57,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (DomainSet, MappingInstance, Modulus, Point, ball, box,
-                   constant_modulus, euclidean, halfline, _frozen,
+                   constant_modulus, euclidean, halfline, _fma, _frozen,
                    _row_norms, nonexpansive_modulus, rational_decay_modulus)
 from .errors import ArgumentError, UnknownMapError
 
@@ -164,8 +166,15 @@ def _build_planar_rotation(theta: float, bx: float, by: float,
     b = _frozen(b)
     eye = np.eye(2)
     Rt = R.T
+    (r00, r01), (r10, r11) = R.tolist()
+    b0, b1 = b.tolist()
 
-    def apply(x: Point) -> Point:
+    def apply(x: Point | tuple) -> Point | tuple:
+        if x.__class__ is tuple:
+            # the float form: the fused dot products of x.dot(Rt)
+            x0, x1 = x
+            return (_fma(x0, r00, x1 * r01) + b0,
+                    _fma(x0, r10, x1 * r11) + b1)
         # x R^T, unlike R x, also maps an (m, 2) array row by row;
         # ndarray.dot gives the bits of x @ Rt on points and on rows at a
         # lower dispatch cost per call than the matmul ufunc
@@ -190,7 +199,8 @@ def _build_planar_rotation(theta: float, bx: float, by: float,
 
     mapping = MappingInstance(
         apply=apply, declared_modulus=nonexpansive_modulus(),
-        domain=ball([0.0, 0.0], radius), space=euclidean(2))
+        domain=ball([0.0, 0.0], radius), space=euclidean(2),
+        float_points=True)
     return mapping, _frozen(np.linalg.solve(eye - R, b)), path, rows
 
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (Modulus, MappingInstance, Point, as_point, _apply_rows,
-                   _frozen, _non_finite, _refuse_non_finite)
+                   _float_form, _frozen, _non_finite, _refuse_non_finite)
 from .errors import (ArgumentError, ConvergenceError, DomainError,
                      NonFiniteError, NonRakotchError, NonselfExitError)
 
@@ -109,17 +109,17 @@ class _Run(NamedTuple):
     outside: Point | None   # the image of x outside the domain, if any
 
 
-def _iterate(step, x: Point | float, contains, n: int, dist=None,
+def _iterate(step, x: Point | float | tuple, contains, n: int, dist=None,
              tol: float = 0.0, out: np.ndarray | None = None) -> _Run:
     """The exact Picard kernel: x <- step(x), at most n applies, from x
-    inside the domain.  x is a point, or the Python float of a
-    one-coordinate point when step, contains and dist all take one (see
-    MappingInstance.float_points).  With dist it stops before stepping
-    once dist(x, step x) <= tol; it stops at the first image outside the
-    domain.  out, if given, gets the image of apply i in row i + 1.  A
-    non-finite image raises NonFiniteError when its residual is not finite
-    or when it lies outside (NaN fails every membership test); a residual
-    that overflows between finite points only means not converged."""
+    inside the domain.  x is a point, or its float form when step,
+    contains and dist all take one (see MappingInstance.float_points).
+    With dist it stops before stepping once dist(x, step x) <= tol; it
+    stops at the first image outside the domain.  out, if given, gets the
+    image of apply i in row i + 1.  A non-finite image raises
+    NonFiniteError when its residual is not finite or when it lies
+    outside (NaN fails every membership test); a residual that overflows
+    between finite points only means not converged."""
     isfinite = math.isfinite
     r = math.inf
     for i in range(n):
@@ -165,8 +165,11 @@ def _orbit(T: MappingInstance, x0, n: int, delta: float,
     """The orbit of orbit_exact and orbit_inexact: each step is T x_i plus
     the seeded noise e_i, projected back in when only the perturbed point
     is outside; with delta 0, _iterate records it.  When T declares
-    float_points both step on the coordinate's Python float, the
-    perturbed loop reading a projected point back with .item()."""
+    float_points the exact orbit steps on the float form (_float_form).
+    So does the perturbed loop in one dimension, reading a projected
+    point back as its float; in two it keeps (2,) arrays, since it adds
+    the noise as a row and the ball projects arrays, so a tuple would
+    be converted back and forth on every step."""
     if not n >= 1:
         raise ArgumentError(f"orbit length must be >= 1, got {n}")
     if not 0.0 <= delta < math.inf:
@@ -178,14 +181,14 @@ def _orbit(T: MappingInstance, x0, n: int, delta: float,
     x = _start(T, x0)
     pts = np.empty((n + 1, d))
     pts[0] = x
-    one = T.float_points
+    floats = T.float_points
     if delta > 0.0:
         noise = _ball_noise(noise_seed, n, d, delta)
         images = np.empty((n, d))
         contains, project = T.domain.contains, T.domain.project
-        if one:
-            x, noise = x.item(), noise[:, 0].tolist()
-            project = lambda p, onto=project: onto(p).item()
+        if floats and d == 1:
+            x, noise = _float_form(x), noise[:, 0].tolist()
+            project = lambda p, onto=project: _float_form(onto(p))
         for i in range(n):
             y = images[i] = T.apply(x)
             p = y + noise[i]
@@ -201,8 +204,9 @@ def _orbit(T: MappingInstance, x0, n: int, delta: float,
                 break
         exited = None if inside else i + 1
     else:
-        run = _iterate(T.apply, x.item() if one else x, T.domain.contains,
-                       n, out=pts[:, 0] if one else pts)
+        run = _iterate(T.apply, _float_form(x) if floats else x,
+                       T.domain.contains, n,
+                       out=pts[:, 0] if floats and d == 1 else pts)
         exited = None if run.outside is None else run.steps + 1
     m = exited or n
     pts = pts[:m + 1]
@@ -222,8 +226,8 @@ def orbit_exact(T: MappingInstance, x0, n: int) -> Orbit:
     Stops early if an iterate leaves the domain; that iterate is kept as the
     last row and flagged in exited_domain_at.  x0 itself must be inside.
     Raises NonFiniteError if T gives a NaN or infinite image, inside the
-    domain or not.  A map that declares float_points is stepped on Python
-    floats, with the bits of the array steps.
+    domain or not.  A map that declares float_points is stepped on its
+    float form, with the bits of the array steps.
     """
     return _orbit(T, x0, n, 0.0, 0)
 
@@ -240,9 +244,10 @@ def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
     recorded as-is and the orbit stops there when it is outside.
     delta = 0 reproduces orbit_exact bit for bit; a delta that is not
     finite and >= 0, or a negative noise_seed, raises ArgumentError.
-    Raises NonFiniteError if T gives a NaN or infinite image.  A map that
-    declares float_points is stepped on Python floats, with the bits of
-    the array steps.
+    Raises NonFiniteError if T gives a NaN or infinite image.  A
+    one-coordinate map that declares float_points is stepped on Python
+    floats, with the bits of the array steps; a two-coordinate one on
+    (2,) arrays (see _orbit).
     """
     return _orbit(T, x0, n, delta, noise_seed)
 
@@ -326,8 +331,8 @@ def solve_fixed_point(T: MappingInstance, x0, tol: float,
     gives a NaN or infinite image, and ConvergenceError after max_iter
     steps.  A residual that overflows between two finite iterates (a
     start near 1e160) is only not converged yet.  A map that declares
-    float_points is stepped on Python floats; the point returned, and
-    every point an error carries, is still a (1,) array.
+    float_points is stepped on its float form; the point returned, and
+    every point an error carries, is still a point array.
     """
     if not tol > 0.0:
         raise ArgumentError(f"tolerance must be > 0, got {tol}")
@@ -338,7 +343,7 @@ def solve_fixed_point(T: MappingInstance, x0, tol: float,
             "declared modulus is not admissible; plain iteration is not "
             "guaranteed to converge")
     x = _start(T, x0)
-    run = _iterate(T.apply, x.item() if T.float_points else x,
+    run = _iterate(T.apply, _float_form(x) if T.float_points else x,
                    T.domain.contains, max_iter + 1, T.space.distance, tol)
     if run.outside is not None:
         k = run.steps + 1

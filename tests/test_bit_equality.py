@@ -32,6 +32,11 @@
   array drive of the same map, in solve_fixed_point, orbit_exact and
   solve_at_t, and in orbit_inexact against a frozen copy of its array
   loop: results, error messages and payloads;
+* planar-rotation's float form, tuples of two floats through its apply,
+  a ball's contains and euclidean(2)'s distance, against the (2,) array
+  forms, and its float drive against its array drive; these hold on an
+  OpenBLAS kernel that fuses a 2-term dot (the default one; see
+  core._fma, tested against exact rationals in test_fused_dot.py);
 * _ball_noise's one-coordinate form against a frozen copy of its general
   form, signed zeros included.
 """
@@ -342,6 +347,46 @@ def test_rotation_apply_equals_the_matmul_form_on_many_rows():
         rows = rng.standard_normal((m, 2)) * 10.0 ** rng.integers(
             -150, 150, (m, 1))
         assert entry.mapping.apply(rows).tobytes() == want(rows).tobytes()
+
+
+# centers of zeros (either sign) and off the origin, near and far
+_CENTERS = st.one_of(
+    st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]),
+    st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)))
+
+
+@given(st.floats(0.1, 2.0 * math.pi - 0.1), st.floats(-10.0, 10.0),
+       st.floats(-10.0, 10.0), _CENTERS, st.floats(1e-3, 1e300),
+       st.tuples(_ENTRIES, _ENTRIES), st.tuples(_ENTRIES, _ENTRIES),
+       st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+@example(math.pi / 4.0, 1.0, 0.0, (3.0, 0.0), 1.0, (0.0, 0.0),
+         (math.nan, math.inf), (0.5, 0.0))
+@example(math.pi / 4.0, 1.0, 0.0, (0.0, 0.0), 1.0, (1e200, -1e200),
+         (-math.inf, 0.0), (1.0, 0.0))
+def test_2d_float_forms_equal_the_array_point_forms(theta, bx, by, center,
+                                                    radius, p, q, near):
+    # planar-rotation's apply, the ball's contains and euclidean(2)'s
+    # distance on tuples of floats against the same calls on (2,) arrays,
+    # whose 2-term dots the default OpenBLAS kernel fuses; near is a point
+    # within 1.5 radii of the center, where membership turns
+    apply = make_map("planar-rotation", theta=theta, bx=bx, by=by,
+                     radius=1e6).mapping.apply
+    dom = ball(center, radius)
+    distance = euclidean(2).distance
+    near = tuple((np.array(center) + radius * np.array(near)).tolist())
+    for u in (p, q, near):
+        x = np.array(u)
+        with np.errstate(all="ignore"):
+            want = apply(x).tolist()
+            inside = dom.contains(x)
+        got = apply(u)
+        assert type(got) is tuple
+        assert all(map(_same_float, got, want))
+        assert dom.contains(u) == inside
+    with np.errstate(all="ignore"):
+        want = distance(np.array(p), np.array(q))
+    assert _same_float(distance(p, q), want)
 
 
 # ---------------------------------------------------------------------------
@@ -1261,6 +1306,55 @@ def test_float_drive_steps_on_floats_through_the_leaves(name):
     solve_at_t(T, 0.5, [0.5], 1e-6)
     assert res.iterations > (0 if name == "constant" else 2)
     assert seen.count(np.ndarray) == 4 and set(seen) == {float, np.ndarray}
+
+
+# planar-rotation's disk, a disk off the origin, and a disk that orbits
+# from most starts leave (they circle the fixed point at about (0.5, 1.2))
+_DISKS = {"disk": None, "off-center": ball([0.25, -0.5], 4.0),
+          "narrowed": ball([0.0, 0.0], 2.5)}
+
+
+@pytest.mark.parametrize("disk", sorted(_DISKS))
+@given(x0=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       t=st.floats(0.0, 0.999), tol=st.sampled_from([1e-12, 1e-6, 1e-2]))
+def test_float_drive_in_two_dimensions_equals_the_array_drive(disk, x0, t,
+                                                              tol):
+    # planar-rotation on tuples of floats against (2,) arrays, on the
+    # default OpenBLAS kernel, whose 2-term dots are fused as _fma's are;
+    # declared contractive (falsely) so that solve_fixed_point runs it, to
+    # its budget or out of the disk
+    T = replace(make_map("planar-rotation").mapping,
+                declared_modulus=constant_modulus(0.5))
+    if _DISKS[disk] is not None:
+        T = replace(T, domain=_DISKS[disk])
+    assert T.float_points
+    arrays = replace(T, float_points=False)
+    for drive, args in ((solve_fixed_point, (x0, tol, 200)),
+                        (orbit_exact, (x0, 50)),
+                        (orbit_inexact, (x0, 50, 1e-3, 5)),
+                        (solve_at_t, (t, x0, tol, 200))):
+        assert _drive(drive, T, *args) == _drive(drive, arrays, *args), \
+            drive.__name__
+
+
+def test_float_drive_in_two_dimensions_reaches_every_outcome():
+    # the drives above meet a result and each error they raise
+    T = replace(make_map("planar-rotation").mapping,
+                declared_modulus=constant_modulus(0.5))
+    narrowed = replace(T, domain=_DISKS["narrowed"])
+    fixed = make_map("planar-rotation").known_fixed_point
+    kinds = set()
+    for call in ((solve_at_t, T, 0.5, (0.0, 0.0), 1e-12, 200),
+                 (solve_at_t, narrowed, 0.99, (2.0, 1.0), 1e-12, 200),
+                 (solve_at_t, T, 0.999, (0.0, 0.0), 1e-12, 20),
+                 (solve_fixed_point, T, fixed, 1e-9, 200),
+                 (solve_fixed_point, narrowed, (2.0, 1.0), 1e-9, 200),
+                 (solve_fixed_point, T, (2.0, 1.0), 1e-9, 200),
+                 (orbit_exact, narrowed, (3.0, 3.0), 50)):
+        got = _drive(*call)
+        kinds.add(got[0] if isinstance(got[0], type) else "returned")
+    assert kinds == {"returned", DomainExitError, ConvergenceError,
+                     NonselfExitError, DomainError}
 
 
 def _frozen_orbit_inexact(T, x0, n: int, delta: float, noise_seed: int

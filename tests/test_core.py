@@ -284,14 +284,13 @@ def test_halfspace_projection_survives_an_overflowing_dot(nv, offset, p):
     assert np.array_equal(d.project(np.array([p, [0.0] * len(p)]))[0], q)
 
 
-# membership of points whose squared norm or dot product overflows: numpy
-# warns about the first attempt, then the domain takes the point in its
-# own units
+# membership of points whose squared norm or dot product overflows: the
+# domain takes the point in its own units; a halfspace's point forms let
+# numpy warn about the first attempt
 _OVERFLOW_WARNING = pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning")
 
 
-@_OVERFLOW_WARNING
 def test_ball_membership_survives_an_overflowing_norm():
     d = ball([0.0, 0.0], 1e200)
     on, inside, past = [1e200, 0.0], [6e199, 0.0], [1e201, 0.0]
@@ -306,6 +305,40 @@ def test_ball_membership_survives_an_overflowing_norm():
     # it used to retry its shave down to the center
     q = d.project(np.array(past))
     assert d.contains(q) and np.allclose(q, on, rtol=1e-9)
+    # the float form of a point, as planar-rotation's inner solves pass it
+    assert [d.contains(tuple(p)) for p in rows.tolist()] == want
+
+
+def test_ball_takes_an_offset_past_the_floats_in_its_own_units():
+    # p - c overflows: the projection lies on the sphere, short of c by
+    # the radius, where it used to be NaN
+    d = ball([-1e308], 1e300)
+    q = d.project(np.array([1e308]))
+    assert d.contains(q) and q[0] == pytest.approx(-1e308 + 1e300, rel=1e-12)
+    assert not d.contains(np.array([1e308]))
+    assert d.contains_rows(np.array([[1e308], [-1e308]])).tolist() == [
+        False, True]
+    assert d.boundary_distance(np.array([1e308])) == 0.0
+    assert d.nearest_boundary(np.array([1e308]))[0] == pytest.approx(
+        -1e308 + 1e300, rel=1e-12)
+    # ||p - c|| is past the floats: the nearest boundary point lies along
+    # p, where it used to be the center
+    u = ball([0.0, 0.0], 1.0)
+    b = u.nearest_boundary(np.array([1.7e308, 1.7e308]))
+    assert np.allclose(b, [math.sqrt(0.5)] * 2, rtol=1e-15)
+    assert np.allclose(u.project(np.array([1.7e308, 1.7e308])), b)
+    far = ball([-1e308, 1e308], 1.0)
+    assert np.allclose(far.nearest_boundary(np.array([1e308, -1e308])),
+                       [-1e308, 1e308], rtol=1e-15)
+
+
+def test_ball_tuple_membership_is_taken_about_the_center():
+    # the float form subtracts the center: a point of the disk about (3, 0)
+    # lies outside the disk about the origin, and the other way round
+    d = ball([3.0, 0.0], 1.0)
+    for p, inside in (((3.5, 0.0), True), ((0.5, 0.0), False),
+                      ((3.0, -1.0), True), ((3.0, -1.0000001), False)):
+        assert d.contains(p) is d.contains(np.array(p)) is inside
 
 
 @_OVERFLOW_WARNING
@@ -565,10 +598,11 @@ def test_float_points_refuses_a_domain_whose_point_forms_take_no_float(
     msg = str(info.value)
     assert "float_points" in msg
     assert f"the {kind} domain has dimension {dom.dimension}" in msg
-    for dom in (box([-1.0], [1.0]), halfline(0.0)):
+    for dom in (box([-1.0], [1.0]), halfline(0.0), ball([0.0, 0.0], 1.0),
+                ball([0.5, -2.0], 3.0)):
         T = MappingInstance(apply=lambda x: x / 2.0,
                             declared_modulus=constant_modulus(0.5),
-                            domain=dom, space=euclidean(1),
+                            domain=dom, space=euclidean(dom.dimension),
                             float_points=True)
         assert T.float_points
 
