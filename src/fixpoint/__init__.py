@@ -6,9 +6,8 @@ __version__ = "0.1.0"
 from .core import (AdmissibilityReport, ContractivityReport, DomainSet,
                    MappingInstance, Modulus, Space, as_point,
                    ball, box, check_modulus_admissible, constant_modulus,
-                   euclidean, halfline, halfspace, max_norm,
-                   nonexpansive_modulus, rational_decay_modulus,
-                   table_modulus, verify_contractive)
+                   euclidean, halfline, max_norm, nonexpansive_modulus,
+                   rational_decay_modulus, verify_contractive)
 from .picard import (FixedPointResult, Orbit, StabilityConstants,
                      StabilityReport, TrialRecord, cluster_tolerance,
                      coupling_index, orbit_csv, orbit_exact, orbit_inexact,

@@ -153,17 +153,6 @@ def _euclidean_norm(v: Point) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _row_dot(rows: np.ndarray, v: Point) -> np.ndarray:
-    """rows[j] @ v for every row of an (m, d) array.
-
-    A stacked matmul gives the same float as the 1-D ``v.dot(row)`` on
-    every row with a positive stride (see _row_norms); ``rows @ v``,
-    np.sum(rows * v, 1) and einsum round differently and differ in the
-    last bit on a sizeable share of rows once d >= 2.
-    """
-    return (rows[:, None, :] @ v[:, None])[:, 0, 0]
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row, equal bit for bit to _euclidean_norm
     on rows with a positive stride (a negative one sends the stacked
@@ -172,31 +161,23 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-def _overflowed(rows: np.ndarray, prods: np.ndarray):
-    """The finite rows of an (m, d) array whose squared norm or dot
-    product prods overflowed (to an infinity, or to NaN as inf - inf),
-    and for each the power of two at its largest magnitude: dividing the
-    row by it is exact and leaves every entry below 2 in magnitude."""
-    big = np.flatnonzero(~np.isfinite(prods))
-    big = big[np.isfinite(rows[big]).all(axis=1)]
-    top = np.abs(rows[big]).max(axis=1)
-    return big, np.ldexp(1.0, np.frexp(top)[1] - 1)
-
-
-def _own_units(f, rows: np.ndarray, *args) -> tuple[np.ndarray, np.ndarray]:
-    """f(rows, *args), a squared norm or dot product per row of an (m, d)
-    array, with each finite row whose value overflowed taken again in its
-    own units (see _overflowed), and the unit of every row: 1, or the
-    power of two the retaken row was divided by.  The overflow it handles
-    raises no warning."""
+def _own_units(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_row_norms(rows) for an (m, d) array, with each finite row whose
+    squared norm overflowed normed again in its own units, divided by the
+    power of two at its largest magnitude (exact, and it leaves every
+    entry below 2 in magnitude); and the unit of every row, 1 or that
+    power.  The overflow it handles raises no warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        s = f(rows, *args)
-    unit = np.ones(len(s))
-    if not np.isfinite(s).all():
-        big, scale = _overflowed(rows, s)
+        r = _row_norms(rows)
+    unit = np.ones(len(r))
+    if not np.isfinite(r).all():
+        big = np.flatnonzero(~np.isfinite(r))
+        big = big[np.isfinite(rows[big]).all(axis=1)]
+        top = np.abs(rows[big]).max(axis=1)
+        scale = np.ldexp(1.0, np.frexp(top)[1] - 1)
         unit[big] = scale
-        s[big] = f(rows[big] / scale[:, None], *args)
-    return s, unit
+        r[big] = _row_norms(rows[big] / scale[:, None])
+    return r, unit
 
 
 def _row_norms_safe(rows: np.ndarray) -> np.ndarray:
@@ -204,7 +185,7 @@ def _row_norms_safe(rows: np.ndarray) -> np.ndarray:
     normed in its own units (see _own_units) and scaled back, so the
     norm is inf only past the largest float or for a row that is not
     finite."""
-    r, unit = _own_units(_row_norms, rows)
+    r, unit = _own_units(rows)
     with np.errstate(over="ignore"):
         return r * unit
 
@@ -282,11 +263,10 @@ def max_norm(dimension: int) -> Space:
 class Modulus:
     """A contraction modulus with its admissibility flag.
 
-    kind is one of ``constant``, ``rational-decay``, ``piecewise-table``,
-    ``nonexpansive``.  ``rakotch`` records whether the modulus satisfies
-    phi(t) < 1 for all t > 0 (monotonicity is the constructor's obligation
-    for the closed-form kinds; tables are checked separately by
-    :func:`check_modulus_admissible`).
+    kind is one of ``constant``, ``rational-decay``, ``nonexpansive``.
+    ``rakotch`` records whether the modulus satisfies phi(t) < 1 for all
+    t > 0 (monotonicity is the constructor's obligation; audit a modulus
+    built by hand with :func:`check_modulus_admissible`).
 
     Called on a number t it returns the Python float phi(t); called on a
     numpy array it returns the array of phi at every entry, each equal bit
@@ -351,38 +331,6 @@ def rational_decay_modulus(a: float = 1.0) -> Modulus:
 
     return Modulus(kind="rational-decay", params=(a,), rakotch=True,
                    _fn=lambda t: 1.0 / (1.0 + a * t), _gap=gap)
-
-
-def table_modulus(knots: Sequence[float], values: Sequence[float]) -> Modulus:
-    """Right-continuous step function: phi(t) = values[j] for
-    t in [knots[j], knots[j+1]), constant at values[-1] beyond the last knot.
-
-    knots must start at 0 and increase strictly; values must lie in [0, 1].
-    The constructor does not require the table to be non-increasing; run
-    :func:`check_modulus_admissible` to audit that.  The rakotch flag is set
-    only when every plateau sits strictly below 1, since a step function
-    takes each value on an interval of positive length.
-    """
-    kn = np.asarray(knots, dtype=float)
-    va = np.asarray(values, dtype=float)
-    if kn.ndim != 1 or va.ndim != 1 or kn.shape != va.shape or kn.size == 0:
-        raise ArgumentError("knots and values must be equal-length 1-D")
-    if kn[0] != 0.0:
-        raise ArgumentError("first knot must be 0")
-    if not np.all(np.diff(kn) > 0.0):
-        raise ArgumentError("knots must increase strictly")
-    if not np.all((va >= 0.0) & (va <= 1.0)):
-        raise ArgumentError("table values must lie in [0, 1]")
-    kn = _frozen(kn)
-    va = _frozen(va)
-
-    def phi(t):
-        return va[np.searchsorted(kn, t, side="right") - 1]
-
-    return Modulus(kind="piecewise-table",
-                   params=tuple(kn) + tuple(va),
-                   rakotch=bool(np.all(va < 1.0)),
-                   _fn=phi, _gap=lambda t: 1.0 - phi(t))
 
 
 def nonexpansive_modulus() -> Modulus:
@@ -463,9 +411,8 @@ class DomainSet:
     array at once, a bool array of length m.  On rows with a positive
     stride, which is what the library passes, it gives exactly what
     contains gives row by row, so batched experiments reproduce the
-    one-point ones; on a view with a negative stride a norm or dot
-    product, and so a verdict at the boundary, can differ in the last
-    bit.
+    one-point ones; on a view with a negative stride a norm, and so a
+    verdict at the boundary, can differ in the last bit.
     """
 
     kind: str
@@ -507,6 +454,7 @@ def box(lo, hi) -> DomainSet:
             raise ArgumentError(f"box {name} must not be NaN, got {bound}")
     if np.any(lo_a >= hi_a):
         raise ArgumentError("box needs lo < hi in every coordinate")
+    lo_h, hi_h = lo_a * 0.5, hi_a * 0.5
 
     if lo_a.size == 1:
         # 1-D point forms on the coordinate's float: contains also takes a
@@ -540,7 +488,9 @@ def box(lo, hi) -> DomainSet:
         def bdist(p: Point) -> float:
             if not contains(p):
                 return 0.0
-            return float(min(np.min(p - lo_a), np.min(hi_a - p)))
+            # a gap past the largest float is inf, with no warning
+            with np.errstate(over="ignore"):
+                return float(min(np.min(p - lo_a), np.min(hi_a - p)))
 
         def contains_rows(rows: np.ndarray) -> np.ndarray:
             return ((rows >= lo_a) & (rows <= hi_a)).all(axis=1)
@@ -549,12 +499,18 @@ def box(lo, hi) -> DomainSet:
         return np.minimum(hi_a, np.maximum(lo_a, p))
 
     def nearest_boundary(p: Point) -> Point:
-        gaps_lo = p - lo_a
-        gaps_hi = hi_a - p
-        if not np.all(np.isfinite(np.minimum(gaps_lo, gaps_hi))):
+        # the gaps in half units, where p - lo cannot overflow; halving is
+        # exact, so they order as the gaps do but among subnormal entries.
+        # A coordinate with both bounds infinite has no face, so its gap
+        # is inf; NaN (p not finite) comes out of argmin first
+        half = p * 0.5
+        gaps_lo = half - lo_h
+        gaps_hi = hi_h - half
+        gaps = np.minimum(gaps_lo, gaps_hi)
+        i = int(np.argmin(gaps))
+        if not gaps[i] < math.inf:
             raise ArgumentError("box has no finite boundary face here")
         out = np.array(p)
-        i = int(np.argmin(np.minimum(gaps_lo, gaps_hi)))
         out[i] = lo_a[i] if gaps_lo[i] <= gaps_hi[i] else hi_a[i]
         return out
 
@@ -621,7 +577,7 @@ def ball(center, radius: float) -> DomainSet:
         """p - c, its norm, and the unit both are taken in: that of p - c
         where it overflowed, else that of its squared norm."""
         v, unit = _offsets(p[None], c)
-        r, u = _own_units(_row_norms, v)
+        r, u = _own_units(v)
         return v[0] / u[0], float(r[0]), float(unit[0] * u[0])
 
     def norm(p: Point) -> float:
@@ -664,7 +620,7 @@ def ball(center, radius: float) -> DomainSet:
         # overflowed is taken in its own units, against the radius in
         # those units
         v, unit = _offsets(rows, c)
-        r, u = _own_units(_row_norms, v)
+        r, u = _own_units(v)
         v /= u[:, None]
         unit *= u
         out = np.array(rows)
@@ -698,136 +654,6 @@ def ball(center, radius: float) -> DomainSet:
 
     return DomainSet(kind="ball", params=tuple(c) + (radius,),
                      dimension=c.size,
-                     contains=contains, interior_contains=interior,
-                     boundary_distance=bdist, contains_rows=contains_rows,
-                     project=project, nearest_boundary=nearest_boundary)
-
-
-def halfspace(normal, offset: float) -> DomainSet:
-    """Closed halfspace {x : <normal, x> <= offset} with normal != 0."""
-    nv = _frozen(np.atleast_1d(np.asarray(normal, dtype=float)))
-    if np.isnan(nv).any():
-        raise ArgumentError(f"halfspace normal must not be NaN, got {nv}")
-    if math.isnan(offset):
-        raise ArgumentError("halfspace offset must not be NaN")
-    params = tuple(nv) + (offset,)
-    # the same set, with the normal and the offset divided by the power of
-    # two at the normal's largest magnitude (exact while the quotients stay
-    # normal floats): it keeps the normal's square and the push of a
-    # projection clear of overflow and underflow whatever the normal's
-    # scale, and changes no result where neither happened.  Not where the
-    # offset would overflow: that boundary lies at the edge of the floats,
-    # and beyond them when offset / |normal| overflows too
-    top = float(np.abs(nv).max())
-    unit = math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < math.inf \
-        else 1.0
-    nn = _euclidean_norm(nv / unit)     # |normal| in units: no underflow
-    if nn == 0.0:
-        raise ArgumentError("halfspace normal must be nonzero")
-    if math.isfinite(offset / unit) or not math.isfinite(offset):
-        nv, offset = _frozen(nv / unit), offset / unit
-    elif math.isinf(offset / nn / unit):
-        raise ArgumentError(
-            f"halfspace boundary lies beyond the largest float: offset "
-            f"{offset} / |normal| {nn * unit} overflows")
-    else:
-        # |normal| itself: scaling back by a power of two is exact above
-        # the subnormals, and the square that underflows for a tiny
-        # normal is never taken
-        nn *= unit
-    # relative rounding bound of a dot product with nv
-    dot_eps = nv.size * float(np.finfo(float).eps)
-    off_finite = math.isfinite(offset)
-
-    def toward(rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-        """rows - nv gap / |nv|^2 for every row of the (m, d) array rows
-        and its entry of gaps: the row moved across a gap of dot product
-        along the normal.  Where gap / |nv|^2 overflows (an unscaled
-        normal far below 1 against a boundary near the largest float) the
-        row and the move, the distance gap / |nv| along the unit normal,
-        are taken at half size and the result doubled, which overflows
-        only when the moved row itself passes the largest float; so is a
-        row where |nv|^2 underflowed to 0 (f is then infinite, or NaN at a
-        zero gap)."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f = gaps / (nn * nn)
-            out = rows - nv * f[:, None]
-            big = ~np.isfinite(f) & np.isfinite(gaps)
-            if big.any():
-                out[big] = 2.0 * (rows[big] / 2.0 - (nv / nn)
-                                  * (gaps[big] / 2.0 / nn)[:, None])
-        return out
-
-    def dots(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """<nv, row> for every row of an (m, d) array and the unit it is
-        taken in (see _own_units), to be held against offset / unit: a
-        finite row whose dot product, or its gap to a finite offset,
-        overflowed is taken in its own units."""
-        s, unit = _own_units(_row_dot, rows, nv)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gap = s - offset / unit
-        if off_finite and not np.isfinite(gap).all():
-            big, scale = _overflowed(rows, gap)
-            unit[big] = scale
-            s[big] = _row_dot(rows[big] / scale[:, None], nv)
-        return s, unit
-
-    def dot(p: Point) -> tuple[float, float, float]:
-        """<nv, p>, the offset and the unit both are taken in (see dots);
-        one dot product unless it, or its gap to a finite offset,
-        overflowed."""
-        s = float(nv.dot(p))
-        if -math.inf < (s - offset if off_finite else s) < math.inf:
-            return s, offset, 1.0
-        s, unit = dots(p[None])
-        return float(s[0]), offset / float(unit[0]), float(unit[0])
-
-    def contains(p: Point) -> bool:
-        s, off, _ = dot(p)
-        return s <= off
-
-    def interior(p: Point) -> bool:
-        s, off, _ = dot(p)
-        return s < off
-
-    def bdist(p: Point) -> float:
-        s, off, unit = dot(p)
-        return max(0.0, (off - s) / nn * unit)
-
-    def contains_rows(rows: np.ndarray) -> np.ndarray:
-        s, unit = dots(rows)
-        return s <= offset / unit
-
-    def project(p: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(p)
-        s, unit = dots(rows)
-        out = np.array(rows)
-        # a row whose dot product overflowed is projected in its own units,
-        # against the offset in those units (any other unit is 1)
-        rows = rows / unit[:, None]
-        off = offset / unit
-        over = hit = np.flatnonzero(s > off)
-        # overshoot by 1e-12 relative so membership survives rounding
-        push = (s[over] - off[over]) * (1.0 + 1e-12)
-        while over.size:
-            out[over] = toward(rows[over], push)
-            s_out = _row_dot(out[over], nv)
-            still = s_out > off[over]
-            over = over[still]
-            # the dot product's rounding or an underflow outweighed the
-            # overshoot (a point far out along the plane, a tiny gap):
-            # push at least twice as far, plus what is left and the
-            # rounding bound
-            push = (2.0 * push[still] + (s_out[still] - off[over])
-                    + dot_eps * (np.abs(out[over]) @ np.abs(nv)))
-        out[hit] *= unit[hit, None]
-        return out.reshape(np.shape(p))
-
-    def nearest_boundary(p: Point) -> Point:
-        s, off, unit = dot(p)
-        return toward((p / unit)[None], np.array([s - off]))[0] * unit
-
-    return DomainSet(kind="halfspace", params=params, dimension=nv.size,
                      contains=contains, interior_contains=interior,
                      boundary_distance=bdist, contains_rows=contains_rows,
                      project=project, nearest_boundary=nearest_boundary)

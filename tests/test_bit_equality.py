@@ -6,8 +6,8 @@
   of the 1-D matmul (``@``) forms they replaced, on any doubles and on
   strided views: _euclidean_norm (and against the row form _row_norms),
   euclidean(d)'s distance, the ball's point predicates (also in 1-D, and
-  about a center of zeros, where they norm p itself), the halfspace's
-  point dot product and planar-rotation's apply on points and on rows
+  about a center of zeros, where they norm p itself) and
+  planar-rotation's apply on points and on rows
   (on a view with a negative stride, against its contiguous copy);
 * a modulus called on an array against its scalar calls, and the audit's
   rhs against the per-pair products;
@@ -21,8 +21,8 @@
   gathered its noise by index on every step and projected only the rows
   outside, run on frozen copies of the row leaves it called (a box's
   reduction membership and np.clip, the stacked-matmul 1-D distance), on
-  boxes, a ball, a halfspace and a zero bound that rows land on with
-  either sign;
+  boxes (a halfplane among them), a ball and a zero bound that rows
+  land on with either sign;
 * box's 1-D membership and its projection against the reduction and
   np.clip forms, and the 1-D .item() point forms against the p[0] forms;
 * solve_at_t's 0-d multiplier against a frozen copy that scaled by the
@@ -54,13 +54,11 @@ from fixpoint.continuation import (ContinuationPath, LimitCertificate,
                                    PathConfig, PathEntry, limit_path,
                                    path_csv, solve_at_t, trace_path)
 from fixpoint.core import (MappingInstance, ball, box, constant_modulus,
-                           euclidean, halfline, halfspace, _apply_rows,
+                           euclidean, halfline, _apply_rows,
                            _euclidean_norm, _frozen, _non_finite,
-                           _refuse_non_finite,
-                           _row_dot,
-                           _row_norms, _row_norms_safe,
+                           _refuse_non_finite, _row_norms, _row_norms_safe,
                            nonexpansive_modulus, rational_decay_modulus,
-                           table_modulus, verify_contractive)
+                           verify_contractive)
 from fixpoint.errors import (ArgumentError, ConvergenceError, DomainError,
                              DomainExitError, FixpointError, NonFiniteError,
                              NonselfExitError)
@@ -167,7 +165,7 @@ def test_dot_forms_on_a_reversed_view_equal_its_contiguous_copy(v):
     rotation = make_map("planar-rotation").mapping.apply
     with np.errstate(all="ignore"):
         assert _same_float(_euclidean_norm(v), _matmul_norm(w))
-        # one operand reversed, as p in the halfspace's nv.dot(p)
+        # one operand reversed, as x in planar-rotation's x.dot(Rt)
         assert _same_float(float(w.dot(v)), float(w @ w))
         if len(v) == 2:
             assert rotation(v).tobytes() == rotation(w).tobytes()
@@ -256,66 +254,6 @@ def test_ball_point_predicates_equal_the_matmul_forms(case, rel):
     assert type(got[2]) is float and _same_float(got[2], want[2])
 
 
-def _matmul_halfspace(normal: np.ndarray, offset: float):
-    """Frozen copies of halfspace's point contains, interior_contains and
-    boundary_distance with the 1-D matmul dot product, for a point whose
-    dot product with the scaled normal is finite, else None."""
-    nv = np.array(normal)
-    unit = math.ldexp(1.0, math.frexp(float(np.abs(nv).max()))[1] - 1)
-    # |normal| in its own units, whose square cannot underflow
-    nn = _matmul_norm(nv / unit)
-    if math.isfinite(offset / unit):
-        nv, offset = nv / unit, offset / unit
-    else:
-        nn *= unit
-
-    def predicates(p):
-        s = float(nv @ p)
-        if not math.isfinite(s):
-            return None
-        return s <= offset, s < offset, max(0.0, (offset - s) / nn)
-
-    return predicates
-
-
-@given(_DIM_POINTS, st.floats(-1e300, 1e300))
-@example((np.array([1e308, 1e308]), np.array([1.0, 1.0])), 0.0)
-# the dot product rounds to the offset, 1.3, only when summed in order
-@example((np.array([-1.7, -0.1, -1.2]), np.array([-1.0, 1.6, 0.2])), 1.3)
-# a normal whose square underflows, at offsets whose quotient by a unit of
-# it overflows: the boundary lies beyond the largest float (refused), and
-# just inside it
-@example((np.zeros(2), np.array([2.18701521e-179, 0.0])), 4e129)
-@example((np.zeros(2), np.array([2.18701521e-179, 0.0])), 3e129)
-def test_halfspace_point_dot_equals_the_matmul_form(pn, offset):
-    p, nv = pn
-    with np.errstate(all="ignore"):
-        got = nv.dot(p)
-        assert _same_float(float(got), float(nv @ p))
-        assert _same_float(float(got), float(_row_dot(p[None], nv)[0]))
-    if not (np.isfinite(nv).all() and 1e-300 < np.abs(nv).max() < 1e300):
-        return
-    # the domain's point predicates, which take the dot product with the
-    # normal in its own units, against the matmul form; membership also
-    # against the row form, which takes the stacked matmul
-    try:
-        dom = halfspace(nv, offset)
-    except ArgumentError:
-        # refused only when the boundary's distance from the origin,
-        # offset / |normal| >= offset / (sqrt(d) max |normal_j|), is
-        # beyond the largest float
-        top = float(np.abs(nv).max())
-        assert abs(offset) / top / math.sqrt(nv.size) > 1e307
-        return
-    with np.errstate(all="ignore"):
-        want = _matmul_halfspace(nv, offset)(p)
-        got = (dom.contains(p), dom.interior_contains(p),
-               dom.boundary_distance(p))
-        assert got[0] == bool(dom.contains_rows(p[None])[0])
-    if want is not None:
-        assert got[:2] == want[:2] and _same_float(got[2], want[2])
-
-
 def _matmul_rotation(theta: float, bx: float, by: float):
     """Frozen copy of planar-rotation's apply as the matmul x @ R.T + b."""
     c, s = math.cos(theta), math.sin(theta)
@@ -393,8 +331,8 @@ def test_2d_float_forms_equal_the_array_point_forms(theta, bx, by, center,
 # moduli on arrays
 
 _MODULI = [rational_decay_modulus(1.0), rational_decay_modulus(0.37),
-           constant_modulus(0.5), nonexpansive_modulus(),
-           table_modulus([0.0, 1.0, 2.5], [0.9, 0.5, 0.2])]
+           constant_modulus(0.5), constant_modulus(0.0),
+           nonexpansive_modulus()]
 
 
 @pytest.mark.parametrize("m", _MODULI, ids=lambda m: f"{m.kind}{m.params}")
@@ -833,17 +771,17 @@ _KERNEL_CASES = {
     # the anchor 0 sits on the boundary, so perturbed rows are projected
     "rakotch-decay": (make_map("rakotch-decay").mapping, (0.0, 2.0)),
     # self-maps of the disc, whose fixed point (0.99, 0) is near the
-    # circle, and of the halfplane through the anchor: perturbed rows are
-    # projected onto the circle and onto the line; starts outside the
-    # halfplane exit at step 1
+    # circle, and of the halfplane y >= 0 through the anchor, a box with
+    # infinite sides: perturbed rows are projected onto the circle and
+    # onto the line; starts outside the halfplane exit at step 1
     "ball-2d": (MappingInstance(
         apply=lambda x: 0.9 * x * np.array([1.0, -1.0]) + [0.099, 0.0],
         declared_modulus=constant_modulus(0.9),
         domain=ball([0.0, 0.0], 1.0), space=euclidean(2)), (-0.7, 0.7)),
-    "halfspace-2d": (MappingInstance(
+    "halfplane-2d": (MappingInstance(
         apply=lambda x: 0.5 * x, declared_modulus=constant_modulus(0.5),
-        domain=halfspace([1.0, -2.0], 0.0), space=euclidean(2)),
-        (-1.0, 1.0)),
+        domain=box([-math.inf, 0.0], [math.inf, math.inf]),
+        space=euclidean(2)), (-1.0, 1.0)),
     # the noise is rounded to a grid that holds both zeros (_NOISE_GRIDS),
     # so perturbed rows land on the zero bound of [0, 1] with either sign,
     # while other rows are pushed below it and the whole batch is projected
@@ -921,6 +859,16 @@ def test_frozen_kernel_cases_reach_every_branch():
     T, calls = _counting_projections(_KERNEL_CASES["rakotch-decay"][0])
     _perturbed_steps(T, np.abs(starts), 30, noise, anchor, 1)
     assert len(starts) in map(len, calls)
+    # starts below the halfplane's face y = 0 exit at step 1, and perturbed
+    # rows of the others are pushed below it and projected onto it
+    T, calls = _counting_projections(_KERNEL_CASES["halfplane-2d"][0])
+    starts = rng.uniform(-1.0, 1.0, (40, 2))
+    below = starts[:, 1] < 0.0
+    worst = _perturbed_steps(T, starts, 1, None, np.zeros(2), 1)
+    assert 0 < below.sum() < 40 and np.array_equal(np.isinf(worst), below)
+    noise = rng.uniform(-0.2, 0.2, (30, 40, 2))
+    _perturbed_steps(T, np.abs(starts), 30, noise, np.zeros(2), 1)
+    assert any((rows[:, 1] < 0.0).any() for rows in calls)
 
 
 def test_whole_batch_projection_keeps_the_sign_of_a_zero_on_its_bound():

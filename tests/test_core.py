@@ -2,14 +2,14 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from fixpoint.core import (as_point, ball, box, check_modulus_admissible,
-                           constant_modulus, euclidean, halfline,
-                           halfspace, max_norm, nonexpansive_modulus,
-                           rational_decay_modulus, table_modulus,
-                           verify_contractive, MappingInstance, _row_dot,
+                           constant_modulus, euclidean, halfline, max_norm,
+                           nonexpansive_modulus, rational_decay_modulus,
+                           verify_contractive, MappingInstance, Modulus,
                            _row_norms)
 from fixpoint.errors import ArgumentError, DomainError, NonFiniteError
 
@@ -39,45 +39,23 @@ def test_constant_modulus_range_validated():
         constant_modulus(-0.1)
 
 
+@pytest.mark.parametrize("a", [0.0, -1.0, -math.inf])
+def test_rational_decay_modulus_needs_a_positive_rate(a):
+    with pytest.raises(ArgumentError, match="decay rate must be > 0"):
+        rational_decay_modulus(a)
+
+
 def test_modulus_rejects_negative_argument():
     for m in (constant_modulus(0.5), rational_decay_modulus(),
-              nonexpansive_modulus(), table_modulus([0.0], [0.5])):
+              nonexpansive_modulus()):
         with pytest.raises(ArgumentError):
             m(-1e-12)
 
 
-def test_table_modulus_right_continuous_steps():
-    m = table_modulus([0.0, 1.0, 2.0], [0.9, 0.5, 0.2])
-    assert m(0.0) == 0.9
-    assert m(0.999) == 0.9
-    assert m(1.0) == 0.5       # plateau starts at its own knot
-    assert m(1.5) == 0.5
-    assert m(2.0) == 0.2
-    assert m(100.0) == 0.2     # constant beyond the last knot
-    assert m.rakotch
-
-
-def test_table_modulus_construction_errors():
-    with pytest.raises(ArgumentError):
-        table_modulus([0.5, 1.0], [0.5, 0.5])      # must start at 0
-    with pytest.raises(ArgumentError):
-        table_modulus([0.0, 1.0, 1.0], [0.5, 0.5, 0.5])
-    with pytest.raises(ArgumentError):
-        table_modulus([0.0], [1.5])
-    with pytest.raises(ArgumentError):
-        table_modulus([], [])
-
-
-def test_table_modulus_rakotch_flag_needs_all_below_one():
-    # a plateau at 1 holds on an interval of positive length, so any
-    # value 1 anywhere disqualifies the table
-    assert not table_modulus([0.0, 1.0], [1.0, 0.5]).rakotch
-    assert table_modulus([0.0, 1.0], [0.99, 0.5]).rakotch
-
-
 def test_admissibility_flags_increasing_table():
-    # increasing table phi(0) = 0.9, phi(1) = 0.95 is caught on the grid
-    m = table_modulus([0.0, 1.0], [0.9, 0.95])
+    # an increasing step phi(0) = 0.9, phi(1) = 0.95 is caught on the grid
+    m = Modulus(kind="step", params=(0.9, 0.95), rakotch=True,
+                _fn=lambda t: np.where(t < 1.0, 0.9, 0.95), _gap=None)
     rep = check_modulus_admissible(m, [0.0, 1.0])
     assert rep.monotonicity_violations == ((0.0, 1.0),)
     assert rep.not_below_one == ()
@@ -154,18 +132,14 @@ def test_rowwise_distance_matches_pointwise():
 
 
 @pytest.mark.parametrize("d", range(1, 7))
-def test_row_norms_and_dots_equal_the_scalar_floats(d):
+def test_row_norms_equal_the_scalar_floats(d):
     # the batched stability experiment reproduces the one-point reports
     # only if these agree to the bit, not merely to an ulp
     rng = np.random.default_rng(100 + d)
     scale = 10.0 ** rng.uniform(-6.0, 6.0, size=(2000, 1))
     rows = rng.standard_normal((2000, d)) * scale
-    nv = rng.standard_normal(d)
-    norms = _row_norms(rows)
-    dots = _row_dot(rows, nv)
-    for v, r, s in zip(rows, norms, dots):
+    for v, r in zip(rows, _row_norms(rows)):
         assert r == math.sqrt(float(v @ v))
-        assert s == float(nv @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +170,8 @@ def test_box_requires_proper_bounds():
     (lambda: box([math.nan], [1.0]), "box lo"),
     (lambda: box([0.0], [math.nan]), "box hi"),
     (lambda: ball([math.nan], 1.0), "ball center"),
-    (lambda: halfspace([math.nan], 0.0), "halfspace normal"),
-    (lambda: halfspace([1.0], math.nan), "halfspace offset"),
-], ids=["box-lo", "box-hi", "ball-center", "halfspace-normal",
-        "halfspace-offset"])
+    (lambda: halfline(math.nan), "box lo"),
+], ids=["box-lo", "box-hi", "ball-center", "halfline"])
 def test_nan_domain_parameter_is_refused_by_name(make, name):
     # a NaN parameter used to build an empty set, so a later run failed on
     # its start point instead of on the parameter
@@ -207,10 +179,66 @@ def test_nan_domain_parameter_is_refused_by_name(make, name):
         make()
 
 
-def test_infinite_box_bounds_and_halfspace_offsets_are_kept():
+def test_infinite_box_bounds_are_kept():
     assert box([-math.inf], [math.inf]).contains(np.array([0.0]))
-    assert halfspace([1.0], math.inf).contains(np.array([1e308]))
-    assert not halfspace([1.0], -math.inf).contains(np.array([0.0]))
+    assert box([-math.inf, 0.0], [math.inf, math.inf]).contains(
+        np.array([-1e308, 1e308]))
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, -math.inf])
+def test_ball_needs_a_positive_radius(radius):
+    with pytest.raises(ArgumentError, match="ball radius must be > 0"):
+        ball([0.0, 0.0], radius)
+
+
+_INF = math.inf
+
+
+@pytest.mark.parametrize("lo,hi,p,want,dist", [
+    # a coordinate with both bounds infinite has no face; the others do
+    ([-_INF, -_INF], [0.0, _INF], [-2.0, 5.0], [0.0, 5.0], 2.0),
+    ([-_INF, -1.0, -_INF], [_INF, _INF, _INF], [3.0, 4.0, -7.0],
+     [3.0, -1.0, -7.0], 5.0),
+    # p - lo overflows, but the face at lo is finite
+    ([-1.7e308, -_INF], [_INF, _INF], [1.7e308, 0.0], [-1.7e308, 0.0], _INF),
+    ([-1e308, -1.0], [1e308, 1.0], [9e307, 0.5], [9e307, 1.0], 0.5),
+    ([-1.7e308], [1.7e308], [1.6e308], [1.7e308], 1.7e308 - 1.6e308),
+])
+def test_box_nearest_boundary_takes_the_nearest_finite_face(lo, hi, p, want,
+                                                            dist):
+    # the gaps are compared in half units, so none overflows; a box with
+    # a whole-line coordinate used to be refused as having no finite face
+    d = box(lo, hi)
+    b = d.nearest_boundary(np.array(p))
+    assert np.array_equal(b, want)
+    assert d.contains(b) and d.boundary_distance(b) == 0.0
+    assert d.boundary_distance(np.array(p)) == dist
+
+
+@pytest.mark.parametrize("lo,hi,p", [
+    ([-_INF, -_INF], [_INF, _INF], [0.0, 0.0]),
+    ([-_INF], [_INF], [3.0]),
+    ([0.0, 0.0], [1.0, 1.0], [0.5, math.nan]),
+])
+def test_box_nearest_boundary_is_refused_without_a_finite_face(lo, hi, p):
+    with pytest.raises(ArgumentError, match="no finite boundary face"):
+        box(lo, hi).nearest_boundary(np.array(p))
+
+
+@pytest.mark.parametrize("lo,hi,p,dist", [
+    ([-1e308, -1.0], [1e308, 1.0], [1e308, 0.0], 0.0),
+    ([-1e308, -1.0], [1e308, 1.0], [-9e307, 0.5], 0.5),
+    ([-1.7e308, -_INF], [1.7e308, _INF], [0.0, 0.0], 1.7e308),
+    # every gap lies past the largest float
+    ([-1.7e308, -1.7e308], [_INF, _INF], [1.7e308, 1.7e308], _INF),
+])
+def test_box_boundary_distance_takes_a_gap_past_the_floats(lo, hi, p, dist):
+    # p - lo overflows in some coordinate; the distance is the least gap,
+    # inf only past the largest float, with no warning
+    d = box(lo, hi)
+    p = np.array(p)
+    assert d.boundary_distance(p) == dist
+    assert d.interior_contains(p) is (dist > 0.0)
 
 
 def test_halfline_is_box_with_infinite_top():
@@ -232,19 +260,6 @@ def test_ball_membership_and_projection():
     assert np.linalg.norm(proj - np.array([3.0, 0.0])) < 1e-10
 
 
-def test_halfspace_membership_and_projection():
-    d = halfspace([0.0, 1.0], 1.0)          # y <= 1
-    assert d.contains(np.array([5.0, 1.0]))
-    assert not d.contains(np.array([0.0, 1.1]))
-    assert d.boundary_distance(np.array([0.0, -1.0])) == 2.0
-    proj = d.project(np.array([3.0, 4.0]))
-    assert np.allclose(proj, [3.0, 1.0])
-
-
-def _exact_dot(a, b) -> Fraction:
-    return sum(Fraction(float(x)) * Fraction(float(y)) for x, y in zip(a, b))
-
-
 @pytest.mark.parametrize("p,want", [
     ([1e200, 0.0], [1.0, 0.0]),
     ([-1e300, 1e300], [-math.sqrt(0.5), math.sqrt(0.5)]),
@@ -260,35 +275,6 @@ def test_ball_projection_survives_an_overflowing_norm(p, want):
     assert np.all(np.isfinite(q)) and d.contains(q)
     assert np.abs(q - want).max() < 1e-9
     assert np.array_equal(d.project(np.array([p, [0.5, 0.5]]))[0], q)
-
-
-@pytest.mark.parametrize("nv,offset,p", [
-    ([1.0, 1.0], 0.0, [1e308, 1e308]),        # the dot product is +inf
-    ([2.0, 2.0], 1e308, [1e308, 1e308]),
-    ([1.0, 0.5], -5.0, [1.2e308, 1.2e308]),
-    ([2.0, 2.0, 2.0], 0.0, [1e308, -1e308, 1e308]),     # inf - inf: NaN
-])
-def test_halfspace_projection_survives_an_overflowing_dot(nv, offset, p):
-    # the dot product with p overflows, so the push must not be taken as
-    # inf, which sends the point to -inf
-    d = halfspace(nv, offset)
-    q = d.project(np.array(p))
-    assert np.all(np.isfinite(q))
-    # inside in exact arithmetic (where the float dot product with q
-    # overflows too, contains cannot tell) and near the exact projection
-    assert _exact_dot(nv, q) <= Fraction(offset)
-    s = _exact_dot(nv, p)
-    want = [float(Fraction(x) - Fraction(n) * (s - Fraction(offset))
-                  / _exact_dot(nv, nv)) for x, n in zip(p, nv)]
-    assert np.abs(q - want).max() <= 1e-11 * max(map(abs, p))
-    assert np.array_equal(d.project(np.array([p, [0.0] * len(p)]))[0], q)
-
-
-# membership of points whose squared norm or dot product overflows: the
-# domain takes the point in its own units; a halfspace's point forms let
-# numpy warn about the first attempt
-_OVERFLOW_WARNING = pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning")
 
 
 def test_ball_membership_survives_an_overflowing_norm():
@@ -341,28 +327,6 @@ def test_ball_tuple_membership_is_taken_about_the_center():
         assert d.contains(p) is d.contains(np.array(p)) is inside
 
 
-@_OVERFLOW_WARNING
-@pytest.mark.parametrize("nv,offset,p,inside,dist", [
-    # the dot products overflow to +inf, -inf and NaN (inf - inf)
-    ([1.0, 1.0, 1.0], 1.5e308, [1e308, 1e308, -1e308], True,
-     0.5e308 / math.sqrt(3.0)),
-    ([1.0, 1.0, 1.0], -1.5e308, [-1e308, -1e308, 1e308], False, 0.0),
-    ([2.0, 2.0], 0.0, [-1e308, -1e308], True, math.sqrt(2.0) * 1e308),
-    ([2.0, 2.0, 2.0], 0.0, [1e308, -1e308, 1e308], False, 0.0),
-    # on the plane: no overflow in the normal's own units
-    ([2.0, 2.0], 0.0, [1e308, -1e308], True, 0.0),
-])
-def test_halfspace_membership_survives_an_overflowing_dot(nv, offset, p,
-                                                          inside, dist):
-    d = halfspace(nv, offset)
-    p = np.array(p)
-    assert d.contains(p) is inside
-    assert d.contains_rows(np.array([p, np.zeros(len(p))])).tolist() == [
-        inside, 0.0 <= offset]
-    assert d.interior_contains(p) is (inside and dist > 0.0)
-    assert d.boundary_distance(p) == pytest.approx(dist, rel=1e-12)
-
-
 def test_row_forms_take_an_overflowing_row_without_a_warning():
     # the own-units retry handles the overflow of the first attempt, so
     # it raises no warning; a norm past the largest float raises none either
@@ -371,43 +335,10 @@ def test_row_forms_take_an_overflowing_row_without_a_warning():
         rows = np.array([[1e200, 0.0], [1.5e308, 1.5e308], [6e199, 0.0]])
         assert ball([0.0, 0.0], 1e200).contains_rows(rows).tolist() == [
             True, False, True]
-        rows = np.array([[1e308, 1e308], [-1e308, -1e308], [1e308, -1e308]])
-        assert halfspace([1.0, 1.0], 0.0).contains_rows(rows).tolist() == [
-            False, True, True]
-
-
-@pytest.mark.parametrize("nv,offset,p,want,dist", [
-    # |normal|^2 overflows, or underflows to 0
-    ([1e200, 0.0], 0.0, [1.0, 3.0], [0.0, 3.0], 0.0),
-    ([1e200, 0.0], 0.0, [-1.0, 3.0], [-1.0, 3.0], 1.0),
-    ([1e-200], 1e-190, [2e10], [1e10], 0.0),
-    ([1e-200], 1e-190, [0.0], [0.0], 1e10),
-])
-def test_halfspace_survives_a_normal_of_any_scale(nv, offset, p, want, dist):
-    d = halfspace(nv, offset)
-    q = d.project(np.array(p))
-    assert d.contains(q) and np.allclose(q, want, rtol=1e-9, atol=1e-9)
-    assert d.boundary_distance(np.array(p)) == pytest.approx(dist)
-    assert d.params == (*nv, offset)
-
-
-@pytest.mark.parametrize("nv,offset,p,want", [
-    # offset / |normal|^2 overflows; the boundary is at -1e308
-    ([1e-25], -1e283, [0.0], [-1e308]),
-    ([1e-25], -1e283, [1e308], [-1e308]),    # so does the move itself
-    ([-1e-30], -1.7e278, [-1e308], [1.7e308]),
-    ([1e-25, 0.0], -1e283, [0.0, 5.0], [-1e308, 5.0]),
-])
-def test_halfspace_with_a_boundary_at_the_edge_of_the_floats(nv, offset, p,
-                                                             want):
-    # the unscaled normal (offset / unit would overflow) is far below 1:
-    # the move across the gap is taken along the unit normal, not as
-    # normal * (gap / |normal|^2), which overflowed to infinity
-    d = halfspace(nv, offset)
-    q = d.project(np.array(p))
-    assert np.all(np.isfinite(q)) and d.contains(q)
-    assert np.allclose(q, want, rtol=1e-11)
-    assert np.allclose(d.nearest_boundary(np.array(p)), want, rtol=1e-15)
+        # rows - c overflows too
+        rows = np.array([[1e308, 0.0], [-1e308, 1e300], [1e308, -1e308]])
+        assert ball([-1e308, 0.0], 1e301).contains_rows(rows).tolist() == [
+            False, True, False]
 
 
 def test_ball_nearest_boundary_from_within_radius_over_2_1024_of_centre():
@@ -419,55 +350,79 @@ def test_ball_nearest_boundary_from_within_radius_over_2_1024_of_centre():
         0.0, -1e300]
 
 
-@pytest.mark.parametrize("nv,offset", [
-    ([3e-301], 1e250),
-    ([1e-170, 1e-170], 1e200),
+@pytest.mark.parametrize("center,radius,p,inside,dist", [
+    # p - c overflows
+    ([-1e308, 0.0], 1e308, [1e308, 0.0], False, 0.0),
+    ([1e308, 1e308, -1e308], 1e308, [-1e308, 1e308, -1e308], False, 0.0),
+    # ||p - c||^2 overflows: inside, on the sphere, outside
+    ([-1e308, 0.0], 1.7e308, [0.6e308, 0.0], True, 0.1e308),
+    ([-1e308, 0.0], 1e308, [0.0, 0.0], True, 0.0),
+    ([0.0, 0.0, 0.0], 1.5e308, [1e308, -1e308, 0.0], True,
+     1.5e308 - math.sqrt(2.0) * 1e308),
+    ([0.0, 0.0, 0.0], 1.5e308, [1e308, 1e308, 1e308], False, 0.0),
 ])
-def test_halfspace_beyond_the_largest_float_is_refused_as_such(nv, offset):
-    # |normal|^2 underflows to 0 here; the refusal used to call the normal
-    # zero, but the cause is a boundary offset / |normal| past the floats
-    with pytest.raises(ArgumentError, match="beyond the largest float"):
-        halfspace(nv, offset)
-    with pytest.raises(ArgumentError, match="must be nonzero"):
-        halfspace([0.0] * len(nv), offset)
+def test_ball_membership_survives_an_overflowing_offset(center, radius, p,
+                                                        inside, dist):
+    d = ball(center, radius)
+    p = np.array(p)
+    assert d.contains(p) is inside
+    if len(p) == 2:
+        assert d.contains(tuple(p.tolist())) is inside
+    assert d.contains_rows(np.array([p, center])).tolist() == [inside, True]
+    assert d.interior_contains(p) is (inside and dist > 0.0)
+    assert d.boundary_distance(p) == pytest.approx(dist, rel=1e-12)
 
 
-def test_halfspace_with_an_underflowing_normal_square_is_kept():
-    # a tiny normal against a zero offset is rescaled as before
-    d = halfspace([1e-160], 0.0)
-    assert d.contains(np.array([-1.0])) and not d.contains(np.array([1.0]))
-    assert d.boundary_distance(np.array([-2.0])) == 2.0
-    # |normal|^2 underflows, offset / unit overflows, but the boundary
-    # x + y = 2e138 / 1e-170, at 2e308 along the diagonal, is finite
-    d = halfspace([1e-170, 1e-170], 2e138)
-    q = d.project(np.array([1.5e308, 1.5e308]))
-    assert d.contains(q) and np.allclose(q, [1e308, 1e308], rtol=1e-12)
-    assert np.allclose(d.nearest_boundary(np.zeros(2)), [1e308, 1e308],
-                       rtol=1e-12)
-    assert d.boundary_distance(np.zeros(2)) == pytest.approx(
-        math.sqrt(2.0) * 1e308, rel=1e-12)
-
-
-@pytest.mark.parametrize("nv,offset,p", [
-    ([1.0], -1.7e308, [1.7e308]),
-    ([1.0, 0.0], -1.7e308, [1.7e308, 0.0]),
+@pytest.mark.parametrize("center,radius,p", [
+    ([0.0, 0.0], 1.0, [3.0, 4.0]),
+    ([0.5, -0.5, 2.0], 3.0, [10.0, -7.0, 1e3]),
+    # p - c overflows
+    ([-1e308, 0.0], 1e300, [1e308, 1e308]),
+    ([1e308, -1e308], 1.5e308, [-1e308, 1e308]),
+    # the radius is below an ulp of the center: c + v s rounds to c
+    ([1.0, 1.0], 1e-150, [2.0, 2.0]),
 ])
-def test_halfspace_nearest_boundary_across_a_gap_past_the_floats(nv, offset,
-                                                                 p):
-    # p lies more than the largest float beyond the plane: the gap to the
-    # offset is taken in p's own units, not as an overflowed difference,
-    # which gave [-inf] and [-inf, nan]
-    d = halfspace(nv, offset)
-    b = d.nearest_boundary(np.array(p))
-    assert np.isfinite(b).all() and d.contains(b)
-    assert d.boundary_distance(b) == 0.0
-    assert np.allclose(b, [offset] + [0.0] * (len(nv) - 1), rtol=1e-12)
+def test_ball_projection_lands_inside_in_exact_arithmetic(center, radius, p):
+    d = ball(center, radius)
+    q = d.project(np.array(p))
+    assert np.all(np.isfinite(q)) and d.contains(q)
+    # inside by the exact norm, not only by the rounded one
+    assert sum((Fraction(x) - Fraction(y)) ** 2
+               for x, y in zip(q.tolist(), center)) <= Fraction(radius) ** 2
+    # and near the exact projection c + (p - c) radius / ||p - c||
+    with mpmath.workdps(60):
+        v = [mpmath.mpf(x) - mpmath.mpf(y) for x, y in zip(p, center)]
+        r = mpmath.sqrt(sum(x * x for x in v))
+        want = [float(mpmath.mpf(y) + x * radius / r)
+                for x, y in zip(v, center)]
+    assert np.abs(q - want).max() <= 1e-11 * max(radius, *map(abs, center))
+    assert np.array_equal(d.project(np.array([p, center]))[0], q)
+
+
+@pytest.mark.parametrize("center,radius,p", [
+    ([-1.7e308], 1.0, [1.7e308]),
+    ([-1e308, 1e308], 1e307, [1e308, -1e308]),
+    ([1.7e308, 0.0, -1.7e308], 1e300, [-1.7e308, 1e-300, 1.7e308]),
+    ([0.0, 0.0], 1.0, [1.7e308, -1.7e308]),
+])
+def test_ball_nearest_boundary_across_a_gap_past_the_floats(center, radius,
+                                                            p):
+    # ||p - c|| lies past the largest float: the boundary point is taken
+    # along p - c in p's own units, not as an overflowed difference
+    b = ball(center, radius).nearest_boundary(np.array(p))
+    with mpmath.workdps(60):
+        v = [mpmath.mpf(x) - mpmath.mpf(y) for x, y in zip(p, center)]
+        r = mpmath.sqrt(sum(x * x for x in v))
+        want = [float(mpmath.mpf(y) + x * radius / r)
+                for x, y in zip(v, center)]
+    assert np.all(np.isfinite(b))
+    assert np.allclose(b, want, rtol=1e-15, atol=1e-12 * radius)
 
 
 @pytest.mark.parametrize("dom", [
     box([-1.0, -2.0], [1.0, 2.0]),
     ball([0.5, -0.5], 3.0),
-    halfspace([1.0, 1.0], 2.0),
+    box([-math.inf, -1.0], [2.0, math.inf]),
 ])
 def test_projection_is_idempotent_and_nonexpansive(dom):
     rng = np.random.default_rng(23)
@@ -489,8 +444,8 @@ def test_projection_is_idempotent_and_nonexpansive(dom):
     (box([-1.0, -2.0, 0.0], [1.0, 2.0, 0.5]), 3),
     (ball([0.5, -0.5], 3.0), 2),
     (ball([1.0, 0.0, -1.0], 2.5), 3),
-    (halfspace([0.6, 1.3], 2.0), 2),
-    (halfspace([0.3, -1.7, 0.9], 0.1), 3),
+    (box([-math.inf, -1.0], [2.0, math.inf]), 2),
+    (box([-math.inf, -1.7, 0.1], [0.9, math.inf, math.inf]), 3),
 ])
 def test_row_forms_equal_the_point_forms_row_by_row(dom, dim):
     rng = np.random.default_rng(37)
@@ -513,25 +468,19 @@ def test_point_projection_is_the_closed_form(d):
     # the point form runs through the row form; it must still give the
     # closed-form point, to the bit and in the point's shape
     rng = np.random.default_rng(41 + d)
-    c, nv = rng.standard_normal(d), rng.standard_normal(d)
-    bl, hs = ball(c, 1.5), halfspace(nv, 0.3)
-    nn = math.sqrt(float(nv @ nv))
+    c = rng.standard_normal(d)
+    bl = ball(c, 1.5)
     for p in rng.uniform(-4.0, 4.0, size=(300, d)):
         r = math.sqrt(float((p - c) @ (p - c)))
         want = p if r <= 1.5 else c + (p - c) * ((1.5 / r) * (1.0 - 1e-12))
         got = bl.project(p)
-        assert got.shape == (d,) and np.array_equal(got, want)
-        s = float(nv @ p)
-        want = p if s <= 0.3 else p - nv * (
-            (s - 0.3) * (1.0 + 1e-12) / (nn * nn))
-        got = hs.project(p)
         assert got.shape == (d,) and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dom", [
     box([-1.0, -2.0], [1.0, 2.0]),
     ball([0.5, -0.5], 3.0),
-    halfspace([1.0, 1.0], 2.0),
+    box([-math.inf, -1.0], [2.0, math.inf]),
 ])
 def test_boundary_distance_is_certified_by_sampling(dom):
     # for inside points, no sampled outside point may be closer than the
@@ -551,7 +500,7 @@ def test_boundary_distance_is_certified_by_sampling(dom):
 @pytest.mark.parametrize("dom,dim", [
     (box([-1.0], [1.0]), 1),
     (ball([0.0, 0.0], 2.0), 2),
-    (halfspace([1.0, 0.0], 3.0), 2),
+    (box([-math.inf, -2.0], [3.0, math.inf]), 2),
 ])
 def test_nearest_boundary_lands_on_boundary(dom, dim):
     rng = np.random.default_rng(31)
@@ -567,7 +516,7 @@ def test_nearest_boundary_lands_on_boundary(dom, dim):
     (box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), 3, max_norm(2)),
     (halfline(0.0), 1, max_norm(3)),
     (ball([0.0, 0.0, 0.0], 1.0), 3, euclidean(2)),
-    (halfspace([1.0, 1.0], 0.0), 2, euclidean(1)),
+    (box([-math.inf, -math.inf], [0.0, math.inf]), 2, euclidean(1)),
 ])
 def test_mapping_refuses_a_domain_of_another_dimension(dom, dim, space):
     assert dom.dimension == dim
@@ -584,13 +533,14 @@ def test_mapping_refuses_a_domain_of_another_dimension(dom, dim, space):
 
 @pytest.mark.parametrize("dom,kind", [
     (ball([0.0], 1.0), "ball"),
-    (halfspace([1.0], 1.0), "halfspace"),
     (box([0.0, 0.0], [1.0, 1.0]), "box"),
+    (box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), "box"),
+    (ball([0.0, 0.0, 0.0], 1.0), "ball"),
 ])
 def test_float_points_refuses_a_domain_whose_point_forms_take_no_float(
         dom, kind):
-    # the drives would step these on a Python float, which a ball's or a
-    # halfspace's dot product or a 2-D box's membership does not take
+    # the drives would step these on a Python float, which a 1-D ball's
+    # norm or a 2-D box's membership does not take
     with pytest.raises(ArgumentError) as info:
         MappingInstance(apply=lambda x: x / 2.0,
                         declared_modulus=constant_modulus(0.5), domain=dom,

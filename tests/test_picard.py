@@ -10,9 +10,9 @@ from fixpoint.continuation import (PathConfig, check_leray_schauder,
                                    limit_path, solve_at_t)
 from fixpoint.core import (MappingInstance, as_point, ball, box,
                            check_modulus_admissible, constant_modulus,
-                           euclidean, halfline, halfspace, max_norm,
+                           euclidean, halfline, max_norm,
                            rational_decay_modulus, nonexpansive_modulus,
-                           table_modulus, verify_contractive, _frozen)
+                           verify_contractive, _frozen)
 from fixpoint.errors import (ArgumentError, ConvergenceError, DomainError,
                              NonFiniteError, NonRakotchError,
                              NonselfExitError)
@@ -122,8 +122,8 @@ _DECAY = rational_decay_modulus(1.0)
     lambda: settling_index(0.1, _DECAY, _NAN, 0.0),
     lambda: coupling_index(_NAN, _DECAY, 1.0),
     lambda: coupling_index(0.1, _DECAY, _NAN),
-    lambda: table_modulus([0.0, _NAN], [0.5, 0.4]),
-    lambda: table_modulus([0.0, 1.0], [0.5, _NAN]),
+    lambda: constant_modulus(_NAN),
+    lambda: rational_decay_modulus(_NAN),
     lambda: check_modulus_admissible(_DECAY, [0.0, _NAN]),
     lambda: solve_fixed_point(_decay_map(), [1.0], 1e-8, max_iter=0),
     lambda: solve_at_t(_affine_map(), 0.5, [0.0], 1e-10, max_inner_iter=0),
@@ -131,8 +131,9 @@ _DECAY = rational_decay_modulus(1.0)
 ], ids=["solve-tol", "stability-delta", "verify-slack", "ls-tol",
         "path-inner-tol", "limit-final-tol", "orbit-delta", "modulus",
         "modulus-array", "cluster-delta", "settling-eps", "settling-radius",
-        "coupling-eps", "coupling-radius", "table-knot", "table-value",
-        "admissibility-grid", "solve-budget", "inner-budget", "path-budget"])
+        "coupling-eps", "coupling-radius", "constant-value", "decay-rate",
+        "admissibility-grid",
+        "solve-budget", "inner-budget", "path-budget"])
 def test_nan_arguments_are_refused(call):
     with pytest.raises(ArgumentError):
         call()
@@ -186,17 +187,10 @@ def test_an_index_past_the_largest_float_is_refused_naming_its_bound(
         call()
 
 
-# admissible moduli: rational decay, a constant below 1, and
-# non-increasing tables below 1
+# admissible moduli: rational decay and a constant below 1
 _ADMISSIBLE = st.one_of(
     st.floats(1e-3, 1e3).map(rational_decay_modulus),
-    st.floats(0.0, 0.999).map(constant_modulus),
-    st.integers(1, 5).flatmap(lambda n: st.tuples(
-        st.lists(st.floats(1e-6, 1e3), min_size=n - 1, max_size=n - 1,
-                 unique=True),
-        st.lists(st.floats(0.0, 0.999), min_size=n, max_size=n))).map(
-        lambda kv: table_modulus([0.0, *sorted(kv[0])],
-                                 sorted(kv[1], reverse=True))))
+    st.floats(0.0, 0.999).map(constant_modulus))
 # 1e-12 to 1e3, the exponents spread evenly
 _SCALE = st.builds(lambda m, k: m * 10.0 ** k,
                    st.floats(1.0, 10.0), st.integers(-12, 2))
@@ -244,23 +238,16 @@ def test_stability_constants_frozen_constant_modulus():
     assert c.k == 21
 
 
-_TABLE_KNOTS = (0.0, 1e-3, 1.0, 1e3)
-
-
 @settings(max_examples=300)
 @given(st.floats(1e-3, 1e3), st.floats(0.0, allow_infinity=False),
-       st.floats(0.0, 1.0),
-       st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
-def test_gap_is_one_minus_phi_within_two_ulp(a, t, c, values):
+       st.floats(0.0, 1.0))
+def test_gap_is_one_minus_phi_within_two_ulp(a, t, c):
     # 1 - phi(t) at 50 digits, for every kind; rational decay's gap is the
     # one a subtraction 1.0 - phi(t) would cancel
-    j = sum(k <= t for k in _TABLE_KNOTS) - 1
     with mpmath.workdps(50):
         s = mpmath.mpf(a) * mpmath.mpf(t)
         cases = ((rational_decay_modulus(a), s / (1 + s)),
                  (constant_modulus(c), 1 - mpmath.mpf(c)),
-                 (table_modulus(_TABLE_KNOTS, values),
-                  1 - mpmath.mpf(values[j])),
                  (nonexpansive_modulus(), mpmath.mpf(0)))
         for m, exact in cases:
             got = m.gap(t)
@@ -830,15 +817,15 @@ def test_batched_stability_matches_when_trials_exit():
 @pytest.mark.parametrize("space", [euclidean, max_norm])
 @pytest.mark.parametrize("domain", [
     ball([0.6, 0.8], 1.0),
-    halfspace([0.6, 1.3], 0.0),
+    box([-math.inf, 0.0], [0.0, math.inf]),
     ball([0.36, 0.48, 0.8], 1.0),
-    halfspace([0.3, -1.7, 0.9], 0.0),
+    box([-1.0, 0.0, -math.inf], [math.inf, 2.0, 0.0]),
 ])
 def test_batched_stability_matches_in_two_and_three_dimensions(domain,
                                                                space):
     # x / 2 with the fixed point 0 on the boundary, so starts and
     # perturbed steps are projected back in often
-    d = len(domain.params) - 1
+    d = domain.dimension
     T = MappingInstance(apply=lambda x: x / 2.0,
                         declared_modulus=constant_modulus(0.5),
                         domain=domain, space=space(d))
