@@ -281,8 +281,10 @@ def _audit_boundary(T: MappingInstance, x: Point, t: float,
 
 
 def _image_norm(T: MappingInstance, x: Point, norm) -> float:
-    """||T x||, refused with NonFiniteError when it is NaN or infinite."""
-    y = T.apply(x)
+    """||T x||, refused with NonFiniteError when it is NaN or infinite.
+    A float_points map is applied to x's float form and the image normed
+    in that form, so the outer loop rounds as the inner solves do."""
+    y = T.apply(_float_form(x) if T.float_points else x)
     v = norm(y)
     if not math.isfinite(v):
         raise _non_finite(y, x)
@@ -343,7 +345,8 @@ def trace_path(T: MappingInstance, cfg: PathConfig) -> ContinuationPath:
     if not T.declared_modulus.rakotch:
         target = min(target, cfg.q)
     t0 = 0.0
-    bd = T.domain.boundary_distance(x)
+    bd = T.domain.boundary_distance(
+        _float_form(x) if T.float_points else x)
     while t0 < target:
         norm_Tx = _image_norm(T, x, norm)
         mbound_obs = max(mbound_obs, norm_Tx)
@@ -364,7 +367,8 @@ def trace_path(T: MappingInstance, cfg: PathConfig) -> ContinuationPath:
                                  step_bound_used=t1 - t0, r_used=r))
         # a solved point hugging the boundary must still satisfy the
         # boundary condition or the continuation is over
-        bd = T.domain.boundary_distance(x1)
+        bd = T.domain.boundary_distance(
+            _float_form(x1) if T.float_points else x1)
         if bd <= cfg.inner_tol:
             _audit_boundary(T, x1, t1, cfg.inner_tol)
         t0 = t1

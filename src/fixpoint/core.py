@@ -6,9 +6,10 @@ Points are 1-D float64 numpy arrays of shape ``(dimension,)``.  A mapping
 that sets ``float_points`` (the gallery's one-coordinate maps and
 planar-rotation) also takes a point in its float form, the coordinate's
 Python float in one dimension or the tuple of both coordinates' floats in
-two (_float_form), in apply, domain.contains and space.distance (and, in
-one dimension, domain.project), and the drives step such a map on that
-form; every point they return or raise is still an array.
+two (_float_form), in apply, domain.contains, domain.boundary_distance,
+space.distance and space.norm (and, in one dimension, domain.project),
+and the drives step such a map on that form; every point they return or
+raise is still an array.
 A modulus is a function phi on [0, inf); a mapping T is contractive with
 modulus phi when
 
@@ -119,6 +120,30 @@ def _fma(a: float, b: float, c: float) -> float:
         return math.inf if v > 0 else -math.inf
 
 
+def _halves(v: float) -> tuple[float, float] | None:
+    """Veltkamp's halves (h, l) of v, h + l == v, as _fma splits v: for a
+    factor that never changes, split once at build time and use the
+    halves as _fma's exact products do (see gallery's planar-rotation).
+    None where _fma would not split v."""
+    if not _SPLIT_LO2 < v * v < _SPLIT_HI2:
+        return None
+    s = _SPLITTER * v
+    h = s - (s - v)
+    return h, v - h
+
+
+def _fsq(v: float, c: float) -> float:
+    """_fma(v, v, c), bit for bit, with v split once: the exact pieces of
+    v * v are h h, h l, h l and l l."""
+    if _SPLIT_LO2 < v * v < _SPLIT_HI2:
+        s = _SPLITTER * v
+        h = s - (s - v)
+        l = v - h
+        hl = h * l
+        return math.fsum((h * h, hl, hl, l * l, c))
+    return _fma(v, v, c)
+
+
 # ---------------------------------------------------------------------------
 # spaces
 
@@ -161,18 +186,27 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
+# a Euclidean norm below 2^-511 comes from a squared norm below the normal
+# floats, which kept too few of its bits to be compared
+_NORM_LO = 2.0 ** -511
+
+
 def _own_units(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_row_norms(rows) for an (m, d) array, with each finite row whose
-    squared norm overflowed normed again in its own units, divided by the
-    power of two at its largest magnitude (exact, and it leaves every
-    entry below 2 in magnitude); and the unit of every row, 1 or that
-    power.  The overflow it handles raises no warning."""
+    squared norm overflowed, or underflowed (a nonzero row whose norm is
+    below _NORM_LO), normed again in its own units, divided by the power
+    of two at its largest magnitude (exact, and it leaves every entry
+    below 2 in magnitude and the largest at least 1); and the unit of
+    every row, 1 or that power.  The overflow it handles raises no
+    warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         r = _row_norms(rows)
     unit = np.ones(len(r))
-    if not np.isfinite(r).all():
-        big = np.flatnonzero(~np.isfinite(r))
-        big = big[np.isfinite(rows[big]).all(axis=1)]
+    off = ~((r >= _NORM_LO) & (r < math.inf))
+    if off.any():
+        big = np.flatnonzero(off)
+        rest = rows[big]
+        big = big[np.isfinite(rest).all(axis=1) & rest.any(axis=1)]
         top = np.abs(rows[big]).max(axis=1)
         scale = np.ldexp(1.0, np.frexp(top)[1] - 1)
         unit[big] = scale
@@ -181,10 +215,10 @@ def _own_units(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_norms_safe(rows: np.ndarray) -> np.ndarray:
-    """_row_norms, but a finite row whose squared norm overflowed is
-    normed in its own units (see _own_units) and scaled back, so the
-    norm is inf only past the largest float or for a row that is not
-    finite."""
+    """_row_norms, but a finite row whose squared norm overflowed or
+    underflowed is normed in its own units (see _own_units) and scaled
+    back, so the norm is inf only past the largest float or for a row
+    that is not finite, and 0 only for a row of zeros."""
     r, unit = _own_units(rows)
     with np.errstate(over="ignore"):
         return r * unit
@@ -207,7 +241,7 @@ def euclidean(dimension: int) -> Space:
     """Euclidean space of the given dimension.
 
     In one dimension distance and norm work on the Python floats that
-    .item() reads, and distance also takes a point given as that float
+    .item() reads, and both also take a point given as that float
     (see MappingInstance.float_points): s * s then sqrt is the same IEEE
     product and root as v @ v then sqrt on a 1-element array, so they
     equal the array form bit for bit at a fraction of its cost (the space
@@ -216,24 +250,30 @@ def euclidean(dimension: int) -> Space:
     matmul, whose 1 x 1 product is that square.
     In higher dimensions distance is _euclidean_norm written out on
     x - y, which saves the call through norm on the hottest leaf.  In two
-    dimensions it also takes two points given as tuples of floats (see
-    MappingInstance.float_points), whose squared distance is the fused
-    dot product _fma(v1, v1, v0 * v0) that BLAS gives on the array.
+    dimensions norm and distance also take points given as tuples of
+    floats (see MappingInstance.float_points), whose squared norm is the
+    fused dot product that the default OpenBLAS kernel gives on the
+    array, _fsq(v1, v0 * v0): _fma(v1, v1, v0 * v0) with v1 split once.
     """
     if dimension != 1:
+        def norm(v: Point | tuple) -> float:
+            if v.__class__ is tuple:
+                v0, v1 = v
+                return math.sqrt(_fsq(v1, v0 * v0))
+            return _euclidean_norm(v)
+
         def distance(x: Point | tuple, y: Point | tuple) -> float:
             if x.__class__ is tuple:
                 (x0, x1), (y0, y1) = x, y
                 v0, v1 = x0 - y0, x1 - y1
-                return math.sqrt(_fma(v1, v1, v0 * v0))
+                return math.sqrt(_fsq(v1, v0 * v0))
             v = x - y
             return math.sqrt(v.dot(v))
 
-        return _normed_space(dimension, _euclidean_norm, _row_norms,
-                             distance)
+        return _normed_space(dimension, norm, _row_norms, distance)
 
-    def norm(v: Point) -> float:
-        s = v.item()
+    def norm(v: Point | float) -> float:
+        s = v if v.__class__ is float else v.item()
         return math.sqrt(s * s)
 
     def distance(x: Point | float, y: Point | float) -> float:
@@ -433,10 +473,11 @@ def box(lo, hi) -> DomainSet:
     is the whole space (empty boundary, infinite boundary distance).
 
     In one dimension the point predicates compare the Python float that
-    .item() reads (contains also takes a point given as that float, see
-    MappingInstance.float_points), and contains_rows compares the rows'
-    one column, both against the bounds as Python floats (below an
-    infinite hi only against lo, which NaN fails already).  project is
+    .item() reads (contains and boundary_distance also take a point given
+    as that float, see MappingInstance.float_points), and contains_rows
+    compares the rows' one column, both against the bounds as Python
+    floats (below an infinite hi only against lo, which NaN fails
+    already).  project is
     np.minimum(hi, np.maximum(lo, p)): the bits of np.clip(p, lo, hi), NaN
     included, without its Python wrapper, except that a coordinate that
     is a zero at a zero bound of the other sign keeps its own sign, so a
@@ -467,8 +508,8 @@ def box(lo, hi) -> DomainSet:
         def interior(p: Point) -> bool:
             return lo_f < p.item() < hi_f
 
-        def bdist(p: Point) -> float:
-            v = p.item()
+        def bdist(p: Point | float) -> float:
+            v = p if p.__class__ is float else p.item()
             if v < lo_f or v > hi_f:
                 return 0.0
             return min(v - lo_f, hi_f - v)
@@ -557,13 +598,31 @@ def ball(center, radius: float) -> DomainSet:
     the difference only turns a -0.0 coordinate into +0.0, whose square is
     the same.
 
-    In two dimensions contains also takes a point given as a tuple of
-    floats (see MappingInstance.float_points): it subtracts the center
-    coordinate by coordinate and squares the norm by the fused dot product
-    _fma(v1, v1, v0 * v0), as BLAS does for the array; only a norm that
-    overflowed goes to the array form.  The array point forms take p - c,
-    and its norm, in the point's own units where either overflowed
-    (_offsets, _own_units), with no warning.
+    In two dimensions contains and boundary_distance also take a point
+    given as a tuple of floats (see MappingInstance.float_points): they
+    subtract the center coordinate by coordinate and square the norm by
+    the fused dot product _fsq(v1, v0 * v0), as the default OpenBLAS
+    kernel does for the array; only a norm that overflowed or underflowed
+    (below _NORM_LO) goes to the array form.  The array point forms take
+    p - c, and its norm, in the point's own units where either overflowed
+    or the squared norm underflowed (_offsets, _own_units), with no
+    warning, so a point outside a ball of radius below 2^-511 is not
+    taken in.
+
+    The tuple contains first tries the unfused sum s = v0 v0 + v1 v1
+    against lim = radius^2 (1 - 2^-40), set at construction, and takes
+    the point at once when s <= lim.  That verdict is the exact path's:
+    each of the three roundings in s is off by at most 2^-53 of its
+    value, or 2^-1075 below the normal floats, so the exact v0^2 + v1^2
+    is at most s (1 + 2^-51) + 2^-1073; the fused square rounds v0 v0 and
+    the sum, so it is at most the exact sum times (1 + 2^-51), plus
+    2^-1073; and lim is radius^2 (1 - 2^-40) rounded up at most twice.
+    Together the fused square is at most radius^2 (1 - 2^-40 + 2^-48) <
+    radius^2, so its rounded root is at most radius (a root below
+    _NORM_LO, which goes to the array form, is far inside).  lim is -1,
+    which no s passes, unless it is finite and at least 2^-900, so the
+    absolute 2^-1073 is far below the margin, and tiny and huge radii
+    always take the exact path.
     """
     c = _frozen(np.atleast_1d(np.asarray(center, dtype=float)))
     if np.isnan(c).any():
@@ -572,6 +631,9 @@ def ball(center, radius: float) -> DomainSet:
         raise ArgumentError(f"ball radius must be > 0, got {radius}")
     centred = not c.any()
     c_floats = tuple(c.tolist())
+    lim = radius * radius * (1.0 - 2.0 ** -40)
+    if not 2.0 ** -900 <= lim < math.inf:
+        lim = -1.0
 
     def in_units(p: Point) -> tuple[Point, float, float]:
         """p - c, its norm, and the unit both are taken in: that of p - c
@@ -582,32 +644,43 @@ def ball(center, radius: float) -> DomainSet:
 
     def norm(p: Point) -> float:
         """||p - c|| of a point array: one dot product unless it, or the
-        difference, overflowed; inf only past the largest float."""
+        difference, overflowed, or its square underflowed; inf only past
+        the largest float."""
         with np.errstate(over="ignore"):
             r = _euclidean_norm(p if centred else p - c)
-        if r < math.inf:
+        if _NORM_LO <= r < math.inf:
             return r
         _, r, unit = in_units(p)
         return r * unit
 
+    def tuple_norm(p: tuple) -> float:
+        """||p - c|| of a point given as a tuple of floats: the root of
+        the fused dot product, or norm's where that overflowed or
+        underflowed."""
+        v0, v1 = p
+        if not centred:
+            c0, c1 = c_floats
+            v0, v1 = v0 - c0, v1 - c1
+        r = math.sqrt(_fsq(v1, v0 * v0))
+        return r if _NORM_LO <= r < math.inf else norm(np.array(p))
+
     def contains(p: Point | tuple) -> bool:
         if p.__class__ is tuple:
-            # the hottest leaf of the inner solves: _euclidean_norm written
+            # the hottest leaf of the inner solves: the pre-test, written
             # out on the floats
             v0, v1 = p
             if not centred:
                 c0, c1 = c_floats
                 v0, v1 = v0 - c0, v1 - c1
-            r = math.sqrt(_fma(v1, v1, v0 * v0))
-            return r <= radius or r == math.inf and \
-                norm(np.array(p)) <= radius
+            return v0 * v0 + v1 * v1 <= lim or tuple_norm(p) <= radius
         return norm(p) <= radius
 
     def interior(p: Point) -> bool:
         return norm(p) < radius
 
-    def bdist(p: Point) -> float:
-        return max(0.0, radius - norm(p))
+    def bdist(p: Point | tuple) -> float:
+        return max(0.0, radius - (tuple_norm(p) if p.__class__ is tuple
+                                  else norm(p)))
 
     def contains_rows(rows: np.ndarray) -> np.ndarray:
         v, unit = _offsets(rows, c)
@@ -640,7 +713,7 @@ def ball(center, radius: float) -> DomainSet:
             v = p - c
             r = _euclidean_norm(v)
         unit = 1.0
-        if r == math.inf:
+        if not _NORM_LO <= r < math.inf:
             v, r, unit = in_units(p)
         if r == 0.0:
             out = np.array(c)
@@ -678,16 +751,18 @@ class MappingInstance:
     ``x @ A.T + b`` rather than ``A @ x + b``, and its batched rows may
     differ from the single-row images in the last bits.
 
-    float_points is the promise of a map that apply, domain.contains and
-    space.distance also take a point in its float form (_float_form): in
-    one dimension the coordinate's Python float, which domain.project
-    takes too, apply then returning the image's float and project the
-    projected (1,) point; in two dimensions the tuple of the coordinates'
-    floats, apply then returning the image's tuple, its 2-term dots
-    rounded once as _fma rounds them.  solve_fixed_point, orbit_exact and
-    solve_at_t then step the map on the float form, through those
-    callables, and so does orbit_inexact in one dimension; what they
-    return or raise holds point arrays, with the bits of the array steps
+    float_points is the promise of a map that apply, domain.contains,
+    domain.boundary_distance, space.distance and space.norm also take a
+    point in its float form (_float_form): in one dimension the
+    coordinate's Python float, which domain.project takes too, apply then
+    returning the image's float and project the projected (1,) point; in
+    two dimensions the tuple of the coordinates' floats, apply then
+    returning the image's tuple, its 2-term dots rounded once as _fma
+    rounds them.  solve_fixed_point, orbit_exact and solve_at_t then step
+    the map on the float form, through those callables, and so does
+    orbit_inexact in one dimension; the path drives take ||T x|| on it,
+    and trace_path each path point's boundary distance; what they return
+    or raise holds point arrays, with the bits of the array steps
     (in two dimensions, where the OpenBLAS kernel fuses a 2-term dot as
     the default one does).  The gallery's one-coordinate maps
     (gallery._one_coordinate) and planar-rotation promise it.  It is

@@ -40,7 +40,8 @@ multiply-add: coordinate j of x.dot(R^T) is fma(x0, R[j, 0],
 x1 * R[j, 1]), and x.dot(x) is fma(x1, x1, x0 * x0), each in 5,000 of
 5,000 normal draws, checked exactly with fractions.  Its float form
 computes exactly that on Python floats (core._fma, an error-free product
-added up by math.fsum), so planar-rotation also declares float_points:
+added up by math.fsum, with R's first column split once when the map is
+built and x0 once per step), so planar-rotation also declares float_points:
 the inner solves of the continuation step it on a tuple of two floats,
 through the same apply, ball membership and Euclidean distance, with the
 bits of its array steps on such a kernel, and with the same bits on any
@@ -60,7 +61,8 @@ import numpy as np
 
 from .core import (DomainSet, MappingInstance, Modulus, Point, ball, box,
                    constant_modulus, euclidean, halfline, _fma, _frozen,
-                   _row_norms, nonexpansive_modulus, rational_decay_modulus)
+                   _halves, _row_norms, _SPLIT_HI2, _SPLIT_LO2, _SPLITTER,
+                   nonexpansive_modulus, rational_decay_modulus)
 from .errors import ArgumentError, UnknownMapError
 
 
@@ -168,11 +170,26 @@ def _build_planar_rotation(theta: float, bx: float, by: float,
     Rt = R.T
     (r00, r01), (r10, r11) = R.tolist()
     b0, b1 = b.tolist()
+    # the halves of x0's factors, split once here: _fma(x0, rj0, c) is the
+    # fsum of the four products of x0's halves and rj0's, and c
+    col = _halves(r00), _halves(r10)
+    split = None not in col
+    (h00, l00), (h10, l10) = col if split else ((0.0, 0.0), (0.0, 0.0))
+    fsum = math.fsum
 
     def apply(x: Point | tuple) -> Point | tuple:
         if x.__class__ is tuple:
-            # the float form: the fused dot products of x.dot(Rt)
+            # the float form: the fused dot products of x.dot(Rt), x0
+            # split once for both (where _fma would split it)
             x0, x1 = x
+            if split and _SPLIT_LO2 < x0 * x0 < _SPLIT_HI2:
+                sp = _SPLITTER * x0
+                h = sp - (sp - x0)
+                l = x0 - h
+                return (fsum((h * h00, h * l00, l * h00, l * l00,
+                              x1 * r01)) + b0,
+                        fsum((h * h10, h * l10, l * h10, l * l10,
+                              x1 * r11)) + b1)
             return (_fma(x0, r00, x1 * r01) + b0,
                     _fma(x0, r10, x1 * r11) + b1)
         # x R^T, unlike R x, also maps an (m, 2) array row by row;

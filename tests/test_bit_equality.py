@@ -174,24 +174,22 @@ def test_dot_forms_on_a_reversed_view_equal_its_contiguous_copy(v):
 def _matmul_ball(c: np.ndarray, radius: float):
     """Frozen copies of ball's point contains, interior_contains and
     boundary_distance as they took the 1-D matmul norm of p - c for
-    every center."""
+    every center, or the own-units row form where that norm overflowed
+    or, below 2^-511, underflowed."""
     def norm(p):
-        return _matmul_norm(p - c)
-
-    def far_norm(p):
+        r = _matmul_norm(p - c)
+        if 2.0 ** -511 <= r < math.inf:
+            return r
         return float(_row_norms_safe((p - c)[None])[0])
 
     def contains(p):
-        r = norm(p)
-        return r <= radius or r == math.inf and far_norm(p) <= radius
+        return norm(p) <= radius
 
     def interior(p):
-        r = norm(p)
-        return r < radius or r == math.inf and far_norm(p) < radius
+        return norm(p) < radius
 
     def bdist(p):
-        r = norm(p)
-        return max(0.0, radius - (r if r < math.inf else far_norm(p)))
+        return max(0.0, radius - norm(p))
 
     return contains, interior, bdist
 
@@ -235,6 +233,8 @@ def _ball_cases(draw):
 @example((np.array([math.inf, -0.0, 5e-324]), np.array([-0.0] * 3), 1.0),
          None)
 @example((np.array([0.6, 0.8]), np.zeros(2), 1.0), None)   # on the sphere
+# |p|^2 underflows to 0: the own-units norm puts p 2.2e-308 from the center
+@example((np.array([2.2250738585072014e-308]), np.zeros(1), 1e-300), None)
 def test_ball_point_predicates_equal_the_matmul_forms(case, rel):
     # rel, when given, puts the radius at that multiple of |p - c|, where
     # the last bit of the norm decides membership and shows in the
@@ -304,24 +304,29 @@ _CENTERS = st.one_of(
          (-math.inf, 0.0), (1.0, 0.0))
 def test_2d_float_forms_equal_the_array_point_forms(theta, bx, by, center,
                                                     radius, p, q, near):
-    # planar-rotation's apply, the ball's contains and euclidean(2)'s
-    # distance on tuples of floats against the same calls on (2,) arrays,
-    # whose 2-term dots the default OpenBLAS kernel fuses; near is a point
-    # within 1.5 radii of the center, where membership turns
+    # planar-rotation's apply, the ball's contains and boundary_distance
+    # and euclidean(2)'s distance and norm on tuples of floats against the
+    # same calls on (2,) arrays, whose 2-term dots the default OpenBLAS
+    # kernel fuses; near is a point within 1.5 radii of the center, where
+    # membership turns
     apply = make_map("planar-rotation", theta=theta, bx=bx, by=by,
                      radius=1e6).mapping.apply
     dom = ball(center, radius)
-    distance = euclidean(2).distance
+    distance, norm = euclidean(2).distance, euclidean(2).norm
     near = tuple((np.array(center) + radius * np.array(near)).tolist())
     for u in (p, q, near):
         x = np.array(u)
         with np.errstate(all="ignore"):
             want = apply(x).tolist()
             inside = dom.contains(x)
+            bd = dom.boundary_distance(x)
+            nx = norm(x)
         got = apply(u)
         assert type(got) is tuple
         assert all(map(_same_float, got, want))
         assert dom.contains(u) == inside
+        assert _same_float(dom.boundary_distance(u), bd)
+        assert _same_float(norm(u), nx)
     with np.errstate(all="ignore"):
         want = distance(np.array(p), np.array(q))
     assert _same_float(distance(p, q), want)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -375,6 +379,47 @@ def test_trace_rotation_matches_linear_solve():
     for e in path.entries:
         want = entry.known_path(e.t)
         assert np.linalg.norm(e.x - want) <= 1e-10
+
+
+# twelve random rotation traces to t = 0.9, each printed as the sha256 of
+# its path.csv; with the outer loop on arrays, 7 of them gave other bytes
+# under Prescott and Haswell than under the default kernel
+_TRACES = """
+import hashlib, random
+from fixpoint.continuation import PathConfig, path_csv, trace_path
+from fixpoint.gallery import make_map
+rng = random.Random(7)
+for _ in range(12):
+    theta = rng.uniform(0.2, 6.0)
+    bx, by = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+    T = make_map("planar-rotation", theta=theta, bx=bx, by=by,
+                 radius=40.0).mapping
+    path = trace_path(T, PathConfig(q=0.99, inner_tol=1e-12))
+    print(hashlib.sha256("".join(path_csv(path)).encode()).hexdigest())
+"""
+
+
+def test_rotation_traces_give_the_same_bytes_on_every_blas_kernel():
+    # the inner solves and the outer loop (||T x||, the boundary distance)
+    # of a planar-rotation trace round on its float form, by core._fma,
+    # not by the OpenBLAS kernel: Prescott has no fused multiply-add,
+    # Haswell has one but orders a 2-term dot its own way
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    hashes = {}
+    for core in (None, "Prescott", "Haswell"):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run([sys.executable, "-c", _TRACES], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        hashes[core] = proc.stdout.split()
+        assert len(hashes[core]) == 12
+    assert hashes["Prescott"] == hashes[None]
+    assert hashes["Haswell"] == hashes[None]
 
 
 def test_path_config_validation():

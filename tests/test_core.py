@@ -373,6 +373,38 @@ def test_ball_membership_survives_an_overflowing_offset(center, radius, p,
     assert d.boundary_distance(p) == pytest.approx(dist, rel=1e-12)
 
 
+@pytest.mark.parametrize("center,radius,p,inside,dist", [
+    # ||p - c||^2 underflows to 0 or a subnormal: outside, inside
+    ([0.0, 0.0], 1e-200, [2e-200, 0.0], False, 0.0),
+    ([0.0, 0.0], 1e-200, [3e-200, -4e-200], False, 0.0),
+    ([0.0, 0.0], 1e-200, [6e-201, 7e-201], True,
+     1e-200 - math.sqrt(85.0) * 1e-201),
+    ([1e-300, 0.0], 1e-200, [2.1e-200, 0.0], False, 0.0),
+    ([0.0, 0.0, 0.0], 1e-200, [1e-200, 1e-200, 0.0], False, 0.0),
+    ([0.0, 0.0], 1e-310, [2e-310, 0.0], False, 0.0),
+    ([0.0, 0.0], 1e-310, [0.5e-310, 0.0], True, 0.5e-310),
+    # the center itself
+    ([0.0, 0.0], 1e-200, [0.0, 0.0], True, 1e-200),
+])
+def test_ball_membership_survives_an_underflowing_norm(center, radius, p,
+                                                       inside, dist):
+    # the squared norm is taken in the point's own units, where it used to
+    # underflow and let a point up to about sqrt(2^-1074) from the center
+    # into any ball, in every form
+    d = ball(center, radius)
+    p = np.array(p)
+    assert d.contains(p) is inside
+    assert d.contains_rows(np.array([p, center])).tolist() == [inside, True]
+    assert d.interior_contains(p) is (inside and dist > 0.0)
+    assert d.boundary_distance(p) == pytest.approx(dist, rel=1e-12)
+    if len(p) == 2:
+        u = tuple(p.tolist())
+        assert d.contains(u) is inside
+        assert d.boundary_distance(u) == d.boundary_distance(p)
+    if inside:
+        assert np.array_equal(d.project(p), p)
+
+
 @pytest.mark.parametrize("center,radius,p", [
     ([0.0, 0.0], 1.0, [3.0, 4.0]),
     ([0.5, -0.5, 2.0], 3.0, [10.0, -7.0, 1e3]),
@@ -381,6 +413,10 @@ def test_ball_membership_survives_an_overflowing_offset(center, radius, p,
     ([1e308, -1e308], 1.5e308, [-1e308, 1e308]),
     # the radius is below an ulp of the center: c + v s rounds to c
     ([1.0, 1.0], 1e-150, [2.0, 2.0]),
+    # ||p - c||^2 underflows
+    ([0.0, 0.0], 1e-200, [2e-200, 0.0]),
+    ([0.0, 0.0], 1e-200, [3e-200, -4e-200]),
+    ([1e-300, -1e-300, 0.0], 1e-250, [1e-249, 1e-251, -3e-250]),
 ])
 def test_ball_projection_lands_inside_in_exact_arithmetic(center, radius, p):
     d = ball(center, radius)

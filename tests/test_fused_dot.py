@@ -1,5 +1,7 @@
-"""core._fma, the fused 2-term dot product of the float forms, against an
-oracle that needs no BLAS kernel.
+"""core._fma, the fused 2-term dot product of the float forms, and the
+forms that split a factor once (core._fsq, planar-rotation's tuple apply,
+the ball's pre-tested tuple contains), against an oracle that needs no
+BLAS kernel.
 
 a * b + c rounded once is float(Fraction(a) * Fraction(b) + Fraction(c))
 for finite arguments, an infinity of its sign past the largest float, and
@@ -15,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import example, given, strategies as st
 
-from fixpoint.core import _fma
+from fixpoint.core import _fma, _fsq, ball
+from fixpoint.gallery import _build_planar_rotation
 
 _EDGE = 2.0 ** 480
 
@@ -120,3 +123,97 @@ def test_fma_of_a_nan_or_an_infinity_follows_ieee(a, b, c):
         with np.errstate(all="ignore"):
             dot = float(np.array([c, a]).dot(np.array([1.0, b])))
         assert _same(got, dot)
+
+
+@given(_ANY, _ANY)
+@example(-0.0, -0.0)
+@example(_EDGE, -1.7976931348623157e308)
+@example(1.0 / _EDGE, 0.0)
+@example(0.1, -0.010000000000000002)
+def test_fsq_equals_the_exact_rounding(v, c):
+    assert _same(_fsq(v, c), _fused(v, v, c))
+
+
+@given(_FINITE, st.floats(-1.0, 1.0))
+def test_fsq_rounds_once_where_c_cancels_the_square(v, u):
+    c = -(v * v) * (1.0 + u * 2.0 ** -40)
+    if math.isfinite(c):
+        assert _same(_fsq(v, c), _fused(v, v, c))
+
+
+# angles in the gallery's range; ones whose sine lies below the split's
+# range (5e-324 to 2^-481), where R[1, 0] is not split and _fma takes
+# over; and ones whose sine or cosine is a rounding remainder near 1e-16
+_THETA = st.one_of(st.floats(0.1, 2.0 * math.pi - 0.1),
+                   st.sampled_from([5e-324, 1e-300, 2.0 ** -481, 1e-140,
+                                    math.pi, math.pi / 2.0,
+                                    1.5 * math.pi]))
+
+
+@given(_THETA, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+       st.one_of(_FINITE, _ANY), st.one_of(_FINITE, _ANY))
+@example(0.7, 1.0, 0.5, 0.0, 1.0)       # x0 = 0: the path's start
+@example(0.7, 1.0, 0.5, -0.0, -0.0)
+@example(0.7, 0.0, 0.0, 5e-324, 3.0)    # a subnormal x0
+@example(0.7, 0.0, 0.0, 2.0 ** 600, 2.0 ** 600)
+@example(0.7, 0.0, 0.0, math.nan, 1.0)
+@example(0.7, 0.0, 0.0, 1.0, -math.inf)
+@example(1e-300, 3.0, -2.0, 1.5, 2.5)   # R[1, 0] below the split
+def test_rotation_tuple_apply_rounds_each_dot_once(theta, bx, by, x0, x1):
+    # coordinate j of x R^T + b is fma(x0, R[j, 0], x1 R[j, 1]) + b_j,
+    # with x0 split once for both coordinates and R's column at build time
+    apply = _build_planar_rotation(theta, bx, by, math.inf)[0].apply
+    c, s = math.cos(theta), math.sin(theta)
+    got = apply((x0, x1))
+    assert type(got) is tuple
+    assert _same(got[0], _fused(x0, c, x1 * -s) + bx)
+    assert _same(got[1], _fused(x0, s, x1 * c) + by)
+
+
+def _nudged(v: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+# radii from 2^-600 to 2^600, across the pre-test's window [2^-450, 2^511)
+_RADII = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                   st.integers(-600, 600))
+_ULPS = st.integers(-4, 4)
+
+
+@given(_RADII, st.floats(0.0, 2.0 * math.pi), _ULPS, _ULPS,
+       st.one_of(st.just((0.0, 0.0)), st.just((-0.0, 0.0)),
+                 st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
+@example(1.0, 0.0, 0, 0, (0.0, 0.0))
+@example(2.0 ** -450, 0.5, 1, -1, (0.0, 0.0))   # the window's edges
+@example(math.ldexp(0.75, 511), 2.0, -1, 0, (0.0, 0.0))
+@example(2.0 ** -520, 1.0, 2, 2, (1.0, -1.0))   # the norm underflows
+def test_pre_tested_contains_equals_the_fused_predicate(radius, angle, k0,
+                                                        k1, off):
+    # a point within a few ulps of the sphere, about a center of zeros or
+    # one up to three radii off; the pre-test may only take a point that
+    # sqrt(fma(v1, v1, v0 v0)) <= radius takes, so the verdict is that
+    # predicate's, or the array form's where that root overflowed or
+    # underflowed below 2^-511, as before the pre-test
+    center = (off[0] * radius, off[1] * radius) if any(off) else off
+    p = (_nudged(center[0] + radius * math.cos(angle), k0),
+         _nudged(center[1] + radius * math.sin(angle), k1))
+    d = ball(center, radius)
+    v0, v1 = p[0] - center[0], p[1] - center[1]
+    r = math.sqrt(_fused(v1, v1, v0 * v0))
+    if 2.0 ** -511 <= r < math.inf:
+        assert d.contains(p) is (r <= radius)
+    else:
+        assert d.contains(p) is d.contains(np.array(p))
+
+
+def test_contains_refuses_a_point_the_unfused_sum_would_take():
+    # v0 v0 + v1 v1 rounds to radius^2 or below, yet the fused square's
+    # root is above the radius: a pre-test with no margin would take it
+    radius = 1.7893803484912232
+    p = (0.013748755781528944, 1.7893275282298184)
+    v0, v1 = p
+    assert v0 * v0 + v1 * v1 <= radius * radius
+    assert math.sqrt(_fused(v1, v1, v0 * v0)) > radius
+    assert ball([0.0, 0.0], radius).contains(p) is False
