@@ -144,6 +144,41 @@ def _fsq(v: float, c: float) -> float:
     return _fma(v, v, c)
 
 
+def _far(tol: float) -> Callable[[tuple, tuple], bool] | None:
+    """The residual pre-test of the two-coordinate float drive: far(x, y)
+    on two tuples of floats is True only where euclidean(2).distance(x, y)
+    is above tol, so the drive can step on without that fused distance.
+    None where tol has no pre-test.
+
+    far computes the unfused s = v0 v0 + v1 v1 of v = x - y, the v that
+    distance takes, and says far when lim < s < inf, with
+    lim = tol^2 (1 + 2^-40).  Each of the three roundings in s is off by
+    at most 2^-53 of its value, or 2^-1075 below the normal floats, so the
+    exact v0^2 + v1^2 is at least s / (1 + 2^-53)^2 - 2^-1074; the fused
+    square rounds v0 v0 and the sum, so it is at least the exact sum times
+    (1 - 2^-53)^2, less 2^-1074; and lim is tol^2 (1 + 2^-40) rounded at
+    most twice.  Together the fused square is at least
+    tol^2 (1 + 2^-40 - 2^-50) - 2^-1073 > tol^2 (1 + 2^-41), whose
+    rounded root is at least the float after tol.  There is no pre-test
+    unless lim is finite and at least 2^-900, so the absolute 2^-1073 is
+    far below the margin, and the root is far above _NORM_LO, where
+    distance would renorm.  A finite s makes v, and so y, finite: the exact
+    path, given that distance, steps on as well (to an inf residual only
+    where the fused square alone overflows, which it does not refuse).
+    """
+    lim = tol * tol * (1.0 + 2.0 ** -40)
+    if not 2.0 ** -900 <= lim < math.inf:
+        return None
+    inf = math.inf
+
+    def far(x: tuple, y: tuple) -> bool:
+        (x0, x1), (y0, y1) = x, y
+        v0, v1 = x0 - y0, x1 - y1
+        return lim < v0 * v0 + v1 * v1 < inf
+
+    return far
+
+
 # ---------------------------------------------------------------------------
 # spaces
 
@@ -152,6 +187,9 @@ def _fsq(v: float, c: float) -> float:
 class Space:
     """R^dimension under a norm; distance(x, y) is norm(x - y).
 
+    kind names the norm, "euclidean" or "max" for the spaces euclidean
+    and max_norm build; a euclidean space's forms take the float form of
+    a point (see MappingInstance.float_points).
     rowwise_distance maps two (m, dimension) arrays (or one array and a
     broadcastable single point) to the m distances between corresponding
     rows; batch routines use it to avoid Python-level loops.  Each
@@ -160,6 +198,7 @@ class Space:
     on a view with a negative stride the last bit can differ.
     """
 
+    kind: str
     dimension: int
     distance: Callable[[Point, Point], float]
     rowwise_distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -224,73 +263,115 @@ def _row_norms_safe(rows: np.ndarray) -> np.ndarray:
         return r * unit
 
 
-def _normed_space(dimension: int, norm: Callable[[Point], float],
+def _normed_space(kind: str, dimension: int,
+                  norm: Callable[[Point], float],
                   row_norms: Callable[[np.ndarray], np.ndarray],
                   distance: Callable[[Point, Point], float] | None = None
                   ) -> Space:
     """The space of a point norm and its row form, which must agree bit
     for bit on every row; distance, when given, must equal norm(x - y)
     bit for bit."""
-    return Space(dimension=dimension,
+    return Space(kind=kind, dimension=dimension,
                  distance=distance or (lambda x, y: norm(x - y)),
                  rowwise_distance=lambda a, b: row_norms(a - b),
                  norm=norm)
 
 
+def _small_norm(v: Point) -> float:
+    """The Euclidean norm of a finite point whose squared norm fell below
+    the normal floats, taken in its own units as _own_units takes a row:
+    0 only for a point of zeros."""
+    top = float(np.abs(v).max())
+    if not top:
+        return 0.0
+    unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    return _euclidean_norm(v / unit) * unit
+
+
+def _small_pair_norm(v0: float, v1: float) -> float:
+    """_small_norm of the point (v0, v1) on its floats, the squared norm
+    in its units fused as _fsq rounds it."""
+    top = max(abs(v0), abs(v1))
+    if not top:
+        return 0.0
+    unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    w0, w1 = v0 / unit, v1 / unit
+    return math.sqrt(_fsq(w1, w0 * w0)) * unit
+
+
+def _row_norms_fine(rows: np.ndarray) -> np.ndarray:
+    """_row_norms, with every row whose norm fell below _NORM_LO normed
+    again as _small_norm norms it, so a row's norm is 0 only for a row of
+    zeros; each equals _small_norm or _euclidean_norm on the row alone
+    where _row_norms does."""
+    r = _row_norms(rows)
+    small = np.flatnonzero(r < _NORM_LO)
+    if small.size:
+        top = np.abs(rows[small]).max(axis=1)
+        unit = np.ldexp(1.0, np.frexp(top)[1] - 1)
+        r[small] = _row_norms(rows[small] / unit[:, None]) * unit
+    return r
+
+
 def euclidean(dimension: int) -> Space:
     """Euclidean space of the given dimension.
 
-    In one dimension distance and norm work on the Python floats that
-    .item() reads, and both also take a point given as that float
-    (see MappingInstance.float_points): s * s then sqrt is the same IEEE
-    product and root as v @ v then sqrt on a 1-element array, so they
-    equal the array form bit for bit at a fraction of its cost (the space
-    counterpart of box's 1-D fast path).  The row form is the same square
-    and root on the rows' one column, half the cost of _row_norms' stacked
-    matmul, whose 1 x 1 product is that square.
+    In one dimension distance and norm are the abs of the Python floats
+    that .item() reads, and both also take a point given as that float
+    (see MappingInstance.float_points); the row form is np.abs of the
+    rows' one column.  abs(s) is also sqrt(s * s) rounded wherever s * s
+    is a normal float (Boldo, "Stupid is as stupid does: taking the square
+    root of the square of a floating-point number", ENTCS 317, 2015), and
+    unlike it neither underflows to 0 nor overflows to inf.
     In higher dimensions distance is _euclidean_norm written out on
     x - y, which saves the call through norm on the hottest leaf.  In two
     dimensions norm and distance also take points given as tuples of
     floats (see MappingInstance.float_points), whose squared norm is the
     fused dot product that the default OpenBLAS kernel gives on the
     array, _fsq(v1, v0 * v0): _fma(v1, v1, v0 * v0) with v1 split once.
+    A norm or distance below _NORM_LO, where the squared norm fell below
+    the normal floats, is taken again in the difference's own units
+    (_small_norm, _small_pair_norm and _row_norms_fine), so it is 0 only
+    between equal points; one whose square overflows is inf.
     """
     if dimension != 1:
         def norm(v: Point | tuple) -> float:
             if v.__class__ is tuple:
                 v0, v1 = v
-                return math.sqrt(_fsq(v1, v0 * v0))
-            return _euclidean_norm(v)
+                r = math.sqrt(_fsq(v1, v0 * v0))
+                return _small_pair_norm(v0, v1) if r < _NORM_LO else r
+            r = _euclidean_norm(v)
+            return _small_norm(v) if r < _NORM_LO else r
 
         def distance(x: Point | tuple, y: Point | tuple) -> float:
             if x.__class__ is tuple:
                 (x0, x1), (y0, y1) = x, y
                 v0, v1 = x0 - y0, x1 - y1
-                return math.sqrt(_fsq(v1, v0 * v0))
+                r = math.sqrt(_fsq(v1, v0 * v0))
+                return _small_pair_norm(v0, v1) if r < _NORM_LO else r
             v = x - y
-            return math.sqrt(v.dot(v))
+            r = math.sqrt(v.dot(v))
+            return _small_norm(v) if r < _NORM_LO else r
 
-        return _normed_space(dimension, norm, _row_norms, distance)
+        return _normed_space("euclidean", dimension, norm, _row_norms_fine,
+                             distance)
 
     def norm(v: Point | float) -> float:
-        s = v if v.__class__ is float else v.item()
-        return math.sqrt(s * s)
+        return abs(v if v.__class__ is float else v.item())
 
     def distance(x: Point | float, y: Point | float) -> float:
-        s = ((x if x.__class__ is float else x.item())
-             - (y if y.__class__ is float else y.item()))
-        return math.sqrt(s * s)
+        return abs((x if x.__class__ is float else x.item())
+                   - (y if y.__class__ is float else y.item()))
 
     def row_norms(rows: np.ndarray) -> np.ndarray:
-        v = rows[:, 0]
-        return np.sqrt(v * v)
+        return np.abs(rows[:, 0])
 
-    return _normed_space(1, norm, row_norms, distance)
+    return _normed_space("euclidean", 1, norm, row_norms, distance)
 
 
 def max_norm(dimension: int) -> Space:
     """R^dimension under the max (sup) norm."""
-    return _normed_space(dimension,
+    return _normed_space("max", dimension,
                          lambda v: float(np.max(np.abs(v))),
                          lambda rows: np.max(np.abs(rows), axis=1))
 
@@ -767,8 +848,9 @@ class MappingInstance:
     the default one does).  The gallery's one-coordinate maps
     (gallery._one_coordinate) and planar-rotation promise it.  It is
     refused with ArgumentError on any domain but a one-coordinate box (a
-    halfline among them) or a two-coordinate ball, the ones whose point
-    forms take the float form.
+    halfline among them) or a two-coordinate ball, and in any space but
+    a euclidean one, the ones whose point forms take the float form; so
+    a tuple point is always a euclidean(2) point.
 
     The declared modulus is a claim, not a certificate; audit it with
     :func:`verify_contractive` on the pairs you care about.
@@ -793,6 +875,10 @@ class MappingInstance:
                 f"float_points needs a one-coordinate box or a "
                 f"two-coordinate ball; the {d.kind} domain has dimension "
                 f"{d.dimension}")
+        if self.float_points and self.space.kind != "euclidean":
+            raise ArgumentError(
+                f"float_points needs a euclidean space; the "
+                f"{self.space.kind} space's forms take no float form")
 
 
 # a batched apply is checked against single-row applies on this many of

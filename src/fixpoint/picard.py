@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (Modulus, MappingInstance, Point, as_point, _apply_rows,
-                   _float_form, _frozen, _non_finite, _refuse_non_finite)
+                   _far, _float_form, _frozen, _non_finite, _refuse_non_finite)
 from .errors import (ArgumentError, ConvergenceError, DomainError,
                      NonFiniteError, NonRakotchError, NonselfExitError)
 
@@ -119,12 +119,20 @@ def _iterate(step, x: Point | float | tuple, contains, n: int, dist=None,
     image of apply i in row i + 1.  A non-finite image raises
     NonFiniteError when its residual is not finite or when it lies
     outside (NaN fails every membership test); a residual that overflows
-    between finite points only means not converged."""
+    between finite points only means not converged.
+
+    On a tuple x with dist (a euclidean(2) point, see
+    MappingInstance.float_points) a step that core._far says is far from
+    converged skips dist, whose verdict would be the same; the residual
+    of every _Run is still dist of its last pair."""
     isfinite = math.isfinite
+    far = _far(tol) if dist is not None and x.__class__ is tuple else None
     r = math.inf
     for i in range(n):
         y = step(x)
-        if dist is not None:
+        if far is not None and far(x, y):
+            r, last = None, x
+        elif dist is not None:
             r = dist(x, y)
             if r <= tol:
                 return _Run(x, i, r, None)
@@ -135,9 +143,9 @@ def _iterate(step, x: Point | float | tuple, contains, n: int, dist=None,
         if not contains(y):
             if not np.all(np.isfinite(y)):
                 raise _non_finite(y, x)
-            return _Run(x, i, r, y)
+            return _Run(x, i, dist(x, y) if r is None else r, y)
         x = y
-    return _Run(x, n, r, None)
+    return _Run(x, n, dist(last, x) if r is None else r, None)
 
 
 def _ball_noise(noise_seed: int, n: int, d: int, delta: float) -> np.ndarray:

@@ -37,6 +37,10 @@
   forms, and its float drive against its array drive; these hold on an
   OpenBLAS kernel that fuses a 2-term dot (the default one; see
   core._fma, tested against exact rationals in test_fused_dot.py);
+* solve_at_t's two-coordinate inner solves, which skip the distance of a
+  step that core._far calls far, against a frozen copy of the _iterate
+  that took it on every step: solutions, residuals, step counts and
+  error payloads;
 * _ball_noise's one-coordinate form against a frozen copy of its general
   form, signed zeros included.
 """
@@ -63,12 +67,13 @@ from fixpoint.errors import (ArgumentError, ConvergenceError, DomainError,
                              DomainExitError, FixpointError, NonFiniteError,
                              NonselfExitError)
 from fixpoint.gallery import list_maps, make_map
-from fixpoint.picard import (Orbit, _CSV_CHUNK, _ball_noise, _iterate,
-                             _perturbed_steps, _start, orbit_csv, orbit_exact,
-                             orbit_inexact, solve_fixed_point)
+from fixpoint.picard import (Orbit, _CSV_CHUNK, _Run, _ball_noise,
+                             _iterate, _perturbed_steps, _start, orbit_csv,
+                             orbit_exact, orbit_inexact, solve_fixed_point)
 
 _DOUBLES = st.floats(allow_nan=True, allow_infinity=True,
                      allow_subnormal=True)
+_TINY = 2.2250738585072014e-308     # the least normal float
 
 
 def _same_float(a: float, b: float) -> bool:
@@ -93,17 +98,24 @@ def _same_float(a: float, b: float) -> bool:
 @example(-math.inf, 1.0)
 @example(math.nan, 1.0)
 def test_euclidean_1d_scalar_forms_equal_the_array_forms(a, b):
+    # every form is abs of the difference's float; where that is 0 or its
+    # square a normal float, that is the root of the square that v @ v gave
+    # (Boldo, ENTCS 317, 2015), and elsewhere it neither underflows to 0
+    # nor overflows to inf as that root did
     space = euclidean(1)
     x, y = np.array([a]), np.array([b])
     with np.errstate(all="ignore"):
-        want = _euclidean_norm(x - y)
         rows = space.rowwise_distance(x[None], y[None])
-        want_norm = _euclidean_norm(x)
-    got = space.distance(x, y)
-    assert type(got) is float and _same_float(got, want)
-    assert _same_float(float(rows[0]), want)
-    got_norm = space.norm(x)
-    assert type(got_norm) is float and _same_float(got_norm, want_norm)
+        old, old_norm = _euclidean_norm(x - y), _euclidean_norm(x)
+    s = a - b
+    for got, want, was, v in ((space.distance(x, y), abs(s), old, s),
+                              (space.distance(a, b), abs(s), old, s),
+                              (float(rows[0]), abs(s), old, s),
+                              (space.norm(x), abs(a), old_norm, a),
+                              (space.norm(a), abs(a), old_norm, a)):
+        assert type(got) is float and _same_float(got, want)
+        if v == 0.0 or _TINY <= v * v < math.inf:
+            assert _same_float(got, was)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +149,18 @@ def _matmul_norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
+def _matmul_space_norm(v: np.ndarray) -> float:
+    """_matmul_norm, taken again in v's own units (v over the power of two
+    at its largest magnitude) where it fell below 2^-511, as euclidean(d)
+    takes a norm whose square fell below the normal floats."""
+    r = _matmul_norm(v)
+    if not r < 2.0 ** -511:
+        return r
+    top = float(np.max(np.abs(v)))
+    unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    return _matmul_norm(v / unit) * unit
+
+
 @given(_DIM_POINTS)
 @example((np.array([1e154, 1e154]), np.zeros(2)))
 @example((np.array([5e-324, -5e-324, 0.0]), np.array([-0.0, 0.0, 1e-320])))
@@ -151,9 +175,11 @@ def test_dot_norm_and_distance_equal_the_matmul_forms(xy):
             assert _same_float(got, _matmul_norm(v))
             assert _same_float(got, float(_row_norms(v[None])[0]))
         got = space.distance(x, y)
-        want = _matmul_norm(x - y)
-        assert _same_float(space.norm(x), _matmul_norm(x))
+        want = _matmul_space_norm(x - y)
+        assert _same_float(space.norm(x), _matmul_space_norm(x))
+        rows = space.rowwise_distance(x[None], y[None])
     assert type(got) is float and _same_float(got, want)
+    assert _same_float(float(rows[0]), want)
 
 
 @given(st.integers(2, 5).flatmap(lambda d: _points(d, reversed_=True)))
@@ -1035,15 +1061,19 @@ def test_euclidean_1d_row_form_equals_the_matmul_and_point_forms(rows, data):
         hnp.arrays(np.float64, (1,), elements=_DOUBLES)), label="other")
     with np.errstate(all="ignore"):
         got = space.rowwise_distance(rows, other)
-        assert got.tobytes() == _row_norms(rows - other).tobytes()
+        v = (rows - other)[:, 0]
+        assert got.tobytes() == np.abs(v).tobytes()
+        # the stacked matmul's root of the square, where v is 0 or its
+        # square a normal float (see the scalar forms above)
+        sq = v * v
+        kept = (v == 0.0) | ((sq >= _TINY) & (sq < math.inf))
+        assert got[kept].tobytes() == _row_norms(rows - other)[kept].tobytes()
     pairs = zip(rows, other if other.ndim == 2 else [other] * len(rows))
     for g, (x, y) in zip(got.tolist(), pairs):
         assert _same_float(g, space.distance(x, y))
-        # the frozen float(p[0]) forms of distance and norm
-        s = float(x[0]) - float(y[0])
-        assert _same_float(space.distance(x, y), math.sqrt(s * s))
-        s = float(x[0])
-        assert _same_float(space.norm(x), math.sqrt(s * s))
+        assert _same_float(space.distance(x, y),
+                           abs(float(x[0]) - float(y[0])))
+        assert _same_float(space.norm(x), abs(float(x[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -1308,6 +1338,97 @@ def test_float_drive_in_two_dimensions_reaches_every_outcome():
         kinds.add(got[0] if isinstance(got[0], type) else "returned")
     assert kinds == {"returned", DomainExitError, ConvergenceError,
                      NonselfExitError, DomainError}
+
+
+def _frozen_iterate(step, x, contains, n: int, dist=None, tol: float = 0.0,
+                    out=None) -> _Run:
+    """Frozen copy of picard._iterate as it took dist on every step."""
+    r = math.inf
+    for i in range(n):
+        y = step(x)
+        if dist is not None:
+            r = dist(x, y)
+            if r <= tol:
+                return _Run(x, i, r, None)
+            if not math.isfinite(r) and not np.all(np.isfinite(y)):
+                raise _non_finite(y, x)
+        if out is not None:
+            out[i + 1] = y
+        if not contains(y):
+            if not np.all(np.isfinite(y)):
+                raise _non_finite(y, x)
+            return _Run(x, i, r, y)
+        x = y
+    return _Run(x, n, r, None)
+
+
+def _solve_at_t_on(kernel, T, *args):
+    """solve_at_t(T, *args) as _drive gives it, with kernel in place of
+    _iterate, and the bits of every _Run the kernel returned: its last
+    point, step count, residual and image outside."""
+    runs = []
+
+    def recording(*a):
+        runs.append(kernel(*a))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "_iterate", recording)
+        return _drive(solve_at_t, T, *args), [_bits(tuple(r)) for r in runs]
+
+
+def _doubling() -> MappingInstance:
+    """x0 -> 2 x0 on a disk of the largest radius: from (1, 0) its scaled
+    iterates step far from converged until they pass the largest float."""
+    def apply(x):
+        if x.__class__ is tuple:
+            return 2.0 * x[0], x[1]
+        return x * np.array([2.0, 1.0])
+    return MappingInstance(apply=apply,
+                           declared_modulus=nonexpansive_modulus(),
+                           domain=ball([0.0, 0.0], _MAX), space=euclidean(2),
+                           float_points=True)
+
+
+@given(theta=st.floats(0.1, 2.0 * math.pi - 0.1),
+       b=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       spare=st.floats(0.0, 3.0), angle=st.floats(0.0, 2.0 * math.pi),
+       frac=st.floats(0.0, 1.0), t=st.floats(0.0, 0.999),
+       tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2, 1e-300]),
+       budget=st.sampled_from([1, 5, 200, 5000]))
+def test_pre_tested_inner_solves_equal_the_frozen_kernel(theta, b, spare,
+                                                         angle, frac, t,
+                                                         tol, budget):
+    # planar-rotation with drawn parameters on a disk from twice its path
+    # reach (the least the map takes) to five times, from a warm start
+    # anywhere in it; 1e-300 has no pre-test, the small budgets end in
+    # ConvergenceError, and a warm start near the rim can end in
+    # DomainExitError (the next test pins one of each outcome)
+    smin = abs(math.sin(theta)) if math.cos(theta) > 0.0 else 1.0
+    radius = (2.0 + spare) * math.hypot(*b) / smin + 1.0
+    T = make_map("planar-rotation", theta=theta, bx=b[0], by=b[1],
+                 radius=radius).mapping
+    x0 = (radius * frac * math.cos(angle), radius * frac * math.sin(angle))
+    args = (t, x0, tol, budget)
+    assert _solve_at_t_on(_iterate, T, *args) == \
+        _solve_at_t_on(_frozen_iterate, T, *args)
+
+
+def test_pre_tested_inner_solves_reach_every_outcome():
+    # the outcomes of the test above, and a NonFiniteError after hundreds
+    # of far steps, each field by field against the frozen kernel
+    T = make_map("planar-rotation").mapping
+    kinds = set()
+    for U, args in ((T, (0.9, (0.0, 0.0), 1e-12, 200_000)),
+                    (T, (0.999, (0.0, 0.0), 1e-12, 20)),
+                    (T, (0.99, (2.8, -2.8), 1e-12, 200)),
+                    (T, (0.9, (0.0, 0.0), 1e-300, 500)),
+                    (_doubling(), (0.9, (1.0, 0.0), 1e-12, 5000))):
+        got, runs = _solve_at_t_on(_iterate, U, *args)
+        assert (got, runs) == _solve_at_t_on(_frozen_iterate, U, *args)
+        kinds.add(got[0] if isinstance(got[0], type) else "returned")
+    assert kinds == {"returned", ConvergenceError, DomainExitError,
+                     NonFiniteError}
 
 
 def _frozen_orbit_inexact(T, x0, n: int, delta: float, noise_seed: int

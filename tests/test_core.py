@@ -120,6 +120,11 @@ def test_max_norm_space_distance():
     assert s.distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 4.0
 
 
+def test_spaces_name_their_norm():
+    assert {euclidean(d).kind for d in (1, 2, 5)} == {"euclidean"}
+    assert {max_norm(d).kind for d in (1, 2, 5)} == {"max"}
+
+
 def test_rowwise_distance_matches_pointwise():
     rng = np.random.default_rng(7)
     for d in range(1, 7):
@@ -567,23 +572,27 @@ def test_mapping_refuses_a_domain_of_another_dimension(dom, dim, space):
     assert T.domain.dimension == T.space.dimension
 
 
-@pytest.mark.parametrize("dom,kind", [
-    (ball([0.0], 1.0), "ball"),
-    (box([0.0, 0.0], [1.0, 1.0]), "box"),
-    (box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), "box"),
-    (ball([0.0, 0.0, 0.0], 1.0), "ball"),
+@pytest.mark.parametrize("dom,space,words", [
+    (ball([0.0], 1.0), euclidean, "the ball domain has dimension 1"),
+    (box([0.0, 0.0], [1.0, 1.0]), euclidean, "the box domain has dimension 2"),
+    (box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), euclidean,
+     "the box domain has dimension 3"),
+    (ball([0.0, 0.0, 0.0], 1.0), euclidean,
+     "the ball domain has dimension 3"),
+    (ball([0.0, 0.0], 1.0), max_norm, "the max space"),
+    (box([0.0], [1.0]), max_norm, "the max space"),
 ])
 def test_float_points_refuses_a_domain_whose_point_forms_take_no_float(
-        dom, kind):
+        dom, space, words):
     # the drives would step these on a Python float, which a 1-D ball's
-    # norm or a 2-D box's membership does not take
+    # norm, a 2-D box's membership or the max norm's distance (a bare
+    # TypeError on tuples) does not take
     with pytest.raises(ArgumentError) as info:
         MappingInstance(apply=lambda x: x / 2.0,
                         declared_modulus=constant_modulus(0.5), domain=dom,
-                        space=euclidean(dom.dimension), float_points=True)
+                        space=space(dom.dimension), float_points=True)
     msg = str(info.value)
-    assert "float_points" in msg
-    assert f"the {kind} domain has dimension {dom.dimension}" in msg
+    assert "float_points" in msg and words in msg
     for dom in (box([-1.0], [1.0]), halfline(0.0), ball([0.0, 0.0], 1.0),
                 ball([0.5, -2.0], 3.0)):
         T = MappingInstance(apply=lambda x: x / 2.0,

@@ -1,7 +1,8 @@
 """core._fma, the fused 2-term dot product of the float forms, and the
 forms that split a factor once (core._fsq, planar-rotation's tuple apply,
-the ball's pre-tested tuple contains), against an oracle that needs no
-BLAS kernel.
+the ball's pre-tested tuple contains), the inner solves' residual
+pre-test (core._far) and the Euclidean distance at every scale, against an
+oracle that needs no BLAS kernel.
 
 a * b + c rounded once is float(Fraction(a) * Fraction(b) + Fraction(c))
 for finite arguments, an infinity of its sign past the largest float, and
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import example, given, strategies as st
 
-from fixpoint.core import _fma, _fsq, ball
+from fixpoint.core import _far, _fma, _fsq, ball, euclidean
 from fixpoint.gallery import _build_planar_rotation
 
 _EDGE = 2.0 ** 480
@@ -217,3 +218,102 @@ def test_contains_refuses_a_point_the_unfused_sum_would_take():
     assert v0 * v0 + v1 * v1 <= radius * radius
     assert math.sqrt(_fused(v1, v1, v0 * v0)) > radius
     assert ball([0.0, 0.0], radius).contains(p) is False
+
+
+# tolerances from 2^-450 to 2^450, the pre-test's whole window
+_TOLS = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                  st.integers(-449, 450))
+
+
+@given(_TOLS, st.floats(0.0, 2.0 * math.pi), _ULPS, _ULPS,
+       st.one_of(st.just((0.0, 0.0)), st.just((-0.0, 0.0)),
+                 st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
+@example(1.0, 0.0, 1, 0, (0.0, 0.0))
+@example(2.0 ** -450, 0.5, 1, 1, (0.0, 0.0))    # the window's edges
+@example(2.0 ** 450, 2.0, 4, -4, (1.0, -2.0))
+def test_far_steps_only_where_the_fused_distance_is_above_tol(tol, angle,
+                                                              k0, k1, off):
+    # y within a few ulps of the sphere of radius tol about x, x at the
+    # origin or up to three tol off it: where the pre-test calls the pair
+    # far, distance, and the fused square's root by exact rationals, are
+    # above tol, so the drive steps on as distance would have it
+    x = (off[0] * tol, off[1] * tol) if any(off) else off
+    y = (_nudged(x[0] + tol * math.cos(angle), k0),
+         _nudged(x[1] + tol * math.sin(angle), k1))
+    far = _far(tol)
+    assert far is not None
+    if far(x, y):
+        v0, v1 = x[0] - y[0], x[1] - y[1]
+        assert math.sqrt(_fused(v1, v1, v0 * v0)) > tol
+        assert euclidean(2).distance(x, y) > tol
+
+
+def test_far_keeps_a_pair_the_unfused_sum_would_step_past():
+    # v0 v0 + v1 v1 rounds above tol^2, yet the fused square's root is
+    # tol: a pre-test with no margin would skip a converged residual
+    tol = 1.6713850252727664
+    x, y = (0.0, 0.0), (-1.3810403711435073, -0.9414113850904132)
+    v0, v1 = y
+    assert v0 * v0 + v1 * v1 > tol * tol
+    assert math.sqrt(_fused(v1, v1, v0 * v0)) <= tol
+    assert euclidean(2).distance(x, y) <= tol
+    assert _far(tol)(x, y) is False
+
+
+@given(st.floats(0.0, allow_infinity=True, allow_subnormal=True))
+@example(2.0 ** -450)
+@example(math.nextafter(2.0 ** -450, 0.0))
+@example(2.0 ** 450)
+@example(math.ldexp(0.75, 512))
+@example(2.0 ** 512)
+def test_far_has_no_pre_test_outside_its_window(tol):
+    # outside about [2^-450, 2^512) tol^2 (1 + 2^-40) is past the floats or
+    # below 2^-900, where the absolute rounding of the unfused sum is not
+    # covered, so every step takes distance
+    lim = tol * tol * (1.0 + 2.0 ** -40)
+    assert (_far(tol) is None) is not (2.0 ** -900 <= lim < math.inf)
+    if _far(tol) is not None:
+        # a pair at distance 2 tol is far unless its square overflows;
+        # one at tol / 2 is not
+        big = 2.0 * tol
+        assert _far(tol)((0.0, 0.0), (big, 0.0)) is (big * big < math.inf)
+        assert not _far(tol)((0.0, 0.0), (0.5 * tol, 0.0))
+
+
+# differences down to the subnormals, where a squared norm underflows,
+# and ordinary ones
+_COORDS = st.one_of(st.floats(-1e-150, 1e-150), st.floats(-10.0, 10.0),
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2e-200,
+                                     2.2250738585072014e-308]))
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(_COORDS, min_size=d, max_size=d),
+    st.lists(_COORDS, min_size=d, max_size=d))))
+@example(([2e-200, 0.0], [0.0, 0.0]))
+@example(([2e-200], [0.0]))
+@example(([5e-324, 0.0, 0.0], [0.0, -5e-324, 0.0]))
+@example(([1e-160, 1e-160], [-1e-160, 3e-161]))
+def test_euclidean_distance_is_the_exact_distance_rounded(xy):
+    # against the exact rational sum of squares: every form of distance
+    # and norm, point, row and float form, is within 8 ulps of the exact
+    # root, plus half the least subnormal, so it is 0 only between equal
+    # points; before, a difference below about 1e-154 read 0
+    x, y = map(np.array, xy)
+    d = len(x)
+    space = euclidean(d)
+    exact = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(*xy))
+    got = [space.distance(x, y),
+           float(space.rowwise_distance(x[None], y[None])[0]),
+           space.norm(x - y)]
+    if d == 1:
+        got += [space.distance(xy[0][0], xy[1][0])]
+    elif d == 2:
+        got += [space.distance(tuple(xy[0]), tuple(xy[1])),
+                space.norm(tuple((x - y).tolist()))]
+    eps, tiny = Fraction(8, 2 ** 53), Fraction(1, 2 ** 1075)
+    for r in got:
+        assert type(r) is float and (r == 0.0) is (exact == 0)
+        lo, hi = Fraction(r) - tiny, Fraction(r) + tiny
+        assert max(lo, 0) ** 2 <= exact * (1 + eps) ** 2
+        assert exact * (1 - eps) ** 2 <= hi ** 2

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import fixpoint.cli
+from fixpoint import continuation
 from fixpoint.gallery import list_maps
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -77,3 +78,48 @@ def test_traced_solve_counts_every_apply_of_the_float_drive(tracer,
     assert t.calls("core.distance", "picard.solve_fixed_point") == 1000
     assert t.calls("core.contains", "picard.solve_fixed_point") == 1000
     assert t.calls("core.contains", "picard.orbit_exact") == 1000
+
+
+def test_traced_rotation_trace_counts_every_inner_iteration(tracer,
+                                                            tmp_path,
+                                                            monkeypatch):
+    # planar-rotation's inner solves step on tuples and skip the distance
+    # of every step the residual pre-test calls far, but still apply and
+    # test membership once per iteration: the traced counts inside
+    # solve_at_t are the untraced inner iterations, the warm start's
+    # membership test among them, and the exact distances one per solve
+    cfg = tmp_path / "trace.cfg"
+    cfg.write_text("experiment=trace\nmap=planar-rotation\nq=0.99\n"
+                   "inner-tol=1e-12\ntarget-t=0.99\n")
+    runs = []
+
+    def recording(*args):
+        runs.append(iterate(*args))
+        return runs[-1]
+
+    iterate = continuation._iterate
+    monkeypatch.setattr(continuation, "_iterate", recording)
+    assert fixpoint.cli.run_config(cfg, tmp_path / "plain", None) == 0
+    monkeypatch.undo()
+    # every solve converged, and its last apply gave the converged image
+    assert runs and all(r.outside is None for r in runs)
+    inner = sum(r.steps + 1 for r in runs)
+    assert inner > 20 * len(runs)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert fixpoint.cli.run_config(cfg, tmp_path / "traced", None) == 0
+    finally:
+        t.uninstall()
+    solves = "continuation.solve_at_t"
+    assert t.calls("gallery.apply", solves) == inner
+    assert t.calls("core.contains", solves) == inner
+    assert t.calls("core.distance", solves) == len(runs)
+    # and the traced run writes the plain run's reports
+    plain = sorted((tmp_path / "plain").iterdir())
+    assert [p.name for p in plain] == sorted(
+        p.name for p in (tmp_path / "traced").iterdir())
+    for p in plain:
+        if p.name != "manifest.txt":
+            assert (tmp_path / "traced" / p.name).read_bytes() == \
+                p.read_bytes()
