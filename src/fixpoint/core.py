@@ -23,6 +23,13 @@ contraction refuses them rather than silently looping.
 
 All container types are frozen dataclasses, their array fields are marked
 read-only, and every operation is pure.
+
+Arithmetic: every float the library reports comes from binary64 + - * /
+and sqrt, each rounded once, with sums added left to right and nothing
+fused; no norm, distance or gallery map goes through BLAS.  Python floats
+and numpy's float64 ufuncs round these operations alike, so a point, its
+float form and a row of an (m, d) array get the same bits, on any CPU and
+any OpenBLAS kernel.
 """
 
 from __future__ import annotations
@@ -66,119 +73,6 @@ def _float_form(x: Point) -> float | tuple[float, float]:
     return x.item() if x.shape[0] == 1 else tuple(x.tolist())
 
 
-# Veltkamp's splitting constant 2^27 + 1, and the squares of the magnitudes
-# between which the products of the halves of two split floats are exact,
-# 2^-480 and 2^480: no split overflows, and no product loses a bit below
-# the subnormals
-_SPLITTER = 134217729.0
-_SPLIT_LO2 = 2.0 ** -960
-_SPLIT_HI2 = 2.0 ** 960
-
-
-def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c on Python floats, rounded once as a fused multiply-add
-    rounds it (math.fma comes only with Python 3.13).
-
-    This is the 2-term dot product of the float forms: the OpenBLAS kernels
-    that numpy ships with FMA round x.dot(x) for a (2,) point as
-    fma(x1, x1, x0 * x0), and coordinate j of x.dot(R^T) as
-    fma(x0, R[j, 0], x1 * R[j, 1]).  Veltkamp's split writes a = ah + al
-    and b = bh + bl in halves of at most 26 bits, whose four products are
-    exact, so they add up to a * b exactly (Dekker's two-product, Numer.
-    Math. 18, 1971, folds them into p + e; math.fsum needs no fold), and
-    fsum rounds their sum with c once.  Where a or b is zero, NaN,
-    infinite or of magnitude outside (2^-480, 2^480), where the split is
-    not exact or fsum would give +0.0 for a -0.0 due, a zero, NaN or
-    infinite product is exact in float arithmetic, so a * b + c rounds
-    once; a finite a and b leave a NaN or infinite c as it is; otherwise
-    the exact rational value is rounded, to an infinity of its sign past
-    the largest float.
-    """
-    # a square is the cheaper test of a magnitude: abs is a call; both
-    # bounds are exact squares, so rounding cannot move a square across
-    if _SPLIT_LO2 < a * a < _SPLIT_HI2 and _SPLIT_LO2 < b * b < _SPLIT_HI2:
-        s = _SPLITTER * a
-        ah = s - (s - a)
-        s = _SPLITTER * b
-        bh = s - (s - b)
-        al, bl = a - ah, b - bh
-        # |a * b| < 2^960 lies far below half an ulp of the largest float,
-        # 2^970, so fsum cannot overflow
-        return math.fsum((ah * bh, ah * bl, al * bh, al * bl, c))
-    if not (math.isfinite(a) and math.isfinite(b)) or not a or not b:
-        return a * b + c
-    if not math.isfinite(c):
-        return c
-    # imported here, not at the top: fractions pulls in decimal, which
-    # every process would otherwise load for a case this rare
-    from fractions import Fraction
-
-    v = Fraction(a) * Fraction(b) + Fraction(c)
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
-def _halves(v: float) -> tuple[float, float] | None:
-    """Veltkamp's halves (h, l) of v, h + l == v, as _fma splits v: for a
-    factor that never changes, split once at build time and use the
-    halves as _fma's exact products do (see gallery's planar-rotation).
-    None where _fma would not split v."""
-    if not _SPLIT_LO2 < v * v < _SPLIT_HI2:
-        return None
-    s = _SPLITTER * v
-    h = s - (s - v)
-    return h, v - h
-
-
-def _fsq(v: float, c: float) -> float:
-    """_fma(v, v, c), bit for bit, with v split once: the exact pieces of
-    v * v are h h, h l, h l and l l."""
-    if _SPLIT_LO2 < v * v < _SPLIT_HI2:
-        s = _SPLITTER * v
-        h = s - (s - v)
-        l = v - h
-        hl = h * l
-        return math.fsum((h * h, hl, hl, l * l, c))
-    return _fma(v, v, c)
-
-
-def _far(tol: float) -> Callable[[tuple, tuple], bool] | None:
-    """The residual pre-test of the two-coordinate float drive: far(x, y)
-    on two tuples of floats is True only where euclidean(2).distance(x, y)
-    is above tol, so the drive can step on without that fused distance.
-    None where tol has no pre-test.
-
-    far computes the unfused s = v0 v0 + v1 v1 of v = x - y, the v that
-    distance takes, and says far when lim < s < inf, with
-    lim = tol^2 (1 + 2^-40).  Each of the three roundings in s is off by
-    at most 2^-53 of its value, or 2^-1075 below the normal floats, so the
-    exact v0^2 + v1^2 is at least s / (1 + 2^-53)^2 - 2^-1074; the fused
-    square rounds v0 v0 and the sum, so it is at least the exact sum times
-    (1 - 2^-53)^2, less 2^-1074; and lim is tol^2 (1 + 2^-40) rounded at
-    most twice.  Together the fused square is at least
-    tol^2 (1 + 2^-40 - 2^-50) - 2^-1073 > tol^2 (1 + 2^-41), whose
-    rounded root is at least the float after tol.  There is no pre-test
-    unless lim is finite and at least 2^-900, so the absolute 2^-1073 is
-    far below the margin, and the root is far above _NORM_LO, where
-    distance would renorm.  A finite s makes v, and so y, finite: the exact
-    path, given that distance, steps on as well (to an inf residual only
-    where the fused square alone overflows, which it does not refuse).
-    """
-    lim = tol * tol * (1.0 + 2.0 ** -40)
-    if not 2.0 ** -900 <= lim < math.inf:
-        return None
-    inf = math.inf
-
-    def far(x: tuple, y: tuple) -> bool:
-        (x0, x1), (y0, y1) = x, y
-        v0, v1 = x0 - y0, x1 - y1
-        return lim < v0 * v0 + v1 * v1 < inf
-
-    return far
-
-
 # ---------------------------------------------------------------------------
 # spaces
 
@@ -193,9 +87,7 @@ class Space:
     rowwise_distance maps two (m, dimension) arrays (or one array and a
     broadcastable single point) to the m distances between corresponding
     rows; batch routines use it to avoid Python-level loops.  Each
-    distance equals distance on that pair of rows bit for bit when the
-    rows have a positive stride, as every array the library passes does;
-    on a view with a negative stride the last bit can differ.
+    distance equals distance on that pair of rows bit for bit.
     """
 
     kind: str
@@ -209,37 +101,55 @@ class Space:
             raise ArgumentError("dimension must be >= 1")
 
 
-def _euclidean_norm(v: Point) -> float:
-    # ndarray.dot reaches the same BLAS ddot as v @ v, so the bits are the
-    # same, at about half the dispatch cost of the matmul ufunc on a point;
-    # a view with a negative stride gets the bits of its contiguous copy,
-    # which the matmul ufunc's own loop for it did not give
-    return math.sqrt(v.dot(v))
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row, equal bit for bit to _euclidean_norm
-    on rows with a positive stride (a negative one sends the stacked
-    matmul to its own loop, which rounds differently); the library only
-    passes it fresh arrays."""
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
-
-
 # a Euclidean norm below 2^-511 comes from a squared norm below the normal
 # floats, which kept too few of its bits to be compared
 _NORM_LO = 2.0 ** -511
 
 
+def _euclidean_norm(v: Sequence[float]) -> float:
+    """The Euclidean norm of the floats v (a point's .tolist(), or its
+    float form): the root of the sum of their squares, added left to
+    right.  Where that root is below _NORM_LO or inf, the squared norm
+    having underflowed or overflowed, a finite nonzero v is normed again
+    in its own units, divided by the power of two at its largest magnitude
+    (exact, and it leaves every entry below 2 in magnitude and the largest
+    at least 1), and scaled back.  So the norm is inf only past the
+    largest float or for a v that is not finite, and 0 only for zeros;
+    _row_norms_safe gives every row the same bits."""
+    s = 0.0
+    for a in v:
+        s += a * a
+    r = math.sqrt(s)
+    if _NORM_LO <= r < math.inf:
+        return r
+    top = max(map(abs, v))
+    if not 0.0 < top < math.inf:
+        return r
+    unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    s = 0.0
+    for a in v:
+        a /= unit
+        s += a * a
+    return math.sqrt(s) * unit
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The root of the left-to-right sum of squares of every row of an
+    (m, d) array, column by column, as _euclidean_norm takes it before any
+    renorm; a squared norm that overflows gives inf, with no warning."""
+    with np.errstate(over="ignore"):
+        acc = rows[:, 0] * rows[:, 0]
+        for j in range(1, rows.shape[1]):
+            acc += rows[:, j] * rows[:, j]
+    return np.sqrt(acc)
+
+
 def _own_units(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_row_norms(rows) for an (m, d) array, with each finite row whose
-    squared norm overflowed, or underflowed (a nonzero row whose norm is
-    below _NORM_LO), normed again in its own units, divided by the power
-    of two at its largest magnitude (exact, and it leaves every entry
-    below 2 in magnitude and the largest at least 1); and the unit of
-    every row, 1 or that power.  The overflow it handles raises no
-    warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = _row_norms(rows)
+    """_row_norms(rows) for an (m, d) array, with each finite nonzero row
+    whose norm is below _NORM_LO or inf normed again in its own units, as
+    _euclidean_norm norms a point; and the unit of every row, 1 or the
+    power of two it was divided by."""
+    r = _row_norms(rows)
     unit = np.ones(len(r))
     off = ~((r >= _NORM_LO) & (r < math.inf))
     if off.any():
@@ -254,10 +164,8 @@ def _own_units(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_norms_safe(rows: np.ndarray) -> np.ndarray:
-    """_row_norms, but a finite row whose squared norm overflowed or
-    underflowed is normed in its own units (see _own_units) and scaled
-    back, so the norm is inf only past the largest float or for a row
-    that is not finite, and 0 only for a row of zeros."""
+    """_euclidean_norm of every row of an (m, d) array, bit for bit: the
+    norms of _own_units scaled back, with no warning."""
     r, unit = _own_units(rows)
     with np.errstate(over="ignore"):
         return r * unit
@@ -277,42 +185,6 @@ def _normed_space(kind: str, dimension: int,
                  norm=norm)
 
 
-def _small_norm(v: Point) -> float:
-    """The Euclidean norm of a finite point whose squared norm fell below
-    the normal floats, taken in its own units as _own_units takes a row:
-    0 only for a point of zeros."""
-    top = float(np.abs(v).max())
-    if not top:
-        return 0.0
-    unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    return _euclidean_norm(v / unit) * unit
-
-
-def _small_pair_norm(v0: float, v1: float) -> float:
-    """_small_norm of the point (v0, v1) on its floats, the squared norm
-    in its units fused as _fsq rounds it."""
-    top = max(abs(v0), abs(v1))
-    if not top:
-        return 0.0
-    unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    w0, w1 = v0 / unit, v1 / unit
-    return math.sqrt(_fsq(w1, w0 * w0)) * unit
-
-
-def _row_norms_fine(rows: np.ndarray) -> np.ndarray:
-    """_row_norms, with every row whose norm fell below _NORM_LO normed
-    again as _small_norm norms it, so a row's norm is 0 only for a row of
-    zeros; each equals _small_norm or _euclidean_norm on the row alone
-    where _row_norms does."""
-    r = _row_norms(rows)
-    small = np.flatnonzero(r < _NORM_LO)
-    if small.size:
-        top = np.abs(rows[small]).max(axis=1)
-        unit = np.ldexp(1.0, np.frexp(top)[1] - 1)
-        r[small] = _row_norms(rows[small] / unit[:, None]) * unit
-    return r
-
-
 def euclidean(dimension: int) -> Space:
     """Euclidean space of the given dimension.
 
@@ -323,37 +195,30 @@ def euclidean(dimension: int) -> Space:
     is a normal float (Boldo, "Stupid is as stupid does: taking the square
     root of the square of a floating-point number", ENTCS 317, 2015), and
     unlike it neither underflows to 0 nor overflows to inf.
-    In higher dimensions distance is _euclidean_norm written out on
-    x - y, which saves the call through norm on the hottest leaf.  In two
+    In higher dimensions every form is _euclidean_norm of the difference:
+    the root of its left-to-right sum of squares, taken in its own units
+    where the square underflowed or overflowed, so a distance is 0 only
+    between equal points and inf only past the largest float.  In two
     dimensions norm and distance also take points given as tuples of
-    floats (see MappingInstance.float_points), whose squared norm is the
-    fused dot product that the default OpenBLAS kernel gives on the
-    array, _fsq(v1, v0 * v0): _fma(v1, v1, v0 * v0) with v1 split once.
-    A norm or distance below _NORM_LO, where the squared norm fell below
-    the normal floats, is taken again in the difference's own units
-    (_small_norm, _small_pair_norm and _row_norms_fine), so it is 0 only
-    between equal points; one whose square overflows is inf.
+    floats (see MappingInstance.float_points); distance writes the sum out
+    on them, the hottest leaf of the inner solves.
     """
     if dimension != 1:
         def norm(v: Point | tuple) -> float:
-            if v.__class__ is tuple:
-                v0, v1 = v
-                r = math.sqrt(_fsq(v1, v0 * v0))
-                return _small_pair_norm(v0, v1) if r < _NORM_LO else r
-            r = _euclidean_norm(v)
-            return _small_norm(v) if r < _NORM_LO else r
+            return _euclidean_norm(v if v.__class__ is tuple else v.tolist())
 
         def distance(x: Point | tuple, y: Point | tuple) -> float:
             if x.__class__ is tuple:
                 (x0, x1), (y0, y1) = x, y
                 v0, v1 = x0 - y0, x1 - y1
-                r = math.sqrt(_fsq(v1, v0 * v0))
-                return _small_pair_norm(v0, v1) if r < _NORM_LO else r
-            v = x - y
-            r = math.sqrt(v.dot(v))
-            return _small_norm(v) if r < _NORM_LO else r
+                r = math.sqrt(v0 * v0 + v1 * v1)
+                if _NORM_LO <= r < math.inf:
+                    return r
+                return _euclidean_norm((v0, v1))
+            return _euclidean_norm([a - b for a, b
+                                    in zip(x.tolist(), y.tolist())])
 
-        return _normed_space("euclidean", dimension, norm, _row_norms_fine,
+        return _normed_space("euclidean", dimension, norm, _row_norms_safe,
                              distance)
 
     def norm(v: Point | float) -> float:
@@ -529,11 +394,9 @@ class DomainSet:
     raises ArgumentError where the set has no finite boundary.
 
     contains_rows is contains applied to every row of an (m, dimension)
-    array at once, a bool array of length m.  On rows with a positive
-    stride, which is what the library passes, it gives exactly what
+    array at once, a bool array of length m.  It gives exactly what
     contains gives row by row, so batched experiments reproduce the
-    one-point ones; on a view with a negative stride a norm, and so a
-    verdict at the boundary, can differ in the last bit.
+    one-point ones.
     """
 
     kind: str
@@ -672,38 +535,16 @@ def _offsets(rows: np.ndarray, c: Point) -> tuple[np.ndarray, np.ndarray]:
 def ball(center, radius: float) -> DomainSet:
     """Closed Euclidean ball of the given center and radius > 0.
 
-    About a center of zeros (the usual setting: continuation needs 0
-    interior) the point predicates take the norm of p itself rather than
-    of p - c.  That keeps the bits: x - 0.0 is x for every float, signed
-    zeros, NaN and infinities included, and where the center holds a -0.0
-    the difference only turns a -0.0 coordinate into +0.0, whose square is
-    the same.
-
-    In two dimensions contains and boundary_distance also take a point
-    given as a tuple of floats (see MappingInstance.float_points): they
-    subtract the center coordinate by coordinate and square the norm by
-    the fused dot product _fsq(v1, v0 * v0), as the default OpenBLAS
-    kernel does for the array; only a norm that overflowed or underflowed
-    (below _NORM_LO) goes to the array form.  The array point forms take
-    p - c, and its norm, in the point's own units where either overflowed
-    or the squared norm underflowed (_offsets, _own_units), with no
-    warning, so a point outside a ball of radius below 2^-511 is not
-    taken in.
-
-    The tuple contains first tries the unfused sum s = v0 v0 + v1 v1
-    against lim = radius^2 (1 - 2^-40), set at construction, and takes
-    the point at once when s <= lim.  That verdict is the exact path's:
-    each of the three roundings in s is off by at most 2^-53 of its
-    value, or 2^-1075 below the normal floats, so the exact v0^2 + v1^2
-    is at most s (1 + 2^-51) + 2^-1073; the fused square rounds v0 v0 and
-    the sum, so it is at most the exact sum times (1 + 2^-51), plus
-    2^-1073; and lim is radius^2 (1 - 2^-40) rounded up at most twice.
-    Together the fused square is at most radius^2 (1 - 2^-40 + 2^-48) <
-    radius^2, so its rounded root is at most radius (a root below
-    _NORM_LO, which goes to the array form, is far inside).  lim is -1,
-    which no s passes, unless it is finite and at least 2^-900, so the
-    absolute 2^-1073 is far below the margin, and tiny and huge radii
-    always take the exact path.
+    The point predicates take _euclidean_norm of p - c, which about a
+    center of zeros (the usual setting: continuation needs 0 interior) is
+    the norm of p itself: x - 0.0 is x for every float, signed zeros, NaN
+    and infinities included, and where the center holds a -0.0 the
+    difference only turns a -0.0 coordinate into +0.0, whose square is
+    the same.  Where p - c overflows, it and its norm are taken in the
+    point's own units (_offsets, _own_units), with no warning.  In two
+    dimensions contains and boundary_distance also take a point given as
+    a tuple of floats (see MappingInstance.float_points), with the bits
+    of the array point.
     """
     c = _frozen(np.atleast_1d(np.asarray(center, dtype=float)))
     if np.isnan(c).any():
@@ -712,56 +553,44 @@ def ball(center, radius: float) -> DomainSet:
         raise ArgumentError(f"ball radius must be > 0, got {radius}")
     centred = not c.any()
     c_floats = tuple(c.tolist())
-    lim = radius * radius * (1.0 - 2.0 ** -40)
-    if not 2.0 ** -900 <= lim < math.inf:
-        lim = -1.0
 
-    def in_units(p: Point) -> tuple[Point, float, float]:
+    def in_units(p: Point | tuple) -> tuple[Point, float, float]:
         """p - c, its norm, and the unit both are taken in: that of p - c
         where it overflowed, else that of its squared norm."""
-        v, unit = _offsets(p[None], c)
+        v, unit = _offsets(np.array(p, dtype=float, ndmin=2), c)
         r, u = _own_units(v)
         return v[0] / u[0], float(r[0]), float(unit[0] * u[0])
 
-    def norm(p: Point) -> float:
-        """||p - c|| of a point array: one dot product unless it, or the
-        difference, overflowed, or its square underflowed; inf only past
+    def norm(p: Point | tuple) -> float:
+        """||p - c|| of a point array or a tuple of floats; inf only past
         the largest float."""
-        with np.errstate(over="ignore"):
-            r = _euclidean_norm(p if centred else p - c)
-        if _NORM_LO <= r < math.inf:
+        v = p if p.__class__ is tuple else p.tolist()
+        if not centred:
+            v = [a - b for a, b in zip(v, c_floats)]
+        r = _euclidean_norm(v)
+        if r < math.inf:
             return r
         _, r, unit = in_units(p)
         return r * unit
 
-    def tuple_norm(p: tuple) -> float:
-        """||p - c|| of a point given as a tuple of floats: the root of
-        the fused dot product, or norm's where that overflowed or
-        underflowed."""
-        v0, v1 = p
-        if not centred:
-            c0, c1 = c_floats
-            v0, v1 = v0 - c0, v1 - c1
-        r = math.sqrt(_fsq(v1, v0 * v0))
-        return r if _NORM_LO <= r < math.inf else norm(np.array(p))
-
     def contains(p: Point | tuple) -> bool:
         if p.__class__ is tuple:
-            # the hottest leaf of the inner solves: the pre-test, written
-            # out on the floats
+            # the hottest leaf of the inner solves, written out on the
+            # floats
             v0, v1 = p
             if not centred:
                 c0, c1 = c_floats
                 v0, v1 = v0 - c0, v1 - c1
-            return v0 * v0 + v1 * v1 <= lim or tuple_norm(p) <= radius
+            r = math.sqrt(v0 * v0 + v1 * v1)
+            if _NORM_LO <= r < math.inf:
+                return r <= radius
         return norm(p) <= radius
 
     def interior(p: Point) -> bool:
         return norm(p) < radius
 
     def bdist(p: Point | tuple) -> float:
-        return max(0.0, radius - (tuple_norm(p) if p.__class__ is tuple
-                                  else norm(p)))
+        return max(0.0, radius - norm(p))
 
     def contains_rows(rows: np.ndarray) -> np.ndarray:
         v, unit = _offsets(rows, c)
@@ -790,12 +619,7 @@ def ball(center, radius: float) -> DomainSet:
         return out.reshape(np.shape(p))
 
     def nearest_boundary(p: Point) -> Point:
-        with np.errstate(over="ignore"):
-            v = p - c
-            r = _euclidean_norm(v)
-        unit = 1.0
-        if not _NORM_LO <= r < math.inf:
-            v, r, unit = in_units(p)
+        v, r, unit = in_units(p)
         if r == 0.0:
             out = np.array(c)
             out[0] += radius
@@ -828,8 +652,8 @@ class MappingInstance:
     stability experiment steps all its trials as one such array,
     verify_contractive maps all its pair points as one, and both refuse
     an apply that does not map row by row.  Elementwise maps give the
-    same bits either way.  An affine map is written
-    ``x @ A.T + b`` rather than ``A @ x + b``, and its batched rows may
+    same bits either way.  An affine map is written on rows, x A^T + b
+    rather than A x + b; taken as a matrix product, its batched rows may
     differ from the single-row images in the last bits.
 
     float_points is the promise of a map that apply, domain.contains,
@@ -838,14 +662,12 @@ class MappingInstance:
     coordinate's Python float, which domain.project takes too, apply then
     returning the image's float and project the projected (1,) point; in
     two dimensions the tuple of the coordinates' floats, apply then
-    returning the image's tuple, its 2-term dots rounded once as _fma
-    rounds them.  solve_fixed_point, orbit_exact and solve_at_t then step
-    the map on the float form, through those callables, and so does
-    orbit_inexact in one dimension; the path drives take ||T x|| on it,
-    and trace_path each path point's boundary distance; what they return
-    or raise holds point arrays, with the bits of the array steps
-    (in two dimensions, where the OpenBLAS kernel fuses a 2-term dot as
-    the default one does).  The gallery's one-coordinate maps
+    returning the image's tuple.  solve_fixed_point, orbit_exact and
+    solve_at_t then step the map on the float form, through those
+    callables, and so does orbit_inexact in one dimension; the path drives
+    take ||T x|| on it, and trace_path each path point's boundary
+    distance; what they return or raise holds point arrays, with the bits
+    of the array steps.  The gallery's one-coordinate maps
     (gallery._one_coordinate) and planar-rotation promise it.  It is
     refused with ArgumentError on any domain but a one-coordinate box (a
     halfline among them) or a two-coordinate ball, and in any space but
@@ -883,7 +705,7 @@ class MappingInstance:
 
 # a batched apply is checked against single-row applies on this many of
 # its first rows: enough to catch a matrix product of the wrong side
-# (R @ x rather than x @ R.T), which garbles every row, for the cost of a
+# (R x rather than x R^T), which garbles every row, for the cost of a
 # few point applies however many rows are stepped
 _ROWWISE_HEAD = 8
 
@@ -991,11 +813,11 @@ def verify_contractive(T: MappingInstance, pairs,
     All 2m points go through one T.apply, so apply must map an
     (m, dimension) array row by row (see MappingInstance; checked on the
     first rows, else ArgumentError), and a NaN or infinite image raises
-    NonFiniteError.  For an elementwise map every value equals the
-    one-pair-at-a-time check bit for bit.  For an affine map such as
-    ``x @ A.T + b`` the batched images, hence lhs, may differ from the
-    single-point ones in the last bits (planar-rotation: about 29% of
-    20,000 sampled pairs, by 1.2e-14 relative at most); rhs never does.
+    NonFiniteError.  For an elementwise map, planar-rotation's written-out
+    product among them, every value equals the one-pair-at-a-time check
+    bit for bit.  For an affine map taken as the matrix product x A^T + b
+    the batched images, hence lhs, may differ from the single-point ones
+    in the last bits; rhs never does.
     """
     if not slack >= 0.0:
         raise ArgumentError(f"slack must be >= 0, got {slack}")

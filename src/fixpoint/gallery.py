@@ -33,19 +33,12 @@ outside every domain, gives NaN).  Each declares float_points, so the
 Picard drives, exact and perturbed, step it on the float itself.  Only a
 division by zero differs: a Python float raises ZeroDivisionError where
 numpy warns and gives an infinity; that needs a point outside the domain
-(rakotch-decay at x = -1/a).  planar-rotation's x R^T + b goes through
-ndarray.dot on arrays.  On the OpenBLAS kernels that numpy wheels pick on
-a CPU with fused multiply-add, a 2-element dot rounds as one fused
-multiply-add: coordinate j of x.dot(R^T) is fma(x0, R[j, 0],
-x1 * R[j, 1]), and x.dot(x) is fma(x1, x1, x0 * x0), each in 5,000 of
-5,000 normal draws, checked exactly with fractions.  Its float form
-computes exactly that on Python floats (core._fma, an error-free product
-added up by math.fsum, with R's first column split once when the map is
-built and x0 once per step), so planar-rotation also declares float_points:
-the inner solves of the continuation step it on a tuple of two floats,
-through the same apply, ball membership and Euclidean distance, with the
-bits of its array steps on such a kernel, and with the same bits on any
-other kernel, where the array steps round twice.
+(rakotch-decay at x = -1/a).  planar-rotation's apply writes x R^T + b
+out coordinate by coordinate, x0 R[j, 0] + x1 R[j, 1] + b_j, in the same
+order on a tuple of two floats, a (2,) point and (m, 2) rows, so all three
+get the same bits; planar-rotation also declares float_points, and the
+inner solves of the continuation step it on a tuple of two floats,
+through the same apply, ball membership and Euclidean distance.
 
 Each map is one _REGISTRY entry (its builder, parameters and notes); the
 builder returns only what differs between maps, and make_map does the rest.
@@ -60,9 +53,9 @@ from typing import Callable
 import numpy as np
 
 from .core import (DomainSet, MappingInstance, Modulus, Point, ball, box,
-                   constant_modulus, euclidean, halfline, _fma, _frozen,
-                   _halves, _row_norms, _SPLIT_HI2, _SPLIT_LO2, _SPLITTER,
-                   nonexpansive_modulus, rational_decay_modulus)
+                   constant_modulus, euclidean, halfline, _euclidean_norm,
+                   _frozen, _row_norms, nonexpansive_modulus,
+                   rational_decay_modulus)
 from .errors import ArgumentError, UnknownMapError
 
 
@@ -156,46 +149,28 @@ def _rotation_min_singular(theta: float) -> float:
 
 def _build_planar_rotation(theta: float, bx: float, by: float,
                            radius: float) -> _Parts:
-    b = np.array([bx, by])
     smin = _rotation_min_singular(theta)
-    path_reach = math.sqrt(b.dot(b)) / smin
+    path_reach = _euclidean_norm((bx, by)) / smin
     if radius < 2.0 * path_reach:
         raise ArgumentError(
             f"disk radius {radius} is below twice the path reach "
             f"{path_reach}; the traced path needs that margin")
     c, s = math.cos(theta), math.sin(theta)
     R = _frozen([[c, -s], [s, c]])
-    b = _frozen(b)
+    b = _frozen([bx, by])
     eye = np.eye(2)
-    Rt = R.T
     (r00, r01), (r10, r11) = R.tolist()
     b0, b1 = b.tolist()
-    # the halves of x0's factors, split once here: _fma(x0, rj0, c) is the
-    # fsum of the four products of x0's halves and rj0's, and c
-    col = _halves(r00), _halves(r10)
-    split = None not in col
-    (h00, l00), (h10, l10) = col if split else ((0.0, 0.0), (0.0, 0.0))
-    fsum = math.fsum
+    # the columns of R, each coordinate's factor of x0 and of x1
+    col0, col1 = _frozen(R[:, 0]), _frozen(R[:, 1])
 
     def apply(x: Point | tuple) -> Point | tuple:
         if x.__class__ is tuple:
-            # the float form: the fused dot products of x.dot(Rt), x0
-            # split once for both (where _fma would split it)
             x0, x1 = x
-            if split and _SPLIT_LO2 < x0 * x0 < _SPLIT_HI2:
-                sp = _SPLITTER * x0
-                h = sp - (sp - x0)
-                l = x0 - h
-                return (fsum((h * h00, h * l00, l * h00, l * l00,
-                              x1 * r01)) + b0,
-                        fsum((h * h10, h * l10, l * h10, l * l10,
-                              x1 * r11)) + b1)
-            return (_fma(x0, r00, x1 * r01) + b0,
-                    _fma(x0, r10, x1 * r11) + b1)
-        # x R^T, unlike R x, also maps an (m, 2) array row by row;
-        # ndarray.dot gives the bits of x @ Rt on points and on rows at a
-        # lower dispatch cost per call than the matmul ufunc
-        return x.dot(Rt) + b
+            return x0 * r00 + x1 * r01 + b0, x0 * r10 + x1 * r11 + b1
+        # x R^T + b on the columns, which also maps an (m, 2) array row by
+        # row
+        return x[..., :1] * col0 + x[..., 1:] * col1 + b
 
     def path(t: float) -> Point:
         return np.linalg.solve(eye - t * R, t * b)

@@ -34,7 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (Modulus, MappingInstance, Point, as_point, _apply_rows,
-                   _far, _float_form, _frozen, _non_finite, _refuse_non_finite)
+                   _euclidean_norm, _float_form, _frozen, _non_finite,
+                   _refuse_non_finite, _row_norms)
 from .errors import (ArgumentError, ConvergenceError, DomainError,
                      NonFiniteError, NonRakotchError, NonselfExitError)
 
@@ -119,20 +120,12 @@ def _iterate(step, x: Point | float | tuple, contains, n: int, dist=None,
     image of apply i in row i + 1.  A non-finite image raises
     NonFiniteError when its residual is not finite or when it lies
     outside (NaN fails every membership test); a residual that overflows
-    between finite points only means not converged.
-
-    On a tuple x with dist (a euclidean(2) point, see
-    MappingInstance.float_points) a step that core._far says is far from
-    converged skips dist, whose verdict would be the same; the residual
-    of every _Run is still dist of its last pair."""
+    between finite points only means not converged."""
     isfinite = math.isfinite
-    far = _far(tol) if dist is not None and x.__class__ is tuple else None
     r = math.inf
     for i in range(n):
         y = step(x)
-        if far is not None and far(x, y):
-            r, last = None, x
-        elif dist is not None:
+        if dist is not None:
             r = dist(x, y)
             if r <= tol:
                 return _Run(x, i, r, None)
@@ -143,9 +136,9 @@ def _iterate(step, x: Point | float | tuple, contains, n: int, dist=None,
         if not contains(y):
             if not np.all(np.isfinite(y)):
                 raise _non_finite(y, x)
-            return _Run(x, i, dist(x, y) if r is None else r, y)
+            return _Run(x, i, r, y)
         x = y
-    return _Run(x, n, dist(last, x) if r is None else r, None)
+    return _Run(x, n, r, None)
 
 
 def _ball_noise(noise_seed: int, n: int, d: int, delta: float) -> np.ndarray:
@@ -161,7 +154,7 @@ def _ball_noise(noise_seed: int, n: int, d: int, delta: float) -> np.ndarray:
         radii[z == 0.0] = 0.0
         return np.copysign(radii, z)[:, None]
     dirs = rng.standard_normal((n, d))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+    dirs /= np.maximum(_row_norms(dirs), 1e-300)[:, None]
     # shave 1e-9 off the radii so projection roundoff cannot push a
     # recorded residual past delta
     radii = delta * rng.random(n) ** (1.0 / d) * (1.0 - 1e-9)
@@ -554,7 +547,7 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
     noise = np.empty((n, trials, d)) if delta_used > 0.0 else None
     for trial in range(trials):
         direction = rng.standard_normal(d)
-        nrm = math.sqrt(direction.dot(direction))
+        nrm = _euclidean_norm(direction.tolist())
         if nrm < 1e-300:
             direction = np.zeros(d)
             direction[0] = 1.0

@@ -659,8 +659,8 @@ _GOLDEN = {
     "trace-rotation": (
         "experiment = trace\nmap = planar-rotation\ntarget-t = 0.8\n"
         "q = 0.9\n", 0,
-        {"path.csv": "12df92fe3f0fcea414580ea6559d8ece"
-                     "5a9718f172b8a82abb6efda679a23425"}),
+        {"path.csv": "9a31508cc123807e8825ea76052afb68"
+                     "b7d4c93af1310696883bca746f891fb5"}),
     "trace-violation": (
         "experiment = trace\nmap = constant\nmap.c = 2.0\n"
         "target-t = 0.9\n", 1,

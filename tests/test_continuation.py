@@ -382,7 +382,7 @@ def test_trace_rotation_matches_linear_solve():
 
 
 # twelve random rotation traces to t = 0.9, each printed as the sha256 of
-# its path.csv; with the outer loop on arrays, 7 of them gave other bytes
+# its path.csv; with the 2-term dots on BLAS, 7 of them gave other bytes
 # under Prescott and Haswell than under the default kernel
 _TRACES = """
 import hashlib, random
@@ -400,9 +400,9 @@ for _ in range(12):
 
 
 def test_rotation_traces_give_the_same_bytes_on_every_blas_kernel():
-    # the inner solves and the outer loop (||T x||, the boundary distance)
-    # of a planar-rotation trace round on its float form, by core._fma,
-    # not by the OpenBLAS kernel: Prescott has no fused multiply-add,
+    # a planar-rotation trace takes no BLAS call: its apply, norms and
+    # distances are written out in + - * / and sqrt, so the OpenBLAS
+    # kernel cannot change them.  Prescott has no fused multiply-add,
     # Haswell has one but orders a 2-term dot its own way
     src = str(Path(__file__).resolve().parents[1] / "src")
     hashes = {}

@@ -12,6 +12,7 @@ from fixpoint.core import (as_point, ball, box, check_modulus_admissible,
                            verify_contractive, MappingInstance, Modulus,
                            _row_norms)
 from fixpoint.errors import ArgumentError, DomainError, NonFiniteError
+from written_out import written_root
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +116,28 @@ def test_euclidean_space_distance():
     assert s.norm(np.array([3.0, 4.0])) == 5.0
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_euclidean_norms_past_the_square_overflow_stay_finite(d):
+    # a norm of 1e200 squares past the largest float: every form takes it
+    # again in the point's own units, with no warning, as euclidean(1)
+    # does; only a norm past the largest float is inf
+    s = euclidean(d)
+    x, zero = np.zeros(d), np.zeros(d)
+    x[0] = 1e200
+    huge = np.full(d, 1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [s.distance(x, zero), s.norm(x),
+               float(s.rowwise_distance(x[None], zero[None])[0]),
+               float(s.rowwise_distance(x[None], zero)[0])]
+        if d == 2:
+            got += [s.distance((1e200, 0.0), (0.0, 0.0)),
+                    s.norm((1e200, 0.0)), s.distance((0.0, 1e200), (0.0, 0.0))]
+        assert got == [1e200] * len(got)
+        assert s.norm(huge) == math.inf
+        assert s.rowwise_distance(huge[None], zero).tolist() == [math.inf]
+
+
 def test_max_norm_space_distance():
     s = max_norm(2)
     assert s.distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 4.0
@@ -144,7 +167,7 @@ def test_row_norms_equal_the_scalar_floats(d):
     scale = 10.0 ** rng.uniform(-6.0, 6.0, size=(2000, 1))
     rows = rng.standard_normal((2000, d)) * scale
     for v, r in zip(rows, _row_norms(rows)):
-        assert r == math.sqrt(float(v @ v))
+        assert r == written_root(v)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +535,7 @@ def test_point_projection_is_the_closed_form(d):
     c = rng.standard_normal(d)
     bl = ball(c, 1.5)
     for p in rng.uniform(-4.0, 4.0, size=(300, d)):
-        r = math.sqrt(float((p - c) @ (p - c)))
+        r = written_root(p - c)
         want = p if r <= 1.5 else c + (p - c) * ((1.5 / r) * (1.0 - 1e-12))
         got = bl.project(p)
         assert got.shape == (d,) and np.array_equal(got, want)

@@ -7,6 +7,7 @@ from fixpoint.core import (as_point, check_modulus_admissible,
                            verify_contractive)
 from fixpoint.errors import ArgumentError, DomainError, UnknownMapError
 from fixpoint.gallery import list_maps, make_map, map_summary
+from written_out import written_root
 
 ALL_NAMES = ("affine-halfline", "rakotch-decay", "constant",
              "planar-rotation", "damped-rational")
@@ -42,6 +43,23 @@ def test_rotation_radius_margin_enforced():
     with pytest.raises(ArgumentError):
         make_map("planar-rotation", radius=2.0)
     make_map("planar-rotation", radius=3.0)
+
+
+@pytest.mark.parametrize("theta,bx,by", [(2.0, 3.0, 4.0), (0.3, 3.0, 4.0),
+                                         (1.0, 0.7, -2.3)])
+def test_rotation_refuses_a_disk_just_below_twice_the_path_reach(theta, bx,
+                                                                 by):
+    # the path reach is ||b|| written out, the root of bx^2 + by^2, over
+    # the least singular value of I - t R: sin(theta) for cos(theta) > 0,
+    # else 1; the margin is taken to the last bit
+    smin = abs(math.sin(theta)) if math.cos(theta) > 0.0 else 1.0
+    reach = written_root([bx, by]) / smin
+    e = make_map("planar-rotation", theta=theta, bx=bx, by=by,
+                 radius=2.0 * reach)
+    assert e.mapping.domain.params[-1] == 2.0 * reach
+    below = math.nextafter(2.0 * reach, 0.0)
+    with pytest.raises(ArgumentError, match=f"path reach {reach!r};"):
+        make_map("planar-rotation", theta=theta, bx=bx, by=by, radius=below)
 
 
 def test_constant_box_must_straddle_zero():
@@ -114,7 +132,7 @@ def _reference_point_sampler(name):
     if name == "planar-rotation":
         def draw(rng):
             v = rng.standard_normal(2)
-            v /= max(math.sqrt(float(v @ v)), 1e-300)
+            v /= max(written_root(v), 1e-300)
             return v * (4.0 * math.sqrt(rng.random()))
         return draw
     lo, width = {"affine-halfline": (-1.0, 10.0),
@@ -167,11 +185,7 @@ def test_batched_audit_matches_the_per_pair_loop(name, seed):
     assert rep.n_pairs == len(ref) == 200
     assert rep.verdicts.tolist() == passed
     assert rep.rhs.tolist() == rhs
-    if name == "planar-rotation":
-        # the batched x @ R.T rounds differently from the point form
-        assert rep.lhs == pytest.approx(lhs, rel=1e-9, abs=0)
-    else:
-        assert rep.lhs.tolist() == lhs
+    assert rep.lhs.tolist() == lhs
     # the CLI draws the same pairs as rows
     rows = e.sampler(np.random.default_rng(seed), 400)
     assert rows.reshape(200, 2, -1).tobytes() == np.array(pairs).tobytes()

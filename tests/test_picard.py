@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -24,6 +25,7 @@ from fixpoint.picard import (Orbit, StabilityReport, TrialRecord,
                              solve_fixed_point, stability_constants,
                              stability_report_text, _least_int_greater,
                              _ball_noise, _record_text)
+from written_out import written_root
 
 
 def _decay_map(a: float = 1.0) -> MappingInstance:
@@ -508,6 +510,21 @@ def test_residual_overflow_of_a_custom_map_is_not_non_finite():
     assert res.point.tolist() == [2.0 * res.residual]
 
 
+def test_residual_of_a_two_coordinate_solve_far_out_is_finite():
+    # from 1e160 the residual's square overflows in two coordinates as in
+    # one: the space takes it in its own units, so the budget ends in a
+    # ConvergenceError with a finite residual and no warning
+    T = MappingInstance(apply=lambda x: x / 2.0,
+                        declared_modulus=constant_modulus(0.5),
+                        domain=ball([0.0, 0.0], 1e300), space=euclidean(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as err:
+            solve_fixed_point(T, [1e160, 0.0], 1e-10, max_iter=2)
+    assert err.value.residual == 1.25e159
+    assert "(last residual 1.25e+159)" in str(err.value)
+
+
 def test_orbit_exact_nan_image_is_non_finite():
     with pytest.raises(NonFiniteError):
         orbit_exact(_nan_map(), [1.0], 5)
@@ -744,7 +761,7 @@ def _reference_stability(T, xbar, M, epsilon, trials, n, seed,
     records = []
     for trial in range(trials):
         direction = rng.standard_normal(d)
-        nrm = math.sqrt(float(direction @ direction))
+        nrm = written_root(direction)
         if nrm < 1e-300:
             direction = np.zeros(d)
             direction[0] = 1.0

@@ -83,11 +83,10 @@ def test_traced_solve_counts_every_apply_of_the_float_drive(tracer,
 def test_traced_rotation_trace_counts_every_inner_iteration(tracer,
                                                             tmp_path,
                                                             monkeypatch):
-    # planar-rotation's inner solves step on tuples and skip the distance
-    # of every step the residual pre-test calls far, but still apply and
-    # test membership once per iteration: the traced counts inside
-    # solve_at_t are the untraced inner iterations, the warm start's
-    # membership test among them, and the exact distances one per solve
+    # planar-rotation's inner solves step on tuples, and apply, take the
+    # residual and test membership once per iteration: the traced counts
+    # inside solve_at_t are the untraced inner iterations, the warm
+    # start's membership test among them, and every apply's residual
     cfg = tmp_path / "trace.cfg"
     cfg.write_text("experiment=trace\nmap=planar-rotation\nq=0.99\n"
                    "inner-tol=1e-12\ntarget-t=0.99\n")
@@ -114,7 +113,7 @@ def test_traced_rotation_trace_counts_every_inner_iteration(tracer,
     solves = "continuation.solve_at_t"
     assert t.calls("gallery.apply", solves) == inner
     assert t.calls("core.contains", solves) == inner
-    assert t.calls("core.distance", solves) == len(runs)
+    assert t.calls("core.distance", solves) == inner
     # and the traced run writes the plain run's reports
     plain = sorted((tmp_path / "plain").iterdir())
     assert [p.name for p in plain] == sorted(
