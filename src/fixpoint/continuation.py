@@ -448,7 +448,9 @@ def path_csv(path: ContinuationPath) -> Iterator[str]:
     backing radius.  A terminal record (t = 1 limit) is appended as a
     final row with the certificate residual in the residual column.
     Joined, the pieces are the file's text; written one at a time, they
-    hold one chunk of rows whatever the path's length."""
+    hold one chunk of rows whatever the path's length.  Floats are written
+    with repr's bytes, computed for a whole chunk at once (see
+    picard._csv_text)."""
     d = path.entries[0].x.shape[0]
     t, x, res, step, r = zip(*path.entries)
     if path.terminal is not None:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +35,7 @@ import numpy as np
 from .core import (Modulus, MappingInstance, Point, as_point, _apply_rows,
                    _euclidean_norm, _float_form, _frozen, _non_finite,
                    _refuse_non_finite, _row_norms)
+from .csvcells import _rows_text
 from .errors import (ArgumentError, ConvergenceError, DomainError,
                      NonFiniteError, NonRakotchError, NonselfExitError)
 
@@ -575,44 +575,27 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
 # serialization
 
 
-# rows a CSV writer turns into Python objects at a time
-_CSV_CHUNK = 8192
+# rows of a CSV report formatted at a time: each chunk's text and the
+# kernel's arrays for it are all a writer holds
+_CSV_CHUNK = 2048
 
 
-def _constant_repr(c: np.ndarray | range) -> str | None:
-    """The repr of every cell of the float column c when all its cells
-    hold one bit pattern, else None.  Bits, not ==: 0.0 == -0.0 while
-    their reprs differ, and NaN equals nothing."""
-    if isinstance(c, range) or not len(c):
-        return None
-    bits = c.view(np.uint64)
-    return repr(c[0].item()) if (bits == bits[0]).all() else None
-
-
-def _csv_text(header: list[str], lead: list[list],
+def _csv_text(header: list[str], lead: list[np.ndarray | range | None],
               columns: list[np.ndarray | range]) -> Iterator[str]:
-    """CSV text in pieces: the header line with the lead rows of Python
-    numbers, then one piece per _CSV_CHUNK rows of the equal-length
-    columns (1-D float arrays, or a range), every cell the repr of the
-    row's Python number (a None lead cell stays empty), so equal runs give
-    byte-equal files.  Every piece ends in a newline.
+    """CSV text in pieces: the header line with the lead row, then one
+    piece per _CSV_CHUNK rows of the equal-length columns.  A column is a
+    1-D float array, whose cells are written with repr's bytes, a range,
+    written as str writes its ints, or (in the one-row lead) None, written
+    empty; so equal runs give byte-equal files.  Every piece ends in a
+    newline.
 
-    Each chunk is formatted a column at once, and only one chunk is ever
-    held as Python objects: written a piece at a time, the text never
-    grows with the number of rows.  A column whose cells share one bit
-    pattern (an exact orbit's zero residuals) is formatted once.
+    csvcells._rows_text formats each piece's cells together in numpy,
+    held to repr cell by cell by the tests; written a piece at a time, the
+    text never grows with the number of rows.
     """
-    yield "\n".join([",".join(header), *(",".join(
-        "" if v is None else repr(v) for v in row) for row in lead), ""])
-    n = len(columns[0])
-    consts = [_constant_repr(c) for c in columns]
-    for lo in range(0, n, _CSV_CHUNK):
-        hi = min(lo + _CSV_CHUNK, n)
-        cells = [repeat(k, hi - lo) if k is not None
-                 else map(repr, c[lo:hi] if isinstance(c, range)
-                          else c[lo:hi].tolist())
-                 for c, k in zip(columns, consts)]
-        yield "\n".join(chain(map(",".join, zip(*cells)), ("",)))
+    yield ",".join(header) + "\n" + (_rows_text(lead) if lead else "")
+    for lo in range(0, len(columns[0]), _CSV_CHUNK):
+        yield _rows_text([c[lo:lo + _CSV_CHUNK] for c in columns])
 
 
 def _record_text(fields, sep: str = "\n") -> str:
@@ -631,12 +614,13 @@ def orbit_csv(orbit: Orbit) -> Iterator[str]:
     seed row).  Joined, the pieces are the file's text; written one at a
     time, they hold one chunk of rows whatever the orbit's length.
 
-    Floats are written with repr, so equal runs give byte-equal files.
+    Floats are written with repr's bytes, computed for a whole chunk at
+    once (see _csv_text), so equal runs give byte-equal files.
     """
     pts = orbit.points
     d = pts.shape[1]
     return _csv_text(["i", *(f"x{j}" for j in range(d)), "residual"],
-                     [[0, *pts[0].tolist(), None]],
+                     [range(1), *pts[:1].T, None],
                      [range(1, len(pts)), *pts[1:].T, orbit.residuals])
 
 

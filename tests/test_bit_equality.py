@@ -512,9 +512,16 @@ def _reference_path_csv(path: ContinuationPath) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SPECIAL = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300,
-                     1e16, 1.5e154, 1.7976931348623157e308, math.inf,
-                     -math.inf, math.nan, 0.1, 1.0 / 3.0])
+# after the first 13, the points where repr switches layout, then the
+# powers of two (their doubles below are spaced irregularly) and the
+# subnormals of mantissa below 5000
+_SPECIAL = np.concatenate([
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 1e16, 1.5e154,
+     1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0],
+    [1e-5, 9.999999999999999e-05, 1e-4, 1e15, 9999999999999998.0, 1e22,
+     1e23],
+    np.ldexp(1.0, np.arange(-1074, 1024)),
+    np.arange(1, 5000, dtype=np.uint64).view(np.float64)])
 
 
 def _spread(rng: np.random.Generator, shape) -> np.ndarray:

@@ -813,6 +813,21 @@ def test_a_report_that_cannot_be_written_exits_two_naming_it(tmp_path,
     assert not (out / "manifest.txt").exists()
 
 
+def test_an_outdir_that_cannot_be_examined_is_refused_naming_it(tmp_path,
+                                                                capsys):
+    # a path component longer than any file name: stat raises OSError
+    # (ENAMETOOLONG), which pathlib's exists does not swallow
+    outdir = tmp_path / ("x" * 4096) / "o"
+    with pytest.raises(ConfigError) as err:
+        cli._refuse_outdir(outdir)
+    cause = err.value.__cause__
+    assert isinstance(cause, OSError)
+    assert str(err.value) == f"output directory {outdir}: {cause}"
+    cfg = _write(tmp_path, "a.cfg", _SOLVE)
+    assert main(["run", str(cfg), "--out", str(outdir)]) == 2
+    assert capsys.readouterr().err == f"fixpoint: {err.value}\n"
+
+
 def _orbit_write_peak(outdir: Path, rows: int) -> int:
     """The traced allocation peak of writing an orbit of `rows` points."""
     rng = np.random.default_rng(rows)

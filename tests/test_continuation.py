@@ -196,6 +196,13 @@ def test_lipschitz_bound_refuses_parameters_past_q():
         lipschitz_bound(0.0, 0.5, 0.0, 0.9)
 
 
+@pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5, math.inf, math.nan])
+def test_lipschitz_bound_refuses_q_outside_the_open_unit_interval(q):
+    with pytest.raises(ArgumentError) as err:
+        lipschitz_bound(0.0, 0.0, 1.0, q)
+    assert str(err.value) == f"q must lie in (0, 1), got {q}"
+
+
 # ---------------------------------------------------------------------------
 # boundary condition
 

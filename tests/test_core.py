@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -192,6 +193,26 @@ def test_box_requires_proper_bounds():
         box([0.0], [0.0])
     with pytest.raises(ArgumentError):
         box([1.0], [0.0])
+
+
+@pytest.mark.parametrize("lo,hi", [
+    ([0.0, 1.0], [1.0]),                 # unequal lengths
+    ([0.0], [1.0, 2.0]),
+    ([[0.0, 1.0]], [[1.0, 2.0]]),        # 2-D
+    ([[0.0], [1.0]], [1.0, 2.0]),        # 2-D and 1-D of one size
+])
+def test_box_refuses_bounds_not_1d_of_equal_length(lo, hi):
+    with pytest.raises(ArgumentError) as err:
+        box(lo, hi)
+    assert str(err.value) == "box bounds must be 1-D of equal length"
+
+
+@pytest.mark.parametrize("dimension", [0, -1])
+def test_space_refuses_a_dimension_below_one(dimension):
+    s = euclidean(1)
+    with pytest.raises(ArgumentError) as err:
+        replace(s, dimension=dimension)
+    assert str(err.value) == "dimension must be >= 1"
 
 
 @pytest.mark.parametrize("make,name", [

@@ -560,6 +560,44 @@ def test_orbit_inexact_reports_the_non_finite_image_not_its_perturbation():
     assert err.value.last_inside.tolist() == [0.0, 0.0]
 
 
+class _ZeroDirections:
+    """A generator for run_stability_experiment whose every direction is
+    the zero vector and every radius draw r."""
+
+    def __init__(self, r: float):
+        self.r = r
+
+    def standard_normal(self, d):
+        return np.zeros(d)
+
+    def random(self):
+        return self.r
+
+    def integers(self, lo, hi):
+        return lo
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stability_start_with_a_zero_direction_takes_the_first_axis(
+        d, monkeypatch):
+    # a drawn direction of norm below 1e-300 is replaced by e_0, so the
+    # start is xbar + M r^(1/d) e_0
+    xbar, M, r = np.arange(1.0, d + 1.0) / 8, 0.5, 0.125
+    T = MappingInstance(apply=lambda x: xbar + (x - xbar) / 2,
+                        declared_modulus=constant_modulus(0.5),
+                        domain=box([-4.0] * d, [4.0] * d),
+                        space=euclidean(d))
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _ZeroDirections(r))
+    report = run_stability_experiment(T, xbar, M, 0.25, trials=2, n=200,
+                                      seed=0, delta_override=0.0)
+    e0 = np.eye(d)[0]
+    for trial in report.trials:
+        assert trial.x0.tolist() == (xbar + e0 * (M * r ** (1.0 / d))
+                                     ).tolist()
+        assert trial.passed
+
+
 def test_stability_trials_with_nan_images_are_non_finite():
     # fixed at 0, but NaN from every start above 0.3: those trials must
     # not pass for ordinary failures with worst = inf
