@@ -218,7 +218,7 @@ def _run_certify(entry: GalleryEntry, cfg: dict, outdir: Path) -> int:
         [[0.0], np.geomspace(1e-6, grid_max, cfg["grid-points"] - 1)])
     T = entry.mapping
     adm = check_modulus_admissible(T.declared_modulus, grid)
-    # rows x_0, y_0, x_1, y_1, ...: the pairs of successive point draws
+    # rows x_0, y_0, x_1, y_1, ...: the pairs of successive sampled rows
     pairs = entry.sampler(np.random.default_rng(cfg["seed"]), 2 * n_pairs)
     rep = verify_contractive(
         T, pairs.reshape(n_pairs, 2, T.space.dimension), slack=cfg["slack"])

@@ -345,8 +345,7 @@ def trace_path(T: MappingInstance, cfg: PathConfig) -> ContinuationPath:
     if not T.declared_modulus.rakotch:
         target = min(target, cfg.q)
     t0 = 0.0
-    bd = T.domain.boundary_distance(
-        _float_form(x) if T.float_points else x)
+    bd = T.domain.boundary_distance(x)
     while t0 < target:
         norm_Tx = _image_norm(T, x, norm)
         mbound_obs = max(mbound_obs, norm_Tx)
@@ -367,8 +366,7 @@ def trace_path(T: MappingInstance, cfg: PathConfig) -> ContinuationPath:
                                  step_bound_used=t1 - t0, r_used=r))
         # a solved point hugging the boundary must still satisfy the
         # boundary condition or the continuation is over
-        bd = T.domain.boundary_distance(
-            _float_form(x1) if T.float_points else x1)
+        bd = T.domain.boundary_distance(x1)
         if bd <= cfg.inner_tol:
             _audit_boundary(T, x1, t1, cfg.inner_tol)
         t0 = t1

@@ -110,27 +110,21 @@ def _euclidean_norm(v: Sequence[float]) -> float:
     """The Euclidean norm of the floats v (a point's .tolist(), or its
     float form): the root of the sum of their squares, added left to
     right.  Where that root is below _NORM_LO or inf, the squared norm
-    having underflowed or overflowed, a finite nonzero v is normed again
-    in its own units, divided by the power of two at its largest magnitude
-    (exact, and it leaves every entry below 2 in magnitude and the largest
-    at least 1), and scaled back.  So the norm is inf only past the
-    largest float or for a v that is not finite, and 0 only for zeros;
-    _row_norms_safe gives every row the same bits."""
+    having underflowed or overflowed, v is normed as the one row of
+    _row_norms_safe: a finite nonzero v again in its own units, divided by
+    the power of two at its largest magnitude (exact, and it leaves every
+    entry below 2 in magnitude and the largest at least 1), and scaled
+    back.  So the norm is inf only past the largest float or for a v that
+    is not finite, and 0 only for zeros; _row_norms_safe gives every row
+    the same bits."""
     s = 0.0
     for a in v:
         s += a * a
     r = math.sqrt(s)
-    if _NORM_LO <= r < math.inf:
+    # zeros, the residual of a converged solve among them, need no renorm
+    if _NORM_LO <= r < math.inf or not any(v):
         return r
-    top = max(map(abs, v))
-    if not 0.0 < top < math.inf:
-        return r
-    unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    s = 0.0
-    for a in v:
-        a /= unit
-        s += a * a
-    return math.sqrt(s) * unit
+    return float(_row_norms_safe(np.array([v], dtype=float))[0])
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -671,9 +665,8 @@ class MappingInstance:
     returning the image's tuple.  solve_fixed_point, orbit_exact and
     solve_at_t then step the map on the float form, through those
     callables, and so does orbit_inexact in one dimension; the path drives
-    take ||T x|| on it, and trace_path each path point's boundary
-    distance; what they return or raise holds point arrays, with the bits
-    of the array steps.  The gallery's one-coordinate maps
+    take ||T x|| on it; what they return or raise holds point arrays,
+    with the bits of the array steps.  The gallery's one-coordinate maps
     (gallery._one_coordinate) and planar-rotation promise it.  It is
     refused with ArgumentError on any domain but a one-coordinate box (a
     halfline among them) or a two-coordinate ball, and in any space but

@@ -57,7 +57,6 @@ from .core import (DomainSet, MappingInstance, Modulus, Point, ball, box,
                    _frozen, _row_norms, nonexpansive_modulus,
                    rational_decay_modulus)
 from .errors import ArgumentError, UnknownMapError
-from .ziggurat import point_draws
 
 
 @dataclass(frozen=True)
@@ -66,14 +65,11 @@ class GalleryEntry:
     instantiated parameters, the closed-form fixed point and path when they
     exist, and a seeded sampler drawing points from the domain.
 
-    sampler(rng) draws one point; sampler(rng, m) draws an (m, dimension)
-    array whose rows equal, bit for bit, m successive point draws from
-    the same generator state.  planar-rotation's points come from a PCG64
-    generator's raw words (fixpoint.ziggurat): the normals numpy's
-    ziggurat accepts on their first word and the uniforms of PCG64's
-    next_double are computed from the words, and numpy draws every point
-    with a slow normal.  That relies on numpy's ziggurat tables and
-    next_double, which tests/test_ziggurat.py checks against numpy."""
+    sampler(rng, m) draws an (m, dimension) array of points; sampler(rng)
+    draws one point, the single row of sampler(rng, 1).  The
+    one-coordinate maps' rows equal, bit for bit, m successive point
+    draws from the same generator state.  planar-rotation's rows are one
+    block draw: 2m normals, then m uniforms."""
 
     name: str
     mapping: MappingInstance
@@ -182,7 +178,8 @@ def _build_planar_rotation(theta: float, bx: float, by: float,
         return np.linalg.solve(eye - t * R, t * b)
 
     def rows(rng: np.random.Generator, m: int) -> np.ndarray:
-        v, u = point_draws(rng, m)
+        v = rng.standard_normal((m, 2))
+        u = rng.random(m)
         v /= np.maximum(_row_norms(v), 1e-300)[:, None]
         return v * (radius * np.sqrt(u))[:, None]
 

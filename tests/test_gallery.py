@@ -1,7 +1,9 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fixpoint.core import (as_point, check_modulus_admissible,
                            verify_contractive)
@@ -11,6 +13,7 @@ from written_out import written_root
 
 ALL_NAMES = ("affine-halfline", "rakotch-decay", "constant",
              "planar-rotation", "damped-rational")
+ONE_COORDINATE = tuple(n for n in ALL_NAMES if n != "planar-rotation")
 
 
 def test_registry_lists_all_maps():
@@ -110,7 +113,7 @@ def test_samplers_land_in_domain(name):
         assert e.mapping.domain.contains(p)
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("name", ONE_COORDINATE)
 def test_sampler_rows_are_successive_point_draws(name):
     e = make_map(name)
     d = e.mapping.space.dimension
@@ -124,6 +127,81 @@ def test_sampler_rows_are_successive_point_draws(name):
         # and the generators are left in the same state
         assert rows_rng.random() == points_rng.random()
     assert e.sampler(np.random.default_rng(0), 0).shape == (0, d)
+
+
+def _reference_rotation_rows(rng, m):
+    """planar-rotation's rows at the default parameters, frozen: one block
+    of 2m normals, then one of m uniforms, each normal pair over its
+    written-out root times 4 sqrt(u)."""
+    v = rng.standard_normal((m, 2))
+    u = rng.random(m)
+    rows = [p / max(written_root(p), 1e-300) * (4.0 * math.sqrt(w))
+            for p, w in zip(v, u.tolist())]
+    return np.array(rows).reshape(m, 2)
+
+
+def _assert_rotation_rows_are_one_block_draw(make, m, buffered=False):
+    """planar-rotation's m rows from the generator make() equal the frozen
+    block reference, and leave the generator where the reference does."""
+    e = make_map("planar-rotation")
+    rng, ref_rng = make(), make()
+    if buffered:
+        # half of a 64-bit word stays buffered for the next uint32 draw
+        for g in (rng, ref_rng):
+            g.integers(2 ** 32, dtype=np.uint32)
+    rows = e.sampler(rng, m)
+    ref = _reference_rotation_rows(ref_rng, m)
+    assert rows.shape == (m, 2)
+    assert rows.tobytes() == ref.tobytes()
+    # and the generators are left in the same state; the states hold
+    # arrays for some bit generators, pickled alike when equal
+    assert pickle.dumps(rng.bit_generator.state) \
+        == pickle.dumps(ref_rng.bit_generator.state)
+    assert rng.integers(2 ** 32, dtype=np.uint32) \
+        == ref_rng.integers(2 ** 32, dtype=np.uint32)
+    assert rng.random() == ref_rng.random()
+    assert e.mapping.domain.contains_rows(rows).all()
+
+
+# 40,000 rows at 2026: the draws of the certify benchmark's rotation config
+@pytest.mark.parametrize("seed, m", [(0, 2000), (1, 2000), (7, 2000),
+                                     (2026, 40_000)])
+def test_rotation_rows_are_one_block_draw(seed, m):
+    _assert_rotation_rows_are_one_block_draw(
+        lambda: np.random.default_rng(seed), m)
+    e = make_map("planar-rotation")
+    assert e.sampler(np.random.default_rng(seed), 0).shape == (0, 2)
+
+
+@given(st.integers(0, 2 ** 63 - 1), st.integers(0, 2050), st.booleans())
+def test_rotation_rows_equal_the_block_reference(seed, m, buffered):
+    _assert_rotation_rows_are_one_block_draw(
+        lambda: np.random.default_rng(seed), m, buffered)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937,
+                                    np.random.Philox, np.random.SFC64,
+                                    np.random.PCG64DXSM])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_rotation_rows_are_one_block_draw_on_every_bit_generator(bitgen,
+                                                                 buffered):
+    for seed in (0, 7):
+        _assert_rotation_rows_are_one_block_draw(
+            lambda: np.random.Generator(bitgen(seed)), 1025, buffered)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_a_point_draw_is_the_single_row_of_one_row_draw(name):
+    e = make_map(name)
+    d = e.mapping.space.dimension
+    for seed in (0, 1, 7, 2026):
+        point_rng, row_rng = (np.random.default_rng(seed) for _ in range(2))
+        for _ in range(50):
+            p = e.sampler(point_rng)
+            row = e.sampler(row_rng, 1)
+            assert p.shape == (d,) and row.shape == (1, d)
+            assert p.tobytes() == row[0].tobytes()
+        assert point_rng.random() == row_rng.random()
 
 
 def _reference_point_sampler(name):
@@ -148,7 +226,11 @@ def test_sampler_keeps_the_frozen_point_draws(name):
     # 40,000 rows: the draws of the certify benchmark's rotation config
     for seed, m in ((0, 500), (1, 500), (7, 500), (2026, 40_000)):
         rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-        rows = e.sampler(rng, m)
+        # planar-rotation's rows are one block draw, not successive point
+        # draws (test_rotation_rows_are_one_block_draw): its point draws
+        # are the ones frozen here
+        rows = (np.array([e.sampler(rng) for _ in range(m)])
+                if name == "planar-rotation" else e.sampler(rng, m))
         ref = np.array([draw(ref_rng) for _ in range(m)])
         assert rows.tobytes() == ref.tobytes()
         assert rng.random() == ref_rng.random()
@@ -186,9 +268,12 @@ def test_batched_audit_matches_the_per_pair_loop(name, seed):
     assert rep.verdicts.tolist() == passed
     assert rep.rhs.tolist() == rhs
     assert rep.lhs.tolist() == lhs
-    # the CLI draws the same pairs as rows
-    rows = e.sampler(np.random.default_rng(seed), 400)
-    assert rows.reshape(200, 2, -1).tobytes() == np.array(pairs).tobytes()
+    # the CLI draws the same pairs as rows, which for planar-rotation are
+    # one block draw, not successive point draws
+    if name in ONE_COORDINATE:
+        rows = e.sampler(np.random.default_rng(seed), 400)
+        assert rows.reshape(200, 2, -1).tobytes() == \
+            np.array(pairs).tobytes()
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
