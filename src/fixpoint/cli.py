@@ -20,7 +20,6 @@ and a report that cannot be written among them.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -115,9 +114,7 @@ def _read(values: dict[str, str], key: str, spec: tuple):
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: not {_EXPECTED[parse]}: "
                           f"{raw!r}") from exc
-    # math.isfinite on a scalar: np.isfinite costs a microsecond a call
-    if (not np.isfinite(v).all() if parse is _vector
-            else parse is float and not math.isfinite(v)):
+    if parse is not int and not np.isfinite(v).all():
         raise ConfigError(f"key {key!r} must be finite, got {raw!r}")
     if bound is not None:
         op, least = bound.split()

@@ -124,13 +124,11 @@ def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
     infinite image, and ConvergenceError on budget exhaustion.
 
     A map that declares float_points is stepped on its float form (a
-    Python float, or a tuple of two in two dimensions) and each image
-    coordinate scaled by t as a Python float; any other map's array images
-    are scaled by t held as a 0-d float64 array, which numpy multiplies an
-    array by without the conversion a Python float takes on every call.
-    Images are float64 (the Point contract), so either way each step is
-    the same IEEE float64 product, bit for bit; the solution, and every
-    point an error carries, is a point array.
+    Python float, or a tuple of two in two dimensions).  Every image, a
+    float, a tuple's coordinates or a float64 point (the Point contract),
+    is scaled by t as one Python float, the same IEEE float64 product in
+    each form; the solution, and every point an error carries, is a point
+    array.
     """
     if not 0.0 <= t < 1.0:
         raise ArgumentError(f"t must lie in [0, 1), got {t}")
@@ -141,9 +139,8 @@ def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
     apply = T.apply
     x = _start(T, x_init, "warm start")
     if T.float_points:
-        x, tt = _float_form(x), float(t)
-    else:
-        tt = np.array(t, dtype=float)
+        x = _float_form(x)
+    tt = float(t)
     if x.__class__ is tuple:
         def step(v: tuple) -> tuple:
             y0, y1 = apply(v)
@@ -283,7 +280,7 @@ def _audit_boundary(T: MappingInstance, x: Point, t: float,
 def _image_norm(T: MappingInstance, x: Point, norm) -> float:
     """||T x||, refused with NonFiniteError when it is NaN or infinite.
     A float_points map is applied to x's float form and the image normed
-    in that form, so the outer loop rounds as the inner solves do."""
+    in that form, which rounds as the array form does and costs less."""
     y = T.apply(_float_form(x) if T.float_points else x)
     v = norm(y)
     if not math.isfinite(v):
@@ -455,7 +452,7 @@ def path_csv(path: ContinuationPath) -> Iterator[str]:
         x1, cert = path.terminal
         t, x, res, step, r = (t + (1.0,), x + (x1,), res + (cert.residual,),
                               step + (cert.tail_bound,), r + (0.0,))
+    cols = np.array([t, res, step, r], dtype=float)
     return _csv_text(["t", *(f"x{j}" for j in range(d)), "inner_residual",
                       "step_bound_used", "r_used"], [],
-                     [np.array(t, dtype=float), *np.array(x, dtype=float).T,
-                      *np.array([res, step, r], dtype=float)])
+                     [cols[0], *np.array(x, dtype=float).T, *cols[1:]])

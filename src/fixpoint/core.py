@@ -6,10 +6,10 @@ Points are 1-D float64 numpy arrays of shape ``(dimension,)``.  A mapping
 that sets ``float_points`` (the gallery's one-coordinate maps and
 planar-rotation) also takes a point in its float form, the coordinate's
 Python float in one dimension or the tuple of both coordinates' floats in
-two (_float_form), in apply, domain.contains, domain.boundary_distance,
-space.distance and space.norm (and, in one dimension, domain.project),
-and the drives step such a map on that form; every point they return or
-raise is still an array.
+two (_float_form), in apply, domain.contains, space.distance and
+space.norm (and, in one dimension, domain.project), and the drives step
+such a map on that form; every point they return or raise is still an
+array.
 A modulus is a function phi on [0, inf); a mapping T is contractive with
 modulus phi when
 
@@ -105,6 +105,9 @@ class Space:
 # floats, which kept too few of its bits to be compared
 _NORM_LO = 2.0 ** -511
 
+# a / b, with no warning where it overflows or underflows
+_quotient = np.errstate(over="ignore", under="ignore")(np.divide)
+
 
 def _euclidean_norm(v: Sequence[float]) -> float:
     """The Euclidean norm of the floats v (a point's .tolist(), or its
@@ -130,8 +133,9 @@ def _euclidean_norm(v: Sequence[float]) -> float:
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """The root of the left-to-right sum of squares of every row of an
     (m, d) array, column by column, as _euclidean_norm takes it before any
-    renorm; a squared norm that overflows gives inf, with no warning."""
-    with np.errstate(over="ignore"):
+    renorm; a squared norm that overflows gives inf and one that underflows
+    a subnormal or 0, with no warning."""
+    with np.errstate(over="ignore", under="ignore"):
         acc = rows[:, 0] * rows[:, 0]
         for j in range(1, rows.shape[1]):
             acc += rows[:, j] * rows[:, j]
@@ -153,7 +157,7 @@ def _own_units(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         top = np.abs(rows[big]).max(axis=1)
         scale = np.ldexp(1.0, np.frexp(top)[1] - 1)
         unit[big] = scale
-        r[big] = _row_norms(rows[big] / scale[:, None])
+        r[big] = _row_norms(_quotient(rows[big], scale[:, None]))
     return r, unit
 
 
@@ -161,7 +165,7 @@ def _row_norms_safe(rows: np.ndarray) -> np.ndarray:
     """_euclidean_norm of every row of an (m, d) array, bit for bit: the
     norms of _own_units scaled back, with no warning."""
     r, unit = _own_units(rows)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         return r * unit
 
 
@@ -417,8 +421,8 @@ def box(lo, hi) -> DomainSet:
     is the whole space (empty boundary, infinite boundary distance).
 
     In one dimension the point predicates compare the Python float that
-    .item() reads (contains and boundary_distance also take a point given
-    as that float, see MappingInstance.float_points), and contains_rows
+    .item() reads (contains also takes a point given as that float, see
+    MappingInstance.float_points), and contains_rows
     compares the rows' one column, both against the bounds as Python
     floats (below an infinite hi only against lo, which NaN fails
     already).  project is
@@ -452,8 +456,8 @@ def box(lo, hi) -> DomainSet:
         def interior(p: Point) -> bool:
             return lo_f < p.item() < hi_f
 
-        def bdist(p: Point | float) -> float:
-            v = p if p.__class__ is float else p.item()
+        def bdist(p: Point) -> float:
+            v = p.item()
             if v < lo_f or v > hi_f:
                 return 0.0
             return min(v - lo_f, hi_f - v)
@@ -517,10 +521,9 @@ def _offsets(rows: np.ndarray, c: Point) -> tuple[np.ndarray, np.ndarray]:
     divided by the power of two at the larger of their largest magnitudes,
     which is exact but for entries it takes below the normal floats and
     leaves every entry of the difference below 4 in magnitude; and the
-    unit of every row, 1 or that power.  The overflow
-    it handles raises no warning."""
-    with np.errstate(over="ignore"):
-        v = rows - c
+    unit of every row, 1 or that power.  Neither the overflow it handles
+    nor an underflow of those divisions raises a warning."""
+    v = _difference(rows, c)
     unit = np.ones(len(v))
     if not np.isfinite(v).all():
         big = np.flatnonzero(~np.isfinite(v).all(axis=1)
@@ -528,7 +531,7 @@ def _offsets(rows: np.ndarray, c: Point) -> tuple[np.ndarray, np.ndarray]:
         top = np.maximum(np.abs(rows[big]).max(axis=1), np.abs(c).max())
         scale = np.ldexp(1.0, np.frexp(top)[1] - 1)[:, None]
         unit[big] = scale[:, 0]
-        v[big] = rows[big] / scale - c / scale
+        v[big] = _quotient(rows[big], scale) - _quotient(c, scale)
     return v, unit
 
 
@@ -542,9 +545,9 @@ def ball(center, radius: float) -> DomainSet:
     difference only turns a -0.0 coordinate into +0.0, whose square is
     the same.  Where p - c overflows, it and its norm are taken in the
     point's own units (_offsets, _own_units), with no warning.  In two
-    dimensions contains and boundary_distance also take a point given as
-    a tuple of floats (see MappingInstance.float_points), with the bits
-    of the array point.
+    dimensions contains also takes a point given as a tuple of floats (see
+    MappingInstance.float_points), and boundary_distance, through the same
+    norm, does too, with the bits of the array point.
     """
     c = _frozen(np.atleast_1d(np.asarray(center, dtype=float)))
     if np.isnan(c).any():
@@ -594,7 +597,7 @@ def ball(center, radius: float) -> DomainSet:
 
     def contains_rows(rows: np.ndarray) -> np.ndarray:
         v, unit = _offsets(rows, c)
-        return _row_norms_safe(v) <= radius / unit
+        return _row_norms_safe(v) <= _quotient(radius, unit)
 
     def project(p: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(p)
@@ -607,7 +610,8 @@ def ball(center, radius: float) -> DomainSet:
         v /= u[:, None]
         unit *= u
         out = np.array(rows)
-        far = np.flatnonzero(r > radius / unit)
+        # the radius is inf in units so small that no row of them is far
+        far = np.flatnonzero(r > _quotient(radius, unit))
         # pull a hair inside the sphere so membership survives rounding;
         # where c + v s still rounds outside (a center far from the origin
         # against the radius) pull 16 times further, at worst to c itself
@@ -657,21 +661,21 @@ class MappingInstance:
     differ from the single-row images in the last bits.
 
     float_points is the promise of a map that apply, domain.contains,
-    domain.boundary_distance, space.distance and space.norm also take a
-    point in its float form (_float_form): in one dimension the
-    coordinate's Python float, which domain.project takes too, apply then
-    returning the image's float and project the projected (1,) point; in
-    two dimensions the tuple of the coordinates' floats, apply then
-    returning the image's tuple.  solve_fixed_point, orbit_exact and
-    solve_at_t then step the map on the float form, through those
-    callables, and so does orbit_inexact in one dimension; the path drives
-    take ||T x|| on it; what they return or raise holds point arrays,
-    with the bits of the array steps.  The gallery's one-coordinate maps
-    (gallery._one_coordinate) and planar-rotation promise it.  It is
-    refused with ArgumentError on any domain but a one-coordinate box (a
-    halfline among them) or a two-coordinate ball, and in any space but
-    a euclidean one, the ones whose point forms take the float form; so
-    a tuple point is always a euclidean(2) point.
+    space.distance and space.norm also take a point in its float form
+    (_float_form): in one dimension the coordinate's Python float, which
+    domain.project takes too, apply then returning the image's float and
+    project the projected (1,) point; in two dimensions the tuple of the
+    coordinates' floats, apply then returning the image's tuple.
+    solve_fixed_point, orbit_exact and solve_at_t then step the map on
+    the float form, through those callables, and so does orbit_inexact in
+    one dimension; the path drives take ||T x|| on it, and a path point's
+    domain.boundary_distance on its array; what they return or raise holds
+    point arrays, with the bits of the array steps.  The gallery's
+    one-coordinate maps (gallery._one_coordinate) and planar-rotation
+    promise it.  It is refused with ArgumentError on any domain but a
+    one-coordinate box (a halfline among them) or a two-coordinate ball,
+    and in any space but a euclidean one, the ones whose point forms take
+    the float form; so a tuple point is always a euclidean(2) point.
 
     The declared modulus is a claim, not a certificate; audit it with
     :func:`verify_contractive` on the pairs you care about.
@@ -718,16 +722,18 @@ def _apply_rows(T: MappingInstance, rows: np.ndarray) -> np.ndarray:
     first _ROWWISE_HEAD of them must equal single-row applies up to
     roundoff (1e-9 relative, since a batched matrix product rounds
     differently).  An apply that numpy cannot broadcast over the rows is
-    refused the same way: a ValueError of the batched apply becomes
-    ArgumentError when the head's single-row applies succeed.  Any other
-    failure of the map, a LinAlgError included, surfaces unchanged."""
+    refused the same way: on a ValueError of the batched apply the head's
+    rows are applied one by one, and ArgumentError is raised when they all
+    succeed.  Any other failure of the map, a LinAlgError or an error of a
+    single-row apply included, surfaces unchanged."""
     head = rows[:_ROWWISE_HEAD]
     try:
         images = T.apply(rows)
     except ValueError as exc:
-        if (isinstance(exc, np.linalg.LinAlgError)
-                or not _applies_pointwise(T, head)):
+        if isinstance(exc, np.linalg.LinAlgError):
             raise
+        for r in head:
+            T.apply(r)
         raise ArgumentError(_NOT_ROWWISE) from exc
     try:
         single = np.array([T.apply(r) for r in head]).reshape(head.shape)
@@ -739,16 +745,6 @@ def _apply_rows(T: MappingInstance, rows: np.ndarray) -> np.ndarray:
                        equal_nan=True)):
         raise ArgumentError(_NOT_ROWWISE)
     return images
-
-
-def _applies_pointwise(T: MappingInstance, points: np.ndarray) -> bool:
-    """Whether T.apply runs without raising on each point alone."""
-    try:
-        for p in points:
-            T.apply(p)
-    except Exception:
-        return False
-    return True
 
 
 def _non_finite(y, x) -> NonFiniteError:

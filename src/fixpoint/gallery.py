@@ -33,11 +33,12 @@ outside every domain, gives NaN).  Each declares float_points, so the
 Picard drives, exact and perturbed, step it on the float itself.  Only a
 division by zero differs: a Python float raises ZeroDivisionError where
 numpy warns and gives an infinity; that needs a point outside the domain
-(rakotch-decay at x = -1/a).  planar-rotation's apply writes x R^T + b
-out coordinate by coordinate, x0 R[j, 0] + x1 R[j, 1] + b_j, in the same
-order on a tuple of two floats, a (2,) point and (m, 2) rows, so all three
-get the same bits; planar-rotation also declares float_points, and the
-inner solves of the continuation step it on a tuple of two floats,
+(rakotch-decay at x = -1/a).  planar-rotation's apply is one body too,
+x R^T + b written out coordinate by coordinate, x0 R[j, 0] + x1 R[j, 1]
++ b_j, on the two floats of a tuple or on the columns x[..., :1],
+x[..., 1:] of a (2,) point or of (m, 2) rows, joined back after, so all
+three get the same bits; planar-rotation also declares float_points, and
+the inner solves of the continuation step it on a tuple of two floats,
 through the same apply, ball membership and Euclidean distance.
 
 Each map is one _REGISTRY entry (its builder, parameters and notes); the
@@ -163,16 +164,14 @@ def _build_planar_rotation(theta: float, bx: float, by: float,
     eye = np.eye(2)
     (r00, r01), (r10, r11) = R.tolist()
     b0, b1 = b.tolist()
-    # the columns of R, each coordinate's factor of x0 and of x1
-    col0, col1 = _frozen(R[:, 0]), _frozen(R[:, 1])
 
     def apply(x: Point | tuple) -> Point | tuple:
-        if x.__class__ is tuple:
-            x0, x1 = x
-            return x0 * r00 + x1 * r01 + b0, x0 * r10 + x1 * r11 + b1
-        # x R^T + b on the columns, which also maps an (m, 2) array row by
-        # row
-        return x[..., :1] * col0 + x[..., 1:] * col1 + b
+        # x R^T + b written out on the two floats of a tuple, or on the
+        # columns of a point or of (m, 2) rows, joined back after
+        floats = x.__class__ is tuple
+        x0, x1 = x if floats else (x[..., :1], x[..., 1:])
+        y = x0 * r00 + x1 * r01 + b0, x0 * r10 + x1 * r11 + b1
+        return y if floats else np.concatenate(y, axis=-1)
 
     def path(t: float) -> Point:
         return np.linalg.solve(eye - t * R, t * b)

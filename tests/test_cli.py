@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -700,6 +701,43 @@ def test_reports_match_golden_bytes(tmp_path, name):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in out.iterdir() if p.name != "manifest.txt"}
     assert got == digests
+
+
+def test_drives_pass_boundary_distance_only_point_arrays(tmp_path,
+                                                       monkeypatch):
+    # affine-halfline with a halfline whose boundary_distance refuses
+    # anything but a point array: float_points does not promise it the
+    # float form, so the drives that step the map on floats still pass it
+    # arrays, and the reports are the gallery map's bytes
+    seen = []
+
+    def array_only(mapping):
+        bdist = mapping.domain.boundary_distance
+
+        def strict(p):
+            if not isinstance(p, np.ndarray):
+                raise TypeError(f"boundary_distance got {p!r}")
+            seen.append(p)
+            return bdist(p)
+
+        return replace(mapping, domain=replace(mapping.domain,
+                                               boundary_distance=strict))
+
+    def strict_map(name, **params):
+        entry = make_map(name, **params)
+        return replace(entry, mapping=array_only(entry.mapping))
+
+    monkeypatch.setattr(cli, "make_map", strict_map)
+    for name in ("solve", "trace", "limit"):
+        text, status, digests = _GOLDEN[name]
+        assert "map = affine-halfline" in text
+        cfg = _write(tmp_path, f"{name}.cfg", text)
+        out = tmp_path / name
+        assert main(["run", str(cfg), "--out", str(out)]) == status
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name != "manifest.txt"}
+        assert got == digests
+    assert seen
 
 
 def test_manifest_lists_its_keys_in_order(tmp_path):

@@ -347,6 +347,24 @@ def test_ball_projection_survives_an_overflowing_norm(p, want):
     assert np.array_equal(d.project(np.array([p, [0.5, 0.5]]))[0], q)
 
 
+@pytest.mark.parametrize("p", [[5e-324, 0.0], [1e-310, 1e-310],
+                               [1e-310, 1e-310, 0.0]])
+def test_ball_projects_a_tiny_member_unchanged_with_no_warning(p):
+    # p's squared norm underflows, so its norm is taken in units so small
+    # that radius / unit overflows to inf, the right threshold: no row in
+    # those units lies outside.  That division used to warn
+    d = ball([0.0] * len(p), 1.0)
+    x = np.array(p)
+    far = np.zeros(len(p))
+    far[0] = 3.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = d.project(x)
+        rows = d.project(np.array([p, far]))
+    assert one.tobytes() == x.tobytes() and rows[0].tobytes() == x.tobytes()
+    assert d.contains(rows[1]) and rows[1][0] == pytest.approx(1.0)
+
+
 def test_ball_membership_survives_an_overflowing_norm():
     d = ball([0.0, 0.0], 1e200)
     on, inside, past = [1e200, 0.0], [6e199, 0.0], [1e201, 0.0]

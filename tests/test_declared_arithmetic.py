@@ -189,6 +189,42 @@ def test_norms_of_a_nan_or_an_infinity_follow_ieee(d):
                     assert not any(inside), w
 
 
+@pytest.mark.parametrize("v,c,radius", [
+    ([1e-170, 1e-170], [0.0, 0.0], 1.0),
+    ([5e-324, 0.0, -1e-200], [0.0, 0.0, 0.0], 1.0),
+    ([1e-300], [0.0], 1.0),
+    # a norm below the normal floats, scaled back from its own units
+    ([1e-310, -1e-310], [0.0, 0.0], 1.0),
+    # squares that overflow, and a coordinate that underflows in the
+    # row's own units
+    ([1e200, -1e-300], [0.0, 0.0], 1.0),
+    # the offset overflows, and its tiny coordinate, and the radius, are
+    # below the normal floats in the offset's own units
+    ([1e308, 1e-300], [-1e308, 0.0], 1e-300),
+])
+def test_no_norm_form_raises_on_an_underflow(v, c, radius):
+    # numpy flags the squares of v, or its offset or the radius in the
+    # offset's own units, as underflowing; under np.errstate(under="raise")
+    # the row forms, which the point forms fall back on there, took that
+    # flag and raised FloatingPointError, where the Python-float
+    # arithmetic of the point forms never raises
+    d = len(v)
+    space, dom = euclidean(d), ball(c, radius)
+    x, rows, zero = np.array(v), np.array([v, v]), np.zeros(d)
+    want = written_norm(v)
+    want_in = written_norm([a - b for a, b in zip(v, c)]) <= radius
+    with np.errstate(all="raise"):
+        got = [space.norm(x), space.distance(x, zero)]
+        got += space.rowwise_distance(rows, zero).tolist()
+        inside = [dom.contains(x)] + dom.contains_rows(rows).tolist()
+        if d == 2:
+            got += [space.norm(tuple(v)),
+                    space.distance(tuple(v), (0.0, 0.0))]
+            inside.append(dom.contains(tuple(v)))
+    assert all(type(r) is float and same_float(r, want) for r in got)
+    assert inside == [want_in] * len(inside)
+
+
 # the only linear algebra the package calls: planar-rotation's closed-form
 # fixed point and path, which checks compare only to a tolerance
 _BLAS = re.compile(r"\.dot\(| @ |matmul|einsum|vdot|np\.inner\("
