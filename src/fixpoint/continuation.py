@@ -452,7 +452,7 @@ def path_csv(path: ContinuationPath) -> Iterator[str]:
         x1, cert = path.terminal
         t, x, res, step, r = (t + (1.0,), x + (x1,), res + (cert.residual,),
                               step + (cert.tail_bound,), r + (0.0,))
-    cols = np.array([t, res, step, r], dtype=float)
     return _csv_text(["t", *(f"x{j}" for j in range(d)), "inner_residual",
                       "step_bound_used", "r_used"], [],
-                     [cols[0], *np.array(x, dtype=float).T, *cols[1:]])
+                     [np.array(t, dtype=float), *np.array(x, dtype=float).T,
+                      *np.array([res, step, r], dtype=float)])

@@ -35,9 +35,10 @@ division by zero differs: a Python float raises ZeroDivisionError where
 numpy warns and gives an infinity; that needs a point outside the domain
 (rakotch-decay at x = -1/a).  planar-rotation's apply is one body too,
 x R^T + b written out coordinate by coordinate, x0 R[j, 0] + x1 R[j, 1]
-+ b_j, on the two floats of a tuple or on the columns x[..., :1],
-x[..., 1:] of a (2,) point or of (m, 2) rows, joined back after, so all
-three get the same bits; planar-rotation also declares float_points, and
++ b_j, on the two floats of a tuple; a (2,) point or (m, 2) rows go
+through the same body as the tuple of their coordinates, x.T (two floats
+or two columns), and are stacked back by np.array(...).T, so all three
+get the same bits; planar-rotation also declares float_points, and
 the inner solves of the continuation step it on a tuple of two floats,
 through the same apply, ball membership and Euclidean distance.
 
@@ -166,12 +167,13 @@ def _build_planar_rotation(theta: float, bx: float, by: float,
     b0, b1 = b.tolist()
 
     def apply(x: Point | tuple) -> Point | tuple:
-        # x R^T + b written out on the two floats of a tuple, or on the
-        # columns of a point or of (m, 2) rows, joined back after
-        floats = x.__class__ is tuple
-        x0, x1 = x if floats else (x[..., :1], x[..., 1:])
-        y = x0 * r00 + x1 * r01 + b0, x0 * r10 + x1 * r11 + b1
-        return y if floats else np.concatenate(y, axis=-1)
+        # x R^T + b written out on a tuple's two floats; a point or (m, 2)
+        # rows go through it as the tuple of their coordinates, x.T, and
+        # are stacked back after
+        if x.__class__ is not tuple:
+            return np.array(apply(tuple(x.T))).T
+        x0, x1 = x
+        return x0 * r00 + x1 * r01 + b0, x0 * r10 + x1 * r11 + b1
 
     def path(t: float) -> Point:
         return np.linalg.solve(eye - t * R, t * b)

@@ -886,6 +886,22 @@ def test_verify_contractive_lets_the_maps_own_errors_through():
         assert not isinstance(err.value, ArgumentError)
 
 
+@pytest.mark.parametrize("single_error", [TypeError, ValueError])
+def test_verify_contractive_raises_a_failing_single_rows_own_error(
+        single_error):
+    # the batched apply raises a ValueError and a single row fails too:
+    # the single row's error surfaces, with the batched one as its context
+    def apply(x):
+        if x.ndim == 2:
+            raise ValueError("batched failure")
+        raise single_error("single-row failure")
+
+    with pytest.raises(single_error, match="single-row failure") as err:
+        verify_contractive(_whole_line(apply), [([1.0], [2.0])] * 3)
+    assert not isinstance(err.value, ArgumentError)
+    assert str(err.value.__context__) == "batched failure"
+
+
 def test_verify_contractive_lets_a_late_linalg_error_through():
     # singular only at a point past the rows checked one by one
     def apply(x):
