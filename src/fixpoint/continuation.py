@@ -233,10 +233,11 @@ def check_leray_schauder(T: MappingInstance, x,
     gives ||T x - mu x|| <= 2 ||T x - lam x|| for every lam.  In one
     dimension mu minimises ||T x - lam x|| over lam, so every lam within
     tol is caught.  x must lie in the closed domain within tol of its
-    boundary; x = 0 is refused because 0 is assumed interior.
+    boundary; x = 0 is refused because 0 is assumed interior, and so is
+    an infinite tol, which would pose the condition at interior points.
     """
-    if not tol > 0.0:
-        raise ArgumentError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ArgumentError(f"tol must be finite and > 0, got {tol}")
     norm = T.space.norm
     x = as_point(x, T.space.dimension)
     nx = norm(x)

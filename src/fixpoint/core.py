@@ -108,6 +108,10 @@ _NORM_LO = 2.0 ** -511
 # a / b, with no warning where it overflows or underflows
 _quotient = np.errstate(over="ignore", under="ignore")(np.divide)
 
+# a - b, inf past the largest float with no overflow warning; the decorator
+# form of errstate costs about half as much per call as the with-block
+_difference = np.errstate(over="ignore")(np.subtract)
+
 
 def _euclidean_norm(v: Sequence[float]) -> float:
     """The Euclidean norm of the floats v (a point's .tolist(), or its
@@ -142,36 +146,48 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def _own_units(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_row_norms(rows) for an (m, d) array, with each finite nonzero row
-    whose norm is below _NORM_LO or inf normed again in its own units, as
-    _euclidean_norm norms a point; and the unit of every row, 1 or the
-    power of two it was divided by."""
-    r = _row_norms(rows)
+def _own_units(rows: np.ndarray, c: Point | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v, r, unit) for an (m, d) array rows and a finite point c (the
+    origin when None): v * unit is rows - c, r is _row_norms(v) and unit
+    is 1 or a power of two, with no warning.  A finite row is taken in
+    its own units where its difference overflowed (it and c divided by
+    the power of two at their largest magnitude: exact but for entries
+    below the normal floats, and every entry of v below 4) or where that
+    difference is nonzero and its norm below _NORM_LO or inf (the
+    difference divided by the power of two at its largest magnitude, as
+    _euclidean_norm renorms a point: exact, every entry below 2 and the
+    largest at least 1); no row needs both."""
+    v = rows if c is None else _difference(rows, c)
+    r = _row_norms(v)
     unit = np.ones(len(r))
     off = ~((r >= _NORM_LO) & (r < math.inf))
     if off.any():
-        big = np.flatnonzero(off)
-        rest = rows[big]
-        big = big[np.isfinite(rest).all(axis=1) & rest.any(axis=1)]
-        top = np.abs(rows[big]).max(axis=1)
-        scale = np.ldexp(1.0, np.frexp(top)[1] - 1)
-        unit[big] = scale
-        r[big] = _row_norms(_quotient(rows[big], scale[:, None]))
-    return r, unit
+        off = np.flatnonzero(off)
+        off = off[np.isfinite(rows[off]).all(axis=1) & v[off].any(axis=1)]
+        top = np.abs(v[off]).max(axis=1)
+        over = np.flatnonzero(top == math.inf)      # rows - c overflowed
+        if over.size:
+            top[over] = np.maximum(np.abs(rows[off[over]]).max(axis=1),
+                                   np.abs(c).max())
+        scale = np.ldexp(1.0, np.frexp(top)[1] - 1)[:, None]
+        w = _quotient(v[off], scale)
+        if over.size:
+            w[over] = (_quotient(rows[off[over]], scale[over])
+                       - _quotient(c, scale[over]))
+        v = np.array(v) if v is rows else v
+        v[off] = w
+        unit[off] = scale[:, 0]
+        r[off] = _row_norms(w)
+    return v, r, unit
 
 
 def _row_norms_safe(rows: np.ndarray) -> np.ndarray:
     """_euclidean_norm of every row of an (m, d) array, bit for bit: the
-    norms of _own_units scaled back, with no warning."""
-    r, unit = _own_units(rows)
+    r * unit of _own_units(rows), with no warning."""
+    _, r, unit = _own_units(rows)
     with np.errstate(over="ignore", under="ignore"):
         return r * unit
-
-
-# a - b, inf past the largest float with no overflow warning; the decorator
-# form of errstate costs about half as much per call as the with-block
-_difference = np.errstate(over="ignore")(np.subtract)
 
 
 def _normed_space(kind: str, dimension: int,
@@ -392,7 +408,10 @@ class DomainSet:
     contains accepts comes back unchanged, bit for bit (a signed zero
     keeps its sign): on every step where a perturbed point is outside,
     the stability experiment projects its whole batch, exited rows parked
-    at the fixed point, so a custom domain must keep both.
+    at the fixed point, so a custom domain must keep both.  The shipped
+    kinds keep the second by moving only the points that contains_rows
+    refuses: box compares coordinates with its bounds, and every form of
+    ball compares the one rounded ||p - c|| with its radius.
     nearest_boundary returns a closest boundary point, used to audit the
     boundary condition when a path crowds the edge of its domain; it
     raises ArgumentError where the set has no finite boundary.
@@ -420,12 +439,13 @@ def box(lo, hi) -> DomainSet:
     Entries of lo may be -inf and entries of hi +inf; a fully infinite box
     is the whole space (empty boundary, infinite boundary distance).
 
-    In one dimension the point predicates compare the Python float that
-    .item() reads (contains also takes a point given as that float, see
-    MappingInstance.float_points), and contains_rows
+    In one dimension contains and boundary_distance compare the Python
+    float that .item() reads (contains also takes a point given as that
+    float, see MappingInstance.float_points), and contains_rows
     compares the rows' one column, both against the bounds as Python
     floats (below an infinite hi only against lo, which NaN fails
-    already).  project is
+    already); interior_contains, run once per path, has one form for
+    every dimension.  project is
     np.minimum(hi, np.maximum(lo, p)): the bits of np.clip(p, lo, hi), NaN
     included, without its Python wrapper, except that a coordinate that
     is a zero at a zero bound of the other sign keeps its own sign, so a
@@ -453,9 +473,6 @@ def box(lo, hi) -> DomainSet:
         def contains(p: Point | float) -> bool:
             return lo_f <= (p if p.__class__ is float else p.item()) <= hi_f
 
-        def interior(p: Point) -> bool:
-            return lo_f < p.item() < hi_f
-
         def bdist(p: Point) -> float:
             v = p.item()
             if v < lo_f or v > hi_f:
@@ -471,9 +488,6 @@ def box(lo, hi) -> DomainSet:
         def contains(p: Point) -> bool:
             return bool(np.all(p >= lo_a) and np.all(p <= hi_a))
 
-        def interior(p: Point) -> bool:
-            return bool(np.all(p > lo_a) and np.all(p < hi_a))
-
         def bdist(p: Point) -> float:
             if not contains(p):
                 return 0.0
@@ -483,6 +497,9 @@ def box(lo, hi) -> DomainSet:
 
         def contains_rows(rows: np.ndarray) -> np.ndarray:
             return ((rows >= lo_a) & (rows <= hi_a)).all(axis=1)
+
+    def interior(p: Point) -> bool:
+        return bool(np.all(p > lo_a) and np.all(p < hi_a))
 
     def project(p: np.ndarray) -> np.ndarray:
         return np.minimum(hi_a, np.maximum(lo_a, p))
@@ -515,39 +532,22 @@ def halfline(a: float) -> DomainSet:
     return box([a], [math.inf])
 
 
-def _offsets(rows: np.ndarray, c: Point) -> tuple[np.ndarray, np.ndarray]:
-    """rows - c for an (m, d) array and a finite point c, with each finite
-    row whose difference overflowed taken in its own units: the row and c
-    divided by the power of two at the larger of their largest magnitudes,
-    which is exact but for entries it takes below the normal floats and
-    leaves every entry of the difference below 4 in magnitude; and the
-    unit of every row, 1 or that power.  Neither the overflow it handles
-    nor an underflow of those divisions raises a warning."""
-    v = _difference(rows, c)
-    unit = np.ones(len(v))
-    if not np.isfinite(v).all():
-        big = np.flatnonzero(~np.isfinite(v).all(axis=1)
-                             & np.isfinite(rows).all(axis=1))
-        top = np.maximum(np.abs(rows[big]).max(axis=1), np.abs(c).max())
-        scale = np.ldexp(1.0, np.frexp(top)[1] - 1)[:, None]
-        unit[big] = scale[:, 0]
-        v[big] = _quotient(rows[big], scale) - _quotient(c, scale)
-    return v, unit
-
-
 def ball(center, radius: float) -> DomainSet:
     """Closed Euclidean ball of the given center and radius > 0.
 
-    The point predicates take _euclidean_norm of p - c, which about a
-    center of zeros (the usual setting: continuation needs 0 interior) is
-    the norm of p itself: x - 0.0 is x for every float, signed zeros, NaN
-    and infinities included, and where the center holds a -0.0 the
-    difference only turns a -0.0 coordinate into +0.0, whose square is
-    the same.  Where p - c overflows, it and its norm are taken in the
-    point's own units (_offsets, _own_units), with no warning.  In two
-    dimensions contains also takes a point given as a tuple of floats (see
-    MappingInstance.float_points), and boundary_distance, through the same
-    norm, does too, with the bits of the array point.
+    Every form decides on one value, ||p - c|| as euclidean(d)'s distance
+    and rowwise_distance from the center round it, with the same bits:
+    contains, contains_rows, interior_contains, boundary_distance and
+    project's test for a point outside.  So project returns every member
+    unchanged.  In two dimensions contains and boundary_distance also
+    take a point given as a tuple of floats (see
+    MappingInstance.float_points); contains writes the norm out on them.
+
+    project (a hair inside the sphere) and nearest_boundary take p to
+    c + v (radius / r), for v = p - c and its norm r in their own units
+    (_own_units); where radius / r is not a normal float, as for a point
+    far outside a tiny ball or near the center of a large one, they take
+    the direction first, c + (v / r) radius, with no warning.
     """
     c = _frozen(np.atleast_1d(np.asarray(center, dtype=float)))
     if np.isnan(c).any():
@@ -556,30 +556,20 @@ def ball(center, radius: float) -> DomainSet:
         raise ArgumentError(f"ball radius must be > 0, got {radius}")
     centred = not c.any()
     c_floats = tuple(c.tolist())
+    space = euclidean(c.size)
+    distance, rowwise_distance = space.distance, space.rowwise_distance
 
-    def in_units(p: Point | tuple) -> tuple[Point, float, float]:
-        """p - c, its norm, and the unit both are taken in: that of p - c
-        where it overflowed, else that of its squared norm."""
-        v, unit = _offsets(np.array(p, dtype=float, ndmin=2), c)
-        r, u = _own_units(v)
-        return v[0] / u[0], float(r[0]), float(unit[0] * u[0])
-
-    def norm(p: Point | tuple) -> float:
-        """||p - c|| of a point array or a tuple of floats; inf only past
-        the largest float."""
-        v = p if p.__class__ is tuple else p.tolist()
-        if not centred:
-            v = [a - b for a, b in zip(v, c_floats)]
-        r = _euclidean_norm(v)
-        if r < math.inf:
-            return r
-        _, r, unit = in_units(p)
-        return r * unit
+    if centred:
+        # p - c is p but for the signs of zeros, whose squares are the same
+        norm = space.norm
+    else:
+        def norm(p: Point | tuple) -> float:
+            return distance(p, c_floats if p.__class__ is tuple else c)
 
     def contains(p: Point | tuple) -> bool:
         if p.__class__ is tuple:
             # the hottest leaf of the inner solves, written out on the
-            # floats
+            # floats as euclidean(2)'s distance writes it
             v0, v1 = p
             if not centred:
                 c0, c1 = c_floats
@@ -596,43 +586,44 @@ def ball(center, radius: float) -> DomainSet:
         return max(0.0, radius - norm(p))
 
     def contains_rows(rows: np.ndarray) -> np.ndarray:
-        v, unit = _offsets(rows, c)
-        return _row_norms_safe(v) <= _quotient(radius, unit)
+        return rowwise_distance(rows, c) <= radius
+
+    @np.errstate(over="ignore", under="ignore")
+    def on_sphere(v: np.ndarray, r: np.ndarray, shrink: float) -> np.ndarray:
+        """c + v (radius / r) shrink for rows v of norms r > 0 in any
+        units, or c + (v / r) (radius shrink) where radius / r is not a
+        normal float (from 2^-1022 on)."""
+        s = radius / r
+        odd = ~((s >= 2.0 ** -1022) & (s < math.inf))
+        s[odd] = 0.0
+        out = v * (s * shrink)[:, None]
+        out[odd] = v[odd] / r[odd, None] * (radius * shrink)
+        return c + out
 
     def project(p: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(p)
-        # c + v radius / r is the same point for v and r in any units, so
-        # a row whose offset from the center, or its squared norm,
-        # overflowed is taken in its own units, against the radius in
-        # those units
-        v, unit = _offsets(rows, c)
-        r, u = _own_units(v)
-        v /= u[:, None]
-        unit *= u
         out = np.array(rows)
-        # the radius is inf in units so small that no row of them is far
-        far = np.flatnonzero(r > _quotient(radius, unit))
+        # NaN rows are not outside, and come back unchanged
+        far = np.flatnonzero(rowwise_distance(rows, c) > radius)
+        v, r, _ = _own_units(rows[far], c)
         # pull a hair inside the sphere so membership survives rounding;
         # where c + v s still rounds outside (a center far from the origin
         # against the radius) pull 16 times further, at worst to c itself
         shave = 1e-12
         while far.size:
-            out[far] = c + v[far] * ((radius / r[far]) * (1.0 - shave))[:, None]
-            far = far[_row_norms_safe(out[far] - c) > radius]
+            out[far] = on_sphere(v, r, 1.0 - shave)
+            still = rowwise_distance(out[far], c) > radius
+            far, v, r = far[still], v[still], r[still]
             shave = min(16.0 * shave, 1.0)
         return out.reshape(np.shape(p))
 
     def nearest_boundary(p: Point) -> Point:
-        v, r, unit = in_units(p)
-        if r == 0.0:
+        v, r, _ = _own_units(np.atleast_2d(p), c)
+        if r[0] == 0.0:
             out = np.array(c)
             out[0] += radius
             return out
-        s = radius / r
-        # p - c in its own units, or p nearer c than radius / 2^1024
-        if unit != 1.0 or s == math.inf:
-            return c + v / r * radius
-        return c + v * s
+        return on_sphere(v, r, 1.0)[0]
 
     return DomainSet(kind="ball", params=tuple(c) + (radius,),
                      dimension=c.size,
@@ -802,8 +793,9 @@ def verify_contractive(T: MappingInstance, pairs,
     shape raises ArgumentError, and so does a NaN or infinite pair
     point.  Every point must lie in T's domain; the first offender in the
     order x_0, y_0, x_1, y_1, ... is reported by value in a DomainError.
-    slack >= 0 absorbs roundoff when an exact inequality is expected to be
-    tight.
+    A finite slack >= 0 absorbs roundoff when an exact inequality is
+    expected to be tight; an infinite one would pass any map, and is
+    refused.
 
     All 2m points go through one T.apply, so apply must map an
     (m, dimension) array row by row (see MappingInstance; checked on the
@@ -814,8 +806,8 @@ def verify_contractive(T: MappingInstance, pairs,
     the batched images, hence lhs, may differ from the single-point ones
     in the last bits; rhs never does.
     """
-    if not slack >= 0.0:
-        raise ArgumentError(f"slack must be >= 0, got {slack}")
+    if not 0.0 <= slack < math.inf:
+        raise ArgumentError(f"slack must be finite and >= 0, got {slack}")
     d = T.space.dimension
     try:
         xy = np.asarray(pairs, dtype=float)

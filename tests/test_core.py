@@ -438,6 +438,25 @@ def test_ball_nearest_boundary_from_within_radius_over_2_1024_of_centre():
         0.0, -1e300]
 
 
+@pytest.mark.parametrize("p", [[1e154, 0.0], [1e20, 0.0]])
+def test_ball_takes_a_far_point_to_a_tiny_sphere_along_its_direction(p):
+    # radius / ||p|| underflows, to 0 against 1e154 and to a subnormal
+    # against 1e20: the direction p / ||p|| is taken first, where the
+    # point used to land on the center or off in the fifth digit, and
+    # under np.errstate(all="raise") the division raised
+    d = ball([0.0, 0.0], 1e-300)
+    x = np.array(p)
+    with np.errstate(all="raise"):
+        q = d.project(x)
+        b = d.nearest_boundary(x)
+    ulps = 4.0 * math.ulp(1e-300)
+    # project pulls its point 1e-12 of the radius inside the sphere
+    assert abs(q[0] - 1e-300 * (1.0 - 1e-12)) <= ulps and q[1] == 0.0
+    assert d.contains(q)
+    assert abs(b[0] - 1e-300) <= ulps and b[1] == 0.0
+    assert abs(math.hypot(*b) - 1e-300) <= ulps
+
+
 @pytest.mark.parametrize("center,radius,p,inside,dist", [
     # p - c overflows
     ([-1e308, 0.0], 1e308, [1e308, 0.0], False, 0.0),

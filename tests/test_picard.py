@@ -158,12 +158,21 @@ def _disc_map() -> MappingInstance:
     (lambda: run_stability_experiment(_decay_map(), [0.0], 1.0, 0.1, 2,
                                       900, 0, delta_override=math.inf),
      "delta_override"),
+    # an infinite slack passes any map, an infinite tol poses the
+    # boundary condition at interior points
+    (lambda: verify_contractive(
+        dataclasses.replace(make_map("rakotch-decay").mapping,
+                            declared_modulus=constant_modulus(0.0)),
+        [(1.0, 2.0)], slack=math.inf), "slack"),
+    (lambda: check_leray_schauder(make_map("planar-rotation").mapping,
+                                  [0.5, 0.0], tol=math.inf), "tol"),
     (lambda: orbit_inexact(_decay_map(), [1.0], 10, 1e-3, -1),
      "noise_seed"),
     (lambda: run_stability_experiment(_decay_map(), [0.0], 1.0, 0.1, 2,
                                       900, -1), "seed"),
 ], ids=["orbit-inf-delta", "orbit-inf-delta-2d", "stability-inf-delta",
-        "orbit-negative-seed", "stability-negative-seed"])
+        "verify-inf-slack", "ls-inf-tol", "orbit-negative-seed",
+        "stability-negative-seed"])
 def test_infinite_budgets_and_negative_seeds_are_refused(call, name):
     with pytest.raises(ArgumentError, match=f"^{name} must be"):
         call()

@@ -5,6 +5,9 @@ boundary-condition test.
   points and for rows;
 * every domain's project returns a member unchanged, bit for bit, and
   does not write into its argument, for points and for rows;
+* the ball's contains (on arrays and tuples), contains_rows,
+  interior_contains, boundary_distance and project decide on one rounded
+  ||p - c|| at radii of every binary exponent;
 * a perturbed orbit with delta = 0 is the exact orbit, bit for bit;
 * the batch kernel's worst distance of each of m rows stepped together
   is, bit for bit, that of the row's single orbit;
@@ -155,6 +158,11 @@ def _members(draw):
 @example((halfline(-0.0), np.array([[0.0], [-0.0], [math.inf]])))
 @example((ball([1e250, 0.0], 1e251),
           np.array([[1.1e251, 0.0], [1e250, 1e251], [1e250, -1e251]])))
+# a subnormal radius: contains took the point's norm rounded back from its
+# own units, project compared it unrounded against the radius in those
+# units, and moved the member
+@example((ball([0.0, 0.0], 2.5067181128526e-310),
+          np.array([[1.1686253388549e-310, -2.21764526349227e-310]])))
 def test_project_returns_a_member_unchanged_and_leaves_its_argument(case):
     # the stability kernel projects a whole batch once no row exits, so a
     # row already inside must come back with the same bits
@@ -175,6 +183,40 @@ def test_project_returns_a_member_unchanged_and_leaves_its_argument(case):
                 continue
         q = p.tobytes()
         assert dom.project(p).tobytes() == q and p.tobytes() == q
+
+
+def test_ball_forms_decide_on_one_norm_at_every_radius():
+    # radii m 2^e at every fourth binary exponent, subnormal ones included,
+    # about centred and off-centre balls in 2-D and 3-D, and points
+    # c + u radius (1 +- 2^-k) on both sides of the sphere, where one
+    # rounding of ||p - c|| decides: every form must decide on that one
+    # value, so project returns every member with its bits
+    rng = np.random.default_rng(7)
+    for e in range(-1074, 1024, 4):
+        radius = float(np.ldexp(rng.uniform(1.0, 2.0), e))
+        for d in (2, 3):
+            c = np.zeros(d)
+            if rng.random() < 0.5:      # up to 2^60 radii off the origin
+                j = min(int(rng.integers(0, 61)), 1020 - e)
+                c = rng.uniform(-1.0, 1.0, d) * np.ldexp(radius, j)
+            dom = ball(c, radius)
+            u = rng.standard_normal((12, d))
+            u /= np.sqrt((u * u).sum(axis=1))[:, None]
+            k = rng.integers(1, 61, 12)
+            with np.errstate(all="ignore"):
+                rows = c + u * (radius * (1.0 + rng.choice([-1.0, 1.0], 12)
+                                          * np.ldexp(1.0, -k)))[:, None]
+            rows = rows[np.isfinite(rows).all(axis=1)]
+            inside = dom.contains_rows(rows)
+            for p, member in zip(rows, inside.tolist()):
+                assert dom.contains(p) is member
+                if d == 2:
+                    assert dom.contains(tuple(p.tolist())) is member
+                assert dom.interior_contains(p) is (
+                    dom.boundary_distance(p) > 0.0)
+            projected = dom.project(rows)
+            assert projected[inside].tobytes() == rows[inside].tobytes()
+            assert dom.contains_rows(projected).all()
 
 
 # ---------------------------------------------------------------------------
