@@ -86,8 +86,8 @@ class Space:
     a point (see MappingInstance.float_points).
     rowwise_distance maps two (m, dimension) arrays (or one array and a
     broadcastable single point) to the m distances between corresponding
-    rows; batch routines use it to avoid Python-level loops.  Each
-    distance equals distance on that pair of rows bit for bit.
+    rows, in a new array; batch routines use it to avoid Python-level
+    loops.  Each distance equals distance on that pair of rows bit for bit.
     """
 
     kind: str
@@ -116,12 +116,11 @@ _difference = np.errstate(over="ignore")(np.subtract)
 def _euclidean_norm(v: Sequence[float]) -> float:
     """The Euclidean norm of the floats v (a point's .tolist(), or its
     float form): the root of the sum of their squares, added left to
-    right.  Where that root is below _NORM_LO or inf, the squared norm
-    having underflowed or overflowed, v is normed as the one row of
-    _row_norms_safe: a finite nonzero v again in its own units, divided by
-    the power of two at its largest magnitude (exact, and it leaves every
-    entry below 2 in magnitude and the largest at least 1), and scaled
-    back.  So the norm is inf only past the largest float or for a v that
+    right.  Where that root is below _NORM_LO or inf, the square having
+    underflowed or overflowed, a finite nonzero v is normed again over the
+    power of two at its largest magnitude (exact, every entry then below 2
+    and the largest at least 1) and scaled back, as _own_units renorms a
+    row.  So the norm is inf only past the largest float or for a v that
     is not finite, and 0 only for zeros; _row_norms_safe gives every row
     the same bits."""
     s = 0.0
@@ -129,9 +128,11 @@ def _euclidean_norm(v: Sequence[float]) -> float:
         s += a * a
     r = math.sqrt(s)
     # zeros, the residual of a converged solve among them, need no renorm
-    if _NORM_LO <= r < math.inf or not any(v):
+    if _NORM_LO <= r < math.inf or not any(v) \
+            or not all(map(math.isfinite, v)):
         return r
-    return float(_row_norms_safe(np.array([v], dtype=float))[0])
+    unit = math.ldexp(1.0, math.frexp(max(map(abs, v)))[1] - 1)
+    return _euclidean_norm([a / unit for a in v]) * unit
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -154,10 +155,8 @@ def _own_units(rows: np.ndarray, c: Point | None = None
     its own units where its difference overflowed (it and c divided by
     the power of two at their largest magnitude: exact but for entries
     below the normal floats, and every entry of v below 4) or where that
-    difference is nonzero and its norm below _NORM_LO or inf (the
-    difference divided by the power of two at its largest magnitude, as
-    _euclidean_norm renorms a point: exact, every entry below 2 and the
-    largest at least 1); no row needs both."""
+    difference is nonzero and its norm below _NORM_LO or inf (divided as
+    _euclidean_norm renorms a point); no row needs both."""
     v = rows if c is None else _difference(rows, c)
     r = _row_norms(v)
     unit = np.ones(len(r))
@@ -303,7 +302,8 @@ class Modulus:
         if bad.any():
             raise ArgumentError("modulus argument must be >= 0, got "
                                 f"{t[bad][0]}")
-        v = self._fn(t)
+        with np.errstate(over="ignore"):    # inf, as on a Python float
+            v = self._fn(t)
         return v if np.shape(v) == t.shape else np.full(t.shape, v)
 
     def gap(self, t) -> float:
@@ -366,26 +366,25 @@ def check_modulus_admissible(m: Modulus,
     Parameters
     ----------
     m : modulus to audit.
-    grid : non-empty, sorted ascending, all entries >= 0.
+    grid : 1-D, non-empty, sorted ascending, all entries >= 0.
 
     Returns an AdmissibilityReport listing adjacent grid pairs (s, t) with
-    phi(s) < phi(t), and grid points t > 0 with phi(t) >= 1.  A pass is only
-    as strong as the grid; the report keeps the grid for that reason.
+    phi(s) < phi(t), and grid points t > 0 with phi(t) >= 1, as Python
+    floats.  A pass is only as strong as the grid; the report keeps it.
     """
-    g = [float(t) for t in grid]
-    if not g:
-        raise ArgumentError("grid must be non-empty")
-    if not all(t >= 0.0 for t in g):
+    g = np.array(grid, dtype=float)
+    if g.ndim != 1 or not g.size:
+        raise ArgumentError(
+            f"grid must be 1-D and non-empty, got shape {g.shape}")
+    if not (g >= 0.0).all():
         raise ArgumentError("grid entries must be >= 0")
-    if any(b < a for a, b in zip(g, g[1:])):
+    if (g[1:] < g[:-1]).any():
         raise ArgumentError("grid must be sorted ascending")
-    vals = m(np.array(g)).tolist()
-    mono = tuple((a, b) for (a, b), (va, vb)
-                 in zip(zip(g, g[1:]), zip(vals, vals[1:])) if vb > va)
-    above = tuple(t for t, v in zip(g, vals) if t > 0.0 and v >= 1.0)
-    return AdmissibilityReport(grid=tuple(g),
-                               monotonicity_violations=mono,
-                               not_below_one=above)
+    vals = m(g)
+    up = np.flatnonzero(vals[1:] > vals[:-1])
+    mono = tuple(zip(g[up].tolist(), g[up + 1].tolist()))
+    above = tuple(g[(g > 0.0) & (vals >= 1.0)].tolist())
+    return AdmissibilityReport(tuple(g.tolist()), mono, above)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +549,8 @@ def ball(center, radius: float) -> DomainSet:
     the direction first, c + (v / r) radius, with no warning.
     """
     c = _frozen(np.atleast_1d(np.asarray(center, dtype=float)))
-    if np.isnan(c).any():
-        raise ArgumentError(f"ball center must not be NaN, got {c}")
+    if not np.isfinite(c).all():
+        raise ArgumentError(f"ball center must be finite, got {c}")
     if not radius > 0.0:
         raise ArgumentError(f"ball radius must be > 0, got {radius}")
     centred = not c.any()
@@ -747,11 +746,11 @@ def _non_finite(y, x) -> NonFiniteError:
 
 
 def _refuse_non_finite(images: np.ndarray, sources: np.ndarray) -> None:
-    """Raise NonFiniteError for the first row of the (m, d) array images
-    that holds a NaN or an infinity; row j is the image of sources[j]."""
-    bad = ~np.isfinite(images).all(axis=1)
-    if bad.any():
-        j = int(bad.argmax())
+    """Raise NonFiniteError for the first row j of the (m, d) images of
+    sources with a NaN or an inf, sought only once the whole array fails."""
+    finite = np.isfinite(images)
+    if not finite.all():
+        j = int(finite.all(axis=1).argmin())
         raise _non_finite(images[j], sources[j])
 
 
@@ -822,10 +821,10 @@ def verify_contractive(T: MappingInstance, pairs,
         raise ArgumentError(f"pairs must form an (m, 2, {d}) array, got "
                             f"shape {xy.shape}")
     pts = xy.reshape(-1, d)     # x_0, y_0, x_1, y_1, ...
-    finite = np.isfinite(pts).all(axis=1)
+    finite = np.isfinite(pts)
     if not finite.all():
-        raise ArgumentError(
-            f"pair point {pts[finite.argmin()]!r} is not finite")
+        raise ArgumentError(f"pair point {pts[finite.all(axis=1).argmin()]!r}"
+                            " is not finite")
     inside = T.domain.contains_rows(pts)
     if not inside.all():
         p = _frozen(pts[inside.argmin()])
@@ -839,7 +838,7 @@ def verify_contractive(T: MappingInstance, pairs,
     lhs = T.space.rowwise_distance(images[:, 0], images[:, 1])
     rhs = T.declared_modulus(sep) * sep
     verdicts = lhs <= rhs + slack
-    verdicts.setflags(write=False)
-    return ContractivityReport(x=_frozen(xy[:, 0]), y=_frozen(xy[:, 1]),
-                               lhs=_frozen(lhs), rhs=_frozen(rhs),
-                               verdicts=verdicts, slack=slack)
+    for fresh in (lhs, rhs, verdicts):
+        fresh.setflags(write=False)
+    return ContractivityReport(_frozen(xy[:, 0]), _frozen(xy[:, 1]), lhs,
+                               rhs, verdicts, slack)

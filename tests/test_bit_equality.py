@@ -5,7 +5,8 @@
 * the Euclidean point forms in dimensions 2 to 5 against frozen copies
   of the written-out arithmetic they declare (the root of a left-to-right
   sum of squares, each operation rounded once), on any doubles and on
-  strided views: _euclidean_norm (and against the row forms),
+  strided views: _euclidean_norm (and against the row forms, also on a
+  seeded sweep of every binary exponent in dimensions 2, 3 and 5),
   euclidean(d)'s distance, the ball's point predicates (also in 1-D, and
   about a center of zeros, where they norm p itself) and
   planar-rotation's apply on points and on rows;
@@ -152,6 +153,54 @@ def test_norm_and_distance_equal_the_written_out_forms(xy):
         rows = space.rowwise_distance(x[None], y[None])
     assert type(got) is float and same_float(got, want)
     assert same_float(float(rows[0]), want)
+
+
+def _renorm_sweep(d: int) -> np.ndarray:
+    """Rows of dimension d whose norms span every binary exponent: for
+    each e from -1074 to 1023 a row whose largest entry is m 2^e
+    (1 <= m < 2) and whose others lie 0 to 60 binades below it, then the
+    same with zeros of either sign in place of some others, then with
+    subnormal others; and rows with an infinity, a NaN, signed zeros or
+    subnormals only.  Seeded, so the same rows on every run."""
+    rng = np.random.default_rng(36)
+    rows = []
+    for e in range(-1074, 1024):
+        m = rng.uniform(1.0, 2.0, d)
+        drop = np.concatenate([[0], rng.integers(0, 61, d - 1)])
+        sign = rng.choice([-1.0, 1.0], d)
+        plain = sign * np.ldexp(m, np.maximum(e - drop, -1074))
+        zeros = plain.copy()
+        zeros[1 + rng.integers(0, d - 1)] = 0.0
+        zeros[-1] = -0.0
+        tiny = plain.copy()
+        tiny[1:] = sign[1:] * 5e-324 * rng.integers(1, 4, d - 1)
+        rows += [plain, zeros, tiny]
+    pad = [0.0] * (d - 2)
+    for a, b in ((math.inf, 1.0), (-math.inf, 1e-300), (math.nan, 1.0),
+                 (math.nan, math.inf), (math.inf, -math.inf),
+                 (1e300, math.nan), (0.0, -0.0), (-0.0, -0.0),
+                 (5e-324, -5e-324), (1e-320, 2.5e-310)):
+        rows.append(np.array([a, b] + pad))
+        rows.append(np.array(pad + [b, a]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_point_norm_renorm_equals_the_row_form_and_the_written_out_norm(d):
+    # the point norm renorms on Python floats where its square left the
+    # normal floats; the row form renorms in numpy, written_norm in
+    # Python loops, and all three give the same bits on every row
+    rows = _renorm_sweep(d)
+    want = _row_norms_safe(rows).tolist()
+    renormed = 0
+    for row, by_rows in zip(rows, want):
+        got = _euclidean_norm(row.tolist())
+        assert type(got) is float
+        assert same_float(got, by_rows), row
+        assert same_float(got, written_norm(row)), row
+        renormed += not 2.0 ** -511 <= written_root(row) < math.inf
+    # most rows take the renorm: every e below about -511 or past 511
+    assert renormed > len(rows) // 2
 
 
 def _written_ball(c: np.ndarray, radius: float):

@@ -6,14 +6,15 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fixpoint.core import (as_point, ball, box, check_modulus_admissible,
                            constant_modulus, euclidean, halfline, max_norm,
                            nonexpansive_modulus, rational_decay_modulus,
                            verify_contractive, MappingInstance, Modulus,
-                           _row_norms)
+                           _refuse_non_finite, _row_norms)
 from fixpoint.errors import ArgumentError, DomainError, NonFiniteError
-from written_out import written_root
+from written_out import same_float, written_admissibility, written_root
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +87,83 @@ def test_admissibility_grid_validation():
         check_modulus_admissible(m, [1.0, 0.5])
     with pytest.raises(ArgumentError):
         check_modulus_admissible(m, [-1.0, 0.5])
+
+
+def test_decay_modulus_on_an_array_overflows_to_the_scalar_value_quietly():
+    # a t past the largest float is inf on a Python float with no warning,
+    # and the array form warned there; phi is then 1 / inf = 0
+    m = rational_decay_modulus(1e300)
+    t = np.array([0.0, 1e9, 1e308, math.inf])
+    assert m(t).tolist() == [m(v) for v in t.tolist()] == [1.0, 0.0, 0.0,
+                                                             0.0]
+
+
+def _step_modulus(at: float, lo: float, hi: float) -> Modulus:
+    # a step modulus, lo below at and hi from there on; it increases when
+    # lo < hi, as the table in test_admissibility_flags_increasing_table
+    return Modulus(kind="step", params=(at, lo, hi), rakotch=True,
+                   _fn=lambda t: np.where(t < at, lo, hi), _gap=None)
+
+
+# the grid's entries: zeros of both signs, subnormals, the normal floats
+# up to 1e308, and a few values drawn again and again, for repeats
+_GRID_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1e-300, 0.5, 1.0, 2.0,
+                     1e308]),
+    st.floats(0.0, 1e308),
+    st.floats(0.0, 2.0 ** -1022))
+
+_MODULI = st.one_of(
+    st.floats(0.0, 1.0).map(constant_modulus),
+    st.floats(1e-300, 1e300).map(rational_decay_modulus),
+    st.just(nonexpansive_modulus()),
+    st.builds(_step_modulus, _GRID_ENTRY, st.floats(0.0, 1.0),
+              st.floats(0.0, 1.0)))
+
+
+def _same_floats(got: tuple, want: tuple) -> bool:
+    return len(got) == len(want) and all(
+        type(a) is float and same_float(a, b) for a, b in zip(got, want))
+
+
+@given(m=_MODULI, grid=st.lists(_GRID_ENTRY, min_size=1, max_size=40).map(
+    sorted), as_array=st.booleans())
+@example(m=_step_modulus(1.0, 0.9, 0.95), grid=[0.0, 1.0, 1.0, 2.0],
+         as_array=False)
+@example(m=rational_decay_modulus(1.0), grid=[-0.0, 0.0, 5e-324, 1e308],
+         as_array=True)
+def test_admissibility_equals_the_written_out_loops(m, grid, as_array):
+    # every field, the violations in grid order, as the loops over the
+    # grid's floats give them: Python floats, a zero's sign kept
+    want = written_admissibility(m, grid)
+    rep = check_modulus_admissible(m, np.array(grid) if as_array else grid)
+    assert _same_floats(rep.grid, want[0])
+    got_pairs = rep.monotonicity_violations
+    assert len(got_pairs) == len(want[1]) and all(
+        _same_floats(a, b) for a, b in zip(got_pairs, want[1]))
+    assert all(type(pair) is tuple for pair in got_pairs)
+    assert _same_floats(rep.not_below_one, want[2])
+
+
+@pytest.mark.parametrize("grid", [
+    [], [-1.0, 0.5], [0.0, -1e-300], [0.0, math.nan], [math.nan],
+    [1.0, 0.5], [0.0, 2.0, 1.0]])
+def test_admissibility_refusals_equal_the_written_out_loops(grid):
+    m = rational_decay_modulus()
+    with pytest.raises(ArgumentError):
+        written_admissibility(m, grid)
+    with pytest.raises(ArgumentError):
+        check_modulus_admissible(m, grid)
+
+
+@pytest.mark.parametrize("grid", [
+    [[0.0, 1.0]], [[0.0], [1.0]], np.zeros((2, 2)), np.zeros((1, 0)), 1.0],
+    ids=["row", "column", "square", "empty-row", "scalar"])
+def test_admissibility_refuses_a_grid_that_is_not_1d(grid):
+    # the loop form raised TypeError on these, converting a row or
+    # iterating over a number
+    with pytest.raises(ArgumentError, match="grid must be 1-D"):
+        check_modulus_admissible(rational_decay_modulus(), grid)
 
 
 def test_decay_modulus_monotone_under_random_grids():
@@ -236,17 +314,27 @@ def test_space_refuses_a_dimension_below_one(dimension):
     assert str(err.value) == "dimension must be >= 1"
 
 
-@pytest.mark.parametrize("make,name", [
-    (lambda: box([math.nan], [1.0]), "box lo"),
-    (lambda: box([0.0], [math.nan]), "box hi"),
-    (lambda: ball([math.nan], 1.0), "ball center"),
-    (lambda: halfline(math.nan), "box lo"),
+@pytest.mark.parametrize("make,message", [
+    (lambda: box([math.nan], [1.0]), "box lo must not be NaN"),
+    (lambda: box([0.0], [math.nan]), "box hi must not be NaN"),
+    (lambda: ball([math.nan], 1.0), "ball center must be finite"),
+    (lambda: halfline(math.nan), "box lo must not be NaN"),
 ], ids=["box-lo", "box-hi", "ball-center", "halfline"])
-def test_nan_domain_parameter_is_refused_by_name(make, name):
+def test_nan_domain_parameter_is_refused_by_name(make, message):
     # a NaN parameter used to build an empty set, so a later run failed on
     # its start point instead of on the parameter
-    with pytest.raises(ArgumentError, match=f"{name} must not be NaN"):
+    with pytest.raises(ArgumentError, match=message):
         make()
+
+
+@pytest.mark.parametrize("center", [
+    [math.inf, 0.0], [-math.inf, 0.0], [0.0, math.inf], [0.0, -math.inf],
+    [0.0, math.nan]])
+def test_ball_refuses_a_non_finite_center(center):
+    # a ball about an infinite center holds no finite point, and its
+    # project gave a NaN coordinate with an invalid-value warning
+    with pytest.raises(ArgumentError, match="ball center must be finite"):
+        ball(center, 1.0)
 
 
 def test_infinite_box_bounds_are_kept():
@@ -856,6 +944,54 @@ def test_verify_contractive_refuses_a_non_finite_pair_point():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ArgumentError, match="not finite"):
             verify_contractive(T, [([1.0], [2.0]), ([3.0], [bad])])
+
+
+def _plane_map(apply) -> MappingInstance:
+    return MappingInstance(apply=apply,
+                           declared_modulus=constant_modulus(0.5),
+                           domain=box([-1.0, -1.0], [1.0, 1.0]),
+                           space=euclidean(2))
+
+
+@pytest.mark.parametrize("j", [0, 3, 11])
+@pytest.mark.parametrize("side", [0, 1])
+def test_verify_contractive_names_the_first_non_finite_pair_point(j, side):
+    # the whole pair array is tested first and rows only when that fails:
+    # the point named is still the first in the order x_0, y_0, x_1, ...,
+    # whatever bad points follow it
+    xy = np.full((16, 2, 2), 0.25)
+    xy[j, side] = [0.5, math.nan]
+    xy[j, 1 - side] = [0.75, 0.125]
+    xy[j + 2, 0] = [math.inf, 0.5]
+    xy[j + 1, side] = [math.nan, math.nan]
+    T = _plane_map(lambda x: x / 2.0)
+    with pytest.raises(ArgumentError) as err:
+        verify_contractive(T, xy)
+    assert str(err.value) == "pair point array([0.5, nan]) is not finite"
+
+
+@pytest.mark.parametrize("j", [0, 5, 8, 13])
+def test_verify_contractive_names_the_first_non_finite_image(j):
+    # the map sends a row whose first coordinate is 0.375 to inf there, and
+    # a row whose second is -0.625 to NaN; the error carries the first such
+    # image in the batch and the point it came from, as (2,) points
+    def apply(x):
+        y = np.where(x == 0.375, math.inf, x / 2.0)
+        return np.where(x == -0.625, math.nan, y)
+
+    xy = np.full((16, 2, 2), 0.25)
+    xy[j, 1] = [0.375, 0.5]
+    xy[j + 1, 0] = [0.375, 0.125]
+    xy[j + 2, 1] = [0.0, -0.625]
+    with pytest.raises(NonFiniteError) as err:
+        verify_contractive(_plane_map(apply), xy)
+    assert err.value.point.tolist() == [math.inf, 0.25]
+    assert err.value.last_inside.tolist() == [0.375, 0.5]
+    images = apply(xy.reshape(-1, 2))
+    with pytest.raises(NonFiniteError) as err:
+        _refuse_non_finite(images[2 * j + 2:], xy.reshape(-1, 2)[2 * j + 2:])
+    assert err.value.point.tolist() == [math.inf, 0.0625]
+    assert err.value.last_inside.tolist() == [0.375, 0.125]
 
 
 def test_verify_contractive_refuses_an_apply_that_is_not_rowwise():

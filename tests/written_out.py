@@ -2,12 +2,15 @@
 the Euclidean norm written out on Python floats, the root of a sum of
 squares added left to right with each operation rounded once, and the
 bitwise comparison of two doubles.  A fix to the declared arithmetic is
-made here once.
+made here once.  Also the modulus audit written out as Python loops over
+the grid, the reference for check_modulus_admissible's array form.
 """
 
 import math
 
 import numpy as np
+
+from fixpoint.errors import ArgumentError
 
 
 def same_float(a: float, b: float) -> bool:
@@ -44,3 +47,21 @@ def written_norm(v) -> float:
     top = max(map(abs, v))
     unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
     return written_root([a / unit for a in v]) * unit
+
+
+def written_admissibility(m, grid):
+    """(grid, monotonicity_violations, not_below_one) of the audit of the
+    modulus m on grid, each a tuple of Python floats or of pairs of them,
+    by loops over the grid's floats."""
+    g = [float(t) for t in grid]
+    if not g:
+        raise ArgumentError("grid must be non-empty")
+    if not all(t >= 0.0 for t in g):
+        raise ArgumentError("grid entries must be >= 0")
+    if any(b < a for a, b in zip(g, g[1:])):
+        raise ArgumentError("grid must be sorted ascending")
+    vals = m(np.array(g)).tolist()
+    mono = tuple((a, b) for (a, b), (va, vb)
+                 in zip(zip(g, g[1:]), zip(vals, vals[1:])) if vb > va)
+    above = tuple(t for t, v in zip(g, vals) if t > 0.0 and v >= 1.0)
+    return tuple(g), mono, above
