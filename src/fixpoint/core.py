@@ -789,9 +789,11 @@ def verify_contractive(T: MappingInstance, pairs,
     pairs is anything np.asarray turns into an (m, 2, dimension) array,
     such as a list of (x, y) tuples; pair j is (pairs[j][0], pairs[j][1]).
     In dimension 1 an (m, 2) array of scalar pairs is also taken.  Another
-    shape raises ArgumentError, and so does a NaN or infinite pair
-    point.  Every point must lie in T's domain; the first offender in the
-    order x_0, y_0, x_1, y_1, ... is reported by value in a DomainError.
+    shape raises ArgumentError, and so does a NaN or infinite pair point,
+    or a pair whose separation is past the largest float, where
+    phi(t) t has no finite value.  Every point must lie in T's domain;
+    the first offender in the order x_0, y_0, x_1, y_1, ... is reported
+    by value in a DomainError.
     A finite slack >= 0 absorbs roundoff when an exact inequality is
     expected to be tight; an infinite one would pass any map, and is
     refused.
@@ -835,6 +837,13 @@ def verify_contractive(T: MappingInstance, pairs,
     _refuse_non_finite(images, pts)
     images = images.reshape(-1, 2, d)
     sep = T.space.rowwise_distance(xy[:, 0], xy[:, 1])
+    # phi(inf) * inf is no bound: NaN for a decaying phi, inf for another
+    finite = np.isfinite(sep)
+    if not finite.all():
+        j = int(finite.argmin())
+        raise ArgumentError(f"pair ({_frozen(xy[j, 0])!r}, "
+                            f"{_frozen(xy[j, 1])!r}) is farther apart than "
+                            "the largest float")
     lhs = T.space.rowwise_distance(images[:, 0], images[:, 1])
     rhs = T.declared_modulus(sep) * sep
     verdicts = lhs <= rhs + slack

@@ -946,6 +946,26 @@ def test_verify_contractive_refuses_a_non_finite_pair_point():
             verify_contractive(T, [([1.0], [2.0]), ([3.0], [bad])])
 
 
+@pytest.mark.parametrize("modulus", [rational_decay_modulus(1.0),
+                                     constant_modulus(0.5)])
+@pytest.mark.parametrize("space", [euclidean, max_norm])
+def test_verify_contractive_refuses_a_pair_farther_apart_than_the_floats(
+        modulus, space):
+    # 1e308 - (-1e308) overflows: phi(inf) * inf was NaN with a warning for
+    # the decay modulus, and inf for the constant one, where the pair then
+    # passed as inf <= inf; the first such pair is named
+    T = MappingInstance(apply=lambda x: x / 2.0, declared_modulus=modulus,
+                        domain=box([-math.inf], [math.inf]), space=space(1))
+    pairs = [([1.0], [2.0]), ([1e308], [-1e308]), ([-1e308], [1e308])]
+    with pytest.raises(ArgumentError) as err:
+        verify_contractive(T, pairs)
+    assert str(err.value) == ("pair (array([1.e+308]), array([-1.e+308])) "
+                              "is farther apart than the largest float")
+    # a pair just inside the floats still gets a finite bound
+    rep = verify_contractive(T, [([8e307], [-8e307])])
+    assert rep.rhs[0] == modulus(1.6e308) * 1.6e308
+
+
 def _plane_map(apply) -> MappingInstance:
     return MappingInstance(apply=apply,
                            declared_modulus=constant_modulus(0.5),

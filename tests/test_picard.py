@@ -878,6 +878,115 @@ def test_batched_stability_matches_when_trials_exit():
     assert 0 < exits < 20
 
 
+def _halfline_map(apply) -> MappingInstance:
+    return MappingInstance(apply=apply,
+                           declared_modulus=constant_modulus(0.5),
+                           domain=halfline(0.0), space=euclidean(1))
+
+
+def test_batched_stability_matches_with_exits_at_a_boundary_anchor():
+    # the fixed point 0 is the boundary of [0, inf), so the images are
+    # tested first; a start past 0.1 is sent to -x and exits at step 1,
+    # the others settle with most perturbed points projected back in
+    T = _halfline_map(lambda x: np.where(x > 0.1, -x, 0.5 * x))
+    rep = _assert_same_report(T, [0.0], 0.15, 0.1, trials=20, n=120,
+                              seed=5)
+    exits = sum(1 for t in rep.trials if t.worst == math.inf)
+    assert 0 < exits < 20
+
+
+def test_batched_stability_names_a_nan_image_at_a_boundary_anchor():
+    # a start past 0.25 is sent to NaN at step 1: its image fails the
+    # images-first test and its perturbed point the one after it, and the
+    # error names that trial's start, the first of them
+    starts = [t.x0 for t in run_stability_experiment(
+        _halfline_map(lambda x: 0.5 * x), [0.0], 1.0, 1.0, 12, 21,
+        seed=3).trials]
+    first = next(x0 for x0 in starts if x0[0] > 0.25)
+    assert sum(x0[0] > 0.25 for x0 in starts) > 1
+    T = _halfline_map(lambda x: np.where(x > 0.25, math.nan, 0.5 * x))
+    with pytest.raises(NonFiniteError) as err:
+        run_stability_experiment(T, [0.0], 1.0, 1.0, 12, 21, seed=3)
+    assert math.isnan(err.value.point[0])
+    assert err.value.last_inside.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("lo", [-5.0, 0.0], ids=["interior", "boundary"])
+def test_batched_stability_matches_when_every_trial_exits_in_the_window(lo):
+    # x -> 1.05 x only claims its modulus: from |x0| <= 1, with steps of
+    # at most delta = 1/32, |x_i| <= 1.625 * 1.05^i - 0.625, below 5 up to
+    # step 25, past the settling index k = 21; so every trial is still in
+    # at n = k and has left by n = 3000, when the kernel stops early
+    T = MappingInstance(apply=lambda x: 1.05 * x,
+                        declared_modulus=constant_modulus(0.5),
+                        domain=box([lo], [5.0]), space=euclidean(1))
+    rep = _assert_same_report(T, [0.0], 1.0, 1.0, trials=12, n=21, seed=3)
+    assert rep.constants.k == 21
+    assert all(t.worst < math.inf for t in rep.trials)
+    rep = _assert_same_report(T, [0.0], 1.0, 1.0, trials=12, n=3000, seed=3)
+    assert all(t.worst == math.inf for t in rep.trials)
+
+
+def test_batched_stability_matches_with_more_than_a_block_of_trials():
+    # 4097 trials of one coordinate fill more than the 4096 floats of a
+    # window block, which then holds one step
+    T = _halfline_map(lambda x: 0.5 * x)
+    rep = _assert_same_report(T, [0.0], 1.0, 1.0, trials=4097, n=21,
+                              seed=2)
+    assert rep.all_passed
+
+
+def _counting_kernel_calls(T):
+    """T with its domain's contains_rows and project and its space's
+    rowwise_distance wrapped to record the shape of each call's first
+    argument, and the dict of lists the shapes are kept in."""
+    calls = {"contains_rows": [], "project": [], "rowwise_distance": []}
+
+    def counted(name, fn):
+        def wrapped(rows, *args):
+            calls[name].append(np.shape(rows))
+            return fn(rows, *args)
+        return wrapped
+
+    dom, space = T.domain, T.space
+    return dataclasses.replace(
+        T,
+        domain=dataclasses.replace(
+            dom, contains_rows=counted("contains_rows", dom.contains_rows),
+            project=counted("project", dom.project)),
+        space=dataclasses.replace(space, rowwise_distance=counted(
+            "rowwise_distance", space.rowwise_distance))), calls
+
+
+@pytest.mark.parametrize("name,params,epsilon,k,projections", [
+    ("rakotch-decay", {"a": 1.0}, 0.1, 885, 2000),
+    ("damped-rational", {}, 0.01, 1605, 0),
+])
+def test_stability_kernel_tests_once_a_step_and_folds_the_window_in_blocks(
+        name, params, epsilon, k, projections):
+    # rakotch-decay's fixed point 0 is the boundary of [0, inf): the noise
+    # pushes some perturbed point outside on most steps, but no image
+    # leaves, so testing the images first takes one membership test a
+    # step, and one projection places the batch.  damped-rational's 0 is
+    # inside [-2, 2] and no perturbed point leaves, so testing those first
+    # takes one test a step and no projection.  The window [k, n] of 100
+    # trials is folded 4096 // 100 = 40 steps at a time, the rest last
+    entry = make_map(name, **params)
+    T, calls = _counting_kernel_calls(entry.mapping)
+    n, trials = 2000, 100
+    rep = run_stability_experiment(T, entry.known_fixed_point, 1.0, epsilon,
+                                   trials=trials, n=n, seed=2026)
+    assert rep.constants.k == k and rep.all_passed
+    assert calls["contains_rows"] == [(trials, 1)] * n
+    # the starts drawn outside [0, inf) are projected as (1,) points
+    assert [s for s in calls["project"] if s != (1,)] == (
+        [(trials, 1)] * projections)
+    full, rest = divmod(n - k + 1, 40)
+    assert calls["rowwise_distance"] == ([(40 * trials, 1)] * full
+                                         + [(rest * trials, 1)] * (rest > 0))
+    assert len(calls["rowwise_distance"]) == math.ceil((n - k + 1) / 40)
+
+
 @pytest.mark.parametrize("space", [euclidean, max_norm])
 @pytest.mark.parametrize("domain", [
     ball([0.6, 0.8], 1.0),

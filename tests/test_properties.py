@@ -10,12 +10,14 @@ boundary-condition test.
   ||p - c|| at radii of every binary exponent;
 * a perturbed orbit with delta = 0 is the exact orbit, bit for bit;
 * the batch kernel's worst distance of each of m rows stepped together
-  is, bit for bit, that of the row's single orbit;
+  is, bit for bit, that of the row's single orbit, with the anchor on the
+  boundary or off it and the window folded in blocks of any size;
 * check_leray_schauder's one alignment test reports every lam > 1 that
   T x meets within tol / 2, and no lam <= 1.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
@@ -26,6 +28,7 @@ from fixpoint.core import (MappingInstance, ball, box, constant_modulus,
                            euclidean, halfline, max_norm,
                            nonexpansive_modulus)
 from fixpoint.errors import ArgumentError
+from fixpoint import picard
 from fixpoint.gallery import list_maps, make_map
 from fixpoint.picard import (_ball_noise, _perturbed_steps, orbit_exact,
                              orbit_inexact)
@@ -265,22 +268,35 @@ def test_zero_delta_orbit_is_the_exact_orbit(map_and_start, n):
            lambda m: _maps_and_starts(m).filter(
                lambda ts: ts[0].space.dimension == 1
                or ts[0] in _ELEMENTWISE_2D)),
-       st.integers(1, 80), st.sampled_from([0.0, 1e-3, 0.3]),
-       st.integers(0, 2 ** 32 - 1), st.data())
+       st.integers(1, 300), st.sampled_from([0.0, 1e-3, 0.3]),
+       st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(1, 16),
+       st.data())
 def test_stepping_rows_together_equals_one_row_runs(map_and_starts, n,
-                                                     delta, seed, data):
+                                                     delta, seed, on_edge,
+                                                     budget, data):
     # the batch kernel against the single-orbit kernel: the row contract
     # is bit for bit for elementwise maps; planar-rotation is affine, and
-    # its batched rows may differ in the last bits
+    # its batched rows may differ in the last bits.  An anchor on the
+    # boundary makes the kernel test the images first; a window budget of
+    # a few floats folds the window in blocks of one to eight steps, the
+    # last one partial
     T, starts = map_and_starts
     m, d = starts.shape
     noise = None
     if delta > 0.0:
         noise = np.stack([_ball_noise(seed + j, n, d, delta)
                           for j in range(m)], axis=1)
-    k = data.draw(st.integers(1, n))
+    k = data.draw(st.sampled_from([1, n]) | st.integers(1, n))
     anchor = starts[0]
-    worst = _perturbed_steps(T, starts, n, noise, anchor, k)
+    if on_edge:
+        try:
+            anchor = T.domain.nearest_boundary(anchor)
+        except ArgumentError:     # the whole line has no boundary
+            pass
+        if not T.domain.contains(anchor):
+            anchor = T.domain.project(anchor)
+    with mock.patch.object(picard, "_WINDOW_FLOATS", budget):
+        worst = _perturbed_steps(T, starts, n, noise, anchor, k)
     for j in range(m):
         orbit = orbit_inexact(T, starts[j], n, delta, noise_seed=seed + j)
         one = (math.inf if orbit.exited_domain_at is not None else
