@@ -40,7 +40,7 @@ from .core import (MappingInstance, Modulus, Point, as_point, _float_form,
 from .errors import (ArgumentError, ConvergenceError, DomainError,
                      DomainExitError, LsViolationError, NonRakotchError,
                      StallError)
-from .picard import _csv_text, _iterate, _one_minus_phi, _start
+from .picard import _count, _csv_text, _iterate, _one_minus_phi, _start
 
 # a path step this small with no boundary-condition violation is a stall
 _STALL_STEP = 1e-14
@@ -67,8 +67,7 @@ class PathConfig:
         if not self.inner_tol > 0.0:
             raise ArgumentError(
                 f"inner_tol must be > 0, got {self.inner_tol}")
-        if not self.max_inner_iter >= 1:
-            raise ArgumentError("max_inner_iter must be >= 1")
+        _count(self.max_inner_iter, 1, "max_inner_iter")
         if not 0.0 <= self.target_t < 1.0:
             raise ArgumentError(
                 f"target_t must lie in [0, 1), got {self.target_t}; "
@@ -134,8 +133,7 @@ def solve_at_t(T: MappingInstance, t: float, x_init, inner_tol: float,
         raise ArgumentError(f"t must lie in [0, 1), got {t}")
     if not inner_tol > 0.0:
         raise ArgumentError(f"inner_tol must be > 0, got {inner_tol}")
-    if not max_inner_iter >= 1:
-        raise ArgumentError("max_inner_iter must be >= 1")
+    max_inner_iter = _count(max_inner_iter, 1, "max_inner_iter")
     apply = T.apply
     x = _start(T, x_init, "warm start")
     if T.float_points:

@@ -7,9 +7,8 @@ that sets ``float_points`` (the gallery's one-coordinate maps and
 planar-rotation) also takes a point in its float form, the coordinate's
 Python float in one dimension or the tuple of both coordinates' floats in
 two (_float_form), in apply, domain.contains, space.distance and
-space.norm (and, in one dimension, domain.project), and the drives step
-such a map on that form; every point they return or raise is still an
-array.
+space.norm, and the exact drives step such a map on that form; every
+point they return or raise is still an array.
 A modulus is a function phi on [0, inf); a mapping T is contractive with
 modulus phi when
 
@@ -445,7 +444,8 @@ def box(lo, hi) -> DomainSet:
     floats (below an infinite hi only against lo, which NaN fails
     already); interior_contains, run once per path, has one form for
     every dimension.  project is
-    np.minimum(hi, np.maximum(lo, p)): the bits of np.clip(p, lo, hi), NaN
+    np.minimum(hi, np.maximum(lo, p)), only its np.maximum where every hi
+    is +inf (a halfline among them): the bits of np.clip(p, lo, hi), NaN
     included, without its Python wrapper, except that a coordinate that
     is a zero at a zero bound of the other sign keeps its own sign, so a
     point of the box comes back unchanged; np.clip gives it the bound's
@@ -500,8 +500,13 @@ def box(lo, hi) -> DomainSet:
     def interior(p: Point) -> bool:
         return bool(np.all(p > lo_a) and np.all(p < hi_a))
 
-    def project(p: np.ndarray) -> np.ndarray:
-        return np.minimum(hi_a, np.maximum(lo_a, p))
+    if (hi_a == math.inf).all():
+        # np.minimum(inf, q) is q, NaN and signed zeros included
+        def project(p: np.ndarray) -> np.ndarray:
+            return np.maximum(lo_a, p)
+    else:
+        def project(p: np.ndarray) -> np.ndarray:
+            return np.minimum(hi_a, np.maximum(lo_a, p))
 
     def nearest_boundary(p: Point) -> Point:
         # the gaps in half units, where p - lo cannot overflow; halving is
@@ -644,23 +649,23 @@ class MappingInstance:
     (m, dimension) array it must return the (m, dimension) array of the
     images of its rows, each what apply gives for that row alone: the
     stability experiment steps all its trials as one such array,
-    verify_contractive maps all its pair points as one, and both refuse
-    an apply that does not map row by row.  Elementwise maps give the
-    same bits either way.  An affine map is written on rows, x A^T + b
+    orbit_inexact its one orbit as a (1, dimension) array,
+    verify_contractive maps all its pair points as one, and all three
+    refuse an apply that does not map row by row.  Elementwise maps give
+    the same bits either way.  An affine map is written on rows, x A^T + b
     rather than A x + b; taken as a matrix product, its batched rows may
     differ from the single-row images in the last bits.
 
     float_points is the promise of a map that apply, domain.contains,
     space.distance and space.norm also take a point in its float form
-    (_float_form): in one dimension the coordinate's Python float, which
-    domain.project takes too, apply then returning the image's float and
-    project the projected (1,) point; in two dimensions the tuple of the
+    (_float_form): in one dimension the coordinate's Python float, apply
+    then returning the image's float; in two dimensions the tuple of the
     coordinates' floats, apply then returning the image's tuple.
     solve_fixed_point, orbit_exact and solve_at_t then step the map on
-    the float form, through those callables, and so does orbit_inexact in
-    one dimension; the path drives take ||T x|| on it, and a path point's
-    domain.boundary_distance on its array; what they return or raise holds
-    point arrays, with the bits of the array steps.  The gallery's
+    the float form, through those callables; the path drives take ||T x||
+    on it, and a path point's domain.boundary_distance on its array; what
+    they return or raise holds point arrays, with the bits of the array
+    steps; orbit_inexact steps every map on rows.  The gallery's
     one-coordinate maps (gallery._one_coordinate) and planar-rotation
     promise it.  It is refused with ArgumentError on any domain but a
     one-coordinate box (a halfline among them) or a two-coordinate ball,

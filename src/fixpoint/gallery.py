@@ -30,7 +30,8 @@ rows with the same bits, since Python floats and numpy's float64 ufuncs
 round + - * / alike.  constant's body is c - (x - x): x - x is +0.0 for
 every finite x, and c - 0.0 is c, a -0.0 included (an infinite or NaN x,
 outside every domain, gives NaN).  Each declares float_points, so the
-Picard drives, exact and perturbed, step it on the float itself.  Only a
+exact Picard drives step it on the float itself; orbit_inexact steps it
+on a (1, 1) array of rows, as a one-trial stability run does.  Only a
 division by zero differs: a Python float raises ZeroDivisionError where
 numpy warns and gives an infinity; that needs a point outside the domain
 (rakotch-decay at x = -1/a).  planar-rotation's apply is one body too,

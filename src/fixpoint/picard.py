@@ -26,6 +26,7 @@ argument guard here is written so that NaN fails it (not tol > 0.0).
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -61,6 +62,19 @@ def _index(bound: str, num: float, den: float, add: float = 0.0) -> int:
         raise ArgumentError(f"{bound} = {num!r} / {den!r} exceeds the "
                             "largest float")
     return _least_int_greater(v)
+
+
+def _count(v, least: int, name: str) -> int:
+    """The count or seed v as an int, refused with ArgumentError naming it
+    unless operator.index takes it (a Python or numpy integer, not a
+    float) and it is at least least."""
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise ArgumentError(f"{name} must be an integer, got {v!r}") from None
+    if i < least:
+        raise ArgumentError(f"{name} must be >= {least}, got {v}")
+    return i
 
 
 def _one_minus_phi(m: Modulus, t: float, what: str) -> float:
@@ -161,64 +175,20 @@ def _ball_noise(noise_seed: int, n: int, d: int, delta: float) -> np.ndarray:
     return dirs * radii[:, None]
 
 
-def _orbit(T: MappingInstance, x0, n: int, delta: float,
-           noise_seed: int) -> Orbit:
-    """The orbit of orbit_exact and orbit_inexact: each step is T x_i plus
-    the seeded noise e_i, projected back in when only the perturbed point
-    is outside; with delta 0, _iterate records it.  When T declares
-    float_points the exact orbit steps on the float form (_float_form).
-    So does the perturbed loop in one dimension, reading a projected
-    point back as its float; in two it keeps (2,) arrays, since it adds
-    the noise as a row and the ball projects arrays, so a tuple would
-    be converted back and forth on every step."""
-    if not n >= 1:
-        raise ArgumentError(f"orbit length must be >= 1, got {n}")
-    if not 0.0 <= delta < math.inf:
-        raise ArgumentError(
-            f"perturbation bound must be finite and >= 0, got {delta}")
-    if not noise_seed >= 0:
-        raise ArgumentError(f"noise_seed must be >= 0, got {noise_seed}")
-    d = T.space.dimension
-    x = _start(T, x0)
-    pts = np.empty((n + 1, d))
-    pts[0] = x
-    floats = T.float_points
-    if delta > 0.0:
-        noise = _ball_noise(noise_seed, n, d, delta)
-        images = np.empty((n, d))
-        contains, project = T.domain.contains, T.domain.project
-        if floats and d == 1:
-            x, noise = _float_form(x), noise[:, 0].tolist()
-            project = lambda p, onto=project: _float_form(onto(p))
-        for i in range(n):
-            y = images[i] = T.apply(x)
-            p = y + noise[i]
-            inside = contains(p)
-            if not inside:
-                if contains(y):
-                    p = project(p)
-                    inside = contains(p)
-                elif not np.all(np.isfinite(y)):
-                    raise _non_finite(y, x)
-            pts[i + 1] = x = p
-            if not inside:
-                break
-        exited = None if inside else i + 1
-    else:
-        run = _iterate(T.apply, _float_form(x) if floats else x,
-                       T.domain.contains, n,
-                       out=pts[:, 0] if floats and d == 1 else pts)
-        exited = None if run.outside is None else run.steps + 1
-    m = exited or n
+def _orbit(T: MappingInstance, pts: np.ndarray, images: np.ndarray | None,
+           exited: int | None, delta: float) -> Orbit:
+    """The Orbit of the fresh buffer pts up to its exit, refused with
+    NonFiniteError at a NaN or infinite point, its residuals taken against
+    images (zero without them); read-only in place, no copy."""
+    m = exited or len(pts) - 1
     pts = pts[:m + 1]
     _refuse_non_finite(pts[1:], pts[:-1])
-    res = (T.space.rowwise_distance(pts[1:], images[:m]) if delta > 0.0
-           else np.zeros(m))
-    # both buffers are fresh and the orbit's own: read-only in place, no copy
+    res = (np.zeros(m) if images is None
+           else T.space.rowwise_distance(pts[1:], images[:m]))
     pts.setflags(write=False)
     res.setflags(write=False)
-    return Orbit(points=pts, residuals=res,
-                 exited_domain_at=exited, perturbation_bound=delta)
+    return Orbit(points=pts, residuals=res, exited_domain_at=exited,
+                 perturbation_bound=delta)
 
 
 def orbit_exact(T: MappingInstance, x0, n: int) -> Orbit:
@@ -230,7 +200,17 @@ def orbit_exact(T: MappingInstance, x0, n: int) -> Orbit:
     domain or not.  A map that declares float_points is stepped on its
     float form, with the bits of the array steps.
     """
-    return _orbit(T, x0, n, 0.0, 0)
+    n = _count(n, 1, "orbit length")
+    d = T.space.dimension
+    x = _start(T, x0)
+    pts = np.empty((n + 1, d))
+    pts[0] = x
+    floats = T.float_points
+    run = _iterate(T.apply, _float_form(x) if floats else x,
+                   T.domain.contains, n,
+                   out=pts[:, 0] if floats and d == 1 else pts)
+    return _orbit(T, pts, None,
+                  None if run.outside is None else run.steps + 1, 0.0)
 
 
 def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
@@ -245,12 +225,29 @@ def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
     recorded as-is and the orbit stops there when it is outside.
     delta = 0 reproduces orbit_exact bit for bit; a delta that is not
     finite and >= 0, or a negative noise_seed, raises ArgumentError.
-    Raises NonFiniteError if T gives a NaN or infinite image.  A
-    one-coordinate map that declares float_points is stepped on Python
-    floats, with the bits of the array steps; a two-coordinate one on
-    (2,) arrays (see _orbit).
+    Raises NonFiniteError if T gives a NaN or infinite image.  The orbit
+    is a one-row run of the stability kernel, so an apply that does not
+    map rows (see MappingInstance) is refused with ArgumentError.
     """
-    return _orbit(T, x0, n, delta, noise_seed)
+    n = _count(n, 1, "orbit length")
+    if not 0.0 <= delta < math.inf:
+        raise ArgumentError(
+            f"perturbation bound must be finite and >= 0, got {delta}")
+    noise_seed = _count(noise_seed, 0, "noise_seed")
+    d = T.space.dimension
+    x = _start(T, x0)
+    noise = (_ball_noise(noise_seed, n, d, delta)[:, None] if delta > 0.0
+             else None)
+    images = np.empty((n, d))
+    # rows past an exit stay NaN, outside every domain, so the first row
+    # the domain refuses is the exit
+    pts = np.full((n + 1, d), math.nan)
+    pts[0] = x
+    # an empty window: the anchor x only picks the test order
+    worst = _perturbed_steps(T, x[None], n, noise, x, n + 1, (images, pts))
+    exited = (1 + int(T.domain.contains_rows(pts[1:]).argmin())
+              if worst[0] == math.inf else None)
+    return _orbit(T, pts, images, exited, delta)
 
 
 # floats of window points gathered before their distances are taken in one
@@ -259,13 +256,20 @@ def orbit_inexact(T: MappingInstance, x0, n: int, delta: float,
 _WINDOW_FLOATS = 4096
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
-                     noise: np.ndarray | None, anchor: Point,
-                     k: int) -> np.ndarray:
+                     noise: np.ndarray | None, anchor: Point, k: int,
+                     record: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> np.ndarray:
     """Step every row of the (m, d) array starts through
     x_{i+1} = T x_i + noise[i, row] for up to n steps (noise None means
     exact steps) and return each row's max of dist(x_i, anchor) over
-    i in [k, n] (k >= 1), inf for a row that left the domain.
+    i in [k, n] (k >= 1, -inf when k = n + 1 leaves it empty), inf for
+    a row that left the domain, all with no floating-point warning.
+
+    record, for one row only, is a pair of buffers (images, points):
+    step i writes T x_i to images[i] and x_{i+1} to points[i + 1], at
+    an exit the perturbed point itself, on which the run stops.
 
     All rows share one apply per step; the first is checked to map row by
     row (core._apply_rows).  A perturbed point outside the domain is
@@ -320,11 +324,15 @@ def _perturbed_steps(T: MappingInstance, starts: np.ndarray, n: int,
                 _refuse_non_finite(y[out], x[out])
                 exited |= out
                 if exited.all():
+                    if record is not None:
+                        record[0][i], record[1][i + 1] = y, cand
                     break
                 cand = np.where(out[:, None], anchor, cand)
             cand = project(cand)
         elif images_first:
             cand = project(cand)
+        if record is not None:
+            record[0][i], record[1][i + 1] = y, cand
         if i + 1 >= k:
             block[filled] = cand
             filled += 1
@@ -370,8 +378,7 @@ def solve_fixed_point(T: MappingInstance, x0, tol: float,
     """
     if not tol > 0.0:
         raise ArgumentError(f"tolerance must be > 0, got {tol}")
-    if not max_iter >= 1:
-        raise ArgumentError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = _count(max_iter, 1, "max_iter")
     if not T.declared_modulus.rakotch:
         raise NonRakotchError(
             "declared modulus is not admissible; plain iteration is not "
@@ -550,10 +557,9 @@ def run_stability_experiment(T: MappingInstance, xbar, M: float,
     front: n * trials * d floats (1.6 MB for 100 trials of 2000 steps in
     one dimension), none when the budget is 0.
     """
-    if not trials >= 1:
-        raise ArgumentError(f"trials must be >= 1, got {trials}")
-    if not seed >= 0:
-        raise ArgumentError(f"seed must be >= 0, got {seed}")
+    trials = _count(trials, 1, "trials")
+    n = _count(n, 1, "orbit length")
+    seed = _count(seed, 0, "seed")
     d = T.space.dimension
     xb = _start(T, xbar, "fixed point")
     # an exited trial is parked at xbar, so its image must be finite

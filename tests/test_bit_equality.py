@@ -1000,11 +1000,13 @@ _BOUND = st.one_of(
 @st.composite
 def _boxes(draw):
     """(lo, hi): a 1-D box, a halfline or a 2-D or 3-D box, whose bounds
-    take both zeros, subnormals, infinities and the far doubles."""
+    take both zeros, subnormals, infinities and the far doubles; some
+    boxes of every dimension have no finite upper bound, where project
+    takes only its np.maximum."""
     d = draw(st.sampled_from([1, 1, 2, 3]))
-    if d == 1 and draw(st.booleans()):
-        a = draw(_BOUND.filter(lambda v: v < math.inf))
-        return [a], [math.inf]
+    if draw(st.booleans()) and (d == 1 or draw(st.booleans())):
+        lo = [draw(_BOUND.filter(lambda v: v < math.inf)) for _ in range(d)]
+        return lo, [math.inf] * d
     lo, hi = [], []
     for _ in range(d):
         a, b = draw(_BOUND), draw(_BOUND)
@@ -1031,13 +1033,15 @@ def _old_point_forms(lo_f: float, hi_f: float):
 
 @given(_boxes(), st.sampled_from([1, 2, 7, 64, 100]), st.data())
 @example(([-0.0], [1.0]), 1, None)
+@example(([-0.0], [math.inf]), 1, None)
+@example(([0.0, -0.0], [math.inf, math.inf]), 1, None)
 def test_box_predicates_equal_the_reduction_and_clip_forms(bounds, m, data):
     lo, hi = bounds
     lo_a, hi_a = np.array(lo), np.array(hi)
     dom = box(lo, hi) if len(lo) > 1 or hi[0] < math.inf else halfline(lo[0])
     d = len(lo)
     if data is None:        # the tie np.clip breaks toward the bound
-        rows = np.array([[0.0]])
+        rows = np.zeros((1, d))
     else:
         entries = st.one_of(_DOUBLES, st.sampled_from(
             [0.0, -0.0, 1e308, -1e308, *lo, *hi]))
@@ -1304,10 +1308,9 @@ def test_float_drive_steps_on_floats_through_the_leaves(name):
                 space=replace(T.space, distance=spy(T.space.distance)))
     res = solve_fixed_point(T, [0.5], 1e-6, 10_000)
     orbit_exact(T, [0.5], 10)
-    orbit_inexact(T, [0.5], 10, 1e-3, 5)
     solve_at_t(T, 0.5, [0.5], 1e-6)
     assert res.iterations > (0 if name == "constant" else 2)
-    assert seen.count(np.ndarray) == 4 and set(seen) == {float, np.ndarray}
+    assert seen.count(np.ndarray) == 3 and set(seen) == {float, np.ndarray}
 
 
 # planar-rotation's disk, a disk off the origin, and a disk that orbits

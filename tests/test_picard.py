@@ -107,7 +107,8 @@ _DECAY = rational_decay_modulus(1.0)
 
 # each call once accepted its NaN argument: it returned a result, ran into
 # a later error, or raised a bare ValueError; an iteration budget below 1
-# is refused the same way
+# is refused the same way, and so is a count or seed that is no integer,
+# which raised a bare TypeError
 @pytest.mark.parametrize("call", [
     lambda: solve_fixed_point(_decay_map(), [1.0], _NAN, max_iter=50),
     lambda: run_stability_experiment(_decay_map(), [0.0], 1.0, 0.1, 2, 900,
@@ -130,12 +131,30 @@ _DECAY = rational_decay_modulus(1.0)
     lambda: solve_fixed_point(_decay_map(), [1.0], 1e-8, max_iter=0),
     lambda: solve_at_t(_affine_map(), 0.5, [0.0], 1e-10, max_inner_iter=0),
     lambda: PathConfig(max_inner_iter=0),
+    lambda: orbit_inexact(_decay_map(), [1.0], 10, 1e-3, noise_seed=1.5),
+    lambda: orbit_inexact(_decay_map(), [1.0], 10.5, 1e-3, noise_seed=1),
+    lambda: orbit_exact(_decay_map(), [1.0], 10.5),
+    lambda: run_stability_experiment(_decay_map(), [0.0], 1.0, 0.1, 2.5,
+                                     900, 0),
+    lambda: run_stability_experiment(_decay_map(), [0.0], 1.0, 0.1, 2,
+                                     900.5, 0),
+    lambda: run_stability_experiment(_decay_map(), [0.0], 1.0, 0.1, 2, 900,
+                                     1.5),
+    lambda: solve_fixed_point(_decay_map(), [1.0], 1e-8, max_iter=2.5),
+    lambda: solve_at_t(_affine_map(), 0.5, [0.0], 1e-10,
+                       max_inner_iter=2.5),
+    lambda: PathConfig(max_inner_iter=2.5),
+    lambda: orbit_exact(_decay_map(), [1.0], _NAN),
 ], ids=["solve-tol", "stability-delta", "verify-slack", "ls-tol",
         "path-inner-tol", "limit-final-tol", "orbit-delta", "modulus",
         "modulus-array", "cluster-delta", "settling-eps", "settling-radius",
         "coupling-eps", "coupling-radius", "constant-value", "decay-rate",
         "admissibility-grid",
-        "solve-budget", "inner-budget", "path-budget"])
+        "solve-budget", "inner-budget", "path-budget",
+        "orbit-seed-float", "orbit-length-float", "exact-length-float",
+        "stability-trials-float", "stability-length-float",
+        "stability-seed-float", "solve-budget-float", "inner-budget-float",
+        "path-budget-float", "exact-length-nan"])
 def test_nan_arguments_are_refused(call):
     with pytest.raises(ArgumentError):
         call()
@@ -399,7 +418,7 @@ def test_orbit_inexact_is_reproducible():
 def test_orbit_inexact_genuine_exit_is_recorded():
     # map into 2 with the domain only reaching 1: exits immediately and the
     # exiting point is kept
-    T = MappingInstance(apply=lambda x: np.array([2.0]),
+    T = MappingInstance(apply=lambda x: np.full(np.shape(x), 2.0),
                         declared_modulus=constant_modulus(0.0),
                         domain=box([-1.0], [1.0]), space=euclidean(1))
     orb = orbit_inexact(T, [0.0], 10, 1e-3, noise_seed=29)
@@ -410,6 +429,16 @@ def test_orbit_inexact_genuine_exit_is_recorded():
 def test_orbit_inexact_validates_delta():
     with pytest.raises(ArgumentError):
         orbit_inexact(_decay_map(), [1.0], 10, -1e-3, noise_seed=1)
+
+
+def test_orbit_inexact_refuses_a_map_of_points_only():
+    # the orbit is stepped as a (1, d) array of rows, as a one-trial
+    # stability run is, and a map that only takes a point is refused
+    T = MappingInstance(apply=lambda x: np.array([2.0]),
+                        declared_modulus=constant_modulus(0.0),
+                        domain=box([-1.0], [1.0]), space=euclidean(1))
+    with pytest.raises(ArgumentError, match="row by row"):
+        orbit_inexact(T, [0.0], 10, 1e-3, noise_seed=29)
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +589,27 @@ def test_orbit_inexact_nan_image_is_non_finite_not_an_exit():
 
 def test_orbit_inexact_reports_the_non_finite_image_not_its_perturbation():
     # the payload is T x itself: its finite coordinate carries no noise
-    T = MappingInstance(apply=lambda x: np.array([math.nan, 0.5]),
+    T = MappingInstance(apply=lambda x: np.full(np.shape(x),
+                                                [math.nan, 0.5]),
                         declared_modulus=constant_modulus(0.0),
                         domain=ball([0.0, 0.0], 1.0), space=euclidean(2))
     with pytest.raises(NonFiniteError) as err:
         orbit_inexact(T, [0.0, 0.0], 3, 0.1, 1)
     assert math.isnan(err.value.point[0]) and err.value.point[1] == 0.5
     assert err.value.last_inside.tolist() == [0.0, 0.0]
+
+
+def test_an_overflowing_map_ends_in_non_finite_error_not_a_warning():
+    # x -> 1e200 x overflows to +inf, inside [0, inf): the perturbed steps
+    # run the map with no warning, so under the suite's
+    # error::RuntimeWarning filter the run still ends in the typed error
+    T = _halfline_map(lambda x: 1e200 * x)
+    with pytest.raises(NonFiniteError):
+        run_stability_experiment(T, [0.0], 1.0, 1.0, 12, 21, seed=3)
+    with pytest.raises(NonFiniteError) as err:
+        orbit_inexact(T, [1.0], 5, 0.1, 1)
+    assert err.value.point.tolist() == [math.inf]
+    assert 1e199 < err.value.last_inside[0] < math.inf
 
 
 class _ZeroDirections:
@@ -1007,10 +1050,38 @@ def test_batched_stability_matches_in_two_and_three_dimensions(domain,
                             seed=seed)
 
 
+_SPHERE_C = np.array([1.0, 0.0])
+
+# (T, x0, delta, exits): starts on the boundary, where a one-row run tests
+# the images first, with an orbit that stays and one that exits:
+# 0 on [0, inf), where x -> -x past 0.1 leaves, and (2, 0) on the sphere
+# about (1, 0), where x -> c + 1.02 (x - c) leaves
+_BOUNDARY_STARTS = [
+    (_decay_map(), [0.0], 1e-2, False),
+    (_halfline_map(lambda x: np.where(x > 0.1, -x, 0.5 * x)), [0.0], 0.3,
+     True),
+    (MappingInstance(apply=lambda x: x / 2.0,
+                     declared_modulus=constant_modulus(0.5),
+                     domain=ball(_SPHERE_C, 1.0), space=euclidean(2)),
+     [2.0, 0.0], 0.1, False),
+    (MappingInstance(apply=lambda x: _SPHERE_C + 1.02 * (x - _SPHERE_C),
+                     declared_modulus=constant_modulus(0.5),
+                     domain=ball(_SPHERE_C, 1.0), space=euclidean(2)),
+     [2.0, 0.0], 0.1, True),
+]
+
+
+def test_boundary_starts_lie_on_the_boundary_and_exit_as_labelled():
+    for T, x0, delta, exits in _BOUNDARY_STARTS:
+        assert T.domain.boundary_distance(as_point(x0)) == 0.0
+        orb = orbit_inexact(T, x0, 300, delta, noise_seed=41)
+        assert (orb.exited_domain_at is not None) == exits
+
+
 @pytest.mark.parametrize("T,x0,delta", [
     (_decay_map(), [1e-3], 1e-2),
     (_decay_map(), [1.0], 0.0),
-    (MappingInstance(apply=lambda x: np.array([2.0]),
+    (MappingInstance(apply=lambda x: np.full(np.shape(x), 2.0),
                      declared_modulus=constant_modulus(0.0),
                      domain=box([-1.0], [1.0]), space=euclidean(1)),
      [0.0], 1e-3),
@@ -1018,6 +1089,7 @@ def test_batched_stability_matches_in_two_and_three_dimensions(domain,
                      declared_modulus=constant_modulus(0.5),
                      domain=ball([1.0, 0.0], 1.0), space=euclidean(2)),
      [0.5, 0.5], 0.1),
+    *(case[:3] for case in _BOUNDARY_STARTS),
 ])
 def test_orbit_inexact_matches_scalar_loop(T, x0, delta):
     got = orbit_inexact(T, x0, 300, delta, noise_seed=41)
@@ -1042,12 +1114,17 @@ def _counting_contains(T):
 
 
 def test_perturbed_orbit_tests_each_point_once():
-    # a step whose perturbed point is outside also tests the image and the
-    # projection; every other step tests its point once
-    T, calls = _counting_contains(make_map("rakotch-decay").mapping)
+    # the orbit is a one-row run of the stability kernel: its start is
+    # tested as a point, then each step tests its perturbed point as a
+    # row, and a step where that is outside also tests the image and
+    # projects; from 1, inside [0, inf), the perturbed points go first
+    T, calls = _counting_kernel_calls(make_map("rakotch-decay").mapping)
+    T, point_tests = _counting_contains(T)
     n, delta, seed = 10_000, 1e-3, 7
     got = orbit_inexact(T, [1.0], n, delta, noise_seed=seed)
-    tests = calls[0]
+    tests = point_tests[0]
+    row_tests, projections = map(list, (calls["contains_rows"],
+                                        calls["project"]))
     ref = _reference_orbit_inexact(T, [1.0], n, delta, noise_seed=seed)
     assert got.points.tobytes() == ref.points.tobytes()
     assert got.residuals.tobytes() == ref.residuals.tobytes()
@@ -1055,10 +1132,12 @@ def test_perturbed_orbit_tests_each_point_once():
     noise = _ball_noise(seed, n, 1, delta)
     projected = int((T.apply(got.points[:-1]) + noise < 0.0).sum())
     assert 0 < projected < n // 10
-    assert tests == 1 + n + 2 * projected
-    calls[0] = 0
+    assert tests == 1
+    assert row_tests == [(1, 1)] * (n + projected)
+    assert projections == [(1, 1)] * projected
+    point_tests[0] = 0
     orbit_exact(T, [1.0], n)
-    assert calls[0] == n + 1
+    assert point_tests[0] == n + 1
 
 
 def _rotation_map(apply_for):
