@@ -490,8 +490,10 @@ def box(lo, hi) -> DomainSet:
         def bdist(p: Point) -> float:
             if not contains(p):
                 return 0.0
-            # a gap past the largest float is inf, with no warning
-            with np.errstate(over="ignore"):
+            # a gap past the largest float is inf, and an infinite
+            # coordinate at an infinite bound makes a NaN gap (inf - inf),
+            # which Python's min passes over as hi's gap; neither warns
+            with np.errstate(over="ignore", invalid="ignore"):
                 return float(min(np.min(p - lo_a), np.min(hi_a - p)))
 
         def contains_rows(rows: np.ndarray) -> np.ndarray:

@@ -16,9 +16,20 @@ _rows_text computes the same bytes for a chunk of rows in numpy:
   s >= 100 (5e-323, not 4.9e-323);
 * the text by repr's layout: each cell is a fixed field of byte slots
   (sign, the "0.000" prefix, 17 digits each followed by a dot slot, and
-  e+XXX) copied from a table of the layouts repr uses, with its digits
-  and exponent written in, and every slot repr does not write left 0.
-  One bytes.translate over the chunk's buffer drops the 0s.
+  e+XXX) copied from a table of the layouts repr uses, its digit slots
+  1 where repr writes a digit, so that multiplying them by the cell's
+  digits writes them, and the exponent written in where some cell of
+  the block has one.  Every slot repr does not write is left 0, and one
+  bytes.translate over the chunk's buffer drops the 0s.  A zero or
+  non-finite cell gets the digits of 1.0, which its layout drops, so
+  every cell takes the same path.
+
+Two kinds of column skip the float kernel.  A float column whose cells
+all have one bit pattern is its first cell's repr, copied to every row.
+An int column (an increasing range) takes its digits four at a time from
+the table of the 10^4 four-digit groups, right-aligned in as many groups
+as its largest int needs, and its leading zeros set to 0 a run of rows of
+one digit count at a time.
 
 Every intermediate of the kernel is an explicit uint64 or int64 array and
 no operation mixes the two: numpy promotes such a mix to float64, under
@@ -27,6 +38,7 @@ numpy 1.24's value-based casting as under numpy 2's rules.
 
 from __future__ import annotations
 
+import bisect
 import functools
 
 import numpy as np
@@ -40,8 +52,9 @@ _K_MIN, _K_MAX = -324, 292
 # 10^0 .. 10^19, the largest powers of ten below 2^64
 _POW10 = np.array([10 ** j for j in range(20)], dtype=_U)
 
-# a float cell's slots, 0 where a layout may leave a slot unwritten
-_FLOAT_TEMPLATE = np.frombuffer(b"-0.000" + b"\0." * 17 + b"e\0\0\0\0",
+# a float cell's slots, 0 where a layout may leave a slot unwritten and
+# 1, the factor a digit is multiplied by, in the digit slots
+_FLOAT_TEMPLATE = np.frombuffer(b"-0.000" + b"\1." * 17 + b"e\0\0\0\0",
                                 np.uint8)
 _FLOAT_WIDTH = len(_FLOAT_TEMPLATE)
 _DIGITS = slice(6, 40, 2)
@@ -51,8 +64,8 @@ _SLOT = np.arange(17, dtype=_I)
 # A finite nonzero cell's layout class is e_class * 18 + n, for n its
 # significant digits and e the exponent of d.ddd 10^e: e_class is e + 4
 # for the fixed notation, e in [-4, 15], else 20 for e+XX and e+XXX.
-# Classes 21 * 18 + 0, 1 and 2 are 0.0, inf and nan; a negative cell's
-# class is NEGATIVE more.
+# Classes 21 * 18 + 0, 1 and 2 are 0.0, inf and nan; a cell whose sign
+# bit is set has the class NEGATIVE more, which for nan writes no sign.
 _N_CLASSES = 18
 _ZERO_CLASS = 21 * _N_CLASSES
 _NEGATIVE = _I(22 * _N_CLASSES)
@@ -89,7 +102,9 @@ def _tables() -> dict[str, np.ndarray]:
 
 def _layouts() -> np.ndarray:
     """Every layout class's cell: its constant bytes where repr writes
-    them, 0 elsewhere, the digits and exponent included."""
+    them, 1 in the digit slots it writes, 0 elsewhere, the exponent
+    included.  0.0, inf and nan are written in the "0.0" prefix's slots,
+    so that their digit slots are 0."""
     layout = np.arange(2 * _NEGATIVE, dtype=_I)
     negative, e_class = layout // _NEGATIVE, layout // _N_CLASSES % _I(22)
     n = layout % _I(_N_CLASSES)
@@ -97,16 +112,20 @@ def _layouts() -> np.ndarray:
     e = np.where(fixed, e_class - _I(4), _I(0))
     left, right = fixed & (e < _I(0)), fixed & (e >= _I(0))
     written = np.zeros((len(n), _FLOAT_WIDTH), bool)
-    written[:, 0] = negative == _I(1)
+    written[:, 0] = (negative == _I(1)) & ((e_class != _I(21)) | (n != _I(2)))
     written[:, 1] = written[:, 2] = left
     # "0.000": the zeros written for e <= -2, -3, -4
     written[:, 3:6] = fixed[:, None] & (e[:, None] <= -_SLOT[2:5])
     dot = np.where(right, e, np.where(sci & (n > _I(1)), _I(0), _I(-1)))
     written[:, _DOTS] = _SLOT == dot[:, None]
     written[:, 40] = sci
+    # a fixed number at or above 1 is padded with zeros to its units
+    # digit and one place beyond it, the ".0"
+    last = np.where(right, np.maximum(n, e + _I(2)), n)
+    written[:, _DIGITS] = (_SLOT < last[:, None]) & (e_class < _I(21))[:, None]
     cells = np.where(written, _FLOAT_TEMPLATE, 0).astype(np.uint8)
     for j, word in enumerate((b"0.0", b"inf", b"nan")):
-        cells[(e_class == _I(21)) & (n == _I(j)), 6:9] = \
+        cells[(e_class == _I(21)) & (n == _I(j)), 1:4] = \
             np.frombuffer(word, np.uint8)
     return cells
 
@@ -254,68 +273,92 @@ def _digit_text(f: np.ndarray) -> np.ndarray:
 
 
 def _left_digits(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(text, width): the digits of each f < 10^17 from the first column
-    of the (n, 17) text on, zeros after them, and their count (1 for 0)."""
-    width = np.maximum(np.searchsorted(_POW10, f, side="right"),
-                       1).astype(_I)
+    """(text, width): the digits of each 0 < f < 10^17 from the first
+    column of the (n, 17) text on, zeros after them, and their count."""
+    width = np.searchsorted(_POW10, f, side="right").astype(_I)
     return _digit_text(f * _POW10[_I(17) - width]), width
 
 
 def _put_floats(cells: np.ndarray, x: np.ndarray) -> None:
     """Write repr of each double of the (n, r) block x into the
     (n, r, _FLOAT_WIDTH) view cells, 0 in the slots it does not use."""
-    nan = np.isnan(x)
     plain = np.isfinite(x) & (x != 0.0)
-    f, k = _shortest(x[plain])
+    # every cell gets digits, a zero or non-finite one those of 1.0, which
+    # its layout's mask then drops
+    f, k = _shortest(np.where(plain, x, 1.0).ravel())
     text, width = _left_digits(f)
     e = k + width - _I(1)                             # d.ddd 10^e
     n = _I(17) - np.argmax(text[:, ::-1] != 48, axis=1)
     fixed = (e >= _I(-4)) & (e < _I(16))
-    layout = np.where(np.isinf(x), _I(_ZERO_CLASS + 1),
-                      np.where(nan, _I(_ZERO_CLASS + 2), _I(_ZERO_CLASS)))
-    layout[plain] = np.where(fixed, e + _I(4), _I(20)) * _N_CLASSES + n
-    layout += (np.signbit(x) & ~nan) * _NEGATIVE
+    layout = (np.where(fixed, e + _I(4), _I(20)) * _N_CLASSES
+              + n).reshape(x.shape)
+    layout = np.where(plain, layout, _ZERO_CLASS + np.isinf(x)
+                      + _I(2) * np.isnan(x))
+    layout += np.signbit(x) * _NEGATIVE
     np.take(_tables()["layouts"], layout, axis=0, out=cells)
-    # a fixed number at or above 1 is padded with zeros to its units
-    # digit and one place beyond it, the ".0"
-    last = np.where(fixed & (e >= _I(0)), np.maximum(n, e + _I(2)), n)
-    cells[plain, _DIGITS] = text * (_SLOT < last[:, None])
-    cells[plain, _EXPONENT] = _tables()["exponents"][
-        np.where(fixed, _I(633), e + _I(324))]
+    digits = cells[..., _DIGITS]
+    digits *= text.reshape(digits.shape)
+    if not fixed.all():
+        cells[..., _EXPONENT] = _tables()["exponents"][
+            np.where(fixed, _I(633), e + _I(324))].reshape(x.shape + (4,))
 
 
 def _put_ints(cells: np.ndarray, r: range) -> None:
-    """Write str of each int of r (nonnegative, below 10^17) into the
-    rows of the (n, 17) view cells, 0 in the slots it does not use."""
-    text, width = _left_digits(np.arange(r.start, r.stop, r.step,
-                                         dtype=_U))
-    np.multiply(text, _SLOT < width[:, None], out=cells)
+    """Write str of each int of the increasing r (nonnegative, below
+    10^17) right-aligned into the rows of the (n, 4 m) view cells, m the
+    4-digit groups its largest int needs, 0 in the slots before its first
+    digit."""
+    quads = _tables()["quads"].view(np.uint32)[:, 0]
+    v = np.arange(r.start, r.stop, r.step, dtype=_U)
+    out = np.empty((len(v), cells.shape[1] // 4), np.uint32)
+    for j in range(out.shape[1] - 1, 0, -1):
+        top = v // _U(10_000)
+        out[:, j] = quads[v - top * _U(10_000)]
+        v = top
+    out[:, 0] = quads[v]
+    cells[...] = out.view(np.uint8)
+    # the rows of each digit count are a run, as r increases
+    lo = 0
+    for w in range(len(str(r[0])), len(str(r[-1])) + 1):
+        hi = bisect.bisect_left(r, 10 ** w)
+        cells[lo:hi, :cells.shape[1] - w] = 0
+        lo = hi
 
 
 def _rows_text(columns: list[np.ndarray | range | None]) -> str:
     """CSV text of the equal-length columns, one line per row, each
-    ending in a newline: a float64 array's cells as repr writes them, a
-    range's as str does, and a None column's cells empty."""
+    ending in a newline: a float64 array's cells as repr writes them, an
+    increasing range's as str does, and a None column's cells empty."""
     n = next(len(c) for c in columns if c is not None)
-    # adjacent float columns are laid out together, as (n, r) blocks of
-    # at most _BLOCK_CELLS cells (or one column); every cell is followed
-    # by its separator slot
+    # a float column of one bit pattern is its first cell's repr, once;
+    # other adjacent float columns are laid out together, as (n, r) blocks
+    # of at most _BLOCK_CELLS cells (or one column); every cell is
+    # followed by its separator slot
     parts: list = []
     for c in columns:
-        if (isinstance(c, np.ndarray) and parts and isinstance(parts[-1], list)
-                and n * (len(parts[-1]) + 1) <= _BLOCK_CELLS):
-            parts[-1].append(c)
+        if isinstance(c, np.ndarray):
+            bits = c.view(_U)
+            if bits[0] == bits[-1] and (bits == bits[0]).all():
+                parts.append(repr(float(c[0])))
+            elif (parts and isinstance(parts[-1], list)
+                    and n * (len(parts[-1]) + 1) <= _BLOCK_CELLS):
+                parts[-1].append(c)
+            else:
+                parts.append([c])
         else:
-            parts.append([c] if isinstance(c, np.ndarray) else c)
-    widths = [1 if p is None else 18 if isinstance(p, range)
+            parts.append(c)
+    widths = [1 if p is None else len(p) + 1 if isinstance(p, str)
+              else 4 * -(-len(str(p[-1])) // 4) + 1 if isinstance(p, range)
               else (_FLOAT_WIDTH + 1) * len(p) for p in parts]
     # numpy writes into the bytearray, which translate reads in place
     buf = bytearray(n * sum(widths))
     cells = np.frombuffer(buf, np.uint8).reshape(n, sum(widths))
     at = 0
     for p, w in zip(parts, widths):
-        if isinstance(p, range):
-            _put_ints(cells[:, at:at + 17], p)
+        if isinstance(p, str):
+            cells[:, at:at + w - 1] = np.frombuffer(p.encode(), np.uint8)
+        elif isinstance(p, range):
+            _put_ints(cells[:, at:at + w - 1], p)
         elif p is not None:
             block = cells[:, at:at + w].reshape(n, len(p), _FLOAT_WIDTH + 1)
             _put_floats(block[:, :, :-1], np.stack(p, axis=1))

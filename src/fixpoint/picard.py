@@ -135,15 +135,15 @@ def _iterate(step, x: Point | float | tuple, contains, n: int, dist=None,
     NonFiniteError when its residual is not finite or when it lies
     outside (NaN fails every membership test); a residual that overflows
     between finite points only means not converged."""
-    isfinite = math.isfinite
-    r = math.inf
+    inf = r = math.inf
     for i in range(n):
         y = step(x)
         if dist is not None:
             r = dist(x, y)
             if r <= tol:
                 return _Run(x, i, r, None)
-            if not isfinite(r) and not np.all(np.isfinite(y)):
+            # a distance is not below inf only when it is inf or NaN
+            if not r < inf and not np.all(np.isfinite(y)):
                 raise _non_finite(y, x)
         if out is not None:
             out[i + 1] = y

@@ -399,6 +399,14 @@ def test_box_boundary_distance_takes_a_gap_past_the_floats(lo, hi, p, dist):
     assert d.interior_contains(p) is (dist > 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p,dist", [([_INF, 1.0], 1.0), ([_INF, _INF], _INF)])
+def test_box_boundary_distance_at_an_infinite_bound_does_not_warn(p, dist):
+    # hi - p is inf - inf in the infinite coordinates
+    d = box([0.0, 0.0], [_INF, _INF])
+    assert d.boundary_distance(np.array(p)) == dist
+
+
 def test_halfline_is_box_with_infinite_top():
     d = halfline(-1.0)
     assert d.contains(as_point(1e12))

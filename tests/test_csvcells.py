@@ -11,7 +11,10 @@ cell.
   c == C_MIN), 10^e for e in [-323, 308], the doubles about 2^53 and the
   points where repr switches layout;
 * rows of several columns (ints, adjacent floats split into blocks, empty
-  cells) against the cells joined by commas;
+  cells) against the cells joined by commas, also as a hypothesis property
+  over columns of one bit pattern, index ranges across the quads' widths,
+  one-row chunks and blocks of about 20% zeros, infinities and NaNs; and
+  the orbit CSV of exact orbits across a chunk boundary;
 * the kernel's exact parts: its digit and exponent arrays keep their
   uint64 and int64 dtypes, floor(log10(2^q)) and the other multiplier
   shortcuts are exact over every exponent, g(k) brackets 10^-k 2^-r, and
@@ -27,10 +30,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fixpoint.csvcells import (_BLOCK_CELLS, _K_MAX, _K_MIN, _g,
                                _left_digits, _rows_text, _scaled, _shortest)
+from fixpoint.gallery import make_map
+from fixpoint.picard import _CSV_CHUNK, orbit_csv, orbit_exact
 
 _PIECE = 4096
 
@@ -121,6 +126,91 @@ def test_rows_join_their_cells(rows):
                                range(10 ** 17 - 3, 10 ** 17)])
 def test_int_cells_equal_str(r):
     assert _rows_text([r]) == "".join(f"{i}\n" for i in r)
+
+
+_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan]
+# a constant column writes its first cell once: every special, a
+# subnormal and a normal
+_CONSTANTS = [*_SPECIALS, 5e-324, -2.5e-310, 1.5, -1e22]
+
+
+def _row_reference(columns, rows: int) -> str:
+    def cell(c, i):
+        return ("" if c is None else str(c[i]) if isinstance(c, range)
+                else repr(c[i].item()))
+    return "".join(",".join(cell(c, i) for c in columns) + "\n"
+                   for i in range(rows))
+
+
+def _assert_lines(got: str, want: str) -> None:
+    # the differing lines, not a diff of the whole text, which is slow to
+    # build for thousands of rows
+    wrong = [(w, g) for w, g in zip(want.split("\n"), got.split("\n"))
+             if w != g]
+    assert not wrong, wrong[:5]
+    assert len(got) == len(want)
+
+
+@st.composite
+def _float_columns(draw, rows: int) -> np.ndarray:
+    kind = draw(st.sampled_from(["constant", "signed-zero", "mixed"]))
+    if kind == "constant":
+        return np.full(rows, draw(st.sampled_from(_CONSTANTS)))
+    if kind == "signed-zero":
+        # a zero column but for one zero of the other sign
+        zero = draw(st.sampled_from([0.0, -0.0]))
+        x = np.full(rows, zero)
+        x[draw(st.integers(0, rows - 1))] = -zero
+        return x
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.integers(0, 2 ** 64, rows, dtype=np.uint64,
+                     endpoint=False).view(np.float64)
+    special = rng.random(rows) < 0.2
+    x[special] = rng.choice(_SPECIALS, int(special.sum()))
+    return x
+
+
+@st.composite
+def _chunks(draw):
+    rows = draw(st.one_of(st.just(1), st.integers(1, 2 * _CSV_CHUNK)))
+    # starts at 0, across 10^4 and 10^8, up to 10^17 - 1
+    start = draw(st.one_of(
+        st.sampled_from([0, 10 ** 4 - rows // 2, 10 ** 8 - rows // 2,
+                         10 ** 17 - rows]),
+        st.integers(0, 10 ** 17 - rows)))
+    columns = [range(start, start + rows)] if draw(st.integers(0, 3)) else []
+    for _ in range(draw(st.integers(1, 6))):
+        columns.append(None if draw(st.integers(0, 7)) == 0
+                       else draw(_float_columns(rows)))
+    if all(c is None for c in columns):
+        columns.append(draw(_float_columns(rows)))
+    return columns, rows
+
+
+@given(_chunks())
+@example(([range(9_999, 10_001), np.array([0.0, -0.0]), np.full(2, -0.0)], 2))
+@example(([range(10 ** 8 - 2, 10 ** 8 + 1), np.full(3, math.nan), None,
+           np.array([1.5, math.inf, -5e-324])], 3))
+@example(([range(10 ** 17 - 1, 10 ** 17), np.array([-math.inf])], 1))
+def test_rows_equal_the_cells_repr_and_str_write(chunk):
+    columns, rows = chunk
+    _assert_lines(_rows_text(columns), _row_reference(columns, rows))
+
+
+@pytest.mark.parametrize("name,x0", [("rakotch-decay", [1.0]),
+                                     ("constant", [0.5]),
+                                     ("planar-rotation", [0.5, 0.25])])
+def test_orbit_csv_across_a_chunk_boundary_equals_repr(name, x0):
+    # an exact orbit's residuals are all 0.0; the constant map's points are
+    # one value after the start, and the rotation's repeat every 8 steps
+    orbit = orbit_exact(make_map(name).mapping, x0, 2 * _CSV_CHUNK + 5)
+    pts, d = orbit.points, orbit.points.shape[1]
+    want = ",".join(["i", *(f"x{j}" for j in range(d)), "residual"]) + "\n"
+    want += "".join(
+        ",".join([str(i), *map(repr, pts[i].tolist()),
+                  "" if i == 0 else repr(orbit.residuals[i - 1].item())])
+        + "\n" for i in range(len(pts)))
+    _assert_lines("".join(orbit_csv(orbit)), want)
 
 
 def test_kernel_keeps_its_integer_dtypes():
