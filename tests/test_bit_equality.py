@@ -42,6 +42,7 @@
   form, signed zeros included.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -1018,11 +1019,16 @@ def _boxes(draw):
 
 
 def _old_point_forms(lo_f: float, hi_f: float):
-    """Frozen copies of the 1-D box's point predicates on p[0]."""
+    """Frozen copies of the 1-D box's point predicates on p[0]; bdist
+    changed on two kinds of input only: NaN, which contains refuses, is
+    at 0.0, and an infinite v at an infinite bound of its own sign, no
+    face, at inf (both were the NaN of inf - inf or of NaN itself)."""
     def bdist(p):
         v = p[0]
-        if v < lo_f or v > hi_f:
+        if v < lo_f or v > hi_f or v != v:
             return 0.0
+        if abs(v) == math.inf:
+            return math.inf
         # on numpy scalars a gap past the largest float (1e308 in
         # [-1e308, inf)) is inf with an overflow warning
         with np.errstate(over="ignore"):
@@ -1035,13 +1041,18 @@ def _old_point_forms(lo_f: float, hi_f: float):
 @example(([-0.0], [1.0]), 1, None)
 @example(([-0.0], [math.inf]), 1, None)
 @example(([0.0, -0.0], [math.inf, math.inf]), 1, None)
+@example(([-math.inf], [math.inf]), 1, None)    # halfline(-inf), the line
 def test_box_predicates_equal_the_reduction_and_clip_forms(bounds, m, data):
     lo, hi = bounds
     lo_a, hi_a = np.array(lo), np.array(hi)
     dom = box(lo, hi) if len(lo) > 1 or hi[0] < math.inf else halfline(lo[0])
     d = len(lo)
-    if data is None:        # the tie np.clip breaks toward the bound
-        rows = np.zeros((1, d))
+    if data is None:
+        # a row for every choice of coordinates among the special values,
+        # the zeros among them for the tie np.clip breaks toward the bound
+        special = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf,
+                   -math.inf, math.nan, *lo, *hi]
+        rows = np.array(list(itertools.product(special, repeat=d)))
     else:
         entries = st.one_of(_DOUBLES, st.sampled_from(
             [0.0, -0.0, 1e308, -1e308, *lo, *hi]))
@@ -1067,6 +1078,8 @@ def test_box_predicates_equal_the_reduction_and_clip_forms(bounds, m, data):
         with np.errstate(invalid="ignore"):
             for r in rows:
                 assert dom.contains(r) == contains(r)
+                # the float form, the one the float drive calls
+                assert dom.contains(float(r[0])) == contains(r)
                 assert dom.interior_contains(r) == interior(r)
                 got_bd = dom.boundary_distance(r)
                 assert type(got_bd) is float

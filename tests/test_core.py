@@ -400,11 +400,30 @@ def test_box_boundary_distance_takes_a_gap_past_the_floats(lo, hi, p, dist):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("p,dist", [([_INF, 1.0], 1.0), ([_INF, _INF], _INF)])
-def test_box_boundary_distance_at_an_infinite_bound_does_not_warn(p, dist):
+@pytest.mark.parametrize("lo,hi,p,dist", [
     # hi - p is inf - inf in the infinite coordinates
-    d = box([0.0, 0.0], [_INF, _INF])
-    assert d.boundary_distance(np.array(p)) == dist
+    ([0.0, 0.0], [_INF, _INF], [_INF, 1.0], 1.0),
+    ([0.0, 0.0], [_INF, _INF], [_INF, _INF], _INF),
+    # so is p - lo at a -inf bound: an infinite coordinate at an infinite
+    # bound of its own sign is no face, its gaps are inf
+    ([-_INF], [0.0], [-_INF], _INF),
+    ([-_INF, 0.0], [0.0, _INF], [-_INF, 1.0], 1.0),
+    ([0.0], [_INF], [_INF], _INF),
+    ([-_INF], [_INF], [-_INF], _INF),
+    ([-_INF], [_INF], [_INF], _INF),
+    # the NaN gap of the infinite coordinate hides no smaller one: the
+    # point is on the face x_0 = 1
+    ([0.0, 0.0], [1.0, _INF], [1.0, _INF], 0.0),
+    # every point that contains refuses is at 0.0, NaN included
+    ([0.0], [_INF], [math.nan], 0.0),
+    ([0.0], [1.0], [math.nan], 0.0),
+    ([0.0], [1.0], [-_INF], 0.0),
+    ([0.0, 0.0], [_INF, _INF], [math.nan, 1.0], 0.0),
+])
+def test_box_boundary_distance_at_an_infinite_bound_does_not_warn(lo, hi, p,
+                                                                  dist):
+    got = box(lo, hi).boundary_distance(np.array(p))
+    assert type(got) is float and got == dist
 
 
 def test_halfline_is_box_with_infinite_top():
